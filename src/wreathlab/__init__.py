@@ -52,10 +52,8 @@ from .fields import (
     MultiQuadField,
     QuadraticTower,
     chi,
-    field_arithmetic,
     galois_group,
     quadratic_kummer_embedding,
-    restriction,
     restriction_hom,
     tower_extension,
     verify_cocycle,

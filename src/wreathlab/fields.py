@@ -6,9 +6,21 @@ generator 0 as the least significant bit.  Automorphisms are sign vectors on
 the generators, so the Galois group over Q is elementary abelian of order 2^k
 and composes by XOR of masks.
 
+Because the top generator is the most significant bit, a coordinate vector of
+length 2^k splits in halves as x = a + b*sqrt(d) with d = d_{k-1} and a, b
+coordinate vectors of K = Q(sqrt(d_0),...,sqrt(d_{k-2})).  Arithmetic recurses
+on that split:
+
+* multiplication is Karatsuba's, (a + b√d)(c + e√d) = (ac + d·be) +
+  ((a+b)(c+e) - ac - be)√d, three products in K (fewer when b or e is 0);
+* the inverse is (a - b√d) / N with the norm N = a² - d·b² in K, itself
+  inverted recursively, so a zero norm at any level raises ZeroDivisionError.
+
 The canonical square root of a rational r^2 * prod_{i in S} d_i is the
 positive multiple r of the basis monomial for S; all radical quotients are
-evaluated exactly against that choice.
+evaluated exactly against that choice.  It is found without factoring: q =
+n/m has a root on the monomial of S exactly when n*m*prod_S d_i is a perfect
+square (tested with isqrt), and independence of the d_i leaves at most one S.
 """
 
 from __future__ import annotations
@@ -27,27 +39,46 @@ from .embeddings import EmbeddingReport, ShortExactSequence, verify_embedding
 
 GENERATOR_BOUND = 10**6
 
+_ZERO = Fraction(0)
 
-def _square_free_part(n: int) -> tuple[int, int]:
-    """n = r^2 * m with m square-free; returns (r, m), preserving the sign on m."""
-    if n == 0:
-        return 0, 0
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    r, m = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            r *= d ** (e // 2)
-            if e % 2:
-                m *= d
-        d += 1
-    m *= n
-    return r, sign * m
+
+def _mul(x: Sequence[Fraction], y: Sequence[Fraction],
+         gens: Sequence[int]) -> list[Fraction]:
+    """Product of coordinate vectors of Q(sqrt(gens[0]),...), split on the top generator."""
+    n = len(x)
+    if n == 1:
+        return [x[0] * y[0]]
+    if n == 2:
+        (a, b), (c, e) = x, y
+        return [a * c + gens[0] * (b * e), a * e + b * c]
+    h = n >> 1
+    a, b, c, e = x[:h], x[h:], y[:h], y[h:]
+    b_zero, e_zero = not any(b), not any(e)
+    if b_zero and e_zero:
+        return _mul(a, c, gens) + [_ZERO] * h
+    if b_zero:
+        return _mul(a, c, gens) + _mul(a, e, gens)
+    if e_zero:
+        return _mul(a, c, gens) + _mul(b, c, gens)
+    d = gens[h.bit_length() - 1]
+    ac, be = _mul(a, c, gens), _mul(b, e, gens)
+    mid = _mul([p + q for p, q in zip(a, b)], [p + q for p, q in zip(c, e)], gens)
+    return ([p + d * q for p, q in zip(ac, be)]
+            + [m - p - q for m, p, q in zip(mid, ac, be)])
+
+
+def _inverse(x: Sequence[Fraction], gens: Sequence[int]) -> list[Fraction]:
+    """x^-1 = (a - b sqrt(d)) / (a^2 - d b^2), inverting the norm in K recursively."""
+    n = len(x)
+    if n == 1:
+        return [1 / x[0]]
+    h = n >> 1
+    a, b = x[:h], x[h:]
+    if not any(b):
+        return _inverse(a, gens) + [_ZERO] * h
+    d = gens[h.bit_length() - 1]
+    norm_inv = _inverse([p - d * q for p, q in zip(_mul(a, a, gens), _mul(b, b, gens))], gens)
+    return _mul(a, norm_inv, gens) + [-c for c in _mul(b, norm_inv, gens)]
 
 
 def _is_square_free(n: int) -> bool:
@@ -130,11 +161,12 @@ class MultiQuadField:
         q = Fraction(q)
         if q == 0:
             return self.zero()
-        r0, m = _square_free_part(q.numerator * q.denominator)
         for mask in range(self.dim):
-            if self.subset_product(mask) == m:
+            prod = self.subset_product(mask)
+            square = q.numerator * q.denominator * prod
+            if square > 0 and isqrt(square) ** 2 == square:
                 coords = [Fraction(0)] * self.dim
-                coords[mask] = Fraction(r0, q.denominator)
+                coords[mask] = Fraction(isqrt(square), q.denominator * abs(prod))
                 return self.element(coords)
         raise ValueError(f"sqrt({q}) does not lie in {self!r}")
 
@@ -177,33 +209,13 @@ class MultiQuadElement:
 
     def __mul__(self, other: "MultiQuadElement") -> "MultiQuadElement":
         self._check_same_field(other)
-        f = self.field
-        out = [Fraction(0)] * f.dim
-        for s, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for t, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                out[s ^ t] += a * b * f.subset_product(s & t)
-        return MultiQuadElement(f, out)
+        return MultiQuadElement(self.field, _mul(self.coords, other.coords, self.field.generators))
 
     def inverse(self) -> "MultiQuadElement":
-        """Multiply by all sign conjugates and divide by the rational norm."""
-        f = self.field
+        """Divide the conjugate over the top generator by the norm, recursively."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        prod = f.one()
-        for mask in range(1, f.dim):
-            signs = tuple(-1 if mask >> i & 1 else 1 for i in range(f.k))
-            prod = prod * FieldAutomorphism(f, signs).apply(self)
-        norm = self * prod
-        if any(c != 0 for c in norm.coords[1:]):
-            raise ArithmeticError("norm failed to collapse to a rational")
-        if norm.coords[0] == 0:
-            raise ZeroDivisionError("zero norm for a nonzero element")
-        scale = 1 / norm.coords[0]
-        return MultiQuadElement(f, [c * scale for c in prod.coords])
+        return MultiQuadElement(self.field, _inverse(self.coords, self.field.generators))
 
     def __truediv__(self, other: "MultiQuadElement") -> "MultiQuadElement":
         return self * other.inverse()
@@ -241,17 +253,6 @@ class MultiQuadElement:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.field!r}>"
-
-
-def field_arithmetic(a: MultiQuadElement, b: Optional[MultiQuadElement], op: str) -> MultiQuadElement:
-    """Named dispatch over the exact element operations."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown field operation {op!r}")
 
 
 class FieldAutomorphism:
@@ -329,14 +330,6 @@ def _subfield_positions(f: MultiQuadField, k_generators: Sequence[int]) -> list[
     return positions
 
 
-def restriction(f_big: MultiQuadField, k_generators: Sequence[int],
-                rho: FieldAutomorphism) -> FieldAutomorphism:
-    """Restrict an automorphism to the subfield on the chosen generators."""
-    positions = _subfield_positions(f_big, k_generators)
-    sub = MultiQuadField([f_big.generators[p] for p in positions])
-    return FieldAutomorphism(sub, tuple(rho.signs[p] for p in positions))
-
-
 def restriction_hom(f_big: MultiQuadField, k_generators: Sequence[int]) -> GroupHom:
     """The induced surjection Gal(L/Q) -> Gal(K/Q) on concrete groups."""
     positions = _subfield_positions(f_big, k_generators)
@@ -405,6 +398,15 @@ def chi(t: QuadraticTower, rho: FieldAutomorphism, tau: FieldAutomorphism) -> in
     raise NonUnitQuotientError(f"radical quotient {quotient_val} is not +-1")
 
 
+def _chi_table(t: QuadraticTower, auts_l: Sequence[FieldAutomorphism],
+               auts_k: Sequence[FieldAutomorphism]) -> list[list[int]]:
+    """chi(rho, tau) for every rho of Gal(L/Q) (rows) and tau of Gal(K/Q) (columns).
+
+    One exact evaluation per pair; the cocycle check then reads each value by lookup.
+    """
+    return [[chi(t, rho, tau) for tau in auts_k] for rho in auts_l]
+
+
 def tower_extension(t: QuadraticTower) -> ShortExactSequence:
     """1 -> Gal(L/K) -> Gal(L/Q) -> Gal(K/Q) -> 1 on concrete groups."""
     eps = restriction_hom(t.L, t.K_generators)
@@ -436,8 +438,7 @@ def quadratic_kummer_embedding(
     omega = regular_action(small)
     w = build_wreath(base, omega, size_cap=size_cap, dense_cap=dense_cap)
     image = np.empty(big.order, dtype=np.int64)
-    for m in range(big.order):
-        digits = [chi(t, auts_l[m], auts_k[j]) for j in range(small.order)]
+    for m, digits in enumerate(_chi_table(t, auts_l, auts_k)):
         image[m] = w.encode(digits, int(eps.image[m]))
     phi = GroupHom(big, w.product, image)
     return w, phi, verify_embedding(phi)
@@ -451,13 +452,13 @@ def verify_cocycle(t: QuadraticTower) -> tuple[bool, Optional[tuple[int, int, in
     big, auts_l = galois_group(t.L)
     small, auts_k = galois_group(t.K)
     eps = restriction_hom(t.L, t.K_generators)
+    table = _chi_table(t, auts_l, auts_k)
     for i1 in range(big.order):
+        row1 = table[i1]
+        back = small.inv(int(eps.image[i1]))
         for i2 in range(big.order):
-            prod = big.mul(i1, i2)
+            lhs, row2 = table[big.mul(i1, i2)], table[i2]
             for j in range(small.order):
-                lhs = chi(t, auts_l[prod], auts_k[j])
-                shifted = small.mul(small.inv(int(eps.image[i1])), j)
-                rhs = (chi(t, auts_l[i2], auts_k[shifted]) + chi(t, auts_l[i1], auts_k[j])) % 2
-                if lhs != rhs:
+                if lhs[j] != (row2[small.mul(back, j)] + row1[j]) % 2:
                     return False, (i1, i2, j)
     return True, None

@@ -1,4 +1,5 @@
 import json
+import time
 
 from wreathlab import group_to_json, load_group, regular_wreath, construct_named
 from wreathlab.cli import main
@@ -127,6 +128,16 @@ def test_embed_bad_tower_is_usage_error(capsys):
     code, _, _ = run(capsys, "embed", "--mode", "tower", "--field", "4,7",
                      "--K", "4", "--alpha", "7")
     assert code == 2
+
+
+def test_embed_tower_with_a_huge_prime_alpha_answers_fast(capsys):
+    # 2^61 - 1 is prime: no square root of 7/(2^61 - 1) lies in Q(sqrt 5, sqrt 7)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "embed", "--mode", "tower", "--field", "5,7",
+                       "--K", "5", "--alpha", "7/2305843009213693951")
+    elapsed = time.perf_counter() - start
+    assert code == 2 and "does not lie in" in err
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 
 # -- sizes ------------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wreathlab import fields
 from wreathlab import (
     FieldAutomorphism,
     MultiQuadField,
@@ -10,11 +11,9 @@ from wreathlab import (
     TowerError,
     chi,
     construct_named,
-    field_arithmetic,
     galois_group,
     kk_embedding,
     quadratic_kummer_embedding,
-    restriction,
     restriction_hom,
     tower_extension,
     verify_cocycle,
@@ -73,7 +72,7 @@ def test_difference_of_squares(q57):
 def test_inverse_of_sqrt7(q57):
     s7 = q57.gen_sqrt(1)
     assert s7.inverse() == q57.element([0, 0, Fraction(1, 7), 0])
-    assert field_arithmetic(s7, None, "inv") * s7 == q57.one()
+    assert s7.inverse() * s7 == q57.one()
 
 
 def test_sqrt5_times_sqrt7_is_the_joint_monomial(q57):
@@ -109,6 +108,78 @@ def test_field_axioms_on_random_samples(gens):
             assert a * a.inverse() == field.one()
 
 
+# -- reference algorithms -------------------------------------------------------------
+#
+# The schoolbook product over the subset basis (O(4^k) rational operations) and
+# the inverse as the product of all 2^k - 1 sign conjugates over the rational
+# norm.  Both are slow but obviously right, and exact arithmetic makes their
+# coordinates comparable for equality with the recursive ones.
+
+
+def reference_mul(field, x, y):
+    out = [Fraction(0)] * field.dim
+    for s, a in enumerate(x):
+        if a == 0:
+            continue
+        for t, b in enumerate(y):
+            if b == 0:
+                continue
+            out[s ^ t] += a * b * field.subset_product(s & t)
+    return tuple(out)
+
+
+def reference_inverse(field, x):
+    prod = field.one().coords
+    for neg in range(1, field.dim):
+        conjugate = [-c if (mask & neg).bit_count() % 2 else c for mask, c in enumerate(x)]
+        prod = reference_mul(field, prod, conjugate)
+    norm = reference_mul(field, x, prod)
+    assert not any(norm[1:]), "norm failed to collapse to a rational"
+    return tuple(c / norm[0] for c in prod)
+
+
+def oracle_samples(field, rng, dense):
+    """Seeded dense elements (if ``dense``), elements with zero coordinates, and monomials."""
+    samples = [random_element(field, rng) for _ in range(dense)]
+    for _ in range(3):
+        sparse = random_element(field, rng)
+        support = rng.sample(range(field.dim), min(field.dim, 3))
+        samples.append(field.element([c if m in support else 0
+                                      for m, c in enumerate(sparse.coords)]))
+    for mask in {0, field.dim - 1, rng.randrange(field.dim)}:
+        coords = [Fraction(0)] * field.dim
+        coords[mask] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        samples.append(field.element(coords))
+    return samples
+
+
+ORACLE_FIELDS = [[2, 3, 5, 7, 11, 13][:k] for k in range(7)] + [[-1, 2], [-1, 2, -3, 5]]
+
+
+@pytest.mark.parametrize("gens", ORACLE_FIELDS, ids=str)
+def test_mul_matches_the_schoolbook_product(gens):
+    field = MultiQuadField(gens)
+    rng = random.Random(20261017 + field.k)
+    samples = oracle_samples(field, rng, dense=4 if field.k <= 4 else 2)
+    for x in samples:
+        for y in samples:
+            assert (x * y).coords == reference_mul(field, x.coords, y.coords)
+
+
+@pytest.mark.parametrize("gens", ORACLE_FIELDS, ids=str)
+def test_inverse_matches_the_conjugate_product(gens):
+    field = MultiQuadField(gens)
+    rng = random.Random(20261018 + field.k)
+    # the conjugate product costs O(8^k) on dense input: keep it to k <= 4 there
+    samples = oracle_samples(field, rng, dense=2 if field.k <= 4 else 0)
+    for x in samples:
+        assert x.inverse().coords == reference_inverse(field, x.coords)
+    for _ in range(2):
+        x = random_element(field, rng)
+        if x:
+            assert x * x.inverse() == field.one()
+
+
 def test_sqrt_of_rational_canonical_form(q57):
     assert q57.sqrt_of_rational(Fraction(7)) == q57.element([0, 0, 1, 0])
     assert q57.sqrt_of_rational(Fraction(28)) == q57.element([0, 0, 2, 0])
@@ -116,6 +187,33 @@ def test_sqrt_of_rational_canonical_form(q57):
     assert q57.sqrt_of_rational(Fraction(9)) == q57.rational(3)
     with pytest.raises(ValueError):
         q57.sqrt_of_rational(Fraction(3))
+
+
+def test_sqrt_of_rational_on_non_square_free_subset_products():
+    # 2 * 6 = 12 is not square-free, yet sqrt(3) = 1/2 sqrt(2) sqrt(6) lies in Q(sqrt 2, sqrt 6)
+    f = MultiQuadField([2, 6])
+    assert f.sqrt_of_rational(3) == f.element([0, 0, 0, Fraction(1, 2)])
+    assert f.sqrt_of_rational(12) == f.element([0, 0, 0, 1])
+    assert f.sqrt_of_rational(Fraction(3, 4)) == f.element([0, 0, 0, Fraction(1, 4)])
+    for q in (3, 12, Fraction(3, 4)):
+        root = f.sqrt_of_rational(q)
+        assert root * root == f.rational(q)
+
+
+def test_sqrt_of_negative_rational_uses_a_negative_generator():
+    f = MultiQuadField([-1, 7])
+    assert f.sqrt_of_rational(-7) == f.element([0, 0, 0, 1])
+    assert f.sqrt_of_rational(Fraction(-9, 4)) == f.element([0, Fraction(3, 2), 0, 0])
+    with pytest.raises(ValueError):
+        MultiQuadField([5, 7]).sqrt_of_rational(-5)
+
+
+def test_sqrt_of_rational_with_a_large_prime_square():
+    p = 2305843009213693951  # 2^61 - 1
+    f = MultiQuadField([5, 7])
+    assert f.sqrt_of_rational(Fraction(7 * p * p, 4)) == f.element([0, 0, Fraction(p, 2), 0])
+    with pytest.raises(ValueError):
+        f.sqrt_of_rational(Fraction(7, p))
 
 
 # -- automorphisms -----------------------------------------------------------------------
@@ -154,12 +252,11 @@ def test_galois_group_sizes():
 
 
 def test_restriction_table_for_the_biquadratic_tower(q57):
-    group, auts = galois_group(q57)
     eps = restriction_hom(q57, [5])
     names = [eps.codomain.labels[eps(m)] for m in range(4)]
     assert names == ["id", "eta", "id", "eta"]
-    rho2_restricted = restriction(q57, [5], auts[2])
-    assert rho2_restricted.signs == (1,)
+    _, auts_k = galois_group(MultiQuadField([5]))
+    assert auts_k[eps.image[2]].signs == (1,)  # rho2 restricts to the identity of K
 
 
 def test_restriction_to_all_generators_is_identity(q57):
@@ -168,8 +265,8 @@ def test_restriction_to_all_generators_is_identity(q57):
 
 
 def test_restricting_the_identity_automorphism(q57):
-    _, auts = galois_group(q57)
-    assert restriction(q57, [5], auts[0]).signs == (1,)
+    _, auts_k = galois_group(MultiQuadField([5]))
+    assert auts_k[restriction_hom(q57, [5]).image[0]].signs == (1,)
 
 
 def test_restriction_kernel_size():
@@ -209,6 +306,27 @@ def test_chi_flip_values(tower57):
     assert chi(tower57, auts_l[2], auts_k[0]) == 1  # rho2 negates sqrt(7)
     assert chi(tower57, auts_l[1], auts_k[1]) == 0  # rho1 fixes sqrt(7)
     assert chi(tower57, auts_l[3], auts_k[1]) == 1
+
+
+TOWERS = [
+    ([5, 7], [5], Fraction(7)),
+    ([2, 3], [2], Fraction(3)),
+    ([2, 3, 5], [2, 3], Fraction(5)),
+    ([2, 3, 5, 7], [2, 3, 5], Fraction(63, 4)),
+    ([-1, 2, 3], [-1, 2], Fraction(6)),
+    ([2, 6], [2], Fraction(3)),
+]
+
+
+@pytest.mark.parametrize("gens,k_gens,alpha", TOWERS, ids=str)
+def test_chi_has_the_closed_form_for_rational_alpha(gens, k_gens, alpha):
+    # every tau fixes a rational alpha, so chi only asks whether rho flips sqrt(alpha)
+    t = QuadraticTower(MultiQuadField(gens), k_gens, alpha)
+    _, auts_l = galois_group(t.L)
+    _, auts_k = galois_group(t.K)
+    for rho in auts_l:
+        want = (rho.mask() & t.alpha_mask).bit_count() % 2
+        assert [chi(t, rho, tau) for tau in auts_k] == [want] * len(auts_k)
 
 
 def test_chi_rejects_foreign_automorphisms(tower57):
@@ -298,6 +416,43 @@ def test_cocycle_towers():
         t = QuadraticTower(MultiQuadField(gens), k_gens, Fraction(alpha))
         ok, witness = verify_cocycle(t)
         assert ok and witness is None
+
+
+def reference_cocycle(t):
+    """The cocycle law scanned over all (i1, i2, j) with a fresh chi call per term."""
+    big, auts_l = galois_group(t.L)
+    small, auts_k = galois_group(t.K)
+    eps = restriction_hom(t.L, t.K_generators)
+    for i1 in range(big.order):
+        for i2 in range(big.order):
+            prod = big.mul(i1, i2)
+            for j in range(small.order):
+                lhs = fields.chi(t, auts_l[prod], auts_k[j])
+                shifted = small.mul(small.inv(int(eps.image[i1])), j)
+                rhs = (fields.chi(t, auts_l[i2], auts_k[shifted])
+                       + fields.chi(t, auts_l[i1], auts_k[j])) % 2
+                if lhs != rhs:
+                    return False, (i1, i2, j)
+    return True, None
+
+
+@pytest.mark.parametrize("gens,k_gens,alpha", TOWERS[:3], ids=str)
+def test_cocycle_reports_the_first_failure_of_the_triple_scan(monkeypatch, gens, k_gens, alpha):
+    t = QuadraticTower(MultiQuadField(gens), k_gens, alpha)
+    true_chi = fields.chi
+    _, auts_l = galois_group(t.L)
+    _, auts_k = galois_group(t.K)
+    values = {(rho.mask(), tau.mask()): true_chi(t, rho, tau) for rho in auts_l for tau in auts_k}
+    for broken in values:
+        def wrong_chi(_t, rho, tau, broken=broken):
+            key = (rho.mask(), tau.mask())
+            return values[key] ^ (key == broken)
+
+        monkeypatch.setattr(fields, "chi", wrong_chi)
+        ok, witness = verify_cocycle(t)
+        assert not ok and (ok, witness) == reference_cocycle(t)
+    monkeypatch.setattr(fields, "chi", true_chi)
+    assert verify_cocycle(t) == reference_cocycle(t) == (True, None)
 
 
 def test_cocycle_identity_case(tower57):
