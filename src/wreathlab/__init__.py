@@ -24,7 +24,6 @@ from .embeddings import (
     kk_embedding,
     omega_embedding,
     random_section,
-    solvability_criterion,
     solvability_witness,
     transport_iso,
     transport_subgroup,
@@ -65,9 +64,9 @@ from .groups import (
     center_subgroup,
     check_presentation_d4,
     construct_named,
+    coset_partition,
     default_section,
     direct_product,
-    element_order,
     group_from_json,
     group_to_json,
     identity_hom,
@@ -96,7 +95,6 @@ from .wreath import (
     build_wreath,
     regular_wreath,
     theta,
-    wreath_inverse,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ActionValidationError
-from .groups import FiniteGroup, GroupHom, Section, group_from_json, group_to_json
+from .groups import (
+    FiniteGroup,
+    GroupHom,
+    Section,
+    coset_partition,
+    group_from_json,
+    group_to_json,
+)
 
 
 class FiniteGSet:
@@ -77,19 +84,11 @@ def coset_action(g: FiniteGroup, h: GroupHom):
     Cosets are indexed by ascending minimal member, so the identity coset is
     point 0 and quotients built from the same subgroup share the indexing.
     """
-    members = np.array(sorted(h.image_set()), dtype=np.int64)
-    coset_of = np.full(g.order, -1, dtype=np.int64)
-    reps: list[int] = []
-    for x in range(g.order):
-        if coset_of[x] >= 0:
-            continue
-        coset_of[g.table[x, members]] = len(reps)
-        reps.append(x)
-    reps_arr = np.array(reps, dtype=np.int64)
-    act = coset_of[g.table[:, reps_arr]]
+    coset_of, reps = coset_partition(g, sorted(h.image_set()))
+    act = coset_of[g.table[:, reps]]
     labels = [f"{g.labels[r]}·H" for r in reps]
     omega = FiniteGSet(g, act, point_labels=labels)
-    section = Section(omega, g, reps_arr)
+    section = Section(omega, g, reps)
     return omega, section
 
 

@@ -28,7 +28,7 @@ from .groups import (
     subgroup_from_elements,
 )
 from .search import embeds_into, identify_small
-from .sizes import FIGURE_CSV_HEADER, figure_data, table1
+from .sizes import figure_csv, figure_data, table1
 from .suites import find_normal_subgroup, run_suites, ses_from_subgroup, stabilizer_subgroup
 from .wreath import SIZE_CAP_DEFAULT, build_wreath
 
@@ -262,9 +262,7 @@ def cmd_sizes(args) -> int:
         }
         _emit(json.dumps(payload), cfg.out)
     else:
-        lines = [FIGURE_CSV_HEADER]
-        lines += [f"{r.m},{r.log_regular!r},{r.log_omega!r},{r.marker}" for r in rows]
-        _emit("\n".join(lines), cfg.out)
+        _emit(figure_csv(rows).removesuffix("\n"), cfg.out)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ Two constructions are provided and cross-checked:
   translation; the same sigma formula applies with coset representatives.
 
 Transport maps move embeddings across isomorphic or included components, and
-``solvability_criterion`` searches for an embedding into the affine wreath
+``solvability_witness`` searches for an embedding into the affine wreath
 product that characterizes radical solvability of imprimitive polynomials of
 degree p^2.
 """
@@ -38,6 +38,7 @@ from .groups import (
     GroupHom,
     Section,
     construct_named,
+    coset_partition,
     default_section,
     normal_core,
     quotient,
@@ -174,10 +175,7 @@ def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
     omega_q = FiniteGSet(q, act_q, point_labels=list(omega_g.point_labels))
     if s is None:
         s = reps
-    coset_of = np.full(g.order, -1, dtype=np.int64)
-    members = np.array(sorted(h_k.image_set()), dtype=np.int64)
-    for w_idx in range(omega_g.size):
-        coset_of[g.table[int(reps.choice[w_idx]), members]] = w_idx
+    coset_of, _ = coset_partition(g, sorted(h_k.image_set()))
     for w_idx in range(omega_g.size):
         if int(coset_of[s(w_idx)]) != w_idx:
             raise SectionMismatchError(f"section value for coset {w_idx} lies in the wrong coset")
@@ -291,10 +289,6 @@ def solvability_wreath(p: int, size_cap: Optional[int] = None,
 
 
 def solvability_witness(g: FiniteGroup, p: int) -> Optional[GroupHom]:
+    """An embedding of g into the degree-p^2 affine wreath product, or None."""
     w = solvability_wreath(p)
     return embeds_into(g, w.product)
-
-
-def solvability_criterion(g: FiniteGroup, p: int) -> bool:
-    """Whether g embeds into the degree-p^2 affine wreath product."""
-    return solvability_witness(g, p) is not None

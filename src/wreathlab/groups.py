@@ -36,7 +36,34 @@ _SPOT_CHECK_TRIPLES = 2000
 DIRECT_PRODUCT_CAP = 10**7
 
 
-class FiniteGroup:
+class Group:
+    """The element protocol every group representation honours.
+
+    A group has ``order``, ``identity`` and ``name``; scalar ``mul`` and
+    ``inv``; ``mul_array``, the product broadcast over index arrays; and
+    ``label``.  ``FiniteGroup`` stores its Cayley table, while
+    ``wreath.WreathGroup`` computes products from the wreath formula.
+    """
+
+    def power(self, x: int, k: int) -> int:
+        if k < 0:
+            return self.power(self.inv(x), -k)
+        acc = self.identity
+        for _ in range(k):
+            acc = self.mul(acc, x)
+        return acc
+
+    def element_order(self, x: int) -> int:
+        if not 0 <= x < self.order:
+            raise IndexError(f"element index {x} out of range")
+        cur, k = x, 1
+        while cur != self.identity:
+            cur = self.mul(cur, x)
+            k += 1
+        return k
+
+
+class FiniteGroup(Group):
     """A finite group given by a closed, validated multiplication table."""
 
     def __init__(
@@ -73,22 +100,8 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
 
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(x), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = int(self.table[acc, x])
-        return acc
-
-    def element_order(self, x: int) -> int:
-        if not 0 <= x < self.order:
-            raise IndexError(f"element index {x} out of range")
-        cur, k = x, 1
-        while cur != self.identity:
-            cur = int(self.table[cur, x])
-            k += 1
-        return k
+    def mul_array(self, a, b) -> np.ndarray:
+        return self.table[a, b]
 
     def label(self, x: int) -> str:
         return self.labels[x]
@@ -211,28 +224,23 @@ class GroupHom:
     def find_hom_counterexample(self, pairs: Optional[int] = None, seed: int = 0):
         """First (a, b) with phi(ab) != phi(a)phi(b), or None.
 
-        ``pairs`` switches to that many random pairs (for very large domains).
+        All pairs are checked at once through the groups' array products, in
+        row-major order; ``pairs`` checks that many random pairs instead.
         """
         dom, cod, img = self.domain, self.codomain, self.image
-        if pairs is not None:
+        if pairs is None:
+            idx = np.arange(dom.order)
+            a, b = idx[:, None], idx[None, :]
+        else:
             rng = random.Random(seed)
-            for _ in range(pairs):
-                a, b = rng.randrange(dom.order), rng.randrange(dom.order)
-                if int(img[dom.mul(a, b)]) != cod.mul(int(img[a]), int(img[b])):
-                    return (a, b)
+            drawn = [(rng.randrange(dom.order), rng.randrange(dom.order)) for _ in range(pairs)]
+            a, b = np.array(drawn, dtype=np.int64).reshape(-1, 2).T
+        bad = img[dom.mul_array(a, b)] != cod.mul_array(img[a], img[b])
+        if not bad.any():
             return None
-        if hasattr(cod, "table"):
-            lhs = img[dom.table]
-            rhs = np.asarray(cod.table)[img[:, None], img[None, :]]
-            if (lhs == rhs).all():
-                return None
-            a, b = np.argwhere(lhs != rhs)[0]
-            return (int(a), int(b))
-        for a in range(dom.order):
-            for b in range(dom.order):
-                if int(img[dom.table[a, b]]) != cod.mul(int(img[a]), int(img[b])):
-                    return (a, b)
-        return None
+        a, b = np.broadcast_arrays(a, b)
+        first = int(np.argmax(bad))
+        return (int(a.flat[first]), int(b.flat[first]))
 
     def is_homomorphism(self) -> bool:
         return self.find_hom_counterexample() is None
@@ -463,17 +471,14 @@ def subgroup_from_elements(g: FiniteGroup, elems: Iterable[int], name: Optional[
     return sub, incl
 
 
-def closure(g: FiniteGroup, gens: Iterable[int]) -> list[int]:
+def closure(g: Group, gens: Iterable[int]) -> list[int]:
     """Elements of the subgroup generated by ``gens``, ascending."""
     gens = [int(x) for x in gens]
     seen = {g.identity}
     queue = [g.identity]
-    pos = 0
-    while pos < len(queue):
-        x = queue[pos]
-        pos += 1
+    for x in queue:
         for s in gens:
-            y = int(g.table[x, s])
+            y = g.mul(x, s)
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
@@ -503,27 +508,32 @@ def normal_core(g: FiniteGroup, h: GroupHom):
     return subgroup_from_elements(g, core, name=f"core of {h.domain.name} in {g.name}")
 
 
+def coset_partition(g: Group, members) -> tuple[np.ndarray, np.ndarray]:
+    """Left cosets x*M of the element set ``members``.
+
+    Returns the coset index of every element and the minimal element of each
+    coset; cosets are numbered by ascending minimal element.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    coset_of = np.full(g.order, -1, dtype=np.int64)
+    reps: list[int] = []
+    for x in range(g.order):
+        if coset_of[x] < 0:
+            coset_of[g.mul_array(x, members)] = len(reps)
+            reps.append(x)
+    return coset_of, np.array(reps, dtype=np.int64)
+
+
 def quotient(g: FiniteGroup, n: GroupHom):
     """Coset group g/image(n) with its projection; representatives are minimal."""
     members = np.array(sorted(n.image_set()), dtype=np.int64)
-    inv = g.inverses
     for x in range(g.order):
         left = set(int(v) for v in g.table[x, members])
         right = set(int(v) for v in g.table[members, x])
         if left != right:
             raise NonNormalSubgroupError(f"gN != Ng at g index {x}")
-    coset_of = np.full(g.order, -1, dtype=np.int64)
-    reps: list[int] = []
-    for x in range(g.order):
-        if coset_of[x] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        coset_of[g.table[x, members]] = cid
-    size = len(reps)
-    table = np.empty((size, size), dtype=np.int32)
-    for i, r in enumerate(reps):
-        table[i, :] = coset_of[g.table[r, reps]]
+    coset_of, reps = coset_partition(g, members)
+    table = coset_of[g.table[reps[:, None], reps[None, :]]]
     labels = [f"[{g.labels[r]}]" for r in reps]
     q = FiniteGroup(table, identity=int(coset_of[g.identity]), labels=labels,
                     name=f"{g.name}/{n.domain.name}")
@@ -531,31 +541,14 @@ def quotient(g: FiniteGroup, n: GroupHom):
     return q, proj
 
 
-def element_order(g: FiniteGroup, x: int) -> int:
-    return g.element_order(x)
-
-
-def check_presentation_d4(g, x: int, y: int) -> bool:
+def check_presentation_d4(g: Group, x: int, y: int) -> bool:
     """x^4 = y^2 = e, y x y^-1 = x^-1, and <x, y> is all of g."""
     e = g.identity
     if g.power(x, 4) != e or g.power(y, 2) != e:
         return False
     if g.mul(g.mul(y, x), g.inv(y)) != g.inv(x):
         return False
-    if hasattr(g, "table"):
-        return len(closure(g, [x, y])) == g.order
-    seen = {e}
-    queue = [e]
-    pos = 0
-    while pos < len(queue):
-        z = queue[pos]
-        pos += 1
-        for s in (x, y):
-            w = g.mul(z, s)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.order
+    return len(closure(g, [x, y])) == g.order
 
 
 # -- section helpers ----------------------------------------------------------

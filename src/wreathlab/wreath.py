@@ -2,20 +2,30 @@
 
 Element encoding is mixed radix: index = h * |K|^|Omega| + sum_w f(w) * |K|^w,
 so the tuple digit at point 0 is least significant and the top element is the
-most significant digit.  Products up to the dense cap are materialized as
-Cayley tables; larger ones (up to the overall size cap) stay structural, with
-multiplication computed from the defining formula on demand.
+most significant digit.  ``_Codec`` holds the encoding and the one statement
+of the product formula, as broadcasting functions on int64 index arrays.
+
+Products up to the dense cap are ``FiniteGroup`` Cayley tables; larger ones
+(up to the overall size cap) are structural ``WreathGroup`` objects whose
+products the codec computes on demand.  Both honour the group protocol of
+``groups.Group``: order, identity, name, scalar mul/inv, the array product
+``mul_array``, labels, powers and element orders, so hom checks, closures
+and embeddings work on either.  Only dense products have a ``table``,
+``element_orders()`` (which embedding search needs) and JSON export.  The
+top projection is computed on first use, so a structural build stores
+nothing of size ``order``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .actions import FiniteGSet, regular_action
 from .errors import SizeLimitError, WreathlabError
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup, Group, GroupHom
 
 SIZE_CAP_DEFAULT = 10**7
 DENSE_CAP_DEFAULT = 4096
@@ -31,7 +41,11 @@ def theta(omega: FiniteGSet, h: int, f: Sequence[int]) -> tuple[int, ...]:
 
 
 class _Codec:
-    """Mixed-radix tuple/index arithmetic shared by both product representations."""
+    """The mixed-radix encoding and the wreath product formula.
+
+    ``encode``/``decode`` are the validated per-element API; ``mul`` and
+    ``inv`` work on int64 index arrays of any broadcastable shapes.
+    """
 
     def __init__(self, base: FiniteGroup, top: FiniteGSet):
         self.base = base
@@ -43,6 +57,12 @@ class _Codec:
         self.order = self.tuple_count * self.n_top
         self.powers = [self.n_base**j for j in range(self.n_points)]
         self.identity = self.encode([base.identity] * self.n_points, top.group.identity)
+        self._pw = np.array(self.powers, dtype=np.int64)
+        self._ktab = base.table.astype(np.int64)
+        self._kinv = base.inverses.astype(np.int64)
+        self._htab = top.group.table.astype(np.int64)
+        self._hinv = top.group.inverses.astype(np.int64)
+        self._inv_act = top.act[top.group.inverses]  # row h is the action of h^-1
 
     def encode(self, f: Sequence[int], h: int) -> int:
         if len(f) != self.n_points:
@@ -68,65 +88,69 @@ class _Codec:
         # divmod peels from the least significant end, which is point 0
         return tuple(digits), h
 
-    def _decode_fixed(self, x: int):
-        h, t = divmod(int(x), self.tuple_count)
-        digits = []
-        for _ in range(self.n_points):
-            t, d = divmod(t, self.n_base)
-            digits.append(d)
-        return digits, h
+    def decode_array(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Unchecked decode of an index array: digits of shape x.shape + (n_points,), and tops."""
+        h, t = np.divmod(np.asarray(x, dtype=np.int64), self.tuple_count)
+        return t[..., None] // self._pw % self.n_base, h
 
-    def mul(self, x: int, y: int) -> int:
-        f1, h1 = self._decode_fixed(x)
-        f2, h2 = self._decode_fixed(y)
-        row = self.top.act[self.top.group.inv(h1)]
-        kt = self.base.table
-        t = 0
-        for j in range(self.n_points):
-            t += int(kt[f1[j], f2[row[j]]]) * self.powers[j]
-        return self.top.group.mul(h1, h2) * self.tuple_count + t
+    def mul(self, x, y) -> np.ndarray:
+        """(f1, h1)(f2, h2) = (f1 * theta_h1(f2), h1 h2) with theta_h1(f2)(w) = f2(h1^-1 . w)."""
+        f1, h1 = self.decode_array(x)
+        f2, h2 = self.decode_array(y)
+        f2, rows = np.broadcast_arrays(f2, self._inv_act[h1])
+        t = self._htab[h1, h2] * self.tuple_count
+        # one point at a time keeps every temporary at the broadcast shape
+        for w in range(self.n_points):
+            moved = np.take_along_axis(f2, rows[..., w:w + 1], axis=-1)[..., 0]
+            t = t + self._ktab[f1[..., w], moved] * self.powers[w]
+        return t
 
-    def inv(self, x: int) -> int:
-        f, h = self._decode_fixed(x)
-        hinv = self.top.group.inv(h)
-        row = self.top.act[h]
-        kin = self.base.inverses
-        t = 0
-        for j in range(self.n_points):
-            t += int(kin[f[row[j]]]) * self.powers[j]
-        return hinv * self.tuple_count + t
+    def inv(self, x) -> np.ndarray:
+        """(f, h)^-1 = (theta_h^-1(f^-1), h^-1) with theta_h^-1(f)(w) = f(h . w)."""
+        f, h = self.decode_array(x)
+        moved = np.take_along_axis(f, self.top.act[h], axis=-1)
+        return self._hinv[h] * self.tuple_count + self._kinv[moved] @ self._pw
 
-    def digit_matrix(self) -> np.ndarray:
-        """(tuple_count, n_points) array of tuple digits."""
-        t = np.arange(self.tuple_count, dtype=np.int64)
-        cols = [(t // p) % self.n_base for p in self.powers]
-        return np.stack(cols, axis=1)
+    def tuple_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(prod, theta) on tuple indices, read off products in the group.
+
+        ``prod[f, g]`` is the pointwise product, from (f, e)(g, e) = (fg, e);
+        ``theta[h, f]`` is theta_h(f), from (1, h)(f, e) = (theta_h(f), h).
+        """
+        B = self.tuple_count
+        unit = self.identity % B
+        base = self.identity - unit + np.arange(B, dtype=np.int64)
+        tops = np.arange(self.n_top, dtype=np.int64) * B + unit
+        return (self.mul(base[:, None], base[None, :]) % B,
+                self.mul(tops[:, None], base[None, :]) % B)
 
     def dense_table(self) -> np.ndarray:
-        B, nH = self.tuple_count, self.n_top
-        digits = self.digit_matrix()
-        ktab = self.base.table.astype(np.int64)
-        htab = self.top.group.table
-        hinv = self.top.group.inverses
-        pw = np.array(self.powers, dtype=np.int64)
+        """The Cayley table, one B x B block of tuple parts per h1.
+
+        By associativity (f1, h1)(f2, h2) = (f1, e) [(1, h1)(f2, e)] (1, h2)
+        has tuple part prod[f1, theta[h1, f2]] whatever h2 is, so each block
+        is one gather from the tuple tables, reused along its row of blocks.
+        """
+        B = self.tuple_count
+        prod, theta_of = self.tuple_tables()
         table = np.empty((self.order, self.order), dtype=np.int32)
-        for h1 in range(nH):
-            perm = self.top.act[hinv[h1]]
-            d2 = digits[:, perm]
-            vals = np.zeros((B, B), dtype=np.int64)
-            for j in range(self.n_points):
-                vals += ktab[digits[:, j][:, None], d2[:, j][None, :]] * pw[j]
-            for h2 in range(nH):
-                block = htab[h1, h2] * B + vals
-                table[h1 * B:(h1 + 1) * B, h2 * B:(h2 + 1) * B] = block
+        for h1 in range(self.n_top):
+            vals = prod[:, theta_of[h1]]
+            for h2 in range(self.n_top):
+                table[h1 * B:(h1 + 1) * B, h2 * B:(h2 + 1) * B] = self._htab[h1, h2] * B + vals
         return table
 
+    def label(self, x: int) -> str:
+        f, h = self.decode(x)
+        inner = ",".join(self.base.labels[d] for d in f)
+        return f"({inner}; {self.top.group.labels[h]})"
 
-class WreathGroup:
+
+class WreathGroup(Group):
     """Structural wreath product used above the dense-table cap.
 
-    Supports the same element protocol as FiniteGroup (order, identity, mul,
-    inv, power, element_order, label) without materializing the Cayley table.
+    Honours the group protocol with products computed by the codec, so
+    nothing of size ``order`` is stored.
     """
 
     def __init__(self, codec: _Codec, name: str):
@@ -136,31 +160,16 @@ class WreathGroup:
         self.name = name
 
     def mul(self, a: int, b: int) -> int:
-        return self._codec.mul(a, b)
+        return int(self._codec.mul(a, b))
 
     def inv(self, a: int) -> int:
-        return self._codec.inv(a)
+        return int(self._codec.inv(a))
 
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(x), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = self.mul(acc, x)
-        return acc
-
-    def element_order(self, x: int) -> int:
-        cur, k = x, 1
-        while cur != self.identity:
-            cur = self.mul(cur, x)
-            k += 1
-        return k
+    def mul_array(self, a, b) -> np.ndarray:
+        return self._codec.mul(a, b)
 
     def label(self, x: int) -> str:
-        f, h = self._codec.decode(x)
-        base, top = self._codec.base, self._codec.top.group
-        inner = ",".join(base.labels[d] for d in f)
-        return f"({inner}; {top.labels[h]})"
+        return self._codec.label(x)
 
     def __repr__(self) -> str:
         return f"<{self.name} of order {self.order} (structural)>"
@@ -173,24 +182,28 @@ class WreathProduct:
                  size_cap: Optional[int] = None, dense_cap: Optional[int] = None):
         size_cap = SIZE_CAP_DEFAULT if size_cap is None else size_cap
         dense_cap = DENSE_CAP_DEFAULT if dense_cap is None else dense_cap
+        # checked before the codec exists: its int64 radix powers overflow far past any cap
+        order = base_group.order**top.size * top.group.order
+        if order > size_cap:
+            raise SizeLimitError(f"wreath order {order} exceeds cap {size_cap}", order)
         codec = _Codec(base_group, top)
-        if codec.order > size_cap:
-            raise SizeLimitError(
-                f"wreath order {codec.order} exceeds cap {size_cap}", codec.order)
         self.base_group = base_group
         self.top = top
         self._codec = codec
         self.order = codec.order
         name = f"{base_group.name or 'K'} wr {top.group.name or 'H'}"
         if codec.order <= dense_cap:
-            labels = [self._format(*codec.decode(x)) for x in range(codec.order)]
+            labels = [codec.label(x) for x in range(codec.order)]
             self.product: FiniteGroup | WreathGroup = FiniteGroup(
                 codec.dense_table(), labels=labels, name=name)
         else:
             self.product = WreathGroup(codec, name)
-        proj = np.arange(codec.order, dtype=np.int64) // codec.tuple_count
-        self.top_projection = GroupHom(self.product, top.group, proj,
-                                       validate=codec.order <= 512)
+
+    @functools.cached_property
+    def top_projection(self) -> GroupHom:
+        """(f, h) |-> h, built on first use: its image array has length ``order``."""
+        proj = np.arange(self.order, dtype=np.int64) // self._codec.tuple_count
+        return GroupHom(self.product, self.top.group, proj, validate=self.order <= 512)
 
     # -- structure maps ------------------------------------------------------
 
@@ -208,19 +221,15 @@ class WreathProduct:
         return self._codec.encode(f, self.top.group.identity)
 
     def inverse(self, x: int) -> int:
-        return self._codec.inv(x)
+        return self.product.inv(x)
 
     def mul(self, x: int, y: int) -> int:
-        return self._codec.mul(x, y)
+        return self.product.mul(x, y)
 
     # -- formatting ------------------------------------------------------------
 
-    def _format(self, f: tuple[int, ...], h: int) -> str:
-        inner = ",".join(self.base_group.labels[d] for d in f)
-        return f"({inner}; {self.top.group.labels[h]})"
-
     def element_str(self, x: int) -> str:
-        return self._format(*self._codec.decode(x))
+        return self._codec.label(x)
 
     def parse_element(self, text: str) -> int:
         s = text.strip()
@@ -254,8 +263,3 @@ def regular_wreath(k: FiniteGroup, h: FiniteGroup,
                    dense_cap: Optional[int] = None) -> WreathProduct:
     """Regular wreath product K wr_r H (Omega = H under left multiplication)."""
     return build_wreath(k, regular_action(h), size_cap=size_cap, dense_cap=dense_cap)
-
-
-def wreath_inverse(w: WreathProduct, x: int) -> int:
-    """(f, h)^-1 = (theta_{h^-1}(f^-1), h^-1), matching the product's table."""
-    return w.inverse(x)

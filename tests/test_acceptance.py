@@ -24,7 +24,7 @@ from wreathlab import (
     quadratic_kummer_embedding,
     regular_size,
     regular_wreath,
-    solvability_criterion,
+    solvability_witness,
     table1,
     tower_extension,
     tower_size_comparison,
@@ -187,7 +187,7 @@ def test_criterion_7_transport_and_solvability(capsys):
         rhs = w_s3.product.table[img[:, None], img[None, :]]
         assert (lhs == rhs).all()
         assert len(np.unique(img)) == 1296
-        assert solvability_criterion(w_s3.product, 3)
+        assert solvability_witness(w_s3.product, 3) is not None
     with capsys.disabled():
         _report(7, t, "order-1296 wreaths identified over all 1296^2 pairs; solvable")
 

@@ -1,7 +1,14 @@
 import json
 import time
 
-from wreathlab import group_to_json, load_group, regular_wreath, construct_named
+from wreathlab import (
+    construct_named,
+    figure_csv,
+    figure_data,
+    group_to_json,
+    load_group,
+    regular_wreath,
+)
 from wreathlab.cli import main
 
 
@@ -150,6 +157,18 @@ def test_sizes_figure_rows_match_plotted_values(capsys):
     assert lines[0] == "m,log_regular,log_omega,marker"
     assert len(lines) == 11
     assert lines[2] == "12,5.950642552587727,5.950642552587727,2kc"
+
+
+def test_sizes_emits_figure_csv_on_stdout_and_to_file(capsys, tmp_path):
+    expected = figure_csv(figure_data(3, "S3", 60))
+    code, out, _ = run(capsys, "sizes", "--kf", "3", "--group", "S3", "--m-max", "60")
+    assert code == 0
+    assert out == expected
+    path = tmp_path / "fig.csv"
+    code, out, _ = run(capsys, "sizes", "--kf", "3", "--group", "S3", "--m-max", "60",
+                       "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_sizes_table1_kf2(capsys):

@@ -18,7 +18,6 @@ from wreathlab import (
     natural_action,
     omega_embedding,
     regular_wreath,
-    solvability_criterion,
     solvability_witness,
     subgroup_from_elements,
     subgroup_generated,
@@ -27,7 +26,13 @@ from wreathlab import (
     verify_embedding,
 )
 from wreathlab.search import are_isomorphic
-from wreathlab.suites import find_normal_subgroup, ses_from_subgroup, stabilizer_subgroup
+from wreathlab.suites import (
+    find_normal_subgroup,
+    ses_catalog,
+    ses_from_subgroup,
+    stabilizer_subgroup,
+)
+from wreathlab.wreath import WreathGroup
 
 
 def sign_ses():
@@ -184,6 +189,34 @@ def test_mutated_phi_yields_a_counterexample():
     assert report.to_json()["counterexample"] == [a, b]
 
 
+def first_failing_pair(hom):
+    """Oracle: the row-major first pair breaking the hom law, by a plain loop."""
+    dom, cod = hom.domain, hom.codomain
+    for a in range(dom.order):
+        for b in range(dom.order):
+            if hom(dom.mul(a, b)) != cod.mul(hom(a), hom(b)):
+                return (a, b)
+    return None
+
+
+def test_kk_into_a_structural_product_matches_the_dense_build():
+    for _name, ses in ses_catalog():
+        w_dense, phi_dense = kk_embedding(ses)
+        w_struct, phi_struct = kk_embedding(ses, dense_cap=1)
+        assert isinstance(w_struct.product, WreathGroup)
+        assert (phi_struct.image == phi_dense.image).all()
+        assert verify_embedding(phi_struct).to_json() == verify_embedding(phi_dense).to_json()
+        # a broken image fails at the same first pair through either codomain
+        image = np.array(phi_dense.image)
+        image[1], image[2] = image[2], image[1]
+        broken = [GroupHom(ses.g, w.product, image, validate=False)
+                  for w in (w_dense, w_struct)]
+        expected = first_failing_pair(broken[0])
+        assert expected is not None
+        assert [hom.find_hom_counterexample() for hom in broken] == [expected, expected]
+        assert verify_embedding(broken[1]).to_json() == verify_embedding(broken[0]).to_json()
+
+
 def test_image_order_divides_wreath_order():
     ses = sign_ses()
     w, phi = kk_embedding(ses)
@@ -278,17 +311,16 @@ def test_transport_with_trivial_base_reduces_to_top_inclusion():
 def test_solvability_for_the_full_degree9_wreath():
     s3 = construct_named("S:3")
     w = build_wreath(s3, natural_action(3, s3))
-    assert solvability_criterion(w.product, 3)
     witness = solvability_witness(w.product, 3)
     assert witness is not None and witness.is_injective()
     assert witness.find_hom_counterexample() is None
 
 
 def test_solvability_trivial_cases():
-    assert solvability_criterion(construct_named("C:2"), 2)
-    assert not solvability_criterion(construct_named("C:5"), 3)
+    assert solvability_witness(construct_named("C:2"), 2) is not None
+    assert solvability_witness(construct_named("C:5"), 3) is None
 
 
 def test_solvability_rejects_large_primes():
     with pytest.raises(UnsupportedPrimeError):
-        solvability_criterion(construct_named("C:2"), 5)
+        solvability_witness(construct_named("C:2"), 5)

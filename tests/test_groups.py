@@ -10,12 +10,13 @@ from wreathlab import (
     center_subgroup,
     check_presentation_d4,
     construct_named,
+    coset_partition,
     direct_product,
-    element_order,
     group_from_json,
     group_to_json,
     normal_core,
     quotient,
+    regular_wreath,
     subgroup_from_elements,
     subgroup_generated,
 )
@@ -195,8 +196,35 @@ def test_quotient_kills_exactly_the_subgroup(d4):
     assert set(proj.kernel_indices()) == set(int(v) for v in incl.image)
 
 
+def test_coset_partition_numbers_cosets_by_minimal_member(s4):
+    _, incl = subgroup_generated(s4, [s4.point_maps.index((1, 0, 2, 3))])
+    members = sorted(incl.image_set())
+    coset_of, reps = coset_partition(s4, members)
+    cosets = {frozenset(s4.mul(x, m) for m in members) for x in range(s4.order)}
+    assert list(reps) == sorted(min(c) for c in cosets)
+    for x in range(s4.order):
+        coset = next(c for c in cosets if x in c)
+        assert reps[coset_of[x]] == min(coset)
+
+
+def test_quotient_and_partition_share_representatives(d4):
+    _, incl = subgroup_generated(d4, [2])
+    q, proj = quotient(d4, incl)
+    coset_of, reps = coset_partition(d4, sorted(incl.image_set()))
+    assert (proj.image == coset_of).all()
+    assert q.labels == [f"[{d4.labels[r]}]" for r in reps]
+
+
+def test_coset_partition_of_a_structural_product():
+    w = regular_wreath(construct_named("C:2"), construct_named("C:2"), dense_cap=1)
+    base = sorted(w.top_projection.kernel_indices())
+    coset_of, reps = coset_partition(w.product, base)
+    assert list(reps) == [0, 4]
+    assert list(coset_of) == [0, 0, 0, 0, 1, 1, 1, 1]
+
+
 def test_element_order_identity(s4):
-    assert element_order(s4, s4.identity) == 1
+    assert s4.element_order(s4.identity) == 1
 
 
 # -- D4 presentation ---------------------------------------------------------------

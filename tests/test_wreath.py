@@ -5,14 +5,15 @@ from wreathlab import (
     SizeLimitError,
     WreathlabError,
     build_wreath,
+    check_presentation_d4,
     construct_named,
     natural_action,
     regular_action,
     regular_wreath,
     theta,
-    wreath_inverse,
 )
 from wreathlab.search import are_isomorphic
+from wreathlab.suites import THETA_CATALOG, _theta_omega
 from wreathlab.wreath import WreathGroup
 
 
@@ -108,14 +109,14 @@ def test_multiplication_matches_brute_formula_on_all_pairs():
 def test_inverse_examples():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     e = w.encode((0, 0), 0)
-    assert wreath_inverse(w, e) == e
+    assert w.inverse(e) == e
     x = w.encode((0, 1), 1)
-    assert wreath_inverse(w, x) == w.encode((1, 0), 1)  # x^-1 = x^3
+    assert w.inverse(x) == w.encode((1, 0), 1)  # x^-1 = x^3
     base = w.encode((1, 1), 0)
-    assert wreath_inverse(w, base) == base
+    assert w.inverse(base) == base
     # inverses agree with the materialized table
     for z in range(w.order):
-        assert wreath_inverse(w, z) == int(w.product.inverses[z])
+        assert w.inverse(z) == int(w.product.inverses[z])
 
 
 def test_structural_representation_above_dense_cap():
@@ -181,3 +182,47 @@ def test_projection_law_sampled_on_a_structural_wreath():
     w = regular_wreath(construct_named("V4"), construct_named("S:3"), dense_cap=1)
     assert isinstance(w.product, WreathGroup)
     assert w.top_projection.find_hom_counterexample(pairs=20000) is None
+
+
+def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
+    w = regular_wreath(construct_named("C:2"), construct_named("C:2"), dense_cap=1)
+    assert isinstance(w.product, WreathGroup)
+    assert "top_projection" not in vars(w)  # built on first use only
+    proj = w.top_projection  # validated over all pairs at construction
+    assert proj.find_hom_counterexample() is None
+    assert proj.kernel_indices() == [w.base_inclusion(f) for f in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    x = w.encode((0, 1), 1)
+    y = w.encode((0, 0), 1)
+    assert check_presentation_d4(w.product, x, y)
+    assert w.product.element_order(x) == 4
+    assert w.product.power(x, -1) == w.inverse(x)
+    assert not check_presentation_d4(w.product, y, x)
+
+
+@pytest.mark.parametrize("k_spec,h_spec,degree", THETA_CATALOG)
+def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
+    k, omega = _theta_omega(k_spec, h_spec, degree)
+    structural = build_wreath(k, omega, dense_cap=1)
+    assert isinstance(structural.product, WreathGroup)
+    codec = structural._codec
+    idx = np.arange(structural.order)
+    # the array decoder agrees with the validated scalar decode
+    digits, tops = codec.decode_array(idx)
+    assert digits.shape == (structural.order, structural.top.size)
+    assert [(tuple(map(int, f)), int(h)) for f, h in zip(digits, tops)] == \
+        [structural.decode(x) for x in idx]
+    # seeded pairs against the defining formula
+    rng = np.random.default_rng(5)
+    xs, ys = rng.integers(0, structural.order, (2, 300))
+    products = structural.product.mul_array(xs, ys)
+    for x, y, z in zip(xs, ys, products):
+        assert int(z) == brute_wreath_mul(structural, int(x), int(y))
+    assert (structural.product.mul_array(xs, codec.inv(xs)) == structural.product.identity).all()
+    if structural.order > 4096:
+        return  # C:5 wr C:5 has no dense table
+    dense = build_wreath(k, omega)
+    table = dense.product.table
+    for lo in range(0, dense.order, 256):
+        rows = idx[lo:lo + 256, None]
+        assert (structural.product.mul_array(rows, idx[None, :]) == table[lo:lo + 256]).all()
+    assert (codec.inv(idx) == dense.product.inverses).all()
