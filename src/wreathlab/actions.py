@@ -22,7 +22,7 @@ class FiniteGSet:
     """A left action of a finite group on points 0..size-1.
 
     ``act[h][w]`` is the image of point ``w`` under group element ``h``.
-    Both action axioms are verified exhaustively at construction.
+    Both action axioms are verified exactly at construction.
     """
 
     def __init__(self, group: FiniteGroup, act, point_labels: Optional[Sequence[str]] = None):
@@ -49,7 +49,7 @@ class FiniteGSet:
         if not (act[grp.identity] == pts).all():
             w = int(np.nonzero(act[grp.identity] != pts)[0][0])
             raise ActionValidationError(f"identity axiom fails at point {w}")
-        for h1 in range(grp.order):
+        for h1 in grp.generators():  # exact: the h1 that pass are closed under products
             lhs = act[h1][act]                # lhs[h2, w] = h1.(h2.w)
             rhs = act[grp.table[h1]]          # rhs[h2, w] = (h1 h2).w
             if not (lhs == rhs).all():

@@ -1,0 +1,211 @@
+"""Exact generator certificates against exhaustive oracles on perturbed inputs.
+
+Group tables, hom images and action tables are perturbed by hypothesis; the
+generator-based checks at construction must accept exactly the inputs that a
+plain all-triples or all-pairs sweep accepts.
+"""
+
+import functools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wreathlab import (
+    ActionValidationError,
+    FiniteGSet,
+    GroupHom,
+    GroupValidationError,
+    center_subgroup,
+    construct_named,
+    coset_action,
+    coset_partition,
+    direct_product,
+    identity_hom,
+    kk_embedding,
+    natural_action,
+    quotient,
+    regular_action,
+    subgroup_from_elements,
+)
+from wreathlab.groups import FiniteGroup, closure
+from wreathlab.suites import ses_catalog
+
+EXACT = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+
+# even orders up to 64, so every table has an intercalate off the identity row and column
+GROUP_SPECS = ["C:2xC:2", "C:4", "S:3", "D:4", "Q8", "C:2xC:4", "C:12", "A:4", "C:2xD:4",
+               "C:2xQ8", "S:4", "D:16", "AGL:7", "C:2xS:4", "D:32", "C:4xD:8"]
+
+
+@functools.lru_cache(maxsize=None)
+def group(spec):
+    factors = [construct_named(s) for s in spec.split("x")]
+    return functools.reduce(direct_product, factors)
+
+
+def associative(t):
+    """Oracle: (a b) c == a (b c) over all triples, one row a at a time."""
+    return all((t[t[a]] == t[a][t]).all() for a in range(len(t)))
+
+
+def draw_intercalate(data, g):
+    """Rows a, b and columns c, d with g_a g_c = g_b g_d and g_a g_d = g_b g_c, none the identity.
+
+    b = j a for an involution j makes a b^-1 = j an involution, so d = b^-1 a c
+    closes the intercalate.
+    """
+    e, n = g.identity, g.order
+    j = data.draw(st.sampled_from([x for x in range(n) if x != e and g.mul(x, x) == e]))
+    a = data.draw(st.sampled_from([x for x in range(n) if x not in (e, j)]))
+    b = g.mul(j, a)
+    c = data.draw(st.sampled_from([x for x in range(n) if x not in (e, g.mul(g.inv(a), b))]))
+    return a, b, c, g.mul(g.mul(g.inv(b), a), c)
+
+
+@EXACT
+@given(st.data())
+def test_group_certificate_agrees_with_the_triple_sweep(data):
+    g = group(data.draw(st.sampled_from(GROUP_SPECS)))
+    t = g.table.copy()
+    if data.draw(st.booleans()):
+        a, b, c, d = draw_intercalate(data, g)
+        assert t[a, c] == t[b, d] and t[a, d] == t[b, c]
+        t[[a, a, b, b], [c, d, c, d]] = t[[a, a, b, b], [d, c, d, c]]
+    perm = np.array(data.draw(st.permutations(range(g.order))))
+    table = np.empty_like(t)
+    table[np.ix_(perm, perm)] = perm[t]
+    try:
+        h = FiniteGroup(table, identity=int(perm[g.identity]))
+    except GroupValidationError:
+        accepted = False
+    else:
+        accepted = True
+        gens = h.generators()
+        assert closure(h, gens) == list(range(g.order))
+        assert len(gens) <= (g.order - 1).bit_length()  # each pick at least doubles
+    assert accepted == associative(table)
+
+
+@functools.lru_cache(maxsize=None)
+def homs():
+    s4, d8, q8 = construct_named("S:4"), construct_named("D:8"), construct_named("Q8")
+    c12, c4 = construct_named("C:12"), construct_named("C:4")
+    a4 = [x for x, p in enumerate(s4.point_maps)
+          if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    _, sign_kernel = subgroup_from_elements(s4, a4)
+    ses = ses_catalog()[0][1]
+    return [
+        identity_hom(construct_named("AGL:5")),
+        GroupHom(c12, c4, np.arange(12) % 4),
+        sign_kernel,
+        quotient(s4, sign_kernel)[1],
+        quotient(d8, center_subgroup(d8)[1])[1],
+        quotient(q8, center_subgroup(q8)[1])[1],
+        kk_embedding(ses)[1],
+        kk_embedding(ses, dense_cap=1)[1],  # into a structural product
+    ]
+
+
+def all_but_one_generator(data, g):
+    """A generator s of g and the elements of the subgroup K the other generators generate."""
+    gens = g.generators()
+    k = data.draw(st.integers(0, len(gens) - 1))
+    return gens[k], np.array(closure(g, gens[:k] + gens[k + 1:]))
+
+
+def twist_on_a_coset(data, hom):
+    """phi changed on one left coset r K of K = <generators but s>: phi'(r h) = c phi(h).
+
+    phi'(x t) = phi'(x) phi'(t) still holds for every generator t in K, so
+    only s can expose the change.
+    """
+    g, cod = hom.domain, hom.codomain
+    _, members = all_but_one_generator(data, g)
+    coset_of, reps = coset_partition(g, members)
+    c = np.array(hom.image[reps])  # phi(r), then one value replaced
+    c[data.draw(st.integers(0, len(reps) - 1))] = data.draw(st.integers(0, cod.order - 1))
+    c[coset_of[g.identity]] = cod.identity
+    x = np.arange(g.order)
+    h = g.mul_array(g.inverses[reps[coset_of]], x)
+    return cod.mul_array(c[coset_of], hom.image[h])
+
+
+@EXACT
+@given(st.data())
+def test_hom_check_on_generators_agrees_with_all_pairs(data):
+    hom = data.draw(st.sampled_from(homs()))
+    if data.draw(st.booleans()):
+        image = twist_on_a_coset(data, hom)
+    else:
+        image = np.array(hom.image)
+        # the identity's image is checked before the hom law, with or without validation
+        x = data.draw(st.sampled_from([x for x in range(len(image)) if x != hom.domain.identity]))
+        image[x] = data.draw(st.integers(0, hom.codomain.order - 1))
+    oracle = GroupHom(hom.domain, hom.codomain, image, validate=False).find_hom_counterexample()
+    try:
+        GroupHom(hom.domain, hom.codomain, image)
+    except GroupValidationError:
+        raised = True
+    else:
+        raised = False
+    assert raised == (oracle is not None)
+
+
+@functools.lru_cache(maxsize=None)
+def actions():
+    s4 = construct_named("S:4")
+    _, stab = subgroup_from_elements(s4, [x for x, p in enumerate(s4.point_maps) if p[0] == 0])
+    return [
+        regular_action(construct_named("S:3")),
+        regular_action(construct_named("Q8")),
+        natural_action(4, s4),
+        natural_action(5, construct_named("AGL:5")),
+        coset_action(s4, stab)[0],
+        coset_action(construct_named("D:8"), center_subgroup(construct_named("D:8"))[1])[0],
+    ]
+
+
+def action_axioms_hold(grp, act):
+    """Oracle: the identity axiom and compatibility for every h1."""
+    if not (act[grp.identity] == np.arange(act.shape[1])).all():
+        return False
+    return all((act[h1][act] == act[grp.table[h1]]).all() for h1 in range(grp.order))
+
+
+def twist_on_a_right_coset(data, omega):
+    """act changed on one right coset K r of K = <generators but s>: act'(h r) = act(h) o tau.
+
+    h1.(h2.w) = (h1 h2).w still holds for every h1 in K, so only s can
+    expose the change.
+    """
+    g, act = omega.group, omega.act
+    _, members = all_but_one_generator(data, g)
+    x = np.arange(g.order)
+    rep = g.table[members[:, None], x].min(axis=0)  # least element of K x
+    tau, others = act[rep], sorted(set(rep.tolist()) - {g.identity})
+    if not others:
+        return np.array(act)  # K is all of g: nothing to twist
+    r = data.draw(st.sampled_from(others))
+    tau[rep == r] = act[r][data.draw(st.permutations(range(omega.size)))]
+    h = g.table[x, g.inverses[rep]]
+    return np.take_along_axis(act[h], tau, axis=1)
+
+
+@EXACT
+@given(st.data())
+def test_action_check_on_generators_agrees_with_all_h1(data):
+    omega = data.draw(st.sampled_from(actions()))
+    if data.draw(st.booleans()):
+        act = twist_on_a_right_coset(data, omega)
+    else:
+        act = np.array(omega.act)
+        h = data.draw(st.integers(0, omega.group.order - 1))
+        act[h, data.draw(st.integers(0, omega.size - 1))] = data.draw(st.integers(0, omega.size - 1))
+    try:
+        FiniteGSet(omega.group, act)
+    except ActionValidationError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == action_axioms_hold(omega.group, act)

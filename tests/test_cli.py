@@ -227,6 +227,14 @@ def test_verify_corrupted_group_json(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_rejects_the_order_600_loop(capsys, tmp_path, c600_loop):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(c600_loop))
+    code, out, _ = run(capsys, "verify", "--group-json", str(path))
+    assert code == 1
+    assert out.startswith("FAIL json: group_invariants (associativity fails")
+
+
 def test_verify_valid_group_json(capsys, tmp_path):
     from wreathlab import save_group
 

@@ -287,6 +287,14 @@ def test_corrupted_json_is_rejected(d4):
         group_from_json(data)
 
 
+def test_order_600_loop_is_rejected(c600_loop):
+    with pytest.raises(GroupValidationError, match=r"associativity fails at \(a,b,c\)=\(129,1,41\)"):
+        group_from_json(c600_loop)
+    # the reported triple really fails: 129 * 1 = 130 and (130, 41) is a swapped cell
+    t = c600_loop["table"]
+    assert t[t[129][1]][41] != t[129][t[1][41]]
+
+
 def test_exhaustive_associativity_for_small_constructions():
     for spec in ("C:12", "D:6", "S:4", "Q8", "AGL:5"):
         g = construct_named(spec)

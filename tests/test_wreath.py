@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from wreathlab import (
+    FiniteGSet,
+    GroupHom,
+    GroupValidationError,
     SizeLimitError,
     WreathlabError,
     build_wreath,
@@ -12,6 +15,7 @@ from wreathlab import (
     regular_wreath,
     theta,
 )
+from wreathlab.groups import closure
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import THETA_CATALOG, _theta_omega
 from wreathlab.wreath import WreathGroup
@@ -171,24 +175,50 @@ def test_element_orders_in_the_d4_wreath():
 
 
 def test_projection_law_exhaustively_on_a_large_dense_wreath():
-    # construction skips the pair sweep above order 512; the suite covers it
+    # the projection is built without validation; check it on all pairs here
     s3 = construct_named("S:3")
     w = build_wreath(s3, natural_action(3, s3))
     assert w.order == 1296
     assert w.top_projection.find_hom_counterexample() is None
 
 
-def test_projection_law_sampled_on_a_structural_wreath():
-    w = regular_wreath(construct_named("V4"), construct_named("S:3"), dense_cap=1)
+def test_projection_law_on_generators_of_a_structural_wreath():
+    v4, s3 = construct_named("V4"), construct_named("S:3")
+    w = regular_wreath(v4, s3, dense_cap=1)
     assert isinstance(w.product, WreathGroup)
-    assert w.top_projection.find_hom_counterexample(pairs=20000) is None
+    assert w.order == 24576
+    unit = [v4.identity] * 6
+    gens = ([w.encode([k] + unit[1:], s3.identity) for k in v4.generators()]
+            + [w.encode(unit, h) for h in s3.generators()])
+    assert closure(w.product, gens) == list(range(w.order))
+    # phi(x s) = phi(x) phi(s) for every x and generator s is the law on all pairs
+    proj, g = w.top_projection, w.product
+    x, s = np.arange(w.order)[:, None], np.array(gens)
+    assert (proj.image[g.mul_array(x, s)] == s3.mul_array(proj.image[x], proj.image[s])).all()
+    assert g.generators() == gens
+
+
+def test_structural_generators_cover_every_orbit_and_certify_homs():
+    c2 = construct_named("C:2")
+    omega = FiniteGSet(c2, [[0, 1, 2], [1, 0, 2]])  # orbits {0, 1} and {2}
+    w = build_wreath(c2, omega, dense_cap=1)
+    gens = w.product.generators()
+    assert gens == [w.encode((1, 0, 0), 0), w.encode((0, 0, 1), 0), w.encode((0, 0, 0), 1)]
+    assert closure(w.product, gens) == list(range(w.order))
+    # homs out of a structural product are validated on these generators
+    assert GroupHom(w.product, c2, w.top_projection.image).is_homomorphism()
+    broken = np.array(w.top_projection.image)
+    broken[gens[0]] = 1
+    assert GroupHom(w.product, c2, broken, validate=False).find_hom_counterexample() is not None
+    with pytest.raises(GroupValidationError, match="hom law fails"):
+        GroupHom(w.product, c2, broken)
 
 
 def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"), dense_cap=1)
     assert isinstance(w.product, WreathGroup)
     assert "top_projection" not in vars(w)  # built on first use only
-    proj = w.top_projection  # validated over all pairs at construction
+    proj = w.top_projection
     assert proj.find_hom_counterexample() is None
     assert proj.kernel_indices() == [w.base_inclusion(f) for f in ((0, 0), (1, 0), (0, 1), (1, 1))]
     x = w.encode((0, 1), 1)
