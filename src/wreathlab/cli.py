@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -39,40 +38,13 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    fmt: str = "text"
-    out: Optional[str] = None
-    size_cap: int = SIZE_CAP_DEFAULT
-    samples: Optional[int] = None
-    seed: int = 0
-
-
 def _size_cap(args) -> int:
-    if getattr(args, "size_cap", None):
+    if args.size_cap:
         return args.size_cap
     env = os.environ.get(ENV_SIZE_CAP)
     if env:
         return int(env)
     return SIZE_CAP_DEFAULT
-
-
-def _config(args) -> RunConfig:
-    samples = None
-    depth = getattr(args, "depth", "exhaustive")
-    if depth.startswith("sampled:"):
-        samples = int(depth.split(":", 1)[1])
-    elif depth != "exhaustive":
-        raise ValueError(f"bad depth {depth!r} (use exhaustive or sampled:N)")
-    return RunConfig(
-        command=args.command,
-        fmt=getattr(args, "format", "text"),
-        out=getattr(args, "out", None),
-        size_cap=_size_cap(args),
-        samples=samples,
-        seed=getattr(args, "seed", 0),
-    )
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -115,7 +87,7 @@ def _section_from_pairs(eps, pairs: dict[str, str]):
 # -- build -----------------------------------------------------------------------
 
 
-def _build_omega(h: Optional[FiniteGroup], mode: str, cfg: RunConfig):
+def _build_omega(h: Optional[FiniteGroup], mode: str):
     if mode == "regular":
         return regular_action(h)
     if mode.startswith("natural:"):
@@ -129,15 +101,15 @@ def _build_omega(h: Optional[FiniteGroup], mode: str, cfg: RunConfig):
 
 
 def cmd_build(args) -> int:
-    cfg = _config(args)
+    size_cap = _size_cap(args)
     k = construct_named(args.k)
     h = construct_named(args.h) if args.h else None
-    omega = _build_omega(h, args.omega, cfg)
-    w = build_wreath(k, omega, size_cap=cfg.size_cap)
+    omega = _build_omega(h, args.omega)
+    w = build_wreath(k, omega, size_cap=size_cap)
     identified = None
     if w.order <= 64 and isinstance(w.product, FiniteGroup):
         identified = identify_small(w.product)
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "order": w.order,
             "identified": identified,
@@ -163,8 +135,8 @@ def cmd_build(args) -> int:
 # -- embed -----------------------------------------------------------------------
 
 
-def _print_embedding(domain, w, phi, report, cfg: RunConfig, extra: Optional[dict] = None) -> int:
-    if cfg.fmt == "json":
+def _print_embedding(domain, w, phi, report, args, extra: Optional[dict] = None) -> int:
+    if args.format == "json":
         payload = {
             "phi": [
                 {"domain": domain.labels[x], "image": w.element_str(phi(x)), "index": phi(x)}
@@ -174,7 +146,7 @@ def _print_embedding(domain, w, phi, report, cfg: RunConfig, extra: Optional[dic
         }
         if extra:
             payload.update(extra)
-        _emit(json.dumps(payload), cfg.out)
+        _emit(json.dumps(payload), args.out)
     else:
         lines = [f"{domain.labels[x]} -> {w.element_str(phi(x))}" for x in range(domain.order)]
         lines.append(
@@ -183,7 +155,7 @@ def _print_embedding(domain, w, phi, report, cfg: RunConfig, extra: Optional[dic
             f"full: {report.image_is_full}")
         if extra:
             lines.extend(f"{key}: {value}" for key, value in extra.items())
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK if (report.is_homomorphism and report.is_injective) else EXIT_VERIFICATION
 
 
@@ -194,7 +166,7 @@ def _parse_tower(args) -> QuadraticTower:
 
 
 def cmd_embed(args) -> int:
-    cfg = _config(args)
+    size_cap = _size_cap(args)
     if args.mode == "kk":
         g = construct_named(args.group)
         _n, incl = find_normal_subgroup(g, args.normal)
@@ -202,24 +174,24 @@ def cmd_embed(args) -> int:
         section = None
         if args.section:
             section = _section_from_pairs(ses.g_to_q, _parse_section_pairs(args.section))
-        w, phi = kk_embedding(ses, section, size_cap=cfg.size_cap)
-        return _print_embedding(g, w, phi, verify_embedding(phi), cfg)
+        w, phi = kk_embedding(ses, section, size_cap=size_cap)
+        return _print_embedding(g, w, phi, verify_embedding(phi), args)
     if args.mode == "omega":
         g = construct_named(args.group)
         _sub, incl = _resolve_subgroup(g, args.subgroup)
-        w, phi = omega_embedding(g, incl, size_cap=cfg.size_cap)
-        return _print_embedding(g, w, phi, verify_embedding(phi), cfg)
+        w, phi = omega_embedding(g, incl, size_cap=size_cap)
+        return _print_embedding(g, w, phi, verify_embedding(phi), args)
     if args.mode == "tower":
         t = _parse_tower(args)
-        w, phi, report = quadratic_kummer_embedding(t, size_cap=cfg.size_cap)
+        w, phi, report = quadratic_kummer_embedding(t, size_cap=size_cap)
         extra = None
         if args.section:
             ses = tower_extension(t)
             section = _section_from_pairs(ses.g_to_q, _parse_section_pairs(args.section))
-            _wk, phi_kk = kk_embedding(ses, section, size_cap=cfg.size_cap)
+            _wk, phi_kk = kk_embedding(ses, section, size_cap=size_cap)
             agree = bool((phi_kk.image == phi.image).all())
             extra = {"section_cross_check": "agree" if agree else "DISAGREE"}
-        return _print_embedding(phi.domain, w, phi, report, cfg, extra)
+        return _print_embedding(phi.domain, w, phi, report, args, extra)
     raise ValueError(f"unknown embed mode {args.mode!r}")
 
 
@@ -227,10 +199,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_sizes(args) -> int:
-    cfg = _config(args)
     if args.emit == "table1":
         rows = table1(args.kf)
-        if cfg.fmt == "json":
+        if args.format == "json":
             payload = {
                 "kf": args.kf,
                 "rows": [
@@ -239,18 +210,18 @@ def cmd_sizes(args) -> int:
                     for r in rows
                 ],
             }
-            _emit(json.dumps(payload), cfg.out)
+            _emit(json.dumps(payload), args.out)
         else:
             lines = [
                 f"{r.group_name}: kc={r.kc}, regular={r.regular_formula()}, omega={r.omega_formula()}"
                 for r in rows
             ]
-            _emit("\n".join(lines), cfg.out)
+            _emit("\n".join(lines), args.out)
         return EXIT_OK
     if not args.group:
         raise ValueError("--group is required unless --emit table1 is used")
     rows = figure_data(args.kf, args.group, args.m_max)
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "kf": args.kf,
             "group": args.group,
@@ -260,9 +231,9 @@ def cmd_sizes(args) -> int:
                 for r in rows
             ],
         }
-        _emit(json.dumps(payload), cfg.out)
+        _emit(json.dumps(payload), args.out)
     else:
-        _emit(figure_csv(rows).removesuffix("\n"), cfg.out)
+        _emit(figure_csv(rows).removesuffix("\n"), args.out)
     return EXIT_OK
 
 
@@ -270,7 +241,11 @@ def cmd_sizes(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
+    samples = None
+    if args.depth.startswith("sampled:"):
+        samples = int(args.depth.split(":", 1)[1])
+    elif args.depth != "exhaustive":
+        raise ValueError(f"bad depth {args.depth!r} (use exhaustive or sampled:N)")
     verdicts = []
     if args.group_json:
         try:
@@ -281,10 +256,10 @@ def cmd_verify(args) -> int:
             verdicts.append({"suite": "json", "property": "group_invariants",
                              "pass": False, "detail": str(exc)})
     else:
-        verdicts = [v.to_json() for v in run_suites(args.suite, cfg.samples, cfg.seed)]
+        verdicts = [v.to_json() for v in run_suites(args.suite, samples, args.seed)]
     all_passed = all(v["pass"] for v in verdicts)
-    if cfg.fmt == "json":
-        _emit(json.dumps({"verdicts": verdicts, "all_passed": all_passed}), cfg.out)
+    if args.format == "json":
+        _emit(json.dumps({"verdicts": verdicts, "all_passed": all_passed}), args.out)
     else:
         lines = [
             f"{'PASS' if v['pass'] else 'FAIL'} {v['suite']}: {v['property']}"
@@ -292,7 +267,7 @@ def cmd_verify(args) -> int:
             for v in verdicts
         ]
         lines.append("all passed" if all_passed else "FAILURES present")
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK if all_passed else EXIT_VERIFICATION
 
 

@@ -1,13 +1,17 @@
 """Embeddings of group extensions into wreath products, with full verification.
 
-Two constructions are provided and cross-checked:
+Two embeddings are provided, and both come from one construction.  A
+section s picks a representative s(p) for each point p of an Omega-set of a
+quotient Q of G, and x in G goes to (sigma_x, top(x)) with
+sigma_x(p) = s(p)^-1 * x * s(top(x)^-1 . p).  ``_sigma_image`` is the one
+statement of that formula, evaluated for all x together:
 
-* ``kk_embedding`` sends an extension 1 -> N -> G -> Q -> 1 into the regular
-  wreath product N wr_r Q via g |-> (sigma_g, eps(g)) with
-  sigma_g(q) = s(q)^-1 * g * s(eps(g)^-1 * q) for a chosen section s.
 * ``omega_embedding`` sends G into H wr_Omega (G/core(H)) for any subgroup
-  H <= G, where Omega is the left-coset space of H and the quotient acts by
-  translation; the same sigma formula applies with coset representatives.
+  H <= G, where Omega is the left-coset space of H, the quotient acts by
+  translation and s picks coset representatives.
+* ``kk_embedding`` is the same formula with Omega = Q acting on itself: it
+  sends an extension 1 -> N -> G -> Q -> 1 into the regular wreath product
+  N wr_r Q, s a section of eps and top = eps (Kaloujnine-Krasner).
 
 Transport maps move embeddings across isomorphic or included components, and
 ``solvability_witness`` searches for an embedding into the affine wreath
@@ -99,28 +103,54 @@ class EmbeddingReport:
         return json.dumps(self.to_json())
 
 
+def _fibers(eps: GroupHom) -> list[list[int]]:
+    """The preimages of each point of eps's codomain, ascending."""
+    return [np.flatnonzero(eps.image == t).tolist() for t in range(eps.codomain.order)]
+
+
 def all_sections(eps: GroupHom):
     """Every right inverse of eps (|preimage| per point choices)."""
-    q = eps.codomain
-    fibers = [[x for x in range(eps.domain.order) if int(eps.image[x]) == t]
-              for t in range(q.order)]
-    for combo in itertools.product(*fibers):
-        yield Section(q, eps.domain, np.array(combo, dtype=np.int64))
+    for combo in itertools.product(*_fibers(eps)):
+        yield Section(eps.codomain, eps.domain, np.array(combo, dtype=np.int64))
 
 
 def random_section(eps: GroupHom, rng: random.Random) -> Section:
-    q = eps.codomain
-    choice = np.empty(q.order, dtype=np.int64)
-    for t in range(q.order):
-        fiber = [x for x in range(eps.domain.order) if int(eps.image[x]) == t]
-        choice[t] = rng.choice(fiber)
-    return Section(q, eps.domain, choice)
+    choice = [rng.choice(fiber) for fiber in _fibers(eps)]
+    return Section(eps.codomain, eps.domain, np.array(choice, dtype=np.int64))
 
 
-def _check_section(eps: GroupHom, s: Section) -> None:
-    for t in range(eps.codomain.order):
-        if int(eps.image[s(t)]) != t:
-            raise SectionMismatchError(f"eps(s({t})) != {t}: section is not a right inverse")
+def _check_section(point_of: np.ndarray, s: Section, size: int) -> None:
+    """s must pick one preimage under point_of of each point 0..size-1, in order."""
+    if len(s) != size:
+        raise SectionMismatchError(f"section has {len(s)} values for {size} points")
+    if s.choice.min() < 0 or s.choice.max() >= len(point_of):
+        raise SectionMismatchError("section value out of the group's index range")
+    bad = point_of[s.choice] != np.arange(size)
+    if bad.any():
+        t = int(bad.argmax())
+        raise SectionMismatchError(
+            f"section value s({t}) lies over point {int(point_of[s(t)])}, not {t}")
+
+
+def _sigma_image(g: FiniteGroup, tops: np.ndarray, s: Section, sub: GroupHom,
+                 w: WreathProduct) -> np.ndarray:
+    """Wreath index of (sigma_x, top(x)) for every x in g.
+
+    sigma_x(p) = s(p)^-1 * x * s(top(x)^-1 . p) for each point p of
+    Omega = w.top, all at once in two gathers from g's table.  Every value is
+    checked to land in image(sub) before it becomes a base-group digit.
+    """
+    moved = w.top.act[w.top.group.inverses[tops]]  # row x is p |-> top(x)^-1 . p
+    x = np.arange(g.order)[:, None]
+    vals = g.mul_array(g.mul_array(g.inverses[s.choice][None, :], x), s.choice[moved])
+    digit_of = np.full(g.order, -1, dtype=np.int64)
+    digit_of[sub.image] = np.arange(sub.domain.order)
+    digits = digit_of[vals]
+    if (digits < 0).any():
+        x, p = divmod(int((digits < 0).argmax()), w.top.size)
+        raise SectionMismatchError(
+            f"sigma_g({p}) for g index {x} escapes the image of the base group")
+    return w._codec.encode_array(digits, tops)
 
 
 def kk_embedding(ses: ShortExactSequence, s: Optional[Section] = None,
@@ -128,31 +158,15 @@ def kk_embedding(ses: ShortExactSequence, s: Optional[Section] = None,
                  dense_cap: Optional[int] = None) -> tuple[WreathProduct, GroupHom]:
     """Embed the extension into N wr_r Q (universal embedding of Kaloujnine-Krasner).
 
-    Every value sigma_g(q) is checked to land in image(N -> G) before it is
-    converted to a base-group index.
+    This is the sigma formula with Omega = Q acting on itself by left
+    multiplication and s a section of G -> Q.
     """
-    g, q, n = ses.g, ses.q, ses.n
-    eps, iota = ses.g_to_q, ses.n_to_g
+    eps = ses.g_to_q
     if s is None:
         s = default_section(eps)
-    _check_section(eps, s)
-    w = regular_wreath(n, q, size_cap=size_cap, dense_cap=dense_cap)
-    n_index = np.full(g.order, -1, dtype=np.int64)
-    n_index[iota.image] = np.arange(n.order)
-    image = np.empty(g.order, dtype=np.int64)
-    for x in range(g.order):
-        top = int(eps.image[x])
-        top_inv = q.inv(top)
-        digits = []
-        for t in range(q.order):
-            val = g.mul(g.mul(g.inv(s(t)), x), s(q.mul(top_inv, t)))
-            d = int(n_index[val])
-            if d < 0:
-                raise SectionMismatchError(
-                    f"sigma_g({t}) for g index {x} escapes the kernel")
-            digits.append(d)
-        image[x] = w.encode(digits, top)
-    return w, GroupHom(g, w.product, image)
+    _check_section(eps.image, s, ses.q.order)
+    w = regular_wreath(ses.n, ses.q, size_cap=size_cap, dense_cap=dense_cap)
+    return w, GroupHom(ses.g, w.product, _sigma_image(ses.g, eps.image, s, ses.n_to_g, w))
 
 
 def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
@@ -162,41 +176,21 @@ def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
     Q = g / normal_core(H).
 
     The quotient acts on Omega through preimages (well defined because the
-    core lies inside H); sigma values are checked to land in H.
+    core lies inside H); s picks one representative per coset.
     """
     _core, core_incl = normal_core(g, h_k)
     q, proj = quotient(g, core_incl)
     omega_g, reps = coset_action(g, h_k)
-    q_reps = default_section(proj)
-    act_q = omega_g.act[np.asarray(q_reps.choice)]
-    for x in range(g.order):
-        if not (act_q[int(proj.image[x])] == omega_g.act[x]).all():
-            raise WreathlabError("induced quotient action on cosets is ill defined")
+    act_q = omega_g.act[default_section(proj).choice]
+    if (act_q[proj.image] != omega_g.act).any():
+        raise WreathlabError("induced quotient action on cosets is ill defined")
     omega_q = FiniteGSet(q, act_q, point_labels=list(omega_g.point_labels))
     if s is None:
         s = reps
     coset_of, _ = coset_partition(g, sorted(h_k.image_set()))
-    for w_idx in range(omega_g.size):
-        if int(coset_of[s(w_idx)]) != w_idx:
-            raise SectionMismatchError(f"section value for coset {w_idx} lies in the wrong coset")
-    base = h_k.domain
-    w = build_wreath(base, omega_q, size_cap=size_cap, dense_cap=dense_cap)
-    h_index = np.full(g.order, -1, dtype=np.int64)
-    h_index[h_k.image] = np.arange(base.order)
-    image = np.empty(g.order, dtype=np.int64)
-    for x in range(g.order):
-        top = int(proj.image[x])
-        top_inv_row = omega_q.act[q.inv(top)]
-        digits = []
-        for w_idx in range(omega_q.size):
-            val = g.mul(g.mul(g.inv(s(w_idx)), x), s(int(top_inv_row[w_idx])))
-            d = int(h_index[val])
-            if d < 0:
-                raise WreathlabError(
-                    f"sigma_g(omega) for g index {x} escapes the subgroup")
-            digits.append(d)
-        image[x] = w.encode(digits, top)
-    return w, GroupHom(g, w.product, image)
+    _check_section(coset_of, s, omega_g.size)
+    w = build_wreath(h_k.domain, omega_q, size_cap=size_cap, dense_cap=dense_cap)
+    return w, GroupHom(g, w.product, _sigma_image(g, proj.image, s, h_k, w))
 
 
 def verify_embedding(phi: GroupHom) -> EmbeddingReport:
@@ -215,18 +209,23 @@ def verify_embedding(phi: GroupHom) -> EmbeddingReport:
     )
 
 
-def _transport_image(psi: GroupHom, phi: GroupHom, xi, w: WreathProduct,
-                     w_hat: WreathProduct) -> np.ndarray:
-    xi = np.asarray(xi, dtype=np.int64)
-    xi_inv = np.empty(len(xi), dtype=np.int64)
-    xi_inv[xi] = np.arange(len(xi))
-    image = np.empty(w.order, dtype=np.int64)
-    for x in range(w.order):
-        f, h = w.decode(x)
-        # (f, h) |-> (psi o f o xi^-1, phi(h))
-        digits = [int(psi.image[f[int(xi_inv[j])]]) for j in range(w_hat.top.size)]
-        image[x] = w_hat.encode(digits, phi(h))
-    return image
+def _transport(base_map: GroupHom, top_map: GroupHom, xi, w: WreathProduct,
+               w_hat: WreathProduct, kind: str) -> GroupHom:
+    """(f, h) |-> (base_map o f o xi^-1, top_map(h)) on all of w, checked to be a
+    hom and injective (``kind`` names the property in the error)."""
+    if base_map.codomain.order != w_hat.base_group.order:
+        raise NotIsomorphismError("base-component map does not land in the target base group")
+    xi_inv = np.empty(w.top.size, dtype=np.int64)
+    xi_inv[np.asarray(xi, dtype=np.int64)] = np.arange(w.top.size)
+    f, h = w._codec.decode_array(np.arange(w.order))
+    image = w_hat._codec.encode_array(base_map.image[f[:, xi_inv]], top_map.image[h])
+    out = GroupHom(w.product, w_hat.product, image, validate=False)
+    bad = out.find_hom_counterexample()
+    if bad is not None:
+        raise NotIsomorphismError(f"transport fails the hom law at pair {bad}")
+    if len(np.unique(image)) != w.order:
+        raise NotIsomorphismError(f"transport is not {kind}")
+    return out
 
 
 def transport_iso(psi: GroupHom, phi: GroupHom, xi, w: WreathProduct,
@@ -245,14 +244,7 @@ def transport_iso(psi: GroupHom, phi: GroupHom, xi, w: WreathProduct,
         raise NotEquivariantError("point bijection is not equivariant for the top maps")
     if w.order != w_hat.order:
         raise NotIsomorphismError("wreath products have different orders")
-    image = _transport_image(psi, phi, xi, w, w_hat)
-    out = GroupHom(w.product, w_hat.product, image, validate=False)
-    bad = out.find_hom_counterexample()
-    if bad is not None:
-        raise NotIsomorphismError(f"transport fails the hom law at pair {bad}")
-    if len(np.unique(image)) != w.order:
-        raise NotIsomorphismError("transport is not bijective")
-    return out
+    return _transport(psi, phi, xi, w, w_hat, "bijective")
 
 
 def transport_subgroup(iota_k: GroupHom, iota_h: GroupHom, xi, w: WreathProduct,
@@ -264,14 +256,7 @@ def transport_subgroup(iota_k: GroupHom, iota_h: GroupHom, xi, w: WreathProduct,
         raise NotIsomorphismError("top-component map is not injective")
     if not check_equivariant(xi, w.top, w_hat.top, iota_h):
         raise NotEquivariantError("point bijection is not equivariant for the inclusions")
-    image = _transport_image(iota_k, iota_h, xi, w, w_hat)
-    out = GroupHom(w.product, w_hat.product, image, validate=False)
-    bad = out.find_hom_counterexample()
-    if bad is not None:
-        raise NotIsomorphismError(f"transport fails the hom law at pair {bad}")
-    if len(np.unique(image)) != w.order:
-        raise NotIsomorphismError("transport is not injective")
-    return out
+    return _transport(iota_k, iota_h, xi, w, w_hat, "injective")
 
 
 _SOLVABILITY_PRIMES = (2, 3)

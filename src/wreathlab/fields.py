@@ -390,12 +390,12 @@ def chi(t: QuadraticTower, rho: FieldAutomorphism, tau: FieldAutomorphism) -> in
     pre = rho_inv.apply(t.L.rational(tau_alpha)).rational_value()
     numerator = rho.apply(t.L.sqrt_of_rational(pre))
     denominator = t.L.sqrt_of_rational(tau_alpha)
-    quotient_val = numerator / denominator
-    if quotient_val == t.L.one():
+    # the quotient is +-1 exactly when the numerator is +-denominator: no division
+    if numerator == denominator:
         return 0
-    if quotient_val == -t.L.one():
+    if numerator == -denominator:
         return 1
-    raise NonUnitQuotientError(f"radical quotient {quotient_val} is not +-1")
+    raise NonUnitQuotientError(f"radical quotient {numerator / denominator} is not +-1")
 
 
 def _chi_table(t: QuadraticTower, auts_l: Sequence[FieldAutomorphism],
@@ -437,9 +437,8 @@ def quadratic_kummer_embedding(
                        name=f"Gal({t.L!r}/{t.K!r})")
     omega = regular_action(small)
     w = build_wreath(base, omega, size_cap=size_cap, dense_cap=dense_cap)
-    image = np.empty(big.order, dtype=np.int64)
-    for m, digits in enumerate(_chi_table(t, auts_l, auts_k)):
-        image[m] = w.encode(digits, int(eps.image[m]))
+    # row m of the chi table is sigma_m as eta-exponents over Omega = Gal(K/Q)
+    image = w._codec.encode_array(_chi_table(t, auts_l, auts_k), eps.image)
     phi = GroupHom(big, w.product, image)
     return w, phi, verify_embedding(phi)
 

@@ -447,20 +447,19 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, max_order: int = DIRECT_PRODU
 def subgroup_from_elements(g: FiniteGroup, elems: Iterable[int], name: Optional[str] = None):
     """Subgroup on a closed element set, indexed by ascending parent index."""
     members = sorted(set(int(x) for x in elems))
-    pos = {x: i for i, x in enumerate(members)}
-    size = len(members)
-    table = np.empty((size, size), dtype=np.int32)
-    for i, x in enumerate(members):
-        row = g.table[x, members]
-        for j in range(size):
-            y = int(row[j])
-            if y not in pos:
-                raise GroupValidationError(f"element set not closed: g{x}*g{members[j]} escapes")
-            table[i, j] = pos[y]
+    if members and not 0 <= members[0] <= members[-1] < g.order:
+        raise GroupValidationError("element index out of the group's range")
+    pos = np.full(g.order, -1, dtype=np.int32)
+    pos[members] = np.arange(len(members))
+    table = pos[g.table[np.ix_(members, members)]]
+    if (table < 0).any():
+        i, j = divmod(int((table < 0).argmax()), len(members))
+        raise GroupValidationError(
+            f"element set not closed: g{members[i]}*g{members[j]} escapes")
     labels = [g.labels[x] for x in members]
     maps = [g.point_maps[x] for x in members] if g.point_maps is not None else None
-    sub = FiniteGroup(table, identity=pos[g.identity], labels=labels,
-                      name=name or f"subgroup({size}) of {g.name}", point_maps=maps)
+    sub = FiniteGroup(table, identity=int(pos[g.identity]), labels=labels,
+                      name=name or f"subgroup({len(members)}) of {g.name}", point_maps=maps)
     incl = GroupHom(sub, g, np.array(members, dtype=np.int64))
     return sub, incl
 
@@ -488,15 +487,13 @@ def center_subgroup(g: FiniteGroup):
 
 def normal_core(g: FiniteGroup, h: GroupHom):
     """Largest normal subgroup of g inside image(h): intersection of conjugates."""
-    base = set(h.image_set())
-    core = set(base)
-    inv = g.inverses
-    members = np.array(sorted(base), dtype=np.int64)
-    for x in range(g.order):
-        conj = g.table[g.table[x, members], inv[x]]
-        core &= set(int(v) for v in conj)
-        if len(core) == 1:
-            break
+    members = np.array(sorted(h.image_set()), dtype=np.int64)
+    in_h = np.zeros(g.order, dtype=bool)
+    in_h[members] = True
+    # m is in the core iff x^-1 m x lies in H for every x; row x holds those conjugates
+    x = np.arange(g.order)[:, None]
+    conj = g.table[g.table[g.inverses[x], members], x]
+    core = members[in_h[conj].all(axis=0)]
     return subgroup_from_elements(g, core, name=f"core of {h.domain.name} in {g.name}")
 
 
@@ -519,11 +516,10 @@ def coset_partition(g: Group, members) -> tuple[np.ndarray, np.ndarray]:
 def quotient(g: FiniteGroup, n: GroupHom):
     """Coset group g/image(n) with its projection; representatives are minimal."""
     members = np.array(sorted(n.image_set()), dtype=np.int64)
-    for x in range(g.order):
-        left = set(int(v) for v in g.table[x, members])
-        right = set(int(v) for v in g.table[members, x])
-        if left != right:
-            raise NonNormalSubgroupError(f"gN != Ng at g index {x}")
+    # row x of each side is the coset xN, resp. Nx, as a sorted set
+    bad = (np.sort(g.table[:, members], axis=1) != np.sort(g.table[members].T, axis=1)).any(axis=1)
+    if bad.any():
+        raise NonNormalSubgroupError(f"gN != Ng at g index {int(bad.argmax())}")
     coset_of, reps = coset_partition(g, members)
     table = coset_of[g.table[reps[:, None], reps[None, :]]]
     labels = [f"[{g.labels[r]}]" for r in reps]
@@ -554,11 +550,8 @@ def default_section(eps: GroupHom, overrides: Optional[dict[int, int]] = None) -
     if not eps.is_surjective():
         raise NotSurjectiveError("section requested for a non-surjective map")
     q = eps.codomain
-    choice = np.full(q.order, -1, dtype=np.int64)
-    for x in range(eps.domain.order):
-        t = int(eps.image[x])
-        if choice[t] < 0:
-            choice[t] = x
+    # eps is onto, so the first occurrences are the minimal preimages of 0..|Q|-1
+    choice = np.unique(eps.image, return_index=True)[1].astype(np.int64)
     choice[q.identity] = eps.domain.identity
     if overrides:
         for t, x in overrides.items():

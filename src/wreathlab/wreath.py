@@ -43,8 +43,9 @@ def theta(omega: FiniteGSet, h: int, f: Sequence[int]) -> tuple[int, ...]:
 class _Codec:
     """The mixed-radix encoding and the wreath product formula.
 
-    ``encode``/``decode`` are the validated per-element API; ``mul`` and
-    ``inv`` work on int64 index arrays of any broadcastable shapes.
+    ``encode``/``decode`` are the validated per-element API; ``encode_array``,
+    ``decode_array``, ``mul`` and ``inv`` work unchecked on int64 index arrays
+    of any broadcastable shapes.
     """
 
     def __init__(self, base: FiniteGroup, top: FiniteGSet):
@@ -92,6 +93,11 @@ class _Codec:
         """Unchecked decode of an index array: digits of shape x.shape + (n_points,), and tops."""
         h, t = np.divmod(np.asarray(x, dtype=np.int64), self.tuple_count)
         return t[..., None] // self._pw % self.n_base, h
+
+    def encode_array(self, digits, tops) -> np.ndarray:
+        """Unchecked inverse of ``decode_array``: indices of shape tops.shape."""
+        digits = np.asarray(digits, dtype=np.int64)
+        return np.asarray(tops, dtype=np.int64) * self.tuple_count + digits @ self._pw
 
     def mul(self, x, y) -> np.ndarray:
         """(f1, h1)(f2, h2) = (f1 * theta_h1(f2), h1 h2) with theta_h1(f2)(w) = f2(h1^-1 . w)."""

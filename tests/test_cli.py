@@ -251,6 +251,13 @@ def test_verify_sampled_depth(capsys):
     assert "sampled:50" in out
 
 
+def test_verify_bad_depth_is_usage_error(capsys):
+    for depth in ("shallow", "sampled:many"):
+        code, out, err = run(capsys, "verify", "--suite", "theta", "--depth", depth)
+        assert (code, out) == (2, "")
+    assert "bad depth 'shallow'" in run(capsys, "verify", "--depth", "shallow")[2]
+
+
 def test_action_file_with_group_reference(capsys, tmp_path):
     from wreathlab import action_to_json, natural_action, save_group
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 
@@ -158,6 +159,37 @@ def test_core_of_normal_subgroup_is_itself(d4):
     core, core_incl = normal_core(d4, incl)
     assert core.order == 4
     assert core_incl.image_set() == incl.image_set()
+
+
+def test_core_and_normality_of_every_cyclic_subgroup_against_brute_force(s4):
+    for x in range(s4.order):
+        _, incl = subgroup_generated(s4, [x])
+        members = sorted(incl.image_set())
+        core = set(members)
+        for y in range(s4.order):
+            core &= {s4.mul(s4.mul(y, m), s4.inv(y)) for m in members}
+        assert normal_core(s4, incl)[1].image_set() == core
+        first_bad = next((y for y in range(s4.order)
+                          if {s4.mul(y, m) for m in members} != {s4.mul(m, y) for m in members}),
+                         None)
+        if first_bad is None:
+            assert quotient(s4, incl)[0].order == s4.order // len(members)
+        else:
+            with pytest.raises(NonNormalSubgroupError, match=f"at g index {first_bad}$"):
+                quotient(s4, incl)
+
+
+def test_non_closed_set_names_the_first_escaping_pair(s4):
+    elems = [0, s4.point_maps.index((1, 0, 2, 3)), s4.point_maps.index((0, 2, 1, 3)),
+             s4.point_maps.index((1, 2, 0, 3))]
+    members = sorted(elems)
+    # oracle: the row-major first product that leaves the set
+    a, b = next((a, b) for a in members for b in members if s4.mul(a, b) not in members)
+    with pytest.raises(GroupValidationError,
+                       match=re.escape(f"element set not closed: g{a}*g{b} escapes")):
+        subgroup_from_elements(s4, elems)
+    with pytest.raises(GroupValidationError, match="out of the group's range"):
+        subgroup_from_elements(s4, [0, s4.order])
 
 
 def test_quotient_by_whole_group(s3):

@@ -241,6 +241,9 @@ def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
     assert digits.shape == (structural.order, structural.top.size)
     assert [(tuple(map(int, f)), int(h)) for f, h in zip(digits, tops)] == \
         [structural.decode(x) for x in idx]
+    # and the array encoder inverts it, agreeing with the validated scalar encode
+    assert (codec.encode_array(digits, tops) == idx).all()
+    assert [structural.encode(f, int(h)) for f, h in zip(digits, tops)] == idx.tolist()
     # seeded pairs against the defining formula
     rng = np.random.default_rng(5)
     xs, ys = rng.integers(0, structural.order, (2, 300))
