@@ -42,7 +42,6 @@ from .groups import (
     GroupHom,
     Section,
     construct_named,
-    coset_partition,
     default_section,
     normal_core,
     quotient,
@@ -187,8 +186,9 @@ def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
     omega_q = FiniteGSet(q, act_q, point_labels=list(omega_g.point_labels))
     if s is None:
         s = reps
-    coset_of, _ = coset_partition(g, sorted(h_k.image_set()))
-    _check_section(coset_of, s, omega_g.size)
+    # the coset of x is x . p_H, where p_H = r_0^-1 . 0 is the point of the coset H
+    p_h = omega_g.act[g.inverses[reps(0)], 0]
+    _check_section(omega_g.act[:, p_h], s, omega_g.size)
     w = build_wreath(h_k.domain, omega_q, size_cap=size_cap, dense_cap=dense_cap)
     return w, GroupHom(g, w.product, _sigma_image(g, proj.image, s, h_k, w))
 

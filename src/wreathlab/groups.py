@@ -4,7 +4,9 @@ Every group carries a full ``order x order`` table (``table[i][j]`` is the
 index of ``g_i * g_j``), an identity index, an inverse table and optional
 display labels.  Validation is exact at every order and checks laws on generators
 (Light's test for associativity).  Named families fix a documented enumeration
-so all derived objects (subgroups, quotients, wreath products) are bit-reproducible:
+so all derived objects (subgroups, quotients, wreath products) are bit-reproducible;
+each table is one array expression in the element coordinates below, and a spec
+whose order exceeds ``DENSE_CAP_DEFAULT`` is refused before anything is allocated:
 
 * ``C:n``    -- residues 0..n-1, index = exponent.
 * ``D:n``    -- elements r^a s^b, index = 2a + b (a major), order 2n.
@@ -31,7 +33,8 @@ from .errors import (
     SizeLimitError,
 )
 
-DIRECT_PRODUCT_CAP = 10**7
+# the largest order of a dense table built from a spec (C:n, D:n, direct and wreath products)
+DENSE_CAP_DEFAULT = 4096
 
 
 class Group:
@@ -294,65 +297,49 @@ class Section:
 
 
 def _cyclic(n: int) -> FiniteGroup:
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int32)
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(table, labels=[str(k) for k in range(n)], name=f"C:{n}")
 
 
 def _dihedral(n: int) -> FiniteGroup:
-    size = 2 * n
-    table = np.empty((size, size), dtype=np.int32)
-    for a in range(n):
-        for b in range(2):
-            for c in range(n):
-                for d in range(2):
-                    exp = (a + (c if b == 0 else -c)) % n
-                    table[2 * a + b, 2 * c + d] = 2 * exp + ((b + d) % 2)
-    labels = []
-    for a in range(n):
-        for b in range(2):
-            rot = "" if a == 0 else ("r" if a == 1 else f"r{a}")
-            ref = "s" if b else ""
-            labels.append((rot + ref) or "e")
+    idx = np.arange(2 * n, dtype=np.int32)
+    a, b = idx // 2, idx % 2
+    # r^a s^b r^c s^d = r^(a + (-1)^b c) s^(b + d)
+    table = 2 * ((a[:, None] + (1 - 2 * b[:, None]) * a[None, :]) % n) + (b[:, None] ^ b[None, :])
+    rot = ["", "r"] + [f"r{k}" for k in range(2, n)]
+    labels = [(r + s) or "e" for r in rot for s in ("", "s")]
     return FiniteGroup(table, labels=labels, name=f"D:{n}")
 
 
-def _perm_group(perms: list[tuple], name: str) -> FiniteGroup:
-    index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    table = np.empty((size, size), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[x]] for x in range(len(p)))]
-    labels = ["".join(str(x + 1) for x in p) for p in perms]
-    return FiniteGroup(table, identity=index[tuple(range(len(perms[0])))],
-                       labels=labels, name=name, point_maps=perms)
+def _perm_group(n: int, even_only: bool) -> FiniteGroup:
+    """S:n, or A:n by inversion parity, on one-line permutations in lexicographic order.
 
-
-def _is_even(p: tuple) -> bool:
-    inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inversions % 2 == 0
-
-
-def _symmetric(n: int) -> FiniteGroup:
-    return _perm_group(list(itertools.permutations(range(n))), f"S:{n}")
-
-
-def _alternating(n: int) -> FiniteGroup:
-    perms = [p for p in itertools.permutations(range(n)) if _is_even(p)]
-    return _perm_group(perms, f"A:{n}")
+    Row i has the ascending key sum_x p_i(x) n^(n-1-x).  The key of p_i o p_j is
+    summed one (size, size) gather per point x, and a binary search ranks it.
+    """
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int32)
+    if even_only:
+        i, j = np.triu_indices(n, 1)
+        perms = perms[(perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0]
+    radix = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    composed = np.zeros((len(perms), len(perms)), dtype=np.int32)
+    for x in range(n):
+        composed += perms[:, perms[:, x]] * radix[x]  # [i, j] = p_i(p_j(x)) n^(n-1-x)
+    maps = [tuple(p) for p in perms.tolist()]
+    labels = ["".join(str(x + 1) for x in p) for p in maps]
+    return FiniteGroup(np.searchsorted(perms @ radix, composed), labels=labels,
+                       name=f"{'A' if even_only else 'S'}:{n}", point_maps=maps)
 
 
 def _affine(p: int) -> FiniteGroup:
-    pairs = [(a, b) for a in range(1, p) for b in range(p)]
-    index = {ab: i for i, ab in enumerate(pairs)}
-    size = len(pairs)
-    table = np.empty((size, size), dtype=np.int32)
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            table[i, j] = index[((a * c) % p, (a * d + b) % p)]
-    labels = [f"{a}t+{b}" for a, b in pairs]
-    maps = [tuple((a * t + b) % p for t in range(p)) for a, b in pairs]
+    idx = np.arange(p * (p - 1), dtype=np.int32)
+    a, b = idx // p + 1, idx % p
+    # (a t + b) o (c t + d) = a c t + (a d + b)
+    table = ((a[:, None] * a[None, :]) % p - 1) * p + (a[:, None] * b[None, :] + b[:, None]) % p
+    pairs = list(zip(a.tolist(), b.tolist()))
+    labels = [f"{x}t+{y}" for x, y in pairs]
+    maps = [tuple((x * t + y) % p for t in range(p)) for x, y in pairs]
     return FiniteGroup(table, labels=labels, name=f"AGL:{p}", point_maps=maps)
 
 
@@ -362,34 +349,26 @@ def _klein() -> FiniteGroup:
     return FiniteGroup(table, labels=["e", "a", "b", "ab"], name="V4")
 
 
-_Q8_UNITS = "1ijk"
-
-
 def _quaternion() -> FiniteGroup:
-    # unit products with sign: (u, v) -> (sign, w)
-    prod = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
-    table = np.empty((8, 8), dtype=np.int32)
-    for i in range(8):
-        for j in range(8):
-            u, su = _Q8_UNITS[i // 2], -1 if i % 2 else 1
-            v, sv = _Q8_UNITS[j // 2], -1 if j % 2 else 1
-            sw, w = prod[(u, v)]
-            sign = su * sv * sw
-            table[i, j] = 2 * _Q8_UNITS.index(w) + (0 if sign == 1 else 1)
-    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return FiniteGroup(table, labels=labels, name="Q8")
+    idx = np.arange(8)
+    u, sign = idx[:, None] // 2, idx[:, None] % 2  # unit 1, i, j, k and sign bit
+    # units multiply by XOR (ij = k, jk = i, ki = j); neg[u, v] is the sign bit of u v
+    neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    table = 2 * (u ^ u.T) + (sign ^ sign.T ^ neg[u, u.T])
+    return FiniteGroup(table, labels=["1", "-1", "i", "-i", "j", "-j", "k", "-k"], name="Q8")
 
 
 _PRIMES_AGL = {2, 3, 5, 7}
 
 
+def _check_dense_order(what: str, order: int, cap: int = DENSE_CAP_DEFAULT) -> None:
+    if order > cap:
+        raise SizeLimitError(f"{what} order {order} exceeds the dense-table cap {cap}", order)
+
+
 def construct_named(spec: str) -> FiniteGroup:
-    """Build a named family member from a spec string like ``C:4`` or ``AGL:3``."""
+    """Build a named family member from a spec string like ``C:4`` or ``AGL:3``;
+    an order above ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError`` before any allocation."""
     s = spec.strip()
     if s == "V4":
         return _klein()
@@ -405,19 +384,21 @@ def construct_named(spec: str) -> FiniteGroup:
     if family == "C":
         if n < 1:
             raise ValueError("C:n requires n >= 1")
+        _check_dense_order(s, n)
         return _cyclic(n)
     if family == "D":
         if n < 2:
             raise ValueError("D:n requires n >= 2")
+        _check_dense_order(s, 2 * n)
         return _dihedral(n)
     if family == "S":
         if not 1 <= n <= 6:
             raise ValueError("S:n supported for 1 <= n <= 6 (table size bound)")
-        return _symmetric(n)
+        return _perm_group(n, even_only=False)
     if family == "A":
         if not 2 <= n <= 6:
             raise ValueError("A:n supported for 2 <= n <= 6")
-        return _alternating(n)
+        return _perm_group(n, even_only=True)
     if family == "AGL":
         if n not in _PRIMES_AGL:
             raise ValueError("AGL:p supported for primes p <= 7")
@@ -428,20 +409,16 @@ def construct_named(spec: str) -> FiniteGroup:
 # -- constructions ------------------------------------------------------------
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup, max_order: int = DIRECT_PRODUCT_CAP) -> FiniteGroup:
+def direct_product(a: FiniteGroup, b: FiniteGroup, max_order: int = DENSE_CAP_DEFAULT) -> FiniteGroup:
     """Componentwise product on pairs, a-index major."""
     order = a.order * b.order
-    if order > max_order:
-        raise SizeLimitError(f"direct product order {order} exceeds cap {max_order}", order)
+    _check_dense_order("direct product", order, max_order)
     nb = b.order
-    ia = np.arange(a.order)
-    ib = np.arange(nb)
-    # table[(i1*nb+i2),(j1*nb+j2)] = a.table[i1,j1]*nb + b.table[i2,j2]
-    ta = np.kron(a.table.astype(np.int64), np.ones((nb, nb), dtype=np.int64)) * nb
-    tb = np.tile(b.table.astype(np.int64), (a.order, a.order))
-    labels = [f"({a.labels[i]},{b.labels[j]})" for i in ia for j in ib]
+    # table[(i1*nb+i2),(j1*nb+j2)] = a.table[i1,j1]*nb + b.table[i2,j2]: one int32 order^2 array
+    table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(order, order)
+    labels = [f"({x},{y})" for x in a.labels for y in b.labels]
     name = f"{a.name or 'G'} x {b.name or 'H'}"
-    return FiniteGroup(ta + tb, labels=labels, name=name)
+    return FiniteGroup(table, identity=a.identity * nb + b.identity, labels=labels, name=name)
 
 
 def subgroup_from_elements(g: FiniteGroup, elems: Iterable[int], name: Optional[str] = None):

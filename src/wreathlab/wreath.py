@@ -25,10 +25,9 @@ import numpy as np
 
 from .actions import FiniteGSet, regular_action
 from .errors import SizeLimitError, WreathlabError
-from .groups import FiniteGroup, Group, GroupHom
+from .groups import DENSE_CAP_DEFAULT, FiniteGroup, Group, GroupHom
 
 SIZE_CAP_DEFAULT = 10**7
-DENSE_CAP_DEFAULT = 4096
 
 
 def theta(omega: FiniteGSet, h: int, f: Sequence[int]) -> tuple[int, ...]:

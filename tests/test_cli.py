@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from wreathlab import (
     construct_named,
     figure_csv,
@@ -74,6 +76,16 @@ def test_build_size_cap_exit_code(capsys):
                        "--omega", "regular")
     assert code == 3
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize("k,h", [("C:200000", "C:2"), ("C:2", "D:3000")])
+def test_build_refuses_a_spec_above_the_dense_cap_at_once(capsys, k, h):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "build", "--k", k, "--h", h)
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "resource limit" in err and "exceeds the dense-table cap 4096" in err
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 
 def test_build_env_size_cap(capsys, monkeypatch):

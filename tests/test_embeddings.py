@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wreathlab import (
+    FiniteGroup,
     GroupHom,
     NotEquivariantError,
     SectionMismatchError,
@@ -12,6 +13,7 @@ from wreathlab import (
     build_wreath,
     center_subgroup,
     construct_named,
+    coset_action,
     default_section,
     identity_hom,
     kk_embedding,
@@ -156,12 +158,33 @@ def test_omega_coincides_with_kk_for_normal_subgroups(d4, s3):
 
 def test_omega_custom_section_must_respect_cosets(s4):
     _, incl = stabilizer_subgroup(s4, 4)
-    from wreathlab import coset_action
-
     om, reps = coset_action(s4, incl)
     bad = Section(om, s4, np.zeros(om.size, dtype=int))
     with pytest.raises(SectionMismatchError):
         omega_embedding(s4, incl, s=bad)
+
+
+def test_omega_embedding_when_the_coset_of_h_is_not_point_0(s4):
+    # reversed indices: the identity is last, and element 0 lies outside the stabilizer H
+    perm = np.arange(s4.order)[::-1]
+    table = np.empty_like(s4.table)
+    table[np.ix_(perm, perm)] = perm[s4.table]
+    g = FiniteGroup(table, identity=int(perm[s4.identity]))
+    members = sorted(int(perm[i]) for i, pm in enumerate(s4.point_maps) if pm[3] == 3)
+    _, incl = subgroup_from_elements(g, members)
+    om, reps = coset_action(g, incl)
+    p_h = next(p for p in range(om.size) if reps(p) in members)
+    assert g.identity != 0 and p_h != 0
+    report = verify_embedding(omega_embedding(g, incl)[1])
+    assert report.is_homomorphism and report.is_injective and report.image_order == 24
+    # the largest member of each coset is a section too; any non-member of H over p_H is not
+    cosets = [sorted(g.mul(reps(p), m) for m in members) for p in range(om.size)]
+    top = Section(om, g, [c[-1] for c in cosets])
+    assert verify_embedding(omega_embedding(g, incl, s=top)[1]).is_injective
+    choice = list(reps.choice)
+    choice[p_h] = next(x for x in range(g.order) if x not in members)
+    with pytest.raises(SectionMismatchError, match=f"s\\({p_h}\\) lies over point"):
+        omega_embedding(g, incl, s=Section(om, g, choice))
 
 
 # -- verification reports ----------------------------------------------------------------

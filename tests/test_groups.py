@@ -1,10 +1,12 @@
 import itertools
 import json
+import random
 import re
 
 import pytest
 
 from wreathlab import (
+    FiniteGroup,
     GroupValidationError,
     NonNormalSubgroupError,
     SizeLimitError,
@@ -21,6 +23,7 @@ from wreathlab import (
     subgroup_from_elements,
     subgroup_generated,
 )
+from wreathlab.groups import DENSE_CAP_DEFAULT
 from wreathlab.search import are_isomorphic
 
 
@@ -85,6 +88,114 @@ def test_q8_center_and_orders():
     assert [g.element_order(x) for x in range(8)] == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
+# -- loop-built oracles of the named families ------------------------------------
+#
+# Each oracle fills the table one entry at a time from the family's documented
+# enumeration and returns (table, identity, labels, point_maps, name).
+
+
+def loop_cyclic(n):
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return table, 0, [str(k) for k in range(n)], None, f"C:{n}"
+
+
+def loop_dihedral(n):
+    size = 2 * n
+    table = [[0] * size for _ in range(size)]
+    for a in range(n):
+        for b in range(2):
+            for c in range(n):
+                for d in range(2):
+                    exp = (a + (c if b == 0 else -c)) % n
+                    table[2 * a + b][2 * c + d] = 2 * exp + ((b + d) % 2)
+    labels = []
+    for a in range(n):
+        for b in range(2):
+            rot = "" if a == 0 else ("r" if a == 1 else f"r{a}")
+            ref = "s" if b else ""
+            labels.append((rot + ref) or "e")
+    return table, 0, labels, None, f"D:{n}"
+
+
+def loop_perm_group(perms, name):
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[x]] for x in range(len(p)))] for q in perms] for p in perms]
+    labels = ["".join(str(x + 1) for x in p) for p in perms]
+    return table, index[tuple(range(len(perms[0])))], labels, perms, name
+
+
+def loop_is_even(p):
+    inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+    return inversions % 2 == 0
+
+
+def loop_affine(p):
+    pairs = [(a, b) for a in range(1, p) for b in range(p)]
+    index = {ab: i for i, ab in enumerate(pairs)}
+    table = [[index[((a * c) % p, (a * d + b) % p)] for c, d in pairs] for a, b in pairs]
+    labels = [f"{a}t+{b}" for a, b in pairs]
+    maps = [tuple((a * t + b) % p for t in range(p)) for a, b in pairs]
+    return table, 0, labels, maps, f"AGL:{p}"
+
+
+def loop_quaternion():
+    units = "1ijk"
+    prod = {
+        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
+        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
+        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
+    }
+    table = [[0] * 8 for _ in range(8)]
+    for i in range(8):
+        for j in range(8):
+            sw, w = prod[(units[i // 2], units[j // 2])]
+            sign = (-1 if i % 2 else 1) * (-1 if j % 2 else 1) * sw
+            table[i][j] = 2 * units.index(w) + (0 if sign == 1 else 1)
+    return table, 0, ["1", "-1", "i", "-i", "j", "-j", "k", "-k"], None, "Q8"
+
+
+def loop_oracle(spec):
+    if spec == "Q8":
+        return loop_quaternion()
+    family, _, arg = spec.partition(":")
+    n = int(arg)
+    return {
+        "C": lambda: loop_cyclic(n),
+        "D": lambda: loop_dihedral(n),
+        "S": lambda: loop_perm_group(list(itertools.permutations(range(n))), spec),
+        "A": lambda: loop_perm_group([p for p in itertools.permutations(range(n))
+                                      if loop_is_even(p)], spec),
+        "AGL": lambda: loop_affine(n),
+    }[family]()
+
+
+_SEEDED = random.Random(20230626)
+ORACLE_SPECS = ([f"S:{n}" for n in range(1, 7)] + [f"A:{n}" for n in range(2, 7)]
+                + [f"AGL:{p}" for p in (2, 3, 5, 7)] + [f"D:{n}" for n in range(2, 65)]
+                + [f"D:{_SEEDED.randint(240, 260)}", f"C:{_SEEDED.randint(240, 260)}", "Q8"])
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_named_family_matches_its_loop_built_oracle(spec):
+    g = construct_named(spec)
+    table, identity, labels, maps, name = loop_oracle(spec)
+    assert g.table.tolist() == table
+    assert g.identity == identity
+    assert g.inverses.tolist() == [row.index(identity) for row in table]
+    assert g.labels == labels
+    assert g.point_maps == maps
+    assert g.name == name
+
+
+@pytest.mark.parametrize("spec,order", [("C:4097", 4097), ("D:2049", 4098), ("C:10000000000", 10**10)])
+def test_named_orders_above_the_dense_cap_are_refused(spec, order):
+    with pytest.raises(SizeLimitError) as err:
+        construct_named(spec)
+    assert err.value.order == order
+    assert f"exceeds the dense-table cap {DENSE_CAP_DEFAULT}" in str(err.value)
+
+
 # -- direct products -------------------------------------------------------------
 
 
@@ -107,10 +218,22 @@ def test_c2_times_c3_is_cyclic():
     assert iso.is_homomorphism() and iso.is_injective() and iso.is_surjective()
 
 
+def test_product_identity_follows_the_factors_identities():
+    c3 = construct_named("C:3")
+    rev = FiniteGroup([[2 - c3.mul(2 - i, 2 - j) for j in range(3)] for i in range(3)], identity=2)
+    prod = direct_product(rev, construct_named("C:2"))
+    assert prod.identity == 2 * 2 + 0
+    assert are_isomorphic(prod, construct_named("C:6")) is not None
+
+
 def test_product_size_cap():
     g = construct_named("C:6")
     with pytest.raises(SizeLimitError):
         direct_product(g, g, max_order=10)
+    # without max_order the dense-table cap bounds the product, checked before allocating
+    with pytest.raises(SizeLimitError) as err:
+        direct_product(construct_named("C:64"), construct_named("C:65"))
+    assert err.value.order == 64 * 65 > DENSE_CAP_DEFAULT
 
 
 # -- subgroups, cores, quotients --------------------------------------------------
