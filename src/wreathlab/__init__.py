@@ -34,7 +34,6 @@ from .errors import (
     DivisibilityViolationError,
     GroupValidationError,
     NonNormalSubgroupError,
-    NonUnitQuotientError,
     NotEquivariantError,
     NotIsomorphismError,
     NotSurjectiveError,

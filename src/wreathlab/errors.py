@@ -49,10 +49,6 @@ class UnsupportedPrimeError(WreathlabError):
     """Solvability criterion requested for a prime outside the desk-scale range."""
 
 
-class NonUnitQuotientError(WreathlabError):
-    """A radical quotient evaluated to something other than +1 or -1."""
-
-
 class DivisibilityViolationError(WreathlabError):
     """Size formula arguments violate the required divisibility."""
 

@@ -2,36 +2,46 @@
 
 Elements are rational coordinate vectors over the subset basis
 {prod_{i in S} sqrt(d_i) : S subseteq {1..k}}, indexed by bitmask with
-generator 0 as the least significant bit.  Automorphisms are sign vectors on
-the generators, so the Galois group over Q is elementary abelian of order 2^k
-and composes by XOR of masks.
+generator 0 as the least significant bit.  An element is stored as integer
+numerators over one positive denominator, reduced so that gcd(den, *nums) = 1;
+that form is canonical, so equality and hashing compare it directly, and
+``Fraction`` coordinates are only built when ``coords`` is read.
+Automorphisms are sign vectors on the generators, so the Galois group over Q
+is elementary abelian of order 2^k and composes by XOR of masks.
 
 Because the top generator is the most significant bit, a coordinate vector of
 length 2^k splits in halves as x = a + b*sqrt(d) with d = d_{k-1} and a, b
 coordinate vectors of K = Q(sqrt(d_0),...,sqrt(d_{k-2})).  Arithmetic recurses
-on that split:
+on that split, on plain integer vectors:
 
 * multiplication is Karatsuba's, (a + b√d)(c + e√d) = (ac + d·be) +
   ((a+b)(c+e) - ac - be)√d, three products in K (fewer when b or e is 0);
+  the product's denominator is the product of the two denominators;
 * the inverse is (a - b√d) / N with the norm N = a² - d·b² in K, itself
-  inverted recursively, so a zero norm at any level raises ZeroDivisionError.
+  inverted recursively down to a = ±1/|a|, with the content divided out at
+  each level so that the integers stay small; a zero element raises
+  ZeroDivisionError.
 
 The canonical square root of a rational r^2 * prod_{i in S} d_i is the
-positive multiple r of the basis monomial for S; all radical quotients are
-evaluated exactly against that choice.  It is found without factoring: q =
-n/m has a root on the monomial of S exactly when n*m*prod_S d_i is a perfect
-square (tested with isqrt), and independence of the d_i leaves at most one S.
+positive multiple r of the basis monomial for S.  It is found without
+factoring: q = n/m has a root on the monomial of S exactly when
+n*m*prod_S d_i is a perfect square (tested with isqrt), and independence of the
+d_i leaves at most one S.  The 2^k subset products are built once per field.
+
+For a tower Q <= K <= L with rational alpha, every tau fixes alpha, so the
+sign character chi(rho, tau) only asks whether rho negates sqrt(alpha): it is
+the parity of the generators that rho flips on the monomial of sqrt(alpha).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonUnitQuotientError, TowerError
+from .errors import TowerError
 from .groups import FiniteGroup, GroupHom, subgroup_from_elements
 from .wreath import WreathProduct, build_wreath
 from .actions import regular_action
@@ -39,12 +49,9 @@ from .embeddings import EmbeddingReport, ShortExactSequence, verify_embedding
 
 GENERATOR_BOUND = 10**6
 
-_ZERO = Fraction(0)
 
-
-def _mul(x: Sequence[Fraction], y: Sequence[Fraction],
-         gens: Sequence[int]) -> list[Fraction]:
-    """Product of coordinate vectors of Q(sqrt(gens[0]),...), split on the top generator."""
+def _mul(x: Sequence[int], y: Sequence[int], gens: Sequence[int]) -> list[int]:
+    """Product of integer coordinate vectors of Q(sqrt(gens[0]),...), split on the top one."""
     n = len(x)
     if n == 1:
         return [x[0] * y[0]]
@@ -55,7 +62,7 @@ def _mul(x: Sequence[Fraction], y: Sequence[Fraction],
     a, b, c, e = x[:h], x[h:], y[:h], y[h:]
     b_zero, e_zero = not any(b), not any(e)
     if b_zero and e_zero:
-        return _mul(a, c, gens) + [_ZERO] * h
+        return _mul(a, c, gens) + [0] * h
     if b_zero:
         return _mul(a, c, gens) + _mul(a, e, gens)
     if e_zero:
@@ -67,18 +74,30 @@ def _mul(x: Sequence[Fraction], y: Sequence[Fraction],
             + [m - p - q for m, p, q in zip(mid, ac, be)])
 
 
-def _inverse(x: Sequence[Fraction], gens: Sequence[int]) -> list[Fraction]:
-    """x^-1 = (a - b sqrt(d)) / (a^2 - d b^2), inverting the norm in K recursively."""
+def _inverse(x: Sequence[int], gens: Sequence[int]) -> tuple[list[int], int]:
+    """x^-1 as (nums, den > 0): (a - b sqrt(d)) / (a^2 - d b^2), the norm inverted in K."""
+    content = gcd(*x)
+    if content == 0:
+        raise ZeroDivisionError("inverse of zero field element")
+    if content != 1:
+        x = [c // content for c in x]
     n = len(x)
     if n == 1:
-        return [1 / x[0]]
+        return [x[0]], content  # x[0] is +-1 once the content is out
     h = n >> 1
     a, b = x[:h], x[h:]
     if not any(b):
-        return _inverse(a, gens) + [_ZERO] * h
+        nums, den = _inverse(a, gens)
+        return nums + [0] * h, den * content
     d = gens[h.bit_length() - 1]
-    norm_inv = _inverse([p - d * q for p, q in zip(_mul(a, a, gens), _mul(b, b, gens))], gens)
-    return _mul(a, norm_inv, gens) + [-c for c in _mul(b, norm_inv, gens)]
+    norm_nums, norm_den = _inverse(
+        [p - d * q for p, q in zip(_mul(a, a, gens), _mul(b, b, gens))], gens)
+    nums = _mul(a, norm_nums, gens) + [-c for c in _mul(b, norm_nums, gens)]
+    den = norm_den * content
+    g = gcd(den, *nums)
+    if g != 1:
+        nums, den = [c // g for c in nums], den // g
+    return nums, den
 
 
 def _is_square_free(n: int) -> bool:
@@ -108,11 +127,13 @@ class MultiQuadField:
         if len(set(gens)) != len(gens):
             raise ValueError("generators must be distinct")
         k = len(gens)
+        products = [1] * (1 << k)
+        for i, d in enumerate(gens):
+            bit = 1 << i
+            for mask in range(bit):
+                products[mask | bit] = products[mask] * d
         for mask in range(1, 1 << k):
-            prod = 1
-            for i in range(k):
-                if mask >> i & 1:
-                    prod *= gens[i]
+            prod = products[mask]
             if prod > 0 and isqrt(prod) ** 2 == prod:
                 raise ValueError(
                     f"generators are multiplicatively dependent: subset {mask:#b} "
@@ -120,15 +141,12 @@ class MultiQuadField:
         self.generators = gens
         self.k = k
         self.dim = 1 << k
+        self._products = tuple(products)
 
     # -- basis bookkeeping ---------------------------------------------------
 
     def subset_product(self, mask: int) -> int:
-        prod = 1
-        for i in range(self.k):
-            if mask >> i & 1:
-                prod *= self.generators[i]
-        return prod
+        return self._products[mask]
 
     def basis_label(self, mask: int) -> str:
         if mask == 0:
@@ -137,23 +155,23 @@ class MultiQuadField:
 
     # -- element constructors --------------------------------------------------
 
-    def element(self, coords: Sequence, ) -> "MultiQuadElement":
+    def element(self, coords: Sequence) -> "MultiQuadElement":
         return MultiQuadElement(self, coords)
 
     def zero(self) -> "MultiQuadElement":
-        return self.element([Fraction(0)] * self.dim)
+        return self.element([0] * self.dim)
 
     def one(self) -> "MultiQuadElement":
         return self.rational(1)
 
     def rational(self, q) -> "MultiQuadElement":
-        coords = [Fraction(0)] * self.dim
-        coords[0] = Fraction(q)
+        coords = [0] * self.dim
+        coords[0] = q
         return self.element(coords)
 
     def gen_sqrt(self, i: int) -> "MultiQuadElement":
-        coords = [Fraction(0)] * self.dim
-        coords[1 << i] = Fraction(1)
+        coords = [0] * self.dim
+        coords[1 << i] = 1
         return self.element(coords)
 
     def sqrt_of_rational(self, q) -> "MultiQuadElement":
@@ -161,11 +179,10 @@ class MultiQuadField:
         q = Fraction(q)
         if q == 0:
             return self.zero()
-        for mask in range(self.dim):
-            prod = self.subset_product(mask)
+        for mask, prod in enumerate(self._products):
             square = q.numerator * q.denominator * prod
             if square > 0 and isqrt(square) ** 2 == square:
-                coords = [Fraction(0)] * self.dim
+                coords = [0] * self.dim
                 coords[mask] = Fraction(isqrt(square), q.denominator * abs(prod))
                 return self.element(coords)
         raise ValueError(f"sqrt({q}) does not lie in {self!r}")
@@ -182,61 +199,88 @@ class MultiQuadField:
 
 
 class MultiQuadElement:
-    """Exact field element: 2^k rational coordinates over the subset basis."""
+    """Exact field element: 2^k integer numerators over one positive denominator.
 
-    __slots__ = ("field", "coords")
+    The form is reduced (gcd(den, *nums) = 1), so it is canonical; ``coords``
+    gives the rational coordinates over the subset basis.
+    """
+
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: MultiQuadField, coords: Sequence):
         if len(coords) != field.dim:
             raise ValueError(f"need {field.dim} coordinates, got {len(coords)}")
+        fracs = [Fraction(c) for c in coords]
+        # each Fraction is reduced, so over the lcm of the denominators gcd(den, *nums) = 1
+        den = lcm(*(c.denominator for c in fracs))
         self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in fracs)
+        self.den = den
+
+    @classmethod
+    def _of(cls, field: MultiQuadField, nums: Sequence[int], den: int) -> "MultiQuadElement":
+        """nums / den in reduced form; den must be positive."""
+        g = gcd(den, *nums)
+        x = object.__new__(cls)
+        x.field = field
+        x.nums = tuple(nums) if g == 1 else tuple(c // g for c in nums)
+        x.den = den // g
+        return x
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def _check_same_field(self, other: "MultiQuadElement") -> None:
         if self.field != other.field:
             raise ValueError("elements live in different fields")
 
-    def __add__(self, other: "MultiQuadElement") -> "MultiQuadElement":
+    def _sum(self, other: "MultiQuadElement", sign: int) -> "MultiQuadElement":
         self._check_same_field(other)
-        return MultiQuadElement(self.field, [a + b for a, b in zip(self.coords, other.coords)])
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        return MultiQuadElement._of(self.field, [p * a + q * b for a, b in
+                                                 zip(self.nums, other.nums)], den)
+
+    def __add__(self, other: "MultiQuadElement") -> "MultiQuadElement":
+        return self._sum(other, 1)
 
     def __sub__(self, other: "MultiQuadElement") -> "MultiQuadElement":
-        self._check_same_field(other)
-        return MultiQuadElement(self.field, [a - b for a, b in zip(self.coords, other.coords)])
+        return self._sum(other, -1)
 
     def __neg__(self) -> "MultiQuadElement":
-        return MultiQuadElement(self.field, [-a for a in self.coords])
+        return MultiQuadElement._of(self.field, [-a for a in self.nums], self.den)
 
     def __mul__(self, other: "MultiQuadElement") -> "MultiQuadElement":
         self._check_same_field(other)
-        return MultiQuadElement(self.field, _mul(self.coords, other.coords, self.field.generators))
+        nums = _mul(self.nums, other.nums, self.field.generators)
+        return MultiQuadElement._of(self.field, nums, self.den * other.den)
 
     def inverse(self) -> "MultiQuadElement":
         """Divide the conjugate over the top generator by the norm, recursively."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        return MultiQuadElement(self.field, _inverse(self.coords, self.field.generators))
+        nums, den = _inverse(self.nums, self.field.generators)
+        return MultiQuadElement._of(self.field, [self.den * c for c in nums], den)
 
     def __truediv__(self, other: "MultiQuadElement") -> "MultiQuadElement":
         return self * other.inverse()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiQuadElement) and self.field == other.field
-                and self.coords == other.coords)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coords))
+        return hash((self.field, self.nums, self.den))
 
     def __bool__(self) -> bool:
-        return any(c != 0 for c in self.coords)
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __str__(self) -> str:
         terms = []
@@ -274,11 +318,8 @@ class FieldAutomorphism:
         if x.field != self.field:
             raise ValueError("element lives in a different field")
         neg = self.mask()
-        coords = [
-            -c if (mask & neg).bit_count() % 2 else c
-            for mask, c in enumerate(x.coords)
-        ]
-        return MultiQuadElement(self.field, coords)
+        nums = [-c if (mask & neg).bit_count() & 1 else c for mask, c in enumerate(x.nums)]
+        return MultiQuadElement._of(self.field, nums, x.den)
 
     __call__ = apply
 
@@ -360,7 +401,7 @@ class QuadraticTower:
             self.sqrt_alpha = l_field.sqrt_of_rational(self.alpha)
         except ValueError as exc:
             raise TowerError(str(exc)) from None
-        self.alpha_mask = next(m for m, c in enumerate(self.sqrt_alpha.coords) if c != 0)
+        self.alpha_mask = next(m for m, c in enumerate(self.sqrt_alpha.nums) if c)
         k_mask = sum(1 << p for p in self.k_positions)
         if self.alpha_mask & ~k_mask == 0:
             raise TowerError("sqrt(alpha) already lies in K")
@@ -379,30 +420,21 @@ class QuadraticTower:
 def chi(t: QuadraticTower, rho: FieldAutomorphism, tau: FieldAutomorphism) -> int:
     """Exponent in (-1)^chi = rho(sqrt(rho^-1(tau(alpha)))) / sqrt(tau(alpha)).
 
-    Evaluated exactly in L; anything other than +-1 signals broken tower data.
+    alpha is rational, so tau(alpha) = alpha and the quotient is the sign rho
+    puts on the monomial of sqrt(alpha): the parity of the generators it flips there.
     """
     if tau.field != t.K:
         raise ValueError("tau must be an automorphism of the tower's K")
     if rho.field != t.L:
         raise ValueError("rho must be an automorphism of the tower's L")
-    tau_alpha = tau.apply(t.K.rational(t.alpha)).rational_value()
-    rho_inv = rho  # sign vectors are involutions
-    pre = rho_inv.apply(t.L.rational(tau_alpha)).rational_value()
-    numerator = rho.apply(t.L.sqrt_of_rational(pre))
-    denominator = t.L.sqrt_of_rational(tau_alpha)
-    # the quotient is +-1 exactly when the numerator is +-denominator: no division
-    if numerator == denominator:
-        return 0
-    if numerator == -denominator:
-        return 1
-    raise NonUnitQuotientError(f"radical quotient {numerator / denominator} is not +-1")
+    return (rho.mask() & t.alpha_mask).bit_count() & 1
 
 
 def _chi_table(t: QuadraticTower, auts_l: Sequence[FieldAutomorphism],
                auts_k: Sequence[FieldAutomorphism]) -> list[list[int]]:
     """chi(rho, tau) for every rho of Gal(L/Q) (rows) and tau of Gal(K/Q) (columns).
 
-    One exact evaluation per pair; the cocycle check then reads each value by lookup.
+    One chi call per pair; the cocycle check then reads each value by lookup.
     """
     return [[chi(t, rho, tau) for tau in auts_k] for rho in auts_l]
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -138,6 +139,45 @@ def reference_inverse(field, x):
     return tuple(c / norm[0] for c in prod)
 
 
+def fraction_mul(x, y, gens):
+    """Karatsuba on Fraction coordinates, split on the top generator."""
+    n = len(x)
+    if n == 1:
+        return [x[0] * y[0]]
+    if n == 2:
+        (a, b), (c, e) = x, y
+        return [a * c + gens[0] * (b * e), a * e + b * c]
+    h = n >> 1
+    a, b, c, e = x[:h], x[h:], y[:h], y[h:]
+    b_zero, e_zero = not any(b), not any(e)
+    if b_zero and e_zero:
+        return fraction_mul(a, c, gens) + [Fraction(0)] * h
+    if b_zero:
+        return fraction_mul(a, c, gens) + fraction_mul(a, e, gens)
+    if e_zero:
+        return fraction_mul(a, c, gens) + fraction_mul(b, c, gens)
+    d = gens[h.bit_length() - 1]
+    ac, be = fraction_mul(a, c, gens), fraction_mul(b, e, gens)
+    mid = fraction_mul([p + q for p, q in zip(a, b)], [p + q for p, q in zip(c, e)], gens)
+    return ([p + d * q for p, q in zip(ac, be)]
+            + [m - p - q for m, p, q in zip(mid, ac, be)])
+
+
+def fraction_inverse(x, gens):
+    """(a - b sqrt(d)) / (a^2 - d b^2) on Fraction coordinates, the norm inverted recursively."""
+    n = len(x)
+    if n == 1:
+        return [1 / x[0]]
+    h = n >> 1
+    a, b = x[:h], x[h:]
+    if not any(b):
+        return fraction_inverse(a, gens) + [Fraction(0)] * h
+    d = gens[h.bit_length() - 1]
+    norm_inv = fraction_inverse(
+        [p - d * q for p, q in zip(fraction_mul(a, a, gens), fraction_mul(b, b, gens))], gens)
+    return fraction_mul(a, norm_inv, gens) + [-c for c in fraction_mul(b, norm_inv, gens)]
+
+
 def oracle_samples(field, rng, dense):
     """Seeded dense elements (if ``dense``), elements with zero coordinates, and monomials."""
     samples = [random_element(field, rng) for _ in range(dense)]
@@ -178,6 +218,83 @@ def test_inverse_matches_the_conjugate_product(gens):
         x = random_element(field, rng)
         if x:
             assert x * x.inverse() == field.one()
+
+
+LARGE_PRIME = 850009
+
+
+def large_element(field):
+    """7p^2/4 + (p/2) times the top monomial: coefficients near 10^12 and 4 * 10^5."""
+    coords = [Fraction(0)] * field.dim
+    coords[0] += Fraction(7 * LARGE_PRIME**2, 4)
+    coords[-1] += Fraction(LARGE_PRIME, 2)
+    return field.element(coords)
+
+
+@pytest.mark.parametrize("gens", ORACLE_FIELDS, ids=str)
+def test_integer_arithmetic_matches_the_fraction_recursion(gens):
+    field = MultiQuadField(gens)
+    rng = random.Random(20261019 + field.k)
+    samples = oracle_samples(field, rng, dense=4 if field.k <= 4 else 2) + [large_element(field)]
+    for x in samples:
+        for y in samples:
+            assert (x * y).coords == tuple(fraction_mul(x.coords, y.coords, field.generators))
+        assert x.inverse().coords == tuple(fraction_inverse(x.coords, field.generators))
+
+
+def assert_reduced(x):
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert x.coords == tuple(Fraction(c, x.den) for c in x.nums)
+
+
+def test_equal_values_share_one_reduced_form(q57):
+    forms = [
+        q57.element([Fraction(1, 2), 0, Fraction(-3, 4), 2]),
+        q57.element([Fraction(2, 4), 0, Fraction(-6, 8), Fraction(4, 2)]),
+        q57.element(["1/2", 0, "-3/4", "2"]),
+        q57.element([0.5, 0.0, -0.75, 2.0]),
+        q57.rational(Fraction(1, 4)) * q57.element([2, 0, -3, 8]),
+        q57.element([Fraction(1, 3), 0, Fraction(-1, 4), 1])
+        + q57.element([Fraction(1, 6), 0, Fraction(-1, 2), 1]),
+        -q57.element([Fraction(-1, 2), 0, Fraction(3, 4), -2]),
+    ]
+    for x in forms:
+        assert_reduced(x)
+        assert (x.nums, x.den) == ((2, 0, -3, 8), 4)
+        assert x == forms[0] and hash(x) == hash(forms[0])
+    assert len(set(forms)) == 1
+
+
+def test_ints_and_fractions_give_the_same_element(q57):
+    ints = q57.element([1, -2, 0, 3])
+    fracs = q57.element([Fraction(1), Fraction(-4, 2), Fraction(0), Fraction(9, 3)])
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert (ints.nums, ints.den) == ((1, -2, 0, 3), 1)
+    assert q57.rational(3) == q57.rational(Fraction(6, 2)) == q57.rational("3")
+    assert q57.rational(3).rational_value() == 3
+
+
+def test_zero_is_reduced_to_denominator_one(q57):
+    x = q57.element([Fraction(1, 6), Fraction(-5, 4), 0, 7])
+    for zero in (x - x, x + -x, q57.zero(), x * q57.zero(), q57.element([Fraction(0, 5)] * 4)):
+        assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
+        assert zero == q57.zero() and hash(zero) == hash(q57.zero()) and not zero
+
+
+@pytest.mark.parametrize("gens", [[5, 7], [-1, 2, -3]], ids=str)
+def test_every_result_keeps_a_positive_reduced_denominator(gens):
+    field = MultiQuadField(gens)
+    rng = random.Random(20261020)
+    _, auts = galois_group(field)
+    for _ in range(200):
+        a, b = random_element(field, rng), random_element(field, rng)
+        results = [a, b, a + b, a - b, -a, a * b, auts[rng.randrange(field.dim)](a)]
+        if b:
+            results += [b.inverse(), a / b]
+        for x in results:
+            assert_reduced(x)
+    assert_reduced(field.rational(Fraction(-3, 7)).inverse())
+    assert field.rational(Fraction(-3, 7)).inverse() == field.rational(Fraction(-7, 3))
 
 
 def test_sqrt_of_rational_canonical_form(q57):
