@@ -112,10 +112,7 @@ def check_equivariant(xi, omega: FiniteGSet, omega_hat: FiniteGSet, phi: GroupHo
         return False
     if xi.min() < 0 or xi.max() >= omega_hat.size:
         return False
-    for h in range(omega.group.order):
-        if not (xi[omega.act[h]] == omega_hat.act[phi(h)][xi]).all():
-            return False
-    return True
+    return bool((xi[omega.act] == omega_hat.act[phi.image][:, xi]).all())
 
 
 # -- JSON exchange --------------------------------------------------------------

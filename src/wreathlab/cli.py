@@ -317,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=["all", "theta", "kk", "omega", "cocycle", "iso"])
     p.add_argument("--depth", default="exhaustive",
-                   help="exhaustive | sampled:N")
-    p.add_argument("--seed", type=int, default=0)
+                   help="exhaustive | sampled:N; sets only how many random sections "
+                        "the kk suite tries (default 20), the other suites are exact")
+    p.add_argument("--seed", type=int, default=0, help="seed of the kk suite's random sections")
     p.add_argument("--group-json", help="validate a group exchange file instead")
     p.add_argument("--out")
     p.add_argument("--format", choices=["text", "json"], default="text")

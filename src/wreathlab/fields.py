@@ -35,6 +35,7 @@ the parity of the generators that rho flips on the monomial of sqrt(alpha).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
@@ -371,21 +372,27 @@ def _subfield_positions(f: MultiQuadField, k_generators: Sequence[int]) -> list[
     return positions
 
 
+def _restriction(big: FiniteGroup, small: FiniteGroup, positions: Sequence[int]) -> GroupHom:
+    """Gal(L/Q) -> Gal(K/Q): bit j of the image mask is bit positions[j] of the L mask."""
+    m = np.arange(big.order, dtype=np.int64)
+    image = sum((((m >> p) & 1) << j for j, p in enumerate(positions)), np.zeros_like(m))
+    return GroupHom(big, small, image)
+
+
 def restriction_hom(f_big: MultiQuadField, k_generators: Sequence[int]) -> GroupHom:
     """The induced surjection Gal(L/Q) -> Gal(K/Q) on concrete groups."""
     positions = _subfield_positions(f_big, k_generators)
-    big, _ = galois_group(f_big)
     sub_field = MultiQuadField([f_big.generators[p] for p in positions])
-    small, _ = galois_group(sub_field)
-    image = np.empty(big.order, dtype=np.int64)
-    for m in range(big.order):
-        image[m] = sum(((m >> p) & 1) << j for j, p in enumerate(positions))
-    return GroupHom(big, small, image)
+    return _restriction(galois_group(f_big)[0], galois_group(sub_field)[0], positions)
 
 
 class QuadraticTower:
     """F=Q <= K <= L with L multiquadratic and a designated rational alpha
-    whose canonical square root lies in L but not in K."""
+    whose canonical square root lies in L but not in K.
+
+    The Galois groups of L and K and the restriction between them are built
+    on first use and then shared by the cocycle check and the embeddings.
+    """
 
     def __init__(self, l_field: MultiQuadField, k_generators: Sequence[int], alpha):
         self.L = l_field
@@ -402,16 +409,25 @@ class QuadraticTower:
         except ValueError as exc:
             raise TowerError(str(exc)) from None
         self.alpha_mask = next(m for m, c in enumerate(self.sqrt_alpha.nums) if c)
-        k_mask = sum(1 << p for p in self.k_positions)
-        if self.alpha_mask & ~k_mask == 0:
+        self.k_mask = sum(1 << p for p in self.k_positions)  # the K generators as an L mask
+        if self.alpha_mask & ~self.k_mask == 0:
             raise TowerError("sqrt(alpha) already lies in K")
 
     @property
     def gap(self) -> int:
         return self.L.k - len(self.K_generators)
 
-    def k_mask_in_l(self) -> int:
-        return sum(1 << p for p in self.k_positions)
+    @functools.cached_property
+    def galois_L(self) -> tuple[FiniteGroup, list[FieldAutomorphism]]:
+        return galois_group(self.L)
+
+    @functools.cached_property
+    def galois_K(self) -> tuple[FiniteGroup, list[FieldAutomorphism]]:
+        return galois_group(self.K)
+
+    @functools.cached_property
+    def restriction(self) -> GroupHom:
+        return _restriction(self.galois_L[0], self.galois_K[0], self.k_positions)
 
     def __repr__(self) -> str:
         return f"<tower Q <= {self.K!r} <= {self.L!r}, alpha={self.alpha}>"
@@ -441,10 +457,9 @@ def _chi_table(t: QuadraticTower, auts_l: Sequence[FieldAutomorphism],
 
 def tower_extension(t: QuadraticTower) -> ShortExactSequence:
     """1 -> Gal(L/K) -> Gal(L/Q) -> Gal(K/Q) -> 1 on concrete groups."""
-    eps = restriction_hom(t.L, t.K_generators)
+    eps = t.restriction
     big = eps.domain
-    k_mask = t.k_mask_in_l()
-    fixing = [m for m in range(big.order) if m & k_mask == 0]
+    fixing = [m for m in range(big.order) if m & t.k_mask == 0]
     _sub, incl = subgroup_from_elements(big, fixing, name=f"Gal({t.L!r}/{t.K!r})")
     return ShortExactSequence(incl, eps)
 
@@ -461,16 +476,15 @@ def quadratic_kummer_embedding(
     """
     if t.gap != 1:
         raise TowerError("the chi-based embedding needs [L:K] = 2 (one extra generator)")
-    big, auts_l = galois_group(t.L)
-    small, auts_k = galois_group(t.K)
-    eps = restriction_hom(t.L, t.K_generators)
-    flip_idx = t.alpha_mask & ~t.k_mask_in_l()
+    big, auts_l = t.galois_L
+    small, auts_k = t.galois_K
+    flip_idx = t.alpha_mask & ~t.k_mask
     base = FiniteGroup([[0, 1], [1, 0]], labels=["id", big.labels[flip_idx]],
                        name=f"Gal({t.L!r}/{t.K!r})")
     omega = regular_action(small)
     w = build_wreath(base, omega, size_cap=size_cap, dense_cap=dense_cap)
     # row m of the chi table is sigma_m as eta-exponents over Omega = Gal(K/Q)
-    image = w._codec.encode_array(_chi_table(t, auts_l, auts_k), eps.image)
+    image = w._codec.encode_array(_chi_table(t, auts_l, auts_k), t.restriction.image)
     phi = GroupHom(big, w.product, image)
     return w, phi, verify_embedding(phi)
 
@@ -478,18 +492,15 @@ def quadratic_kummer_embedding(
 def verify_cocycle(t: QuadraticTower) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """chi(r1 r2, tau) == chi(r2, r1^-1 tau) + chi(r1, tau) mod 2 over all triples.
 
-    Returns (True, None) or (False, first failing (rho1, rho2, tau) indices).
+    Returns (True, None) or (False, the row-major first failing (rho1, rho2, tau)).
     """
-    big, auts_l = galois_group(t.L)
-    small, auts_k = galois_group(t.K)
-    eps = restriction_hom(t.L, t.K_generators)
-    table = _chi_table(t, auts_l, auts_k)
-    for i1 in range(big.order):
-        row1 = table[i1]
-        back = small.inv(int(eps.image[i1]))
-        for i2 in range(big.order):
-            lhs, row2 = table[big.mul(i1, i2)], table[i2]
-            for j in range(small.order):
-                if lhs[j] != (row2[small.mul(back, j)] + row1[j]) % 2:
-                    return False, (i1, i2, j)
-    return True, None
+    big, auts_l = t.galois_L
+    small, auts_k = t.galois_K
+    table = np.array(_chi_table(t, auts_l, auts_k), dtype=np.int64)
+    back = small.inverses[t.restriction.image]  # the restriction of r1^-1
+    lhs = table[big.table]  # lhs[r1, r2, tau] = chi(r1 r2, tau)
+    rhs = (table[np.arange(big.order)[None, :, None], small.table[back][:, None, :]]
+           + table[:, None, :]) % 2
+    if (lhs == rhs).all():
+        return True, None
+    return False, tuple(int(v) for v in np.argwhere(lhs != rhs)[0])

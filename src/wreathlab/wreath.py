@@ -116,18 +116,17 @@ class _Codec:
         moved = np.take_along_axis(f, self.top.act[h], axis=-1)
         return self._hinv[h] * self.tuple_count + self._kinv[moved] @ self._pw
 
-    def tuple_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(prod, theta) on tuple indices, read off products in the group.
+    def tuple_product(self, f, g) -> np.ndarray:
+        """Pointwise product of tuple-index arrays, read off (f, e)(g, e) = (fg, e)."""
+        e = self.identity - self.identity % self.tuple_count
+        return self.mul(e + np.asarray(f), e + np.asarray(g)) % self.tuple_count
 
-        ``prod[f, g]`` is the pointwise product, from (f, e)(g, e) = (fg, e);
-        ``theta[h, f]`` is theta_h(f), from (1, h)(f, e) = (theta_h(f), h).
-        """
+    def theta_table(self) -> np.ndarray:
+        """theta[h, f] = theta_h(f) for every h and f, read off (1, h)(f, e) = (theta_h(f), h)."""
         B = self.tuple_count
         unit = self.identity % B
-        base = self.identity - unit + np.arange(B, dtype=np.int64)
         tops = np.arange(self.n_top, dtype=np.int64) * B + unit
-        return (self.mul(base[:, None], base[None, :]) % B,
-                self.mul(tops[:, None], base[None, :]) % B)
+        return self.mul(tops[:, None], self.identity - unit + np.arange(B)[None, :]) % B
 
     def dense_table(self) -> np.ndarray:
         """The Cayley table, one B x B block of tuple parts per h1.
@@ -137,7 +136,8 @@ class _Codec:
         is one gather from the tuple tables, reused along its row of blocks.
         """
         B = self.tuple_count
-        prod, theta_of = self.tuple_tables()
+        f = np.arange(B, dtype=np.int64)
+        prod, theta_of = self.tuple_product(f[:, None], f[None, :]), self.theta_table()
         table = np.empty((self.order, self.order), dtype=np.int32)
         for h1 in range(self.n_top):
             vals = prod[:, theta_of[h1]]

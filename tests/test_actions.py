@@ -15,6 +15,7 @@ from wreathlab import (
     regular_action,
     subgroup_from_elements,
 )
+from wreathlab.search import are_isomorphic
 
 
 def test_regular_action_of_c2_swaps_points():
@@ -105,6 +106,20 @@ def test_equivariance_rejects_scrambled_orbit():
     good = [xi for xi in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
             if check_equivariant(xi, om, om, identity_hom(s3))]
     assert good == [(0, 1, 2)]
+
+
+def test_equivariance_matches_a_pointwise_scan():
+    import itertools
+
+    s3, agl = construct_named("S:3"), construct_named("AGL:3")
+    cases = [(natural_action(3, s3), natural_action(3, s3), identity_hom(s3)),
+             (natural_action(3, agl), natural_action(3, s3), are_isomorphic(agl, s3)),
+             (regular_action(s3), regular_action(s3), identity_hom(s3))]
+    for om, om_hat, phi in cases:
+        for xi in itertools.islice(itertools.permutations(range(om.size)), 200):
+            scan = all(xi[om.apply(h, w)] == om_hat.apply(phi(h), xi[w])
+                       for h in range(om.group.order) for w in range(om.size))
+            assert check_equivariant(list(xi), om, om_hat, phi) == scan
 
 
 def test_action_axioms_rejected_when_broken():

@@ -257,10 +257,24 @@ def test_verify_valid_group_json(capsys, tmp_path):
 
 
 def test_verify_sampled_depth(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "theta",
-                       "--depth", "sampled:50", "--seed", "1")
+    code, out, _ = run(capsys, "verify", "--suite", "kk",
+                       "--depth", "sampled:3", "--seed", "1")
     assert code == 0
-    assert "sampled:50" in out
+    assert "PASS kk: S4/V4 (4 sections verified)" in out.splitlines()
+
+
+def test_verify_theta_is_certified_whatever_the_depth(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "theta")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "all passed"
+    assert len(lines) == 17
+    assert all(line.startswith("PASS theta: ") and "generator-certified, " in line
+               and " checks, order " in line for line in lines[:-1])
+    assert "PASS theta: C:5 wr C:5 (generator-certified, 37500 checks, order 15625)" in lines
+    for argv in (["--depth", "sampled:3"], ["--seed", "7"],
+                 ["--depth", "sampled:50", "--seed", "1"]):
+        assert run(capsys, "verify", "--suite", "theta", *argv) == (0, out, "")
 
 
 def test_verify_bad_depth_is_usage_error(capsys):

@@ -572,6 +572,29 @@ def test_cocycle_reports_the_first_failure_of_the_triple_scan(monkeypatch, gens,
     assert verify_cocycle(t) == reference_cocycle(t) == (True, None)
 
 
+def test_tower_builds_its_galois_data_once_and_not_at_construction(monkeypatch):
+    calls = []
+    true_galois_group = fields.galois_group
+
+    def counting(f):
+        calls.append(f)
+        return true_galois_group(f)
+
+    monkeypatch.setattr(fields, "galois_group", counting)
+    t = QuadraticTower(MultiQuadField([2, 3, 5]), [2, 3], Fraction(5))
+    assert calls == []
+    assert verify_cocycle(t) == (True, None)
+    _w, _phi, report = quadratic_kummer_embedding(t)
+    assert report.is_homomorphism and report.is_injective
+    ses = tower_extension(t)
+    assert calls == [t.L, t.K]
+    assert ses.g_to_q is t.restriction
+    assert (t.restriction.image == restriction_hom(t.L, t.K_generators).image).all()
+    assert t.restriction.image.tolist() == [
+        sum(((m >> p) & 1) << j for j, p in enumerate(t.k_positions)) for m in range(8)]
+    assert t.k_mask == 0b011
+
+
 def test_cocycle_identity_case(tower57):
     _, auts_l = galois_group(tower57.L)
     _, auts_k = galois_group(tower57.K)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ from wreathlab import (
 )
 from wreathlab.groups import closure
 from wreathlab.search import are_isomorphic
-from wreathlab.suites import THETA_CATALOG, _theta_omega
-from wreathlab.wreath import WreathGroup
+from wreathlab.suites import THETA_CATALOG, _theta_omega, check_theta_properties
+from wreathlab.wreath import WreathGroup, _Codec
 
 
 def brute_wreath_mul(w, x, y):
@@ -52,6 +54,121 @@ def test_theta_rejects_wrong_length():
     om = regular_action(construct_named("C:2"))
     with pytest.raises(WreathlabError):
         theta(om, 1, (0, 1, 0))
+
+
+def theta_all_pairs(k, omega):
+    """Oracle for ``check_theta_properties``: the theta laws swept over all pairs.
+
+    theta_(h1 h2) = theta_h1 o theta_h2 for every (h1, h2), then for each h
+    that theta_h is a bijection and theta_h(fg) = theta_h(f) theta_h(g) for
+    every (f, g); returns the first failure, or None.
+    """
+    codec = _Codec(k, omega)
+    h_grp = omega.group
+    tuples = np.arange(codec.tuple_count)
+    prod, pv = codec.tuple_product(tuples[:, None], tuples[None, :]), codec.theta_table()
+    b = prod.shape[0]
+    for h1 in range(h_grp.order):
+        for h2 in range(h_grp.order):
+            lhs = pv[h_grp.table[h1, h2]]
+            rhs = pv[h1][pv[h2]]
+            if not (lhs == rhs).all():
+                f = int(np.nonzero(lhs != rhs)[0][0])
+                return f"theta_(h1 h2) != theta_h1 o theta_h2 at (h1,h2,f)=({h1},{h2},{f})"
+    for h in range(h_grp.order):
+        if np.bincount(pv[h], minlength=b).max() != 1:
+            return f"theta_{h} is not a bijection"
+        lhs = pv[h][prod]
+        rhs = prod[pv[h][:, None], pv[h][None, :]]
+        if not (lhs == rhs).all():
+            f, g = (int(v) for v in np.argwhere(lhs != rhs)[0])
+            return f"theta_{h}(fg) != theta_{h}(f) theta_{h}(g) at (f,g)=({f},{g})"
+    return None
+
+
+CHECK_KINDS = ("is not the identity", "is not a bijection", "theta_(h1 h2)", "(fg)")
+
+
+def check_kind(failure):
+    return next(kind for kind in CHECK_KINDS if kind in failure)
+
+
+def test_theta_certificate_counts_its_checks_and_covers_trivial_groups():
+    # B = 8 tuples, H = C:2 with one generator, 3 generator tuples of K^Omega:
+    # 8 (identity) + 8 (bijection) + 2*8 (hom law) + 8*3 (multiplicativity)
+    k, omega = construct_named("C:2"), natural_action(3, construct_named("S:3"))
+    omega = FiniteGSet(construct_named("C:2"), omega.act[[0, 1]])
+    assert check_theta_properties(k, omega) == (None, 56)
+    c1 = construct_named("C:1")
+    assert check_theta_properties(c1, regular_action(c1)) == (None, 1)
+    assert check_theta_properties(construct_named("C:3"), regular_action(c1)) == (None, 3)
+    assert check_theta_properties(c1, regular_action(construct_named("C:3")))[0] is None
+
+
+def test_theta_certificate_agrees_with_the_oracle_on_swapped_action_rows(monkeypatch):
+    """Every pair of rows swapped in the action table of the first 15 shapes."""
+    monkeypatch.setattr(FiniteGSet, "_validate", lambda self: None)
+    kinds = set()
+    mutants = 0
+    for k_spec, h_spec, degree in THETA_CATALOG[:15]:
+        k, omega = _theta_omega(k_spec, h_spec, degree)
+        for a, b in itertools.combinations(range(omega.group.order), 2):
+            act = omega.act.copy()
+            act[[a, b]] = act[[b, a]]
+            mutant = FiniteGSet(omega.group, act)
+            failure, _checks = check_theta_properties(k, mutant)
+            assert (failure is None) == (theta_all_pairs(k, mutant) is None), (k_spec, h_spec, a, b)
+            mutants += 1
+            if failure is not None:
+                kinds.add(check_kind(failure))
+    assert mutants == 390
+    assert kinds == {"is not the identity", "theta_(h1 h2)"}
+
+
+def twist_mul(monkeypatch, x0, y0, z0):
+    """Make _Codec.mul return z0 for the product x0 y0 and the true value elsewhere."""
+    true_mul = _Codec.mul
+
+    def mul(self, x, y):
+        hit = (np.asarray(x) == x0) & (np.asarray(y) == y0)
+        return np.where(hit, z0, true_mul(self, x, y))
+
+    monkeypatch.setattr(_Codec, "mul", mul)
+
+
+@pytest.mark.parametrize("k_spec,h_spec,degree", THETA_CATALOG[:15])
+def test_theta_certificate_agrees_with_the_oracle_on_twisted_products(monkeypatch, k_spec,
+                                                                      h_spec, degree):
+    """Twists that reach theta or a product with a generator of K^Omega.
+
+    The certificate presumes that the tuple product is a group, as K's table
+    is certified and the codec multiplies pointwise; a twist elsewhere in the
+    product breaks that premise, and the dense-vs-structural differential
+    test below covers the product itself.
+    """
+    k, omega = _theta_omega(k_spec, h_spec, degree)
+    codec = _Codec(k, omega)
+    b = codec.tuple_count
+    e = codec.identity - codec.identity % b
+    unit = codec.identity % b
+    s = omega.group.generators()[0]
+    g0 = unit + (k.generators()[0] - k.identity)  # K's first generator at point 0
+    f1 = (g0 + 1) % b
+    collide = int(codec.mul(s * b + unit, e + g0))
+    square = int(codec.mul(e + g0, e + g0))
+    mutants = [
+        # theta_s(f1) = theta_s(g0): theta_s is not injective
+        (s * b + unit, e + f1, collide, "is not a bijection"),
+        # g0 g0 moved to another tuple: theta_s no longer respects it
+        (e + g0, e + g0, e + (square + 1) % b, "(fg)"),
+    ]
+    for x0, y0, z0, kind in mutants:
+        with monkeypatch.context() as m:
+            twist_mul(m, x0, y0, z0)
+            failure, _checks = check_theta_properties(k, omega)
+            assert failure is not None and check_kind(failure) == kind, failure
+            assert theta_all_pairs(k, omega) is not None
+    assert check_theta_properties(k, omega)[0] is None
 
 
 # -- construction ------------------------------------------------------------------
