@@ -59,8 +59,10 @@ from .fields import (
 from .groups import (
     FiniteGroup,
     GroupHom,
+    HomCertificate,
     Section,
     center_subgroup,
+    certify_hom,
     check_presentation_d4,
     construct_named,
     coset_partition,

@@ -142,7 +142,8 @@ def _print_embedding(domain, w, phi, report, args, extra: Optional[dict] = None)
                 {"domain": domain.labels[x], "image": w.element_str(phi(x)), "index": phi(x)}
                 for x in range(domain.order)
             ],
-            "report": report.to_json(),
+            # the time is reported here only, so text output repeats run to run
+            "report": {**report.to_json(), "elapsed_s": report.elapsed_s},
         }
         if extra:
             payload.update(extra)

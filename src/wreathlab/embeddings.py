@@ -41,6 +41,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Section,
+    certify_hom,
     construct_named,
     default_section,
     normal_core,
@@ -87,8 +88,12 @@ class EmbeddingReport:
     wreath_order: int
     image_is_full: bool
     counterexample: Optional[tuple[int, int]]
+    method: str
+    checks: int
+    elapsed_s: float
 
     def to_json(self) -> dict:
+        """Every field but ``hom`` and ``elapsed_s``, so equal checks serialize equally."""
         return {
             "is_homomorphism": self.is_homomorphism,
             "is_injective": self.is_injective,
@@ -96,6 +101,8 @@ class EmbeddingReport:
             "wreath_order": self.wreath_order,
             "image_is_full": self.image_is_full,
             "counterexample": list(self.counterexample) if self.counterexample else None,
+            "method": self.method,
+            "checks": self.checks,
         }
 
     def __str__(self) -> str:
@@ -194,18 +201,21 @@ def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
 
 
 def verify_embedding(phi: GroupHom) -> EmbeddingReport:
-    """Exhaustive homomorphism/injectivity/fullness report for phi."""
-    counterexample = phi.find_hom_counterexample()
+    """Homomorphism (certified on generators), injectivity and fullness report for phi."""
+    cert = certify_hom(phi)
     image_order = len(np.unique(phi.image))
     wreath_order = phi.codomain.order
     return EmbeddingReport(
         hom=phi,
-        is_homomorphism=counterexample is None,
+        is_homomorphism=cert.counterexample is None,
         is_injective=image_order == phi.domain.order,
         image_order=int(image_order),
         wreath_order=int(wreath_order),
         image_is_full=image_order == wreath_order,
-        counterexample=counterexample,
+        counterexample=cert.counterexample,
+        method=cert.method,
+        checks=cert.checks,
+        elapsed_s=cert.elapsed_s,
     )
 
 
@@ -220,7 +230,7 @@ def _transport(base_map: GroupHom, top_map: GroupHom, xi, w: WreathProduct,
     f, h = w._codec.decode_array(np.arange(w.order))
     image = w_hat._codec.encode_array(base_map.image[f[:, xi_inv]], top_map.image[h])
     out = GroupHom(w.product, w_hat.product, image, validate=False)
-    bad = out.find_hom_counterexample()
+    bad = certify_hom(out).counterexample
     if bad is not None:
         raise NotIsomorphismError(f"transport fails the hom law at pair {bad}")
     if len(np.unique(image)) != w.order:

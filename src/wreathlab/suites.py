@@ -202,39 +202,41 @@ def theta_suite() -> list[Verdict]:
     return out
 
 
-def _verify_section(ses: ShortExactSequence, section) -> Optional[str]:
+def _verify_section(ses: ShortExactSequence, section) -> tuple[Optional[str], int]:
+    """(failure or None, hom-law checks) of the kk embedding through one section."""
     _w, phi = kk_embedding(ses, section)
     report = verify_embedding(phi)
     if not report.is_homomorphism:
-        return f"hom law fails at {report.counterexample}"
+        return f"hom law fails at {report.counterexample}", report.checks
     if not report.is_injective:
-        return "not injective"
-    return None
+        return "not injective", report.checks
+    return None, report.checks
 
 
 def kk_suite(random_sections: Optional[int] = None, seed: int = 0) -> list[Verdict]:
+    """The default section, then every section where the quotient has at most
+    ``KK_ALL_SECTIONS_LIMIT`` elements and seeded random ones otherwise."""
     random_sections = (KK_RANDOM_SECTIONS_DEFAULT if random_sections is None
                        else random_sections)
     rng = random.Random(seed)
     out = []
     for name, ses in ses_catalog():
-        failure = _verify_section(ses, None)
-        count = 1
-        if failure is None:
-            if ses.q.order <= KK_ALL_SECTIONS_LIMIT:
-                for s in all_sections(ses.g_to_q):
-                    count += 1
-                    failure = _verify_section(ses, s)
-                    if failure is not None:
-                        break
-            else:
-                for _ in range(random_sections):
-                    count += 1
-                    failure = _verify_section(ses, random_section(ses.g_to_q, rng))
-                    if failure is not None:
-                        break
-        out.append(Verdict("kk", name, failure is None,
-                           failure or f"{count} sections verified"))
+        if ses.q.order <= KK_ALL_SECTIONS_LIMIT:
+            total = ses.n.order**ses.q.order  # each fiber is a coset of N
+            sections, which = all_sections(ses.g_to_q), f"all {total} sections"
+        else:
+            sections = (random_section(ses.g_to_q, rng) for _ in range(random_sections))
+            which = f"sampled:{random_sections} seed {seed}"
+        count, checks = 0, 0
+        for section in itertools.chain([None], sections):
+            count += 1
+            failure, n = _verify_section(ses, section)
+            checks += n
+            if failure is not None:
+                break
+        detail = (f"{count} sections verified: the default, then {which}; "
+                  f"each generator-certified, {checks} checks")
+        out.append(Verdict("kk", name, failure is None, failure or detail))
     return out
 
 
@@ -308,9 +310,12 @@ def iso_suite() -> list[Verdict]:
         ok = xi is not None
         if ok:
             transported = transport_iso(psi, psi, xi, w_agl, w_s3)
+            report = verify_embedding(transported)
             back = transported.inverse().compose(transported)
-            ok = bool((back.image == np.arange(w_agl.order)).all())
-            detail = f"bijective hom over {w_agl.order}^2 pairs; inverse round-trips"
+            ok = (report.is_homomorphism and report.image_is_full
+                  and bool((back.image == np.arange(w_agl.order)).all()))
+            detail = (f"bijective hom, {report.method}, {report.checks} checks; "
+                      "inverse round-trips")
     out.append(Verdict("iso", "affine wreath matches symmetric wreath (order 1296)",
                        ok, detail or "component identification failed"))
 

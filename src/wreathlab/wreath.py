@@ -101,12 +101,12 @@ class _Codec:
     def mul(self, x, y) -> np.ndarray:
         """(f1, h1)(f2, h2) = (f1 * theta_h1(f2), h1 h2) with theta_h1(f2)(w) = f2(h1^-1 . w)."""
         f1, h1 = self.decode_array(x)
-        f2, h2 = self.decode_array(y)
-        f2, rows = np.broadcast_arrays(f2, self._inv_act[h1])
+        h2, t2 = np.divmod(np.asarray(y, dtype=np.int64), self.tuple_count)
+        rows = self._inv_act[h1]
         t = self._htab[h1, h2] * self.tuple_count
         # one point at a time keeps every temporary at the broadcast shape
         for w in range(self.n_points):
-            moved = np.take_along_axis(f2, rows[..., w:w + 1], axis=-1)[..., 0]
+            moved = t2 // self._pw[rows[..., w]] % self.n_base  # digit of f2 at h1^-1 . w
             t = t + self._ktab[f1[..., w], moved] * self.powers[w]
         return t
 
@@ -135,15 +135,24 @@ class _Codec:
         has tuple part prod[f1, theta[h1, f2]] whatever h2 is, so each block
         is one gather from the tuple tables, reused along its row of blocks.
         """
-        B = self.tuple_count
+        B, n_top = self.tuple_count, self.n_top
         f = np.arange(B, dtype=np.int64)
-        prod, theta_of = self.tuple_product(f[:, None], f[None, :]), self.theta_table()
-        table = np.empty((self.order, self.order), dtype=np.int32)
-        for h1 in range(self.n_top):
+        prod = self.tuple_product(f[:, None], f[None, :]).astype(np.int32)
+        theta_of = self.theta_table()
+        tops = (self._htab * B).astype(np.int32)[:, None, :, None]
+        table = np.empty((n_top, B, n_top, B), dtype=np.int32)
+        for h1 in range(n_top):  # row of blocks h1: prod[f1, theta[h1, f2]] + h1 h2 B
             vals = prod[:, theta_of[h1]]
-            for h2 in range(self.n_top):
-                table[h1 * B:(h1 + 1) * B, h2 * B:(h2 + 1) * B] = self._htab[h1, h2] * B + vals
-        return table
+            np.add(tops[h1], vals[:, None, :], out=table[h1])
+        return table.reshape(self.order, self.order)
+
+    def generators(self) -> list[int]:
+        """K's generators at the least point of each orbit of Omega, then H's generators."""
+        unit = [self.base.identity] * self.n_points
+        points = sorted({min(self.top.orbit(w)) for w in range(self.n_points)})
+        base = [unit[:w] + [k] + unit[w + 1:] for w in points for k in self.base.generators()]
+        return ([self.encode(f, self.top.group.identity) for f in base]
+                + [self.encode(unit, h) for h in self.top.group.generators()])
 
     def label(self, x: int) -> str:
         f, h = self.decode(x)
@@ -177,12 +186,7 @@ class WreathGroup(Group):
         return self._codec.label(x)
 
     def generators(self) -> list[int]:
-        """K's generators at the least point of each orbit of Omega, then H's generators."""
-        c, unit = self._codec, [self._codec.base.identity] * self._codec.n_points
-        points = sorted({min(c.top.orbit(w)) for w in range(c.n_points)})
-        base = [unit[:w] + [k] + unit[w + 1:] for w in points for k in c.base.generators()]
-        top = [c.encode(unit, h) for h in c.top.group.generators()]
-        return [c.encode(f, c.top.group.identity) for f in base] + top
+        return self._codec.generators()
 
     def __repr__(self) -> str:
         return f"<{self.name} of order {self.order} (structural)>"
@@ -207,9 +211,11 @@ class WreathProduct:
         name = f"{base_group.name or 'K'} wr {top.group.name or 'H'}"
         if codec.order <= dense_cap:
             labels = [codec.label(x) for x in range(codec.order)]
-            # the dense-vs-structural differential test proves this table; skip Light's test
+            # the dense-vs-structural differential test proves this table; skip Light's
+            # test and take the codec's generators, as the structural product does
             self.product: FiniteGroup | WreathGroup = FiniteGroup(
-                codec.dense_table(), labels=labels, name=name, _certify=False)
+                codec.dense_table(), labels=labels, name=name,
+                _generator_source=codec.generators)
         else:
             self.product = WreathGroup(codec, name)
 

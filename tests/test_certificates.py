@@ -2,10 +2,13 @@
 
 Group tables, hom images and action tables are perturbed by hypothesis; the
 generator-based checks at construction must accept exactly the inputs that a
-plain all-triples or all-pairs sweep accepts.
+plain all-triples or all-pairs sweep accepts, and ``certify_hom`` must name
+the pair that the all-pairs sweep finds first.
 """
 
 import functools
+import itertools
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,7 +19,10 @@ from wreathlab import (
     FiniteGSet,
     GroupHom,
     GroupValidationError,
+    build_wreath,
     center_subgroup,
+    certify_hom,
+    check_equivariant,
     construct_named,
     coset_action,
     coset_partition,
@@ -27,9 +33,13 @@ from wreathlab import (
     quotient,
     regular_action,
     subgroup_from_elements,
+    transport_iso,
+    transport_subgroup,
 )
+from wreathlab import groups as groups_module
 from wreathlab.groups import FiniteGroup, closure
-from wreathlab.suites import ses_catalog
+from wreathlab.search import are_isomorphic
+from wreathlab.suites import find_normal_subgroup, ses_catalog
 
 EXACT = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -127,21 +137,27 @@ def twist_on_a_coset(data, hom):
     c[data.draw(st.integers(0, len(reps) - 1))] = data.draw(st.integers(0, cod.order - 1))
     c[coset_of[g.identity]] = cod.identity
     x = np.arange(g.order)
-    h = g.mul_array(g.inverses[reps[coset_of]], x)
+    rep_inverses = np.array([g.inv(int(r)) for r in reps], dtype=np.int64)
+    h = g.mul_array(rep_inverses[coset_of], x)
     return cod.mul_array(c[coset_of], hom.image[h])
+
+
+def perturbed_image(data, hom):
+    """hom's image twisted on a coset of all generators but one, or changed at one element."""
+    if data.draw(st.booleans()):
+        return twist_on_a_coset(data, hom)
+    image = np.array(hom.image)
+    # the identity's image is checked before the hom law, with or without validation
+    x = data.draw(st.sampled_from([x for x in range(len(image)) if x != hom.domain.identity]))
+    image[x] = data.draw(st.integers(0, hom.codomain.order - 1))
+    return image
 
 
 @EXACT
 @given(st.data())
 def test_hom_check_on_generators_agrees_with_all_pairs(data):
     hom = data.draw(st.sampled_from(homs()))
-    if data.draw(st.booleans()):
-        image = twist_on_a_coset(data, hom)
-    else:
-        image = np.array(hom.image)
-        # the identity's image is checked before the hom law, with or without validation
-        x = data.draw(st.sampled_from([x for x in range(len(image)) if x != hom.domain.identity]))
-        image[x] = data.draw(st.integers(0, hom.codomain.order - 1))
+    image = perturbed_image(data, hom)
     oracle = GroupHom(hom.domain, hom.codomain, image, validate=False).find_hom_counterexample()
     try:
         GroupHom(hom.domain, hom.codomain, image)
@@ -150,6 +166,58 @@ def test_hom_check_on_generators_agrees_with_all_pairs(data):
     else:
         raised = False
     assert raised == (oracle is not None)
+
+
+@functools.lru_cache(maxsize=None)
+def transports():
+    """Transports between wreath products, out of dense and structural products."""
+    c2, c4, s3, agl = (construct_named(x) for x in ("C:2", "C:4", "S:3", "AGL:3"))
+    c3_sub, incl_h = find_normal_subgroup(s3, "C:3")
+    inversion = GroupHom(c4, c4, [0, 3, 2, 1])
+    out = []
+    for dense_cap in (None, 1):
+        w = build_wreath(c2, natural_action(3, s3), dense_cap=dense_cap)
+        out.append(transport_iso(identity_hom(c2), identity_hom(s3), [0, 1, 2], w, w))
+        w = build_wreath(c2, regular_action(c4), dense_cap=dense_cap)
+        out.append(transport_iso(identity_hom(c2), inversion, list(inversion.image), w, w))
+        small = build_wreath(c2, natural_action(3, c3_sub), dense_cap=dense_cap)
+        big = build_wreath(c2, natural_action(3, s3), dense_cap=dense_cap)
+        out.append(transport_subgroup(identity_hom(c2), incl_h, [0, 1, 2], small, big))
+    w_agl, w_s3 = build_wreath(agl, natural_action(3, agl)), build_wreath(s3, natural_action(3, s3))
+    psi = are_isomorphic(agl, s3)
+    xi = next(list(p) for p in itertools.permutations(range(3))
+              if check_equivariant(list(p), w_agl.top, w_s3.top, psi))
+    out.append(transport_iso(psi, psi, xi, w_agl, w_s3))  # order 1296
+    return out
+
+
+def first_failing_pair(phi):
+    """Oracle: the row-major first pair breaking the hom law, from one all-pairs comparison."""
+    img, a = phi.image, np.arange(phi.domain.order)[:, None]
+    bad = img[phi.domain.mul_array(a, a.T)] != phi.codomain.mul_array(img[a], img[a.T])
+    return divmod(int(bad.argmax()), bad.shape[1]) if bad.any() else None
+
+
+@EXACT
+@given(st.data())
+def test_certify_hom_agrees_with_all_pairs_on_homs_and_transports(data):
+    hom = data.draw(st.sampled_from(homs() + transports()))
+    image = perturbed_image(data, hom) if data.draw(st.integers(0, 4)) else hom.image
+    phi = GroupHom(hom.domain, hom.codomain, image, validate=False)
+    expected = first_failing_pair(phi)
+    cert = certify_hom(phi)
+    assert cert.method == "generator-certified"
+    assert cert.counterexample == expected
+    grid = phi.domain.order * len(phi.domain.generators())
+    if expected is None:
+        assert cert.checks == grid
+    else:  # the generator grid, then the pairs swept up to the counterexample
+        assert cert.checks == grid + expected[0] * phi.domain.order + expected[1] + 1
+    # the library's oracle sweeps in blocks; any block size gives the same pair
+    chunk = data.draw(st.sampled_from([1, 7, phi.domain.order + 3, groups_module.SWEEP_CHUNK]))
+    with mock.patch.object(groups_module, "SWEEP_CHUNK", chunk):
+        assert phi.find_hom_counterexample() == expected
+        assert certify_hom(phi).counterexample == expected
 
 
 @functools.lru_cache(maxsize=None)

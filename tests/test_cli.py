@@ -134,6 +134,16 @@ def test_embed_omega_stabilizer(capsys):
     payload = json.loads(out)
     assert payload["report"]["wreath_order"] == 31104
     assert payload["report"]["is_injective"]
+    # the JSON report names its certificate, and only it carries the time
+    report = payload["report"]
+    assert list(report)[-3:] == ["method", "checks", "elapsed_s"]
+    assert (report["method"], report["checks"]) == ("generator-certified", 24 * 3)
+    assert report["elapsed_s"] >= 0
+    code, text, _ = run(capsys, "embed", "--mode", "omega", "--group", "S:4",
+                        "--subgroup", "stab:4")
+    assert code == 0
+    assert text.splitlines()[-1] == ("homomorphism: True, injective: True, "
+                                     "image order 24 of 31104, full: False")
 
 
 def test_embed_unknown_group_is_usage_error(capsys):
@@ -260,7 +270,20 @@ def test_verify_sampled_depth(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kk",
                        "--depth", "sampled:3", "--seed", "1")
     assert code == 0
-    assert "PASS kk: S4/V4 (4 sections verified)" in out.splitlines()
+    assert ("PASS kk: S4/V4 (4 sections verified: the default, then sampled:3 seed 1; "
+            "each generator-certified, 288 checks)") in out.splitlines()
+
+
+def test_verify_kk_names_how_its_sections_were_chosen(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "kk")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 6 and lines[-1] == "all passed"
+    # S4/V4 has 4^6 sections: the default depth samples 20 of them, and says so
+    assert ("PASS kk: S4/V4 (21 sections verified: the default, then sampled:20 seed 0; "
+            "each generator-certified, 1512 checks)") in lines
+    assert ("PASS kk: S3/A3 (10 sections verified: the default, then all 9 sections; "
+            "each generator-certified, 120 checks)") in lines
 
 
 def test_verify_theta_is_certified_whatever_the_depth(capsys):

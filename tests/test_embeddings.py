@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from wreathlab import (
     FiniteGroup,
     GroupHom,
     NotEquivariantError,
+    NotIsomorphismError,
     SectionMismatchError,
     Section,
     ShortExactSequence,
@@ -250,10 +253,15 @@ def test_image_order_divides_wreath_order():
 def test_report_json_schema():
     ses = sign_ses()
     _, phi = kk_embedding(ses)
-    payload = verify_embedding(phi).to_json()
+    report = verify_embedding(phi)
+    payload = report.to_json()
     assert list(payload) == ["is_homomorphism", "is_injective", "image_order",
-                             "wreath_order", "image_is_full", "counterexample"]
+                             "wreath_order", "image_is_full", "counterexample",
+                             "method", "checks"]
     assert payload["counterexample"] is None
+    # every x of S:3 against each of its two generators; the time stays out of the JSON
+    assert (payload["method"], payload["checks"]) == ("generator-certified", 6 * 2)
+    assert report.elapsed_s >= 0 and "elapsed_s" not in payload
 
 
 # -- transports ---------------------------------------------------------------------------
@@ -289,6 +297,39 @@ def test_transport_affine_to_symmetric_wreath():
     # round trip is the identity on a full sweep
     back = moved.inverse().compose(moved)
     assert (back.image == np.arange(w_agl.order)).all()
+
+
+@pytest.mark.parametrize("k_spec,h_spec", [("C:3", "C:6"), ("C:2", "C:12"), ("S:3", "S:3")])
+def test_identity_transport_on_a_structural_regular_wreath(k_spec, h_spec):
+    """Orders 4374, 49,152 and 279,936: an all-pairs check would need order^2 cells."""
+    k, h = construct_named(k_spec), construct_named(h_spec)
+    w = regular_wreath(k, h)
+    assert isinstance(w.product, WreathGroup)
+    moved = transport_iso(identity_hom(k), identity_hom(h), list(range(h.order)), w, w)
+    assert (moved.image == np.arange(w.order)).all()
+
+
+def test_structural_transport_that_breaks_the_law_names_the_first_pair():
+    s3 = construct_named("S:3")
+    w = regular_wreath(s3, s3)
+    assert isinstance(w.product, WreathGroup)
+    # swap two transpositions and fix the rest: a bijection that is no hom
+    swap = np.arange(6)
+    swap[[1, 2]] = [2, 1]
+    bad_psi = GroupHom(s3, s3, swap, validate=False)
+    assert bad_psi.find_hom_counterexample() is not None
+    with pytest.raises(NotIsomorphismError, match=r"hom law at pair \((\d+), (\d+)\)") as err:
+        transport_iso(bad_psi, identity_hom(s3), list(range(6)), w, w)
+    a, b = (int(v) for v in re.search(r"\((\d+), (\d+)\)", str(err.value)).groups())
+    # the named pair fails, and no pair before it in row-major order does
+    f, h = w._codec.decode_array(np.arange(w.order))
+    image = w._codec.encode_array(swap[f], h)
+    g = w.product
+    assert image[g.mul(a, b)] != g.mul(int(image[a]), int(image[b]))
+    rows = np.arange(a + 1)[:, None]
+    cols = np.arange(w.order)[None, :]
+    bad = image[g.mul_array(rows, cols)] != g.mul_array(image[rows], image[cols])
+    assert int(bad.ravel().argmax()) == a * w.order + b
 
 
 def test_transport_rejects_non_equivariant_bijection(s3):

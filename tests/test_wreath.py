@@ -17,7 +17,7 @@ from wreathlab import (
     regular_wreath,
     theta,
 )
-from wreathlab.groups import closure
+from wreathlab.groups import FiniteGroup, closure
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import THETA_CATALOG, _theta_omega, check_theta_properties
 from wreathlab.wreath import WreathGroup, _Codec
@@ -329,6 +329,28 @@ def test_structural_generators_cover_every_orbit_and_certify_homs():
     assert GroupHom(w.product, c2, broken, validate=False).find_hom_counterexample() is not None
     with pytest.raises(GroupValidationError, match="hom law fails"):
         GroupHom(w.product, c2, broken)
+
+
+DENSE_THETA_SHAPES = [c for c in THETA_CATALOG if c[:2] != ("C:5", "C:5")]
+
+
+@pytest.mark.parametrize("k_spec,h_spec,degree", DENSE_THETA_SHAPES)
+def test_codec_generators_generate_every_dense_product(k_spec, h_spec, degree):
+    k, omega = _theta_omega(k_spec, h_spec, degree)
+    w = build_wreath(k, omega)
+    assert isinstance(w.product, FiniteGroup)
+    # the dense table takes its generators from the codec, as the structural product does
+    gens = w.product.generators()
+    assert gens == w._codec.generators() == build_wreath(k, omega, dense_cap=1).product.generators()
+    assert closure(w.product, gens) == list(range(w.order))
+    # so homs out of the dense product are checked on them: the projection passes, a
+    # change at one generator fails
+    proj = w.top_projection
+    GroupHom(w.product, omega.group, proj.image)
+    broken = np.array(proj.image)
+    broken[gens[-1]] = omega.group.identity
+    with pytest.raises(GroupValidationError, match="hom law fails"):
+        GroupHom(w.product, omega.group, broken)
 
 
 def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
