@@ -32,6 +32,7 @@ from .embeddings import (
 from .errors import (
     ActionValidationError,
     DivisibilityViolationError,
+    GroupFormatError,
     GroupValidationError,
     NonNormalSubgroupError,
     NotEquivariantError,

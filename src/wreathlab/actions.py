@@ -15,6 +15,7 @@ from .groups import (
     coset_partition,
     group_from_json,
     group_to_json,
+    load_group,
 )
 
 
@@ -129,10 +130,7 @@ def action_to_json(omega: FiniteGSet) -> dict:
 
 def action_from_json(data: dict) -> FiniteGSet:
     grp = data["group"]
-    if isinstance(grp, str):
-        with open(grp, "r", encoding="utf-8") as fh:
-            grp = json.load(fh)
-    group = group_from_json(grp)
+    group = load_group(grp) if isinstance(grp, str) else group_from_json(grp)
     omega = FiniteGSet(group, data["act"], point_labels=data.get("point_labels"))
     if omega.size != int(data["size"]):
         raise ActionValidationError("declared size does not match action table")

@@ -15,7 +15,12 @@ from typing import Optional
 
 from .actions import coset_action, load_action, natural_action, regular_action
 from .embeddings import kk_embedding, omega_embedding, verify_embedding
-from .errors import SearchBudgetExceededError, SizeLimitError, WreathlabError
+from .errors import (
+    GroupFormatError,
+    SearchBudgetExceededError,
+    SizeLimitError,
+    WreathlabError,
+)
 from .fields import MultiQuadField, QuadraticTower, quadratic_kummer_embedding, tower_extension
 from .groups import (
     FiniteGroup,
@@ -106,9 +111,7 @@ def cmd_build(args) -> int:
     h = construct_named(args.h) if args.h else None
     omega = _build_omega(h, args.omega)
     w = build_wreath(k, omega, size_cap=size_cap)
-    identified = None
-    if w.order <= 64 and isinstance(w.product, FiniteGroup):
-        identified = identify_small(w.product)
+    identified = identify_small(w.dense()) if w.order <= 64 else None
     if args.format == "json":
         payload = {
             "order": w.order,
@@ -124,11 +127,7 @@ def cmd_build(args) -> int:
             line += f", identified {identified}"
         _emit(line, None)
     if args.out:
-        if not isinstance(w.product, FiniteGroup):
-            raise SizeLimitError(
-                f"order {w.order} exceeds the dense-table cap; JSON export unavailable",
-                w.order)
-        save_group(w.product, args.out)
+        save_group(w.dense(), args.out)
     return EXIT_OK
 
 
@@ -253,6 +252,8 @@ def cmd_verify(args) -> int:
             g = load_group(args.group_json)
             verdicts.append({"suite": "json", "property": "group_invariants",
                              "pass": True, "detail": f"order {g.order} valid"})
+        except GroupFormatError:
+            raise  # not a group exchange file at all: a usage error, not a failed verdict
         except (WreathlabError, KeyError, ValueError) as exc:
             verdicts.append({"suite": "json", "property": "group_invariants",
                              "pass": False, "detail": str(exc)})

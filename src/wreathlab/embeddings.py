@@ -160,8 +160,7 @@ def _sigma_image(g: FiniteGroup, tops: np.ndarray, s: Section, sub: GroupHom,
 
 
 def kk_embedding(ses: ShortExactSequence, s: Optional[Section] = None,
-                 size_cap: Optional[int] = None,
-                 dense_cap: Optional[int] = None) -> tuple[WreathProduct, GroupHom]:
+                 size_cap: Optional[int] = None) -> tuple[WreathProduct, GroupHom]:
     """Embed the extension into N wr_r Q (universal embedding of Kaloujnine-Krasner).
 
     This is the sigma formula with Omega = Q acting on itself by left
@@ -171,13 +170,12 @@ def kk_embedding(ses: ShortExactSequence, s: Optional[Section] = None,
     if s is None:
         s = default_section(eps)
     _check_section(eps.image, s, ses.q.order)
-    w = regular_wreath(ses.n, ses.q, size_cap=size_cap, dense_cap=dense_cap)
+    w = regular_wreath(ses.n, ses.q, size_cap=size_cap)
     return w, GroupHom(ses.g, w.product, _sigma_image(ses.g, eps.image, s, ses.n_to_g, w))
 
 
 def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
-                    size_cap: Optional[int] = None,
-                    dense_cap: Optional[int] = None) -> tuple[WreathProduct, GroupHom]:
+                    size_cap: Optional[int] = None) -> tuple[WreathProduct, GroupHom]:
     """Embed g into H wr_Omega Q with H = image(h_k), Omega its cosets,
     Q = g / normal_core(H).
 
@@ -196,13 +194,17 @@ def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
     # the coset of x is x . p_H, where p_H = r_0^-1 . 0 is the point of the coset H
     p_h = omega_g.act[g.inverses[reps(0)], 0]
     _check_section(omega_g.act[:, p_h], s, omega_g.size)
-    w = build_wreath(h_k.domain, omega_q, size_cap=size_cap, dense_cap=dense_cap)
+    w = build_wreath(h_k.domain, omega_q, size_cap=size_cap)
     return w, GroupHom(g, w.product, _sigma_image(g, proj.image, s, h_k, w))
 
 
 def verify_embedding(phi: GroupHom) -> EmbeddingReport:
-    """Homomorphism (certified on generators), injectivity and fullness report for phi."""
-    cert = certify_hom(phi)
+    """Homomorphism (certified on generators), injectivity and fullness report for phi.
+
+    The hom law is certified once per hom: the certificate phi was built with
+    is reused, and only a hom built unchecked is certified here.
+    """
+    cert = phi.certificate or certify_hom(phi)
     image_order = len(np.unique(phi.image))
     wreath_order = phi.codomain.order
     return EmbeddingReport(
@@ -230,9 +232,10 @@ def _transport(base_map: GroupHom, top_map: GroupHom, xi, w: WreathProduct,
     f, h = w._codec.decode_array(np.arange(w.order))
     image = w_hat._codec.encode_array(base_map.image[f[:, xi_inv]], top_map.image[h])
     out = GroupHom(w.product, w_hat.product, image, validate=False)
-    bad = certify_hom(out).counterexample
-    if bad is not None:
-        raise NotIsomorphismError(f"transport fails the hom law at pair {bad}")
+    cert = certify_hom(out)
+    if cert.counterexample is not None:
+        raise NotIsomorphismError(f"transport fails the hom law at pair {cert.counterexample}")
+    out.certificate = cert
     if len(np.unique(image)) != w.order:
         raise NotIsomorphismError(f"transport is not {kind}")
     return out
@@ -272,18 +275,19 @@ def transport_subgroup(iota_k: GroupHom, iota_h: GroupHom, xi, w: WreathProduct,
 _SOLVABILITY_PRIMES = (2, 3)
 
 
-def solvability_wreath(p: int, size_cap: Optional[int] = None,
-                       dense_cap: Optional[int] = None) -> WreathProduct:
+def solvability_wreath(p: int, size_cap: Optional[int] = None) -> WreathProduct:
     """AGL(1,F_p) wr_Omega AGL(1,F_p) with Omega = F_p under evaluation."""
     if p not in _SOLVABILITY_PRIMES:
         raise UnsupportedPrimeError(
             f"solvability criterion supports p in {_SOLVABILITY_PRIMES} at desk scale")
     agl = construct_named(f"AGL:{p}")
     omega = natural_action(p, agl)
-    return build_wreath(agl, omega, size_cap=size_cap, dense_cap=dense_cap)
+    return build_wreath(agl, omega, size_cap=size_cap)
 
 
 def solvability_witness(g: FiniteGroup, p: int) -> Optional[GroupHom]:
-    """An embedding of g into the degree-p^2 affine wreath product, or None."""
-    w = solvability_wreath(p)
-    return embeds_into(g, w.product)
+    """An embedding of g into the degree-p^2 affine wreath product, or None.
+
+    Search reads Cayley tables, so the product is made dense here.
+    """
+    return embeds_into(g, solvability_wreath(p).dense())

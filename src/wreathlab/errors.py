@@ -9,6 +9,11 @@ class GroupValidationError(WreathlabError):
     """A multiplication table violates a group axiom; message carries the witness."""
 
 
+class GroupFormatError(GroupValidationError):
+    """Group data is not well formed (a ragged or non-integer table, a mistyped or
+    missing key, a non-integer JSON number), as opposed to violating a group axiom."""
+
+
 class ActionValidationError(WreathlabError):
     """An action table violates an action axiom."""
 

@@ -467,7 +467,6 @@ def tower_extension(t: QuadraticTower) -> ShortExactSequence:
 def quadratic_kummer_embedding(
     t: QuadraticTower,
     size_cap: Optional[int] = None,
-    dense_cap: Optional[int] = None,
 ) -> tuple[WreathProduct, GroupHom, EmbeddingReport]:
     """Embed Gal(L/Q) into Gal(L/K) wr_Omega Gal(K/Q) via sigma_rho(tau) = eta^chi.
 
@@ -482,7 +481,7 @@ def quadratic_kummer_embedding(
     base = FiniteGroup([[0, 1], [1, 0]], labels=["id", big.labels[flip_idx]],
                        name=f"Gal({t.L!r}/{t.K!r})")
     omega = regular_action(small)
-    w = build_wreath(base, omega, size_cap=size_cap, dense_cap=dense_cap)
+    w = build_wreath(base, omega, size_cap=size_cap)
     # row m of the chi table is sigma_m as eta-exponents over Omega = Gal(K/Q)
     image = w._codec.encode_array(_chi_table(t, auts_l, auts_k), t.restriction.image)
     phi = GroupHom(big, w.product, image)

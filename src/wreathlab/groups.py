@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    GroupFormatError,
     GroupValidationError,
     NonNormalSubgroupError,
     NotSurjectiveError,
@@ -85,15 +86,29 @@ class FiniteGroup(Group):
         point_maps: Optional[Sequence[tuple]] = None,
         _generator_source: Optional[Callable[[], list[int]]] = None,
     ):
-        table = np.asarray(table, dtype=np.int32)
+        if not isinstance(table, np.ndarray):
+            # one conversion with the dtype given: inferring it would cost as much again
+            try:
+                table = np.asarray(table, dtype=np.int64)
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise GroupFormatError(f"table is not an array of int64 integers: {exc}") from None
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise GroupValidationError(f"table must be square, got shape {table.shape}")
+            raise GroupFormatError(f"table must be square, got shape {table.shape}")
+        if table.dtype.kind not in "iu":
+            raise GroupFormatError(f"table entries must be integers, got dtype {table.dtype}")
         self.order = int(table.shape[0])
+        if self.order <= 0:
+            raise GroupValidationError("group order must be positive")
+        # closure is checked before the int32 cast, which would wrap an entry such as 2**40
+        if table.min() < 0 or table.max() >= self.order:
+            bad = np.argwhere((table < 0) | (table >= self.order))[0]
+            raise GroupValidationError(
+                f"table not closed: entry at {tuple(int(v) for v in bad)} out of range")
         self.identity = int(identity)
-        self.table = table
+        self.table = table.astype(np.int32, copy=False)
         self.labels = [str(x) for x in labels] if labels is not None else [str(i) for i in range(self.order)]
         if len(self.labels) != self.order:
-            raise GroupValidationError("labels length does not match group order")
+            raise GroupFormatError("labels length does not match group order")
         self.name = name
         # one-line point data for permutation-like families (S:n, A:n, AGL:p)
         self.point_maps = list(point_maps) if point_maps is not None else None
@@ -170,13 +185,8 @@ class FiniteGroup(Group):
 
     def _validate(self) -> None:
         n, e, t = self.order, self.identity, self.table
-        if n <= 0:
-            raise GroupValidationError("group order must be positive")
         if not 0 <= e < n:
             raise GroupValidationError(f"identity index {e} out of range")
-        if t.min() < 0 or t.max() >= n:
-            bad = np.argwhere((t < 0) | (t >= n))[0]
-            raise GroupValidationError(f"table not closed: entry at {tuple(int(v) for v in bad)} out of range")
         if not (t[e] == np.arange(n)).all():
             j = int(np.nonzero(t[e] != np.arange(n))[0][0])
             raise GroupValidationError(f"identity row fails: e*g{j} != g{j}")
@@ -217,15 +227,13 @@ class FiniteGroup(Group):
         return self._generators
 
 
-def _law_on_generators(domain: Group, codomain: Group, image: np.ndarray):
-    """bad[x, i] is phi(x s_i) != phi(x) phi(s_i) for every x and generator s_i, with the s_i."""
-    s = np.array(domain.generators(), dtype=np.int64)
-    x = np.arange(domain.order)[:, None]
-    return image[domain.mul_array(x, s)] != codomain.mul_array(image[x], image[s]), s
-
-
 class GroupHom:
-    """A total map between finite groups, recorded element-by-element."""
+    """A total map between finite groups, recorded element-by-element.
+
+    With ``validate`` the hom law is certified by ``certify_hom`` and its
+    ``HomCertificate`` kept as ``certificate``, so a later report reuses it;
+    otherwise ``certificate`` is None.
+    """
 
     def __init__(self, domain, codomain, image, validate: bool = True):
         self.domain = domain
@@ -238,11 +246,12 @@ class GroupHom:
             raise GroupValidationError("hom image entry out of codomain range")
         if int(self.image[domain.identity]) != codomain.identity:
             raise GroupValidationError("hom does not send identity to identity")
-        if validate:  # phi(x s) = phi(x) phi(s) for every x and generator s proves the law
-            bad, s = _law_on_generators(domain, codomain, self.image)
-            if bad.any():
-                a, i = divmod(int(bad.argmax()), bad.shape[1])
-                raise GroupValidationError(f"hom law fails at pair {(a, int(s[i]))}")
+        self.certificate: Optional[HomCertificate] = None
+        if validate:
+            cert = certify_hom(self)
+            if cert.counterexample is not None:
+                raise GroupValidationError(f"hom law fails at pair {cert.counterexample}")
+            self.certificate = cert
 
     def __call__(self, a: int) -> int:
         return int(self.image[a])
@@ -315,7 +324,11 @@ def certify_hom(phi: GroupHom) -> HomCertificate:
     ``find_hom_counterexample`` reports.
     """
     start = time.perf_counter()
-    bad, _s = _law_on_generators(phi.domain, phi.codomain, phi.image)
+    domain, img = phi.domain, phi.image
+    s = np.array(domain.generators(), dtype=np.int64)
+    x = np.arange(domain.order)[:, None]
+    # bad[x, i] is phi(x s_i) != phi(x) phi(s_i)
+    bad = img[domain.mul_array(x, s)] != phi.codomain.mul_array(img[x], img[s])
     checks, counterexample = bad.size, None
     if bad.any():
         x0 = int(bad.any(axis=1).argmax())
@@ -608,12 +621,25 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(data: dict) -> FiniteGroup:
+    """The group of an exchange dict.  ``order`` and ``identity`` must be ints,
+    ``labels``, if present, a list of strings and ``table`` a square integer
+    array; data that is not raises ``GroupFormatError``, a table that is not a
+    group ``GroupValidationError``."""
+    if not isinstance(data, dict):
+        raise GroupFormatError("group JSON must be an object")
     for key in ("order", "identity", "table"):
         if key not in data:
-            raise GroupValidationError(f"group JSON missing key {key!r}")
-    g = FiniteGroup(data["table"], identity=data["identity"], labels=data.get("labels"))
-    if g.order != int(data["order"]):
-        raise GroupValidationError("declared order does not match table size")
+            raise GroupFormatError(f"group JSON missing key {key!r}")
+    for key in ("order", "identity"):
+        if type(data[key]) is not int:  # refuses bool, float and str as well
+            raise GroupFormatError(f"group JSON {key!r} must be an integer, got {data[key]!r}")
+    labels = data.get("labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise GroupFormatError("group JSON labels must be a list of strings")
+    g = FiniteGroup(data["table"], identity=data["identity"], labels=labels)
+    if g.order != data["order"]:
+        raise GroupFormatError("declared order does not match table size")
     return g
 
 
@@ -623,6 +649,17 @@ def save_group(g: FiniteGroup, path) -> None:
         fh.write("\n")
 
 
+def _integer_only(token: str):
+    raise GroupFormatError(f"JSON number {token} is not an integer")
+
+
 def load_group(path) -> FiniteGroup:
+    """The group of an exchange file.  Every JSON number must be an integer: a
+    float such as 0.5 or 1.0, NaN or Infinity raises ``GroupFormatError`` at
+    parse time, as does text that is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return group_from_json(json.load(fh))
+        try:
+            data = json.load(fh, parse_float=_integer_only, parse_constant=_integer_only)
+        except json.JSONDecodeError as exc:
+            raise GroupFormatError(f"{path} is not JSON: {exc}") from None
+    return group_from_json(data)

@@ -319,7 +319,7 @@ def iso_suite() -> list[Verdict]:
     out.append(Verdict("iso", "affine wreath matches symmetric wreath (order 1296)",
                        ok, detail or "component identification failed"))
 
-    witness = solvability_witness(w_s3.product, 3)
+    witness = solvability_witness(w_s3.dense(), 3)
     ok = witness is not None and witness.is_injective()
     out.append(Verdict("iso", "degree-9 imprimitive solvability for the full wreath",
                        ok, "injective witness found" if ok else "no witness"))

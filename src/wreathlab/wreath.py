@@ -5,15 +5,16 @@ so the tuple digit at point 0 is least significant and the top element is the
 most significant digit.  ``_Codec`` holds the encoding and the one statement
 of the product formula, as broadcasting functions on int64 index arrays.
 
-Products up to the dense cap are ``FiniteGroup`` Cayley tables; larger ones
-(up to the overall size cap) are structural ``WreathGroup`` objects whose
-products the codec computes on demand.  Both honour the group protocol of
+Every product (up to the size cap) is a structural ``WreathGroup`` whose
+products the codec computes on demand.  It honours the group protocol of
 ``groups.Group``: order, identity, name, scalar mul/inv, the array product
 ``mul_array``, labels, generators, powers and element orders, so hom checks,
-closures and embeddings work on either.  Only dense products have a ``table``,
-``element_orders()`` (which embedding search needs) and JSON export.  The
-top projection is computed on first use, so a structural build stores
-nothing of size ``order``.
+closures, embeddings and transports work on it without a table.  The Cayley
+table is built only when a caller asks for it: ``WreathProduct.dense()``
+returns the product as a ``FiniteGroup`` (which embedding search, small-group
+identification and JSON export need) and refuses an order above
+``DENSE_CAP_DEFAULT`` before it allocates anything.  The top projection is
+computed on first use, so a build stores nothing of size ``order``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .actions import FiniteGSet, regular_action
 from .errors import SizeLimitError, WreathlabError
-from .groups import DENSE_CAP_DEFAULT, FiniteGroup, Group, GroupHom
+from .groups import FiniteGroup, Group, GroupHom, _check_dense_order
 
 SIZE_CAP_DEFAULT = 10**7
 
@@ -161,10 +162,11 @@ class _Codec:
 
 
 class WreathGroup(Group):
-    """Structural wreath product used above the dense-table cap.
+    """A wreath product as a structural group, the only form ``WreathProduct.product`` takes.
 
     Honours the group protocol with products computed by the codec, so
-    nothing of size ``order`` is stored.
+    nothing of size ``order`` is stored; ``WreathProduct.dense()`` gives the
+    same elements, labels and generators as a Cayley table on request.
     """
 
     def __init__(self, codec: _Codec, name: str):
@@ -196,9 +198,8 @@ class WreathProduct:
     """K wr_Omega H with encode/decode, top projection and base inclusion."""
 
     def __init__(self, base_group: FiniteGroup, top: FiniteGSet,
-                 size_cap: Optional[int] = None, dense_cap: Optional[int] = None):
+                 size_cap: Optional[int] = None):
         size_cap = SIZE_CAP_DEFAULT if size_cap is None else size_cap
-        dense_cap = DENSE_CAP_DEFAULT if dense_cap is None else dense_cap
         # checked before the codec exists: its int64 radix powers overflow far past any cap
         order = base_group.order**top.size * top.group.order
         if order > size_cap:
@@ -208,16 +209,26 @@ class WreathProduct:
         self.top = top
         self._codec = codec
         self.order = codec.order
-        name = f"{base_group.name or 'K'} wr {top.group.name or 'H'}"
-        if codec.order <= dense_cap:
+        self.product = WreathGroup(codec, f"{base_group.name or 'K'} wr {top.group.name or 'H'}")
+        self._dense: Optional[FiniteGroup] = None
+
+    def dense(self) -> FiniteGroup:
+        """The product as a Cayley-table ``FiniteGroup``, built on the first call.
+
+        Element indices, labels and generators are those of ``product``.  An
+        order above ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError`` before
+        anything is allocated.
+        """
+        if self._dense is None:
+            _check_dense_order("wreath product", self.order)
+            codec = self._codec
             labels = [codec.label(x) for x in range(codec.order)]
             # the dense-vs-structural differential test proves this table; skip Light's
             # test and take the codec's generators, as the structural product does
-            self.product: FiniteGroup | WreathGroup = FiniteGroup(
-                codec.dense_table(), labels=labels, name=name,
-                _generator_source=codec.generators)
-        else:
-            self.product = WreathGroup(codec, name)
+            self._dense = FiniteGroup(codec.dense_table(), labels=labels,
+                                      name=self.product.name,
+                                      _generator_source=codec.generators)
+        return self._dense
 
     @functools.cached_property
     def top_projection(self) -> GroupHom:
@@ -272,14 +283,12 @@ class WreathProduct:
 
 
 def build_wreath(k: FiniteGroup, omega: FiniteGSet,
-                 size_cap: Optional[int] = None,
-                 dense_cap: Optional[int] = None) -> WreathProduct:
+                 size_cap: Optional[int] = None) -> WreathProduct:
     """Complete wreath product K wr_Omega H for H = omega.group."""
-    return WreathProduct(k, omega, size_cap=size_cap, dense_cap=dense_cap)
+    return WreathProduct(k, omega, size_cap=size_cap)
 
 
 def regular_wreath(k: FiniteGroup, h: FiniteGroup,
-                   size_cap: Optional[int] = None,
-                   dense_cap: Optional[int] = None) -> WreathProduct:
+                   size_cap: Optional[int] = None) -> WreathProduct:
     """Regular wreath product K wr_r H (Omega = H under left multiplication)."""
-    return build_wreath(k, regular_action(h), size_cap=size_cap, dense_cap=dense_cap)
+    return build_wreath(k, regular_action(h), size_cap=size_cap)

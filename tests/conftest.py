@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from wreathlab import construct_named, group_to_json
@@ -21,6 +23,20 @@ def d4():
 @pytest.fixture(scope="session")
 def q8():
     return construct_named("Q8")
+
+
+@pytest.fixture
+def peak_mb():
+    """Run a thunk under tracemalloc; returns (its result, the peak of Python and
+    numpy allocations in MB while it ran)."""
+    def run(thunk):
+        tracemalloc.start()
+        try:
+            result = thunk()
+            return result, tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return run
 
 
 @pytest.fixture

@@ -77,7 +77,7 @@ def test_criterion_1_d4_identification(capsys):
         x = w.encode((0, 1), 1)
         y = w.encode((0, 0), 1)
         assert check_presentation_d4(w.product, x, y)
-        assert identify_small(w.product) == "D:4"
+        assert identify_small(w.dense()) == "D:4"
     with capsys.disabled():
         _report(1, t, "order-8 wreath satisfies the dihedral presentation, named D:4")
 
@@ -185,11 +185,11 @@ def test_criterion_7_transport_and_solvability(capsys):
         moved = transport_iso(psi, psi, xi, w_agl, w_s3)
         # explicit full-pair sweep: 1296^2 products on both sides
         img = moved.image
-        lhs = img[w_agl.product.table]
-        rhs = w_s3.product.table[img[:, None], img[None, :]]
+        lhs = img[w_agl.dense().table]
+        rhs = w_s3.dense().table[img[:, None], img[None, :]]
         assert (lhs == rhs).all()
         assert len(np.unique(img)) == 1296
-        assert solvability_witness(w_s3.product, 3) is not None
+        assert solvability_witness(w_s3.dense(), 3) is not None
     with capsys.disabled():
         _report(7, t, "order-1296 wreaths identified over all 1296^2 pairs; solvable")
 
@@ -203,8 +203,7 @@ def test_criterion_8_size_formulas(capsys):
             regular_wreath(construct_named("C:4"), construct_named("C:2")),
             regular_wreath(construct_named("V4"), construct_named("C:2")),
             regular_wreath(construct_named("C:2"), construct_named("V4")),
-            regular_wreath(construct_named("V4"), construct_named("S:3"),
-                           dense_cap=1),
+            regular_wreath(construct_named("V4"), construct_named("S:3")),
             build_wreath(construct_named("S:3"), natural_action(3, construct_named("S:3"))),
             build_wreath(construct_named("AGL:3"), natural_action(3, construct_named("AGL:3"))),
         ]

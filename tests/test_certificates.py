@@ -105,6 +105,7 @@ def homs():
           if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
     _, sign_kernel = subgroup_from_elements(s4, a4)
     ses = ses_catalog()[0][1]
+    w, phi = kk_embedding(ses)
     return [
         identity_hom(construct_named("AGL:5")),
         GroupHom(c12, c4, np.arange(12) % 4),
@@ -112,8 +113,8 @@ def homs():
         quotient(s4, sign_kernel)[1],
         quotient(d8, center_subgroup(d8)[1])[1],
         quotient(q8, center_subgroup(q8)[1])[1],
-        kk_embedding(ses)[1],
-        kk_embedding(ses, dense_cap=1)[1],  # into a structural product
+        phi,  # into a structural product
+        GroupHom(ses.g, w.dense(), phi.image),  # the same map into the dense table
     ]
 
 
@@ -170,19 +171,20 @@ def test_hom_check_on_generators_agrees_with_all_pairs(data):
 
 @functools.lru_cache(maxsize=None)
 def transports():
-    """Transports between wreath products, out of dense and structural products."""
+    """Transports between wreath products, out of structural products and, with
+    the same images, between their dense tables."""
     c2, c4, s3, agl = (construct_named(x) for x in ("C:2", "C:4", "S:3", "AGL:3"))
     c3_sub, incl_h = find_normal_subgroup(s3, "C:3")
     inversion = GroupHom(c4, c4, [0, 3, 2, 1])
-    out = []
-    for dense_cap in (None, 1):
-        w = build_wreath(c2, natural_action(3, s3), dense_cap=dense_cap)
-        out.append(transport_iso(identity_hom(c2), identity_hom(s3), [0, 1, 2], w, w))
-        w = build_wreath(c2, regular_action(c4), dense_cap=dense_cap)
-        out.append(transport_iso(identity_hom(c2), inversion, list(inversion.image), w, w))
-        small = build_wreath(c2, natural_action(3, c3_sub), dense_cap=dense_cap)
-        big = build_wreath(c2, natural_action(3, s3), dense_cap=dense_cap)
-        out.append(transport_subgroup(identity_hom(c2), incl_h, [0, 1, 2], small, big))
+    w3, w4 = build_wreath(c2, natural_action(3, s3)), build_wreath(c2, regular_action(c4))
+    small = build_wreath(c2, natural_action(3, c3_sub))
+    moves = [
+        (transport_iso(identity_hom(c2), identity_hom(s3), [0, 1, 2], w3, w3), w3, w3),
+        (transport_iso(identity_hom(c2), inversion, list(inversion.image), w4, w4), w4, w4),
+        (transport_subgroup(identity_hom(c2), incl_h, [0, 1, 2], small, w3), small, w3),
+    ]
+    out = [t for t, _w, _w_hat in moves]
+    out += [GroupHom(w.dense(), w_hat.dense(), t.image, validate=False) for t, w, w_hat in moves]
     w_agl, w_s3 = build_wreath(agl, natural_action(3, agl)), build_wreath(s3, natural_action(3, s3))
     psi = are_isomorphic(agl, s3)
     xi = next(list(p) for p in itertools.permutations(range(3))

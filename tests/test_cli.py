@@ -88,6 +88,19 @@ def test_build_refuses_a_spec_above_the_dense_cap_at_once(capsys, k, h):
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 
+def test_build_refuses_json_export_above_the_dense_cap_before_allocating(capsys, tmp_path,
+                                                                         peak_mb):
+    """C:5 wr_r C:5 has order 15625: a dense table would take 977 MB."""
+    path = tmp_path / "x.json"
+    (code, out, err), peak = peak_mb(lambda: run(capsys, "build", "--k", "C:5", "--h", "C:5",
+                                                 "--omega", "regular", "--out", str(path)))
+    assert code == 3
+    assert out == "order 15625\n"
+    assert "resource limit: wreath product order 15625 exceeds the dense-table cap 4096" in err
+    assert not path.exists()
+    assert peak < 2.0, f"peak {peak:.2f} MB"
+
+
 def test_build_env_size_cap(capsys, monkeypatch):
     monkeypatch.setenv("WREATHLAB_SIZE_CAP", "4")
     code, _, err = run(capsys, "build", "--k", "C:2", "--h", "C:2", "--omega", "regular")
@@ -240,13 +253,36 @@ def test_verify_json_output_sorted(capsys):
 
 def test_verify_corrupted_group_json(capsys, tmp_path):
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
-    data = group_to_json(w.product)
+    data = group_to_json(w.dense())
     data["table"][2][3] = (data["table"][2][3] + 1) % 8
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     code, out, _ = run(capsys, "verify", "--group-json", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": 2, "identity": 0, "labels": ["e", "a"], "table": [[0, 1], [1, 0.5]]}',
+    '{"order": 2, "identity": 0.7, "table": [[0, 1], [1, 0]]}',
+    '{"order": "2", "identity": 0, "table": [[0, 1], [1, 0]]}',
+    '{"order": 2, "identity": 0, "table": [[0, 1], [1]]}',
+    '{"order": 2, "identity": 0, "table": [[0, 1], [1, null]]}',
+])
+def test_verify_refuses_malformed_group_json_as_a_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--group-json", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_verify_reports_an_out_of_range_cell_as_a_failed_verdict(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{"order": 2, "identity": 0, "table": [[0, 1], [1, %d]]}' % 2**40)
+    code, out, _ = run(capsys, "verify", "--group-json", str(path))
+    assert code == 1
+    assert out.startswith("FAIL json: group_invariants (table not closed")
 
 
 def test_verify_rejects_the_order_600_loop(capsys, tmp_path, c600_loop):
@@ -320,6 +356,23 @@ def test_action_file_with_group_reference(capsys, tmp_path):
     code, out, _ = run(capsys, "build", "--k", "C:2", "--omega", f"file:{apath}")
     assert code == 0
     assert out.startswith("order 48")
+
+
+def test_action_file_with_a_malformed_group_reference_is_a_usage_error(capsys, tmp_path):
+    from wreathlab import action_to_json, natural_action
+
+    s3 = construct_named("S:3")
+    group = group_to_json(s3)
+    group["table"][0][0] = 0.0  # written as 0.0: refused, not truncated
+    gpath = tmp_path / "s3.json"
+    gpath.write_text(json.dumps(group))
+    data = action_to_json(natural_action(3, s3))
+    data["group"] = str(gpath)
+    apath = tmp_path / "act.json"
+    apath.write_text(json.dumps(data))
+    code, _, err = run(capsys, "build", "--k", "C:2", "--omega", f"file:{apath}")
+    assert code == 2
+    assert "JSON number 0.0 is not an integer" in err
 
 
 def test_usage_error_exit_code(capsys):

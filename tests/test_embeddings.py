@@ -30,6 +30,7 @@ from wreathlab import (
     transport_subgroup,
     verify_embedding,
 )
+from wreathlab.groups import DENSE_CAP_DEFAULT
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import (
     find_normal_subgroup,
@@ -227,16 +228,18 @@ def first_failing_pair(hom):
 
 def test_kk_into_a_structural_product_matches_the_dense_build():
     for _name, ses in ses_catalog():
-        w_dense, phi_dense = kk_embedding(ses)
-        w_struct, phi_struct = kk_embedding(ses, dense_cap=1)
-        assert isinstance(w_struct.product, WreathGroup)
-        assert (phi_struct.image == phi_dense.image).all()
+        w, phi_struct = kk_embedding(ses)
+        assert isinstance(w.product, WreathGroup)
+        # the same image into the dense table passes the hom law there too
+        # (S4/V4 lands in V4 wr S:3, of order 24576, which has no dense table)
+        dense = w.dense() if w.order <= DENSE_CAP_DEFAULT else w.product
+        phi_dense = GroupHom(ses.g, dense, phi_struct.image)
         assert verify_embedding(phi_struct).to_json() == verify_embedding(phi_dense).to_json()
         # a broken image fails at the same first pair through either codomain
-        image = np.array(phi_dense.image)
+        image = np.array(phi_struct.image)
         image[1], image[2] = image[2], image[1]
-        broken = [GroupHom(ses.g, w.product, image, validate=False)
-                  for w in (w_dense, w_struct)]
+        broken = [GroupHom(ses.g, codomain, image, validate=False)
+                  for codomain in (dense, w.product)]
         expected = first_failing_pair(broken[0])
         assert expected is not None
         assert [hom.find_hom_counterexample() for hom in broken] == [expected, expected]
@@ -297,6 +300,50 @@ def test_transport_affine_to_symmetric_wreath():
     # round trip is the identity on a full sweep
     back = moved.inverse().compose(moved)
     assert (back.image == np.arange(w_agl.order)).all()
+
+
+def test_coset_embedding_into_an_order_4096_wreath_stays_small(peak_mb):
+    """D:8 over <r^3 s> lands in C:2 wr_8 D:8 of order 4096, whose dense table
+    alone would be 64 MB; the embedding and its report stay under 2 MB."""
+    d8 = construct_named("D:8")
+    _sub, incl = subgroup_generated(d8, [7])  # r^3 s is index 2 * 3 + 1
+
+    def embed_and_verify():
+        w, phi = omega_embedding(d8, incl)
+        return w, verify_embedding(phi)
+
+    (w, report), peak = peak_mb(embed_and_verify)
+    assert w.order == 4096 and w._dense is None
+    assert report.is_homomorphism and report.is_injective and report.image_order == 16
+    assert peak < 2.0, f"peak {peak:.2f} MB"
+
+
+def test_the_hom_law_is_certified_once_per_embedding(monkeypatch):
+    """The certificate a validated GroupHom keeps is the one its report shows."""
+    from wreathlab import embeddings, groups
+
+    ses = ses_catalog()[3][1]  # S4/V4
+    calls = []
+    real = groups.certify_hom
+
+    def counted(phi):
+        calls.append(phi)
+        return real(phi)
+
+    monkeypatch.setattr(groups, "certify_hom", counted)
+    monkeypatch.setattr(embeddings, "certify_hom", counted)
+    _w, phi = kk_embedding(ses)
+    assert calls == [phi]
+    report = verify_embedding(phi)
+    assert calls == [phi]
+    cert = phi.certificate
+    assert (report.method, report.checks, report.elapsed_s) == (
+        cert.method, cert.checks, cert.elapsed_s)
+    # a hom built unchecked has no certificate, so its report certifies it, alike
+    unchecked = GroupHom(phi.domain, phi.codomain, phi.image, validate=False)
+    assert unchecked.certificate is None
+    assert verify_embedding(unchecked).to_json() == report.to_json()
+    assert calls == [phi, unchecked]
 
 
 @pytest.mark.parametrize("k_spec,h_spec", [("C:3", "C:6"), ("C:2", "C:12"), ("S:3", "S:3")])
@@ -375,7 +422,7 @@ def test_transport_with_trivial_base_reduces_to_top_inclusion():
 def test_solvability_for_the_full_degree9_wreath():
     s3 = construct_named("S:3")
     w = build_wreath(s3, natural_action(3, s3))
-    witness = solvability_witness(w.product, 3)
+    witness = solvability_witness(w.dense(), 3)
     assert witness is not None and witness.is_injective()
     assert witness.find_hom_counterexample() is None
 

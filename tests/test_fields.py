@@ -486,6 +486,18 @@ def test_degenerate_base_field_tower():
     assert report.is_injective and report.image_is_full
 
 
+def test_kummer_embedding_into_an_order_2048_wreath_stays_small(peak_mb):
+    """Q(sqrt2, sqrt3, sqrt5, sqrt7) over Q(sqrt2, sqrt3, sqrt5) embeds Gal(L/Q), of
+    order 16, into C:2 wr_r Gal(K/Q) of order 2048, whose dense table alone would
+    be 16 MB; the embedding and its report stay under 2 MB."""
+    t = QuadraticTower(MultiQuadField([2, 3, 5, 7]), [2, 3, 5], Fraction(7))
+    t.galois_L, t.galois_K  # field set-up, outside the traced region
+    (w, _phi, report), peak = peak_mb(lambda: quadratic_kummer_embedding(t))
+    assert w.order == 2048 and w._dense is None
+    assert report.is_homomorphism and report.is_injective and report.image_order == 16
+    assert peak < 2.0, f"peak {peak:.2f} MB"
+
+
 def test_embedding_requires_a_quadratic_step():
     t = QuadraticTower(MultiQuadField([2, 3, 5]), [2], Fraction(15))
     with pytest.raises(TowerError):

@@ -3,10 +3,12 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
 
 from wreathlab import (
     FiniteGroup,
+    GroupFormatError,
     GroupValidationError,
     NonNormalSubgroupError,
     SizeLimitError,
@@ -17,6 +19,7 @@ from wreathlab import (
     direct_product,
     group_from_json,
     group_to_json,
+    load_group,
     normal_core,
     quotient,
     regular_wreath,
@@ -371,7 +374,7 @@ def test_quotient_and_partition_share_representatives(d4):
 
 
 def test_coset_partition_of_a_structural_product():
-    w = regular_wreath(construct_named("C:2"), construct_named("C:2"), dense_cap=1)
+    w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     base = sorted(w.top_projection.kernel_indices())
     coset_of, reps = coset_partition(w.product, base)
     assert list(reps) == [0, 4]
@@ -440,6 +443,52 @@ def test_corrupted_json_is_rejected(d4):
     data["table"][3][5] = (data["table"][3][5] + 1) % d4.order
     with pytest.raises(GroupValidationError):
         group_from_json(data)
+
+
+MALFORMED_GROUP_TEXTS = {
+    "a float cell": '{"order": 2, "identity": 0, "table": [[0, 1], [1, 0.5]]}',
+    "a float equal to an integer": '{"order": 2, "identity": 0, "table": [[0, 1], [1, 0.0]]}',
+    "a float identity": '{"order": 2, "identity": 0.7, "table": [[0, 1], [1, 0]]}',
+    "an exponent": '{"order": 2e0, "identity": 0, "table": [[0, 1], [1, 0]]}',
+    "NaN": '{"order": 2, "identity": 0, "table": [[0, 1], [1, NaN]]}',
+    "Infinity": '{"order": 2, "identity": 0, "table": [[0, 1], [1, -Infinity]]}',
+    "a string order": '{"order": "2", "identity": 0, "table": [[0, 1], [1, 0]]}',
+    "a bool identity": '{"order": 2, "identity": false, "table": [[0, 1], [1, 0]]}',
+    "a null identity": '{"order": 2, "identity": null, "table": [[0, 1], [1, 0]]}',
+    "a ragged row": '{"order": 2, "identity": 0, "table": [[0, 1], [1]]}',
+    "a null cell": '{"order": 2, "identity": 0, "table": [[0, 1], [1, null]]}',
+    "a string cell": '{"order": 2, "identity": 0, "table": [[0, 1], [1, "e"]]}',
+    "a cell past int64": '{"order": 2, "identity": 0, "table": [[0, 1], [1, %d]]}' % 2**70,
+    "a non-square table": '{"order": 2, "identity": 0, "table": [[0, 1]]}',
+    "labels that are not a list": '{"order": 2, "identity": 0, "labels": "ab", "table": [[0, 1], [1, 0]]}',
+    "too few labels": '{"order": 2, "identity": 0, "labels": ["e"], "table": [[0, 1], [1, 0]]}',
+    "a missing key": '{"order": 2, "table": [[0, 1], [1, 0]]}',
+    "a list": '[[0, 1], [1, 0]]',
+    "text that is not JSON": '{"order": 2,',
+}
+
+
+@pytest.mark.parametrize("what", sorted(MALFORMED_GROUP_TEXTS))
+def test_malformed_group_json_is_refused_as_a_format_error(tmp_path, what):
+    path = tmp_path / "g.json"
+    path.write_text(MALFORMED_GROUP_TEXTS[what])
+    with pytest.raises(GroupFormatError):
+        load_group(path)
+
+
+def test_out_of_range_cells_are_refused_before_the_int32_cast():
+    # 2**40 and 2**32 + 1 would wrap to 0 and 1 in int32 and make a valid C:2 table
+    for cell in (2**40, 2**32 + 1, -(2**32) + 1):
+        table = [[0, 1], [1, cell]]
+        with pytest.raises(GroupValidationError, match="table not closed"):
+            group_from_json({"order": 2, "identity": 0, "table": table})
+        with pytest.raises(GroupValidationError, match="table not closed"):
+            FiniteGroup(np.array(table, dtype=np.int64))
+    with pytest.raises(GroupFormatError, match="integers"):
+        FiniteGroup(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # a valid file still loads, labels and all
+    g = group_from_json({"order": 2, "identity": 1, "labels": ["a", "e"], "table": [[1, 0], [0, 1]]})
+    assert (g.order, g.identity, g.labels) == (2, 1, ["a", "e"])
 
 
 def test_order_600_loop_is_rejected(c600_loop):

@@ -47,14 +47,14 @@ def test_embedding_screen_rejects_c4_into_elementary_abelian():
 
 def test_d4_embeds_into_the_order8_wreath():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
-    hom = embeds_into(construct_named("D:4"), w.product)
+    hom = embeds_into(construct_named("D:4"), w.dense())
     assert hom is not None and hom.is_injective()
 
 
 def test_s3_embeds_into_a3_wreath_c2():
     w = regular_wreath(construct_named("A:3"), construct_named("C:2"))
     assert w.order == 18
-    hom = embeds_into(construct_named("S:3"), w.product)
+    hom = embeds_into(construct_named("S:3"), w.dense())
     assert hom is not None
     assert hom.find_hom_counterexample() is None
     assert hom.is_injective()
@@ -81,7 +81,7 @@ def test_budget_exhaustion_is_distinct_from_no():
 
 def test_identify_wreath_as_d4():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
-    assert identify_small(w.product) == "D:4"
+    assert identify_small(w.dense()) == "D:4"
 
 
 def test_identify_trivial():

@@ -17,7 +17,7 @@ from wreathlab import (
     regular_wreath,
     theta,
 )
-from wreathlab.groups import FiniteGroup, closure
+from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import THETA_CATALOG, _theta_omega, check_theta_properties
 from wreathlab.wreath import WreathGroup, _Codec
@@ -177,13 +177,13 @@ def test_theta_certificate_agrees_with_the_oracle_on_twisted_products(monkeypatc
 def test_c2_wreath_c2_is_d4():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     assert w.order == 8
-    assert are_isomorphic(w.product, construct_named("D:4")) is not None
+    assert are_isomorphic(w.dense(), construct_named("D:4")) is not None
 
 
 def test_trivial_base_reproduces_the_top(s3):
     w = regular_wreath(construct_named("C:1"), s3)
     assert w.order == 6
-    assert are_isomorphic(w.product, s3) is not None
+    assert are_isomorphic(w.dense(), s3) is not None
 
 
 def test_s3_natural_wreath_order(s3):
@@ -221,7 +221,7 @@ def test_multiplication_matches_brute_formula_on_all_pairs():
         regular_wreath(construct_named("A:3"), construct_named("C:2")),
         build_wreath(construct_named("C:2"), natural_action(3, construct_named("S:3"))),
     ):
-        table = w.product.table
+        table = w.dense().table
         for x in range(w.order):
             for y in range(w.order):
                 assert int(table[x, y]) == brute_wreath_mul(w, x, y)
@@ -235,13 +235,13 @@ def test_inverse_examples():
     assert w.inverse(x) == w.encode((1, 0), 1)  # x^-1 = x^3
     base = w.encode((1, 1), 0)
     assert w.inverse(base) == base
-    # inverses agree with the materialized table
+    # inverses agree with the dense table
     for z in range(w.order):
-        assert w.inverse(z) == int(w.product.inverses[z])
+        assert w.inverse(z) == int(w.dense().inverses[z])
 
 
 def test_structural_representation_above_dense_cap():
-    w = regular_wreath(construct_named("C:2"), construct_named("D:4"), dense_cap=100)
+    w = regular_wreath(construct_named("C:2"), construct_named("D:4"))
     assert isinstance(w.product, WreathGroup)
     assert w.order == 2**8 * 8
     # spot-check the structural arithmetic against the defining formula
@@ -250,11 +250,11 @@ def test_structural_representation_above_dense_cap():
         x, y = (int(v) for v in rng.integers(0, w.order, 2))
         assert w.product.mul(x, y) == brute_wreath_mul(w, x, y)
         assert w.product.mul(x, w.product.inv(x)) == w.product.identity
-    # same wreath densely: tables agree with the structural route
-    dense = regular_wreath(construct_named("C:2"), construct_named("D:4"))
+    # the same wreath densely: its table agrees with the structural route
+    table = w.dense().table
     for _ in range(100):
         x, y = (int(v) for v in rng.integers(0, w.order, 2))
-        assert int(dense.product.table[x, y]) == w.product.mul(x, y)
+        assert int(table[x, y]) == w.product.mul(x, y)
 
 
 def test_top_projection_is_exact():
@@ -301,7 +301,7 @@ def test_projection_law_exhaustively_on_a_large_dense_wreath():
 
 def test_projection_law_on_generators_of_a_structural_wreath():
     v4, s3 = construct_named("V4"), construct_named("S:3")
-    w = regular_wreath(v4, s3, dense_cap=1)
+    w = regular_wreath(v4, s3)
     assert isinstance(w.product, WreathGroup)
     assert w.order == 24576
     unit = [v4.identity] * 6
@@ -318,7 +318,7 @@ def test_projection_law_on_generators_of_a_structural_wreath():
 def test_structural_generators_cover_every_orbit_and_certify_homs():
     c2 = construct_named("C:2")
     omega = FiniteGSet(c2, [[0, 1, 2], [1, 0, 2]])  # orbits {0, 1} and {2}
-    w = build_wreath(c2, omega, dense_cap=1)
+    w = build_wreath(c2, omega)
     gens = w.product.generators()
     assert gens == [w.encode((1, 0, 0), 0), w.encode((0, 0, 1), 0), w.encode((0, 0, 0), 1)]
     assert closure(w.product, gens) == list(range(w.order))
@@ -338,25 +338,27 @@ DENSE_THETA_SHAPES = [c for c in THETA_CATALOG if c[:2] != ("C:5", "C:5")]
 def test_codec_generators_generate_every_dense_product(k_spec, h_spec, degree):
     k, omega = _theta_omega(k_spec, h_spec, degree)
     w = build_wreath(k, omega)
-    assert isinstance(w.product, FiniteGroup)
+    dense = w.dense()
+    assert isinstance(dense, FiniteGroup)
     # the dense table takes its generators from the codec, as the structural product does
-    gens = w.product.generators()
-    assert gens == w._codec.generators() == build_wreath(k, omega, dense_cap=1).product.generators()
-    assert closure(w.product, gens) == list(range(w.order))
+    gens = dense.generators()
+    assert gens == w._codec.generators() == w.product.generators()
+    assert closure(dense, gens) == list(range(w.order))
     # so homs out of the dense product are checked on them: the projection passes, a
     # change at one generator fails
     proj = w.top_projection
-    GroupHom(w.product, omega.group, proj.image)
+    GroupHom(dense, omega.group, proj.image)
     broken = np.array(proj.image)
     broken[gens[-1]] = omega.group.identity
     with pytest.raises(GroupValidationError, match="hom law fails"):
-        GroupHom(w.product, omega.group, broken)
+        GroupHom(dense, omega.group, broken)
 
 
 def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
-    w = regular_wreath(construct_named("C:2"), construct_named("C:2"), dense_cap=1)
+    w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     assert isinstance(w.product, WreathGroup)
     assert "top_projection" not in vars(w)  # built on first use only
+    assert w._dense is None  # and so is the dense table
     proj = w.top_projection
     assert proj.find_hom_counterexample() is None
     assert proj.kernel_indices() == [w.base_inclusion(f) for f in ((0, 0), (1, 0), (0, 1), (1, 1))]
@@ -371,7 +373,7 @@ def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
 @pytest.mark.parametrize("k_spec,h_spec,degree", THETA_CATALOG)
 def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
     k, omega = _theta_omega(k_spec, h_spec, degree)
-    structural = build_wreath(k, omega, dense_cap=1)
+    structural = build_wreath(k, omega)
     assert isinstance(structural.product, WreathGroup)
     codec = structural._codec
     idx = np.arange(structural.order)
@@ -390,11 +392,17 @@ def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
     for x, y, z in zip(xs, ys, products):
         assert int(z) == brute_wreath_mul(structural, int(x), int(y))
     assert (structural.product.mul_array(xs, codec.inv(xs)) == structural.product.identity).all()
-    if structural.order > 4096:
-        return  # C:5 wr C:5 has no dense table
-    dense = build_wreath(k, omega)
-    table = dense.product.table
+    if structural.order > DENSE_CAP_DEFAULT:
+        with pytest.raises(SizeLimitError, match="dense-table cap"):
+            structural.dense()  # C:5 wr C:5 has no dense table
+        return
+    dense = structural.dense()
+    assert structural.dense() is dense  # built once
+    table = dense.table
     for lo in range(0, dense.order, 256):
         rows = idx[lo:lo + 256, None]
         assert (structural.product.mul_array(rows, idx[None, :]) == table[lo:lo + 256]).all()
-    assert (codec.inv(idx) == dense.product.inverses).all()
+    assert (codec.inv(idx) == dense.inverses).all()
+    # the same element indices carry the same labels and name
+    assert dense.labels == [structural.product.label(x) for x in idx.tolist()]
+    assert (dense.identity, dense.name) == (structural.product.identity, structural.product.name)
