@@ -96,7 +96,6 @@ from .wreath import (
     WreathProduct,
     build_wreath,
     regular_wreath,
-    theta,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Section,
+    _read_integer_json,
     coset_partition,
     group_from_json,
     group_to_json,
@@ -66,9 +67,6 @@ class FiniteGSet:
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.size
-
-    def point_label(self, w: int) -> str:
-        return self.point_labels[w]
 
     def __repr__(self) -> str:
         return f"<FiniteGSet |Omega|={self.size} under {self.group!r}>"
@@ -129,10 +127,19 @@ def action_to_json(omega: FiniteGSet) -> dict:
 
 
 def action_from_json(data: dict) -> FiniteGSet:
+    """The action of an exchange dict.  ``group`` is a group dict or the path of
+    a group file, ``size`` an int and ``act`` a list of rows of ints; a bool,
+    float or string in either raises ``ActionValidationError``."""
     grp = data["group"]
     group = load_group(grp) if isinstance(grp, str) else group_from_json(grp)
-    omega = FiniteGSet(group, data["act"], point_labels=data.get("point_labels"))
-    if omega.size != int(data["size"]):
+    size, act = data["size"], data["act"]
+    if type(size) is not int:  # refuses bool, float and str as well
+        raise ActionValidationError(f"action JSON 'size' must be an integer, got {size!r}")
+    if not (isinstance(act, list) and all(
+            isinstance(row, list) and all(type(v) is int for v in row) for row in act)):
+        raise ActionValidationError("action JSON 'act' must be a list of rows of integers")
+    omega = FiniteGSet(group, act, point_labels=data.get("point_labels"))
+    if omega.size != size:
         raise ActionValidationError("declared size does not match action table")
     return omega
 
@@ -144,5 +151,6 @@ def save_action(omega: FiniteGSet, path) -> None:
 
 
 def load_action(path) -> FiniteGSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return action_from_json(json.load(fh))
+    """The action of an exchange file; a non-integer JSON number raises
+    ``ActionValidationError`` at parse time."""
+    return action_from_json(_read_integer_json(path, ActionValidationError))

@@ -53,11 +53,14 @@ class Group:
     """
 
     def power(self, x: int, k: int) -> int:
+        """x^k by square and multiply, in O(log |k|) products."""
         if k < 0:
-            return self.power(self.inv(x), -k)
+            x, k = self.inv(x), -k
         acc = self.identity
-        for _ in range(k):
-            acc = self.mul(acc, x)
+        while k:
+            if k & 1:
+                acc = self.mul(acc, x)
+            x, k = self.mul(x, x), k >> 1
         return acc
 
     def element_order(self, x: int) -> int:
@@ -142,9 +145,6 @@ class FiniteGroup(Group):
         except ValueError:
             raise KeyError(f"no element labeled {label!r}") from None
 
-    def elements(self) -> range:
-        return range(self.order)
-
     # -- cached structure --------------------------------------------------
 
     @property
@@ -172,10 +172,6 @@ class FiniteGroup(Group):
     def center_indices(self) -> list[int]:
         mask = (self.table == self.table.T).all(axis=1)
         return [int(i) for i in np.nonzero(mask)[0]]
-
-    def conjugate(self, y: int, x: int) -> int:
-        """y x y^-1."""
-        return int(self.table[self.table[y, x], self.inverses[y]])
 
     def __repr__(self) -> str:
         name = self.name or "FiniteGroup"
@@ -213,18 +209,49 @@ class FiniteGroup(Group):
         if self._generators is None and self._generator_source is not None:
             self._generators = list(self._generator_source())
         if self._generators is None:
-            t, gens, known = self.table, [], {self.identity}
-            for s in range(self.order):
-                if s in known:
-                    continue
+            t = self.table
+
+            def light(s: int) -> None:
                 bad = t[t[:, s]] != t[:, t[s]]
                 if bad.any():
                     x, y = divmod(int(bad.argmax()), self.order)
                     raise GroupValidationError(f"associativity fails at (a,b,c)=({x},{s},{y})")
-                gens.append(s)
-                known = set(closure(self, gens))
-            self._generators = gens
+
+            self._generators = _pick_generators(self, range(self.order), light)[0]
         return self._generators
+
+    def conjugacy_classes(self) -> dict[int, list[int]]:
+        """Each conjugacy class {y x y^-1} as its ascending members, keyed by its
+        least element, in ascending order of the keys."""
+        t = self.table
+        least = np.full(self.order, -1)
+        for x in range(self.order):
+            if least[x] < 0:  # x is the least element of a class not yet seen
+                least[t[t[:, x], self.inverses]] = x
+        classes: dict[int, list[int]] = {}
+        for x, rep in enumerate(least.tolist()):
+            classes.setdefault(rep, []).append(x)
+        return classes
+
+
+def _pick_generators(g: Group, candidates: Iterable[int],
+                     check: Optional[Callable[[int], None]] = None
+                     ) -> tuple[list[int], list[list[int]]]:
+    """Greedy generators of g: each candidate not yet generated passes ``check``
+    (which raises to refuse it) and is taken.  Returns the generators and, for
+    each prefix of them, the ascending elements of the subgroup it generates."""
+    gens, levels, known = [], [], {g.identity}
+    for s in candidates:
+        if len(known) == g.order:
+            break
+        if s in known:
+            continue
+        if check is not None:
+            check(s)
+        gens.append(s)
+        levels.append(closure(g, gens))
+        known = set(levels[-1])
+    return gens, levels
 
 
 class GroupHom:
@@ -430,9 +457,10 @@ def _quaternion() -> FiniteGroup:
 _PRIMES_AGL = {2, 3, 5, 7}
 
 
-def _check_dense_order(what: str, order: int, cap: int = DENSE_CAP_DEFAULT) -> None:
-    if order > cap:
-        raise SizeLimitError(f"{what} order {order} exceeds the dense-table cap {cap}", order)
+def _check_dense_order(what: str, order: int) -> None:
+    if order > DENSE_CAP_DEFAULT:
+        raise SizeLimitError(
+            f"{what} order {order} exceeds the dense-table cap {DENSE_CAP_DEFAULT}", order)
 
 
 def construct_named(spec: str) -> FiniteGroup:
@@ -478,10 +506,11 @@ def construct_named(spec: str) -> FiniteGroup:
 # -- constructions ------------------------------------------------------------
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup, max_order: int = DENSE_CAP_DEFAULT) -> FiniteGroup:
-    """Componentwise product on pairs, a-index major."""
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
+    """Componentwise product on pairs, a-index major; an order above
+    ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError`` before any allocation."""
     order = a.order * b.order
-    _check_dense_order("direct product", order, max_order)
+    _check_dense_order("direct product", order)
     nb = b.order
     # table[(i1*nb+i2),(j1*nb+j2)] = a.table[i1,j1]*nb + b.table[i2,j2]: one int32 order^2 array
     table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(order, order)
@@ -649,17 +678,21 @@ def save_group(g: FiniteGroup, path) -> None:
         fh.write("\n")
 
 
-def _integer_only(token: str):
-    raise GroupFormatError(f"JSON number {token} is not an integer")
+def _read_integer_json(path, error: type[Exception] = GroupFormatError):
+    """The JSON value of a file in which every number is an integer: a float such
+    as 0.5 or 1.0, NaN or Infinity raises ``error`` at parse time, as does text
+    that is not JSON."""
+    def refuse(token: str):
+        raise error(f"JSON number {token} is not an integer")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_float=refuse, parse_constant=refuse)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path} is not JSON: {exc}") from None
 
 
 def load_group(path) -> FiniteGroup:
-    """The group of an exchange file.  Every JSON number must be an integer: a
-    float such as 0.5 or 1.0, NaN or Infinity raises ``GroupFormatError`` at
-    parse time, as does text that is not JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, parse_float=_integer_only, parse_constant=_integer_only)
-        except json.JSONDecodeError as exc:
-            raise GroupFormatError(f"{path} is not JSON: {exc}") from None
-    return group_from_json(data)
+    """The group of an exchange file, read by ``_read_integer_json``: a
+    non-integer JSON number raises ``GroupFormatError``."""
+    return group_from_json(_read_integer_json(path))

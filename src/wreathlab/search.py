@@ -1,22 +1,26 @@
 """Isomorphism and embedding search by generator-image backtracking.
 
-The search assigns images to a small generating chain, pruned by element
-orders and short word checks, and extends each assignment over the generated
-subgroup with full edge consistency (img[x*s] == img[x]*img[s] for every
-already-mapped x and every generator s), which certifies the homomorphism law
-on the subgroup.  Budget exhaustion raises, so it is never confused with a
-negative answer.
+The search picks generators of the domain greedily, highest element order
+first, and gives each an image of the same order, pruned by the orders of its
+products with the generators already mapped.  It extends each assignment over
+the generated subgroup with full edge consistency (img[x*s] == img[x]*img[s]
+for every already-mapped x and every generator s), which certifies the
+homomorphism law on the subgroup.  Budget exhaustion raises, so it is never
+confused with a negative answer.  Groups are read only through ``mul``,
+``mul_array``, ``element_orders()`` and ``conjugacy_classes()``, never
+through a table.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Optional
 
 import numpy as np
 
 from .errors import SearchBudgetExceededError
-from .groups import FiniteGroup, GroupHom, closure, construct_named, direct_product
+from .groups import FiniteGroup, GroupHom, _pick_generators, construct_named, direct_product
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -25,48 +29,17 @@ def order_profile(g: FiniteGroup) -> Counter:
     return Counter(int(v) for v in g.element_orders())
 
 
-def conjugacy_class_reps(g: FiniteGroup) -> list[int]:
-    seen = np.zeros(g.order, dtype=bool)
-    inv = g.inverses
-    reps = []
-    idx = np.arange(g.order)
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        reps.append(x)
-        cls = g.table[g.table[idx, x], inv[idx]]
-        seen[cls] = True
-    return reps
-
-
-def generating_chain(g: FiniteGroup) -> list[int]:
-    """Small generating set, highest element orders first."""
-    if g.order == 1:
-        return []
-    orders = g.element_orders()
-    ranked = sorted(range(g.order), key=lambda x: (-int(orders[x]), x))
-    gens: list[int] = []
-    known = {g.identity}
-    for x in ranked:
-        if x in known:
-            continue
-        gens.append(x)
-        known = set(closure(g, gens))
-        if len(known) == g.order:
-            return gens
-    raise AssertionError("generating chain failed to exhaust the group")
-
-
 class _Search:
     def __init__(self, a: FiniteGroup, b: FiniteGroup, budget: int):
         self.a = a
         self.b = b
         self.budget = budget
         self.nodes = 0
-        self.gens = generating_chain(a)
-        self.levels = [closure(a, self.gens[: i + 1]) for i in range(len(self.gens))]
         self.a_orders = a.element_orders()
         self.b_orders = b.element_orders()
+        # highest order first, ties by ascending index
+        ranked = np.argsort(-self.a_orders, kind="stable").tolist()
+        self.gens, self.levels = _pick_generators(a, ranked)
         self.img = np.full(a.order, -1, dtype=np.int64)
         self.used = np.zeros(b.order, dtype=bool)
         self.img[a.identity] = b.identity
@@ -80,28 +53,20 @@ class _Search:
         return None
 
     def _candidates(self, level: int) -> list[int]:
-        need = int(self.a_orders[self.gens[level]])
-        pool = np.nonzero(self.b_orders == need)[0]
-        if level == 0:
-            reps = set(conjugacy_class_reps(self.b))
-            return [int(h) for h in pool if int(h) in reps]
-        out = []
+        """Unused elements of b of the new generator's order; the first
+        generator goes only to class representatives, as conjugation moves
+        any embedding to one that does."""
         g_new = self.gens[level]
-        for h in pool:
-            h = int(h)
-            if self.used[h]:
-                continue
-            ok = True
-            for j in range(level):
-                gj, hj = self.gens[j], int(self.img[self.gens[j]])
-                if int(self.a_orders[self.a.table[gj, g_new]]) != int(
-                    self.b_orders[self.b.table[hj, h]]
-                ):
-                    ok = False
-                    break
-            if ok:
-                out.append(h)
-        return out
+        pool = np.flatnonzero(self.b_orders == self.a_orders[g_new])
+        if level == 0:
+            reps = self.b.conjugacy_classes()
+            return [h for h in pool.tolist() if h in reps]
+        pool = pool[~self.used[pool]]
+        # ord(g_j g_new) must equal ord(img(g_j) h) for every mapped generator g_j
+        for gj in self.gens[:level]:
+            want = self.a_orders[self.a.mul(gj, g_new)]
+            pool = pool[self.b_orders[self.b.mul_array(self.img[gj], pool)] == want]
+        return pool.tolist()
 
     def _dfs(self, level: int, mapped: list[int]) -> bool:
         g_new = self.gens[level]
@@ -115,54 +80,43 @@ class _Search:
                 return True
             if self._dfs(level + 1, self.levels[level]):
                 return True
-            for y in added:
-                self.used[self.img[y]] = False
-                self.img[y] = -1
+            self._undo(added)
         return False
+
+    def _undo(self, added: list[int]) -> None:
+        for y in added:
+            self.used[self.img[y]] = False
+            self.img[y] = -1
 
     def _extend(self, level: int, mapped: list[int], g_new: int, h: int):
         """Map the generated subgroup; None (with rollback) on any conflict."""
-        a, b, img, used = self.a, self.b, self.img, self.used
+        a_mul, b_mul, img, used = self.a.mul, self.b.mul, self.img, self.used
         gens_now = self.gens[: level + 1]
         img_gens = [int(img[g]) for g in gens_now[:-1]] + [h]
         added = [g_new]
         img[g_new] = h
         used[h] = True
         queue = list(mapped) + [g_new]
-        pos = 0
-        ok = True
-        while pos < len(queue) and ok:
-            x = queue[pos]
-            pos += 1
+        for x in queue:  # grows as the subgroup is mapped
             ix = int(img[x])
             for s, hs in zip(gens_now, img_gens):
                 self.nodes += 1
                 if self.nodes > self.budget:
-                    for y in added:
-                        used[img[y]] = False
-                        img[y] = -1
+                    self._undo(added)
                     raise SearchBudgetExceededError(
                         f"embedding search exceeded {self.budget} nodes")
-                y = int(a.table[x, s])
-                iy = int(b.table[ix, hs])
+                y = a_mul(x, s)
+                iy = b_mul(ix, hs)
                 j = int(img[y])
-                if j < 0:
-                    if used[iy]:
-                        ok = False
-                        break
+                if j < 0 and not used[iy]:
                     img[y] = iy
                     used[iy] = True
                     added.append(y)
                     queue.append(y)
                 elif j != iy:
-                    ok = False
-                    break
-        if ok:
-            return added
-        for y in added:
-            used[img[y]] = False
-            img[y] = -1
-        return None
+                    self._undo(added)
+                    return None
+        return added
 
 
 def embeds_into(a: FiniteGroup, b: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Optional[GroupHom]:
@@ -204,22 +158,15 @@ def _single_specs(order: int) -> list[str]:
     # S:1, S:2, A:2, A:3, D:2 collapse onto C:1, C:2, C:3, C:2 x C:2
     out = [f"C:{order}"]
     for n in (3, 4):
-        if _factorial(n) == order:
+        if math.factorial(n) == order:
             out.append(f"S:{n}")
     for n in (4, 5):
-        if _factorial(n) // 2 == order:
+        if math.factorial(n) // 2 == order:
             out.append(f"A:{n}")
     if order % 2 == 0 and order // 2 >= 3:
         out.append(f"D:{order // 2}")
     if order == 8:
         out.append("Q8")
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
     return out
 
 

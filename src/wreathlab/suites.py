@@ -38,7 +38,7 @@ from .groups import (
     subgroup_from_elements,
     subgroup_generated,
 )
-from .search import are_isomorphic, conjugacy_class_reps
+from .search import are_isomorphic
 from .wreath import _Codec, build_wreath
 
 KK_RANDOM_SECTIONS_DEFAULT = 20
@@ -68,11 +68,7 @@ def find_normal_subgroup(g: FiniteGroup, spec: str):
     if spec == "center":
         return center_subgroup(g)
     target = construct_named(spec)
-    idx = np.arange(g.order)
-    classes: dict[int, list[int]] = {}
-    for rep in conjugacy_class_reps(g):
-        cls = g.table[g.table[idx, rep], g.inverses[idx]]
-        classes[rep] = sorted(set(int(v) for v in cls))
+    classes = g.conjugacy_classes()
     nontrivial = [rep for rep in classes if rep != g.identity]
     seen: set[frozenset] = set()
     for r in range(len(nontrivial) + 1):
@@ -170,7 +166,7 @@ def check_theta_properties(k: FiniteGroup, omega) -> tuple[Optional[str], int]:
         if np.bincount(pv[s], minlength=b).max() != 1:
             return f"theta_{s} is not a bijection", checks
     # bad[h1, i, f]: theta_(h1 s_i)(f) against theta_h1(theta_s_i(f))
-    bad = pv[h_grp.table[:, gens]] != pv[:, pv[gens]]
+    bad = pv[h_grp.mul_array(np.arange(h_grp.order)[:, None], gens)] != pv[:, pv[gens]]
     if bad.any():
         h1, i, f0 = (int(v) for v in np.argwhere(bad)[0])
         return (f"theta_(h1 h2) != theta_h1 o theta_h2 at (h1,h2,f)="

@@ -3,41 +3,33 @@
 Element encoding is mixed radix: index = h * |K|^|Omega| + sum_w f(w) * |K|^w,
 so the tuple digit at point 0 is least significant and the top element is the
 most significant digit.  ``_Codec`` holds the encoding and the one statement
-of the product formula, as broadcasting functions on int64 index arrays.
+of the product formula, as broadcasting functions on int64 index arrays; the
+coordinate permutation theta_h(f)(w) = f(h^-1 . w) is read off that formula by
+``_Codec.theta_table``.
 
 Every product (up to the size cap) is a structural ``WreathGroup`` whose
 products the codec computes on demand.  It honours the group protocol of
 ``groups.Group``: order, identity, name, scalar mul/inv, the array product
-``mul_array``, labels, generators, powers and element orders, so hom checks,
+``mul_array``, labels, generators, powers and ``element_order``, so hom checks,
 closures, embeddings and transports work on it without a table.  The Cayley
 table is built only when a caller asks for it: ``WreathProduct.dense()``
 returns the product as a ``FiniteGroup`` (which embedding search, small-group
 identification and JSON export need) and refuses an order above
-``DENSE_CAP_DEFAULT`` before it allocates anything.  The top projection is
-computed on first use, so a build stores nothing of size ``order``.
+``DENSE_CAP_DEFAULT`` before it allocates anything, so a build stores nothing
+of size ``order``.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .actions import FiniteGSet, regular_action
 from .errors import SizeLimitError, WreathlabError
-from .groups import FiniteGroup, Group, GroupHom, _check_dense_order
+from .groups import FiniteGroup, Group, _check_dense_order
 
 SIZE_CAP_DEFAULT = 10**7
-
-
-def theta(omega: FiniteGSet, h: int, f: Sequence[int]) -> tuple[int, ...]:
-    """Coordinate permutation theta_h(f)(w) = f(h^-1 . w) on Omega-tuples."""
-    if len(f) != omega.size:
-        raise WreathlabError(f"tuple length {len(f)} != |Omega| = {omega.size}")
-    hinv = omega.group.inv(h)
-    row = omega.act[hinv]
-    return tuple(int(f[row[w]]) for w in range(omega.size))
 
 
 class _Codec:
@@ -195,7 +187,7 @@ class WreathGroup(Group):
 
 
 class WreathProduct:
-    """K wr_Omega H with encode/decode, top projection and base inclusion."""
+    """K wr_Omega H: the structural ``product``, its components and encode/decode."""
 
     def __init__(self, base_group: FiniteGroup, top: FiniteGSet,
                  size_cap: Optional[int] = None):
@@ -230,12 +222,6 @@ class WreathProduct:
                                       _generator_source=codec.generators)
         return self._dense
 
-    @functools.cached_property
-    def top_projection(self) -> GroupHom:
-        """(f, h) |-> h, built on first use; unvalidated, its tests prove the hom law."""
-        proj = np.arange(self.order, dtype=np.int64) // self._codec.tuple_count
-        return GroupHom(self.product, self.top.group, proj, validate=False)
-
     # -- structure maps ------------------------------------------------------
 
     def encode(self, f: Sequence[int], h: int) -> int:
@@ -243,24 +229,6 @@ class WreathProduct:
 
     def decode(self, x: int) -> tuple[tuple[int, ...], int]:
         return self._codec.decode(x)
-
-    def theta(self, h: int, f: Sequence[int]) -> tuple[int, ...]:
-        return theta(self.top, h, f)
-
-    def base_inclusion(self, f: Sequence[int]) -> int:
-        """Index of the base tuple f at the identity top element."""
-        return self._codec.encode(f, self.top.group.identity)
-
-    def inverse(self, x: int) -> int:
-        return self.product.inv(x)
-
-    def mul(self, x: int, y: int) -> int:
-        return self.product.mul(x, y)
-
-    # -- formatting ------------------------------------------------------------
-
-    def element_str(self, x: int) -> str:
-        return self._codec.label(x)
 
     def parse_element(self, text: str) -> int:
         s = text.strip()

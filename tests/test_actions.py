@@ -11,8 +11,10 @@ from wreathlab import (
     construct_named,
     coset_action,
     identity_hom,
+    load_action,
     natural_action,
     regular_action,
+    save_action,
     subgroup_from_elements,
 )
 from wreathlab.search import are_isomorphic
@@ -140,3 +142,48 @@ def test_action_json_roundtrip(tmp_path, d4):
     assert loaded.size == om.size
     assert (loaded.act == om.act).all()
     assert loaded.point_labels == om.point_labels
+
+
+def c2_action_json():
+    return action_to_json(regular_action(construct_named("C:2")))  # act [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("size", ["2", 2.0, 2.5, True, None])
+def test_action_json_size_must_be_an_exact_int(size):
+    data = c2_action_json()
+    data["size"] = size
+    with pytest.raises(ActionValidationError, match="'size' must be an integer"):
+        action_from_json(data)
+
+
+@pytest.mark.parametrize("act", [[[0, 1.9], [1, 0]], [[0, 1.0], [1, 0]], [[0, True], [1, 0]],
+                                 [[0, "1"], [1, 0]], [[0, None], [1, 0]], "01,10"])
+def test_action_json_act_must_be_rows_of_exact_ints(act):
+    # [[0, 1.9], [1, 0]] once loaded as the regular action of C:2, its 1.9 truncated to 1
+    data = c2_action_json()
+    data["act"] = act
+    with pytest.raises(ActionValidationError, match="'act' must be a list of rows of integers"):
+        action_from_json(data)
+
+
+@pytest.mark.parametrize("text", ["1.0", "1.9", "NaN", "Infinity"])
+def test_action_file_refuses_a_non_integer_number_at_parse_time(tmp_path, text):
+    path = tmp_path / "act.json"
+    path.write_text(json.dumps(c2_action_json()).replace('"act": [[0, 1]', f'"act": [[0, {text}]'))
+    with pytest.raises(ActionValidationError, match=f"JSON number {text} is not an integer"):
+        load_action(path)
+
+
+def test_action_file_that_is_not_json_is_refused(tmp_path):
+    path = tmp_path / "act.json"
+    path.write_text("{not json")
+    with pytest.raises(ActionValidationError, match="is not JSON"):
+        load_action(path)
+
+
+def test_action_file_roundtrip(tmp_path):
+    om = natural_action(3, construct_named("S:3"))
+    path = tmp_path / "act.json"
+    save_action(om, path)
+    loaded = load_action(path)
+    assert (loaded.act == om.act).all() and loaded.point_labels == om.point_labels

@@ -210,7 +210,7 @@ def test_transports_match_the_per_element_loop():
     # conjugation by a 3-cycle c, with xi = c itself, so xi^-1 != xi
     c2 = construct_named("C:2")
     c = s3.point_maps.index((1, 2, 0))
-    conj = GroupHom(s3, s3, [s3.conjugate(c, h) for h in range(s3.order)])
+    conj = GroupHom(s3, s3, [s3.mul(s3.mul(c, h), s3.inv(c)) for h in range(s3.order)])
     w = build_wreath(c2, natural_action(3, s3))
     xi = list(s3.point_maps[c])
     moved = transport_iso(identity_hom(c2), conj, xi, w, w)

@@ -229,14 +229,18 @@ def test_product_identity_follows_the_factors_identities():
     assert are_isomorphic(prod, construct_named("C:6")) is not None
 
 
-def test_product_size_cap():
-    g = construct_named("C:6")
-    with pytest.raises(SizeLimitError):
-        direct_product(g, g, max_order=10)
-    # without max_order the dense-table cap bounds the product, checked before allocating
-    with pytest.raises(SizeLimitError) as err:
-        direct_product(construct_named("C:64"), construct_named("C:65"))
-    assert err.value.order == 64 * 65 > DENSE_CAP_DEFAULT
+def test_product_size_cap(peak_mb):
+    # the dense-table cap bounds the product, checked before its 69 MB table is allocated
+    c64, c65 = construct_named("C:64"), construct_named("C:65")
+
+    def refused():
+        with pytest.raises(SizeLimitError) as err:
+            direct_product(c64, c65)
+        return err.value
+
+    err, peak = peak_mb(refused)
+    assert err.order == 64 * 65 > DENSE_CAP_DEFAULT
+    assert peak < 1
 
 
 # -- subgroups, cores, quotients --------------------------------------------------
@@ -375,7 +379,7 @@ def test_quotient_and_partition_share_representatives(d4):
 
 def test_coset_partition_of_a_structural_product():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
-    base = sorted(w.top_projection.kernel_indices())
+    base = sorted(w.encode(f, w.top.group.identity) for f in np.ndindex(2, 2))
     coset_of, reps = coset_partition(w.product, base)
     assert list(reps) == [0, 4]
     assert list(coset_of) == [0, 0, 0, 0, 1, 1, 1, 1]
@@ -505,3 +509,25 @@ def test_exhaustive_associativity_for_small_constructions():
         t = g.table
         for a in range(g.order):
             assert (t[t[a, :], :] == t[a, :][t]).all()
+
+
+def test_power_matches_repeated_multiplication():
+    w = regular_wreath(construct_named("C:2"), construct_named("C:3"))
+    for g, xs in ((construct_named("S:4"), range(24)), (w.product, range(0, w.order, 5))):
+        for x in xs:
+            for k in range(-20, 21):
+                base, acc = (x, g.identity) if k >= 0 else (g.inv(x), g.identity)
+                for _ in range(abs(k)):
+                    acc = g.mul(acc, base)
+                assert g.power(x, k) == acc, (g, x, k)
+
+
+def test_power_squares_and_multiplies_for_a_huge_exponent():
+    c7 = construct_named("C:7")
+    assert c7.power(3, 10**9) == 3 * 10**9 % 7
+    assert c7.power(3, 10**18) == 3 * 10**18 % 7
+    assert c7.power(3, -10**18) == -3 * 10**18 % 7
+    w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
+    x = w.encode((0, 1), 1)  # of order 4
+    assert w.product.power(x, 10**18) == w.product.identity
+    assert w.product.power(x, 10**18 + 1) == x

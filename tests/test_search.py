@@ -1,12 +1,16 @@
+import numpy as np
 import pytest
 
 from wreathlab import (
     SearchBudgetExceededError,
+    build_wreath,
     construct_named,
     direct_product,
     regular_wreath,
 )
+from wreathlab.groups import FiniteGroup, _pick_generators, closure
 from wreathlab.search import are_isomorphic, embeds_into, identify_small
+from wreathlab.suites import THETA_CATALOG, _theta_omega
 
 CATALOG = ["C:1", "C:4", "C:6", "V4", "S:3", "D:4", "Q8", "A:4", "D:6", "C:8"]
 
@@ -126,3 +130,73 @@ def test_identify_unknown_stub():
     g = FiniteGroup(table)
     name = identify_small(g)
     assert name == "unidentified(order=12)"
+
+
+# -- the generator picker and conjugacy classes ------------------------------------
+
+
+def generating_chain(g):
+    """Oracle: the former search picker, highest element order first, with the
+    closure recomputed from scratch at every pick; (generators, prefix subgroups)."""
+    orders = g.element_orders()
+    ranked = sorted(range(g.order), key=lambda x: (-int(orders[x]), x))
+    gens, known = [], {g.identity}
+    for x in ranked:
+        if len(known) == g.order:
+            break
+        if x in known:
+            continue
+        gens.append(x)
+        known = set(closure(g, gens))
+    return gens, [closure(g, gens[: i + 1]) for i in range(len(gens))]
+
+
+def ascending_generators(g):
+    """Oracle: the former loop of ``FiniteGroup.generators()``, ascending index with
+    Light's test on each pick; (generators, prefix subgroups)."""
+    t, gens, known = g.table, [], {g.identity}
+    for s in range(g.order):
+        if s in known:
+            continue
+        assert not (t[t[:, s]] != t[:, t[s]]).any()
+        gens.append(s)
+        known = set(closure(g, gens))
+    return gens, [closure(g, gens[: i + 1]) for i in range(len(gens))]
+
+
+NAMED_UP_TO_120 = ([f"C:{n}" for n in range(1, 121)] + [f"D:{n}" for n in range(2, 61)]
+                   + [f"S:{n}" for n in range(1, 6)] + [f"A:{n}" for n in range(2, 6)]
+                   + [f"AGL:{p}" for p in (2, 3, 5, 7)] + ["V4", "Q8"])
+DENSE_THETA_SHAPES = [c for c in THETA_CATALOG if c[:2] != ("C:5", "C:5")]
+
+
+def assert_picks_match_the_former_pickers(g):
+    by_order = np.argsort(-g.element_orders(), kind="stable").tolist()
+    assert _pick_generators(g, by_order) == generating_chain(g)
+    expected = ascending_generators(g)
+    assert _pick_generators(g, range(g.order)) == expected
+    # generators() runs the ascending pick with Light's test on a table built afresh
+    assert FiniteGroup(g.table, identity=g.identity).generators() == expected[0]
+
+
+def test_pick_generators_matches_the_former_pickers_on_named_families():
+    for spec in NAMED_UP_TO_120:
+        assert_picks_match_the_former_pickers(construct_named(spec))
+
+
+@pytest.mark.parametrize("k_spec,h_spec,degree", DENSE_THETA_SHAPES)
+def test_pick_generators_matches_the_former_pickers_on_dense_products(k_spec, h_spec, degree):
+    k, omega = _theta_omega(k_spec, h_spec, degree)
+    assert_picks_match_the_former_pickers(build_wreath(k, omega).dense())
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:5", "D:5", "Q8", "AGL:5"])
+def test_conjugacy_classes_match_a_brute_force_sweep(spec):
+    g = construct_named(spec)
+    brute = {}
+    for x in range(g.order):
+        cls = sorted({g.mul(g.mul(y, x), g.inv(y)) for y in range(g.order)})
+        brute.setdefault(cls[0], cls)
+    classes = g.conjugacy_classes()
+    assert classes == brute
+    assert list(classes) == sorted(brute)  # keyed by least element, ascending

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -234,3 +235,14 @@ def test_degree_432_closure_comparison():
     assert report["coset_factored"] == "2^21*3^14"
     assert report["ratio"] == 2985984 == 2**12 * 3**6
     assert "million" in report["note"]
+
+
+def test_a_large_prime_power_is_factored_through_its_base():
+    # sizes are (m/k)^k * kc: trial division runs to sqrt(p), never to p
+    p = 10**9 + 7
+    start = time.perf_counter()
+    report = tower_size_comparison(2 * p, 4 * p, 2, 2)
+    assert time.perf_counter() - start < 1
+    assert report["sharp_size"] == 2 * p**2 and report["sharp_factored"] == f"2*{p}^2"
+    assert report["coset_size"] == 8 * p**2 and report["coset_factored"] == f"2^3*{p}^2"
+    assert report["ratio"] == 4 and report["ratio_factored"] == "2^2"

@@ -15,7 +15,6 @@ from wreathlab import (
     natural_action,
     regular_action,
     regular_wreath,
-    theta,
 )
 from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure
 from wreathlab.search import are_isomorphic
@@ -33,27 +32,46 @@ def brute_wreath_mul(w, x, y):
     return w.encode(prod, hgrp.mul(h1, h2))
 
 
+def theta_of(w, h, f):
+    """theta_h(f) for a tuple f, read off ``_Codec.theta_table``, the package's one
+    statement of theta."""
+    codec = w._codec
+    t = w.encode(f, w.top.group.identity) % codec.tuple_count
+    return w.decode(int(codec.theta_table()[h, t]))[0]
+
+
+def top_projection(w):
+    """(f, h) |-> h as an unvalidated hom; the tests below prove its law."""
+    image = np.arange(w.order, dtype=np.int64) // w._codec.tuple_count
+    return GroupHom(w.product, w.top.group, image, validate=False)
+
+
+def base_inclusion(w, f):
+    """Index of the base tuple f at the identity top element."""
+    return w.encode(f, w.top.group.identity)
+
+
 # -- theta -----------------------------------------------------------------------
 
 
 def test_theta_identity_fixes_tuples():
-    om = regular_action(construct_named("S:3"))
+    w = regular_wreath(construct_named("C:6"), construct_named("S:3"))
     f = (0, 3, 1, 2, 5, 4)
-    assert theta(om, 0, f) == f
+    assert theta_of(w, 0, f) == f
 
 
 def test_theta_swaps_the_two_middle_tuples():
-    om = regular_action(construct_named("C:2"))
-    assert theta(om, 1, (0, 1)) == (1, 0)
-    assert theta(om, 1, (1, 0)) == (0, 1)
-    assert theta(om, 1, (0, 0)) == (0, 0)
-    assert theta(om, 1, (1, 1)) == (1, 1)
+    w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
+    assert theta_of(w, 1, (0, 1)) == (1, 0)
+    assert theta_of(w, 1, (1, 0)) == (0, 1)
+    assert theta_of(w, 1, (0, 0)) == (0, 0)
+    assert theta_of(w, 1, (1, 1)) == (1, 1)
 
 
 def test_theta_rejects_wrong_length():
-    om = regular_action(construct_named("C:2"))
+    w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     with pytest.raises(WreathlabError):
-        theta(om, 1, (0, 1, 0))
+        theta_of(w, 1, (0, 1, 0))
 
 
 def theta_all_pairs(k, omega):
@@ -230,14 +248,14 @@ def test_multiplication_matches_brute_formula_on_all_pairs():
 def test_inverse_examples():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     e = w.encode((0, 0), 0)
-    assert w.inverse(e) == e
+    assert w.product.inv(e) == e
     x = w.encode((0, 1), 1)
-    assert w.inverse(x) == w.encode((1, 0), 1)  # x^-1 = x^3
+    assert w.product.inv(x) == w.encode((1, 0), 1)  # x^-1 = x^3
     base = w.encode((1, 1), 0)
-    assert w.inverse(base) == base
+    assert w.product.inv(base) == base
     # inverses agree with the dense table
     for z in range(w.order):
-        assert w.inverse(z) == int(w.dense().inverses[z])
+        assert w.product.inv(z) == int(w.dense().inverses[z])
 
 
 def test_structural_representation_above_dense_cap():
@@ -259,12 +277,12 @@ def test_structural_representation_above_dense_cap():
 
 def test_top_projection_is_exact():
     w = regular_wreath(construct_named("A:3"), construct_named("C:2"))
-    proj = w.top_projection
+    proj = top_projection(w)
     assert proj.find_hom_counterexample() is None
     assert proj.is_surjective()
     # kernel is exactly the base tuples (top component = identity)
     kernel = set(proj.kernel_indices())
-    base = {w.base_inclusion(f) for f in np.ndindex(3, 3)}
+    base = {base_inclusion(w, f) for f in np.ndindex(3, 3)}
     assert kernel == base
     # section property: base tuples project to the identity
     for x in base:
@@ -273,10 +291,10 @@ def test_top_projection_is_exact():
 
 def test_element_print_and_parse():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
-    assert w.element_str(w.encode((0, 1), 1)) == "(0,1; 1)"
+    assert w.product.label(w.encode((0, 1), 1)) == "(0,1; 1)"
     assert w.parse_element("(0,1; 1)") == w.encode((0, 1), 1)
     for x in range(w.order):
-        assert w.parse_element(w.element_str(x)) == x
+        assert w.parse_element(w.product.label(x)) == x
     with pytest.raises(WreathlabError):
         w.parse_element("0,1; 1")
     with pytest.raises(WreathlabError):
@@ -296,7 +314,7 @@ def test_projection_law_exhaustively_on_a_large_dense_wreath():
     s3 = construct_named("S:3")
     w = build_wreath(s3, natural_action(3, s3))
     assert w.order == 1296
-    assert w.top_projection.find_hom_counterexample() is None
+    assert top_projection(w).find_hom_counterexample() is None
 
 
 def test_projection_law_on_generators_of_a_structural_wreath():
@@ -309,7 +327,7 @@ def test_projection_law_on_generators_of_a_structural_wreath():
             + [w.encode(unit, h) for h in s3.generators()])
     assert closure(w.product, gens) == list(range(w.order))
     # phi(x s) = phi(x) phi(s) for every x and generator s is the law on all pairs
-    proj, g = w.top_projection, w.product
+    proj, g = top_projection(w), w.product
     x, s = np.arange(w.order)[:, None], np.array(gens)
     assert (proj.image[g.mul_array(x, s)] == s3.mul_array(proj.image[x], proj.image[s])).all()
     assert g.generators() == gens
@@ -323,8 +341,8 @@ def test_structural_generators_cover_every_orbit_and_certify_homs():
     assert gens == [w.encode((1, 0, 0), 0), w.encode((0, 0, 1), 0), w.encode((0, 0, 0), 1)]
     assert closure(w.product, gens) == list(range(w.order))
     # homs out of a structural product are validated on these generators
-    assert GroupHom(w.product, c2, w.top_projection.image).is_homomorphism()
-    broken = np.array(w.top_projection.image)
+    assert GroupHom(w.product, c2, top_projection(w).image).is_homomorphism()
+    broken = np.array(top_projection(w).image)
     broken[gens[0]] = 1
     assert GroupHom(w.product, c2, broken, validate=False).find_hom_counterexample() is not None
     with pytest.raises(GroupValidationError, match="hom law fails"):
@@ -346,7 +364,7 @@ def test_codec_generators_generate_every_dense_product(k_spec, h_spec, degree):
     assert closure(dense, gens) == list(range(w.order))
     # so homs out of the dense product are checked on them: the projection passes, a
     # change at one generator fails
-    proj = w.top_projection
+    proj = top_projection(w)
     GroupHom(dense, omega.group, proj.image)
     broken = np.array(proj.image)
     broken[gens[-1]] = omega.group.identity
@@ -357,16 +375,15 @@ def test_codec_generators_generate_every_dense_product(k_spec, h_spec, degree):
 def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     assert isinstance(w.product, WreathGroup)
-    assert "top_projection" not in vars(w)  # built on first use only
-    assert w._dense is None  # and so is the dense table
-    proj = w.top_projection
+    assert w._dense is None  # the dense table is built on request only
+    proj = top_projection(w)
     assert proj.find_hom_counterexample() is None
-    assert proj.kernel_indices() == [w.base_inclusion(f) for f in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    assert proj.kernel_indices() == [base_inclusion(w, f) for f in ((0, 0), (1, 0), (0, 1), (1, 1))]
     x = w.encode((0, 1), 1)
     y = w.encode((0, 0), 1)
     assert check_presentation_d4(w.product, x, y)
     assert w.product.element_order(x) == 4
-    assert w.product.power(x, -1) == w.inverse(x)
+    assert w.product.power(x, -1) == w.product.inv(x)
     assert not check_presentation_d4(w.product, y, x)
 
 
