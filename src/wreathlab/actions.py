@@ -20,16 +20,34 @@ from .groups import (
 )
 
 
+def _int64_table(act) -> np.ndarray:
+    """``act`` as int64, refusing any cell that is not an exact integer."""
+    if isinstance(act, np.ndarray):
+        exact = np.issubdtype(act.dtype, np.integer)
+    else:
+        exact = isinstance(act, (list, tuple)) and all(
+            isinstance(row, (list, tuple)) and all(type(v) is int for v in row) for row in act)
+    if not exact:
+        raise ActionValidationError(
+            "'act' must be a list of rows of integers or an array of an integer dtype")
+    try:
+        return np.asarray(act, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:  # ragged rows, or an int past int64
+        raise ActionValidationError(f"'act' is not a table of int64 integers: {exc}") from None
+
+
 class FiniteGSet:
     """A left action of a finite group on points 0..size-1.
 
-    ``act[h][w]`` is the image of point ``w`` under group element ``h``.
-    Both action axioms are verified exactly at construction.
+    ``act[h][w]`` is the image of point ``w`` under group element ``h``:
+    an array of an integer dtype, or a list of rows of ints (a bool, float or
+    string cell raises ``ActionValidationError``).  Both action axioms are
+    verified exactly at construction.
     """
 
     def __init__(self, group: FiniteGroup, act, point_labels: Optional[Sequence[str]] = None):
         self.group = group
-        self.act = np.asarray(act, dtype=np.int64)
+        self.act = _int64_table(act)
         if self.act.ndim != 2 or self.act.shape[0] != group.order:
             raise ActionValidationError(
                 f"action table must be |H| x |Omega|, got {self.act.shape}")
@@ -74,7 +92,7 @@ class FiniteGSet:
 
 def regular_action(h: FiniteGroup) -> FiniteGSet:
     """H acting on itself by left multiplication; the table is the Cayley table."""
-    return FiniteGSet(h, h.table.copy(), point_labels=list(h.labels))
+    return FiniteGSet(h, h.table, point_labels=list(h.labels))
 
 
 def coset_action(g: FiniteGroup, h: GroupHom):
@@ -135,9 +153,6 @@ def action_from_json(data: dict) -> FiniteGSet:
     size, act = data["size"], data["act"]
     if type(size) is not int:  # refuses bool, float and str as well
         raise ActionValidationError(f"action JSON 'size' must be an integer, got {size!r}")
-    if not (isinstance(act, list) and all(
-            isinstance(row, list) and all(type(v) is int for v in row) for row in act)):
-        raise ActionValidationError("action JSON 'act' must be a list of rows of integers")
     omega = FiniteGSet(group, act, point_labels=data.get("point_labels"))
     if omega.size != size:
         raise ActionValidationError("declared size does not match action table")

@@ -135,10 +135,11 @@ def cmd_build(args) -> int:
 
 
 def _print_embedding(domain, w, phi, report, args, extra: Optional[dict] = None) -> int:
+    image = w._codec.labels(phi.image)  # every image label from one decode
     if args.format == "json":
         payload = {
             "phi": [
-                {"domain": domain.labels[x], "image": w.product.label(phi(x)), "index": phi(x)}
+                {"domain": domain.labels[x], "image": image[x], "index": phi(x)}
                 for x in range(domain.order)
             ],
             # the time is reported here only, so text output repeats run to run
@@ -148,7 +149,7 @@ def _print_embedding(domain, w, phi, report, args, extra: Optional[dict] = None)
             payload.update(extra)
         _emit(json.dumps(payload), args.out)
     else:
-        lines = [f"{domain.labels[x]} -> {w.product.label(phi(x))}" for x in range(domain.order)]
+        lines = [f"{domain.labels[x]} -> {image[x]}" for x in range(domain.order)]
         lines.append(
             f"homomorphism: {report.is_homomorphism}, injective: {report.is_injective}, "
             f"image order {report.image_order} of {report.wreath_order}, "

@@ -48,7 +48,7 @@ from .groups import (
     quotient,
 )
 from .search import embeds_into
-from .wreath import WreathProduct, build_wreath, regular_wreath
+from .wreath import WreathProduct, _check_wreath_order, build_wreath, regular_wreath
 
 
 class ShortExactSequence:
@@ -65,6 +65,7 @@ class ShortExactSequence:
             raise WreathlabError("image(N -> G) != kernel(G -> Q)")
         self.n_to_g = n_to_g
         self.g_to_q = g_to_q
+        self._wreath: Optional[WreathProduct] = None
 
     @property
     def n(self) -> FiniteGroup:
@@ -77,6 +78,14 @@ class ShortExactSequence:
     @property
     def q(self) -> FiniteGroup:
         return self.g_to_q.codomain
+
+    def wreath(self, size_cap: Optional[int] = None) -> WreathProduct:
+        """N wr_r Q, built on the first call and kept: it depends only on the
+        extension.  The order cap is checked on every call, before any build."""
+        _check_wreath_order(self.n.order, self.q.order, self.q.order, size_cap)
+        if self._wreath is None:
+            self._wreath = regular_wreath(self.n, self.q, size_cap=size_cap)
+        return self._wreath
 
 
 @dataclass
@@ -164,13 +173,14 @@ def kk_embedding(ses: ShortExactSequence, s: Optional[Section] = None,
     """Embed the extension into N wr_r Q (universal embedding of Kaloujnine-Krasner).
 
     This is the sigma formula with Omega = Q acting on itself by left
-    multiplication and s a section of G -> Q.
+    multiplication and s a section of G -> Q.  The product is the extension's
+    own (``ses.wreath``), so every section of one extension shares it.
     """
     eps = ses.g_to_q
     if s is None:
         s = default_section(eps)
     _check_section(eps.image, s, ses.q.order)
-    w = regular_wreath(ses.n, ses.q, size_cap=size_cap)
+    w = ses.wreath(size_cap)
     return w, GroupHom(ses.g, w.product, _sigma_image(ses.g, eps.image, s, ses.n_to_g, w))
 
 

@@ -10,6 +10,7 @@ All evaluation is exact big-integer arithmetic; natural logs are taken last.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -36,17 +37,84 @@ def omega_size(m: int, k: int, kc: int) -> int:
     return (m // k) ** k * kc
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+_TRIAL_LIMIT = 1000
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n with no factor below ``_TRIAL_LIMIT``.  A
+    probable prime at or above ``_MR_EXACT_BELOW`` raises ``ValueError``: it
+    cannot be proved prime."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a is a witness: n is certainly composite
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot factor exactly: {n} is a probable prime past the "
+                         f"deterministic Miller-Rabin range {_MR_EXACT_BELOW}")
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho with Brent's cycle search,
+    on x -> x^2 + c for c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def _factors(n: int, power: int = 1) -> Counter:
-    """Prime factorization of n^power, by trial division of n >= 1 up to sqrt(n)."""
+    """Prime factorization of n^power for n >= 1: trial division up to
+    ``_TRIAL_LIMIT`` or sqrt(n), then Miller-Rabin and Pollard-Brent on the rest.
+
+    Exact or refused: a probable-prime cofactor of ``_MR_EXACT_BELOW`` or more
+    raises ``ValueError`` (see ``_is_prime``)."""
     out: Counter = Counter()
     d = 2
-    while d * d <= n:
+    while d < _TRIAL_LIMIT and d * d <= n:
         while n % d == 0:
             n //= d
             out[d] += power
         d += 1
-    if n > 1:
-        out[n] += power
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m < _TRIAL_LIMIT**2 or _is_prime(m):  # no factor below _TRIAL_LIMIT or sqrt(m)
+            out[m] += power
+        else:
+            d = _pollard_brent(m)
+            rest += [d, m // d]
     return out
 
 
@@ -208,13 +276,17 @@ def crossover_report(kf: int, group: str, m_max: int) -> dict:
 def tower_size_comparison(l_deg: int, lc_deg: int, k: int, kc: int) -> dict:
     """Compare the sharp wreath size ([L:K])^k * kc against the coset-route
     size ([L^c:F]/k)^k * kc for the same tower, with the exact ratio.
+
+    The factorizations are exact.  A degree with a prime factor of
+    ``_MR_EXACT_BELOW`` (about 3.3e24) or more raises ``ValueError``, as
+    that factor cannot be proved prime.
     """
     sharp = omega_size(l_deg, k, kc)
     coset = omega_size(lc_deg, k, kc)
     if coset % sharp != 0:
         raise DivisibilityViolationError("sharp size does not divide the coset-route size")
     ratio = coset // sharp
-    # (m/k)^k * kc factored through its base, so trial division never runs to a large prime
+    # (m/k)^k * kc factored through its base, so only m/k and kc are ever factored
     sharp_factors = _factors(l_deg // k, k) + _factors(kc)
     coset_factors = _factors(lc_deg // k, k) + _factors(kc)
     return {

@@ -331,10 +331,11 @@ def iso_suite() -> list[Verdict]:
     aut = GroupHom(c4, c4, [0, 3, 2, 1])  # inversion automorphism
     ident = GroupHom(c2, c2, [0, 1])
     moved = transport_iso(ident, aut, list(aut.image), w1, w1)
+    aut_inv = aut.inverse()
     expected = np.empty(w1.order, dtype=np.int64)
     for x in range(w1.order):
         f, h = w1.decode(x)
-        digits = [f[aut.inverse()(j)] for j in range(4)]
+        digits = [f[aut_inv(j)] for j in range(4)]
         expected[x] = w1.encode(digits, aut(h))
     ok = bool((moved.image == expected).all())
     out.append(Verdict("iso", "regular-case transport matches the direct formula",

@@ -16,7 +16,15 @@ table is built only when a caller asks for it: ``WreathProduct.dense()``
 returns the product as a ``FiniteGroup`` (which embedding search, small-group
 identification and JSON export need) and refuses an order above
 ``DENSE_CAP_DEFAULT`` before it allocates anything, so a build stores nothing
-of size ``order``.
+of size ``order``.  Its table is assembled from two small tables: the B x B
+pointwise product of the B = |K|^|Omega| tuples, built as K's table raised to
+a direct power one point at a time (one broadcast add per point), and the theta
+table read off the codec; ``_Codec.labels`` writes every label in one decode.
+
+A product depends only on its components, so callers that embed many times
+into one product build it once: ``embeddings.ShortExactSequence.wreath`` keeps
+the extension's N wr_r Q for all of its sections, and checks the order cap on
+every call through ``_check_wreath_order``, the check ``WreathProduct`` makes.
 """
 
 from __future__ import annotations
@@ -30,6 +38,16 @@ from .errors import SizeLimitError, WreathlabError
 from .groups import FiniteGroup, Group, _check_dense_order
 
 SIZE_CAP_DEFAULT = 10**7
+
+
+def _check_wreath_order(n_base: int, n_points: int, n_top: int,
+                       size_cap: Optional[int] = None) -> None:
+    """Refuse a wreath product of order n_base^n_points * n_top above the cap
+    (``SIZE_CAP_DEFAULT`` if None) with ``SizeLimitError``, before anything is built."""
+    size_cap = SIZE_CAP_DEFAULT if size_cap is None else size_cap
+    order = n_base**n_points * n_top
+    if order > size_cap:
+        raise SizeLimitError(f"wreath order {order} exceeds cap {size_cap}", order)
 
 
 class _Codec:
@@ -127,16 +145,22 @@ class _Codec:
         By associativity (f1, h1)(f2, h2) = (f1, e) [(1, h1)(f2, e)] (1, h2)
         has tuple part prod[f1, theta[h1, f2]] whatever h2 is, so each block
         is one gather from the tuple tables, reused along its row of blocks.
+        The tuple product ``prod`` is K's table raised to a direct power, one
+        point at a time with point 0 least significant, as in
+        ``groups.direct_product``.
         """
-        B, n_top = self.tuple_count, self.n_top
-        f = np.arange(B, dtype=np.int64)
-        prod = self.tuple_product(f[:, None], f[None, :]).astype(np.int32)
+        B, n, n_top = self.tuple_count, self.n_base, self.n_top
+        kt = self.base.table.astype(np.int32)
+        prod = np.zeros((1, 1), dtype=np.int32)
+        for j in range(self.n_points):
+            m = n * prod.shape[0]
+            prod = (kt[:, None, :, None] * self.powers[j] + prod[None, :, None, :]).reshape(m, m)
         theta_of = self.theta_table()
         tops = (self._htab * B).astype(np.int32)[:, None, :, None]
         table = np.empty((n_top, B, n_top, B), dtype=np.int32)
         for h1 in range(n_top):  # row of blocks h1: prod[f1, theta[h1, f2]] + h1 h2 B
-            vals = prod[:, theta_of[h1]]
-            np.add(tops[h1], vals[:, None, :], out=table[h1])
+            vals = np.take(prod, theta_of[h1], axis=1)  # 2-3x faster than prod[:, idx]
+            np.add(vals[:, None, :], tops[h1], out=table[h1])
         return table.reshape(self.order, self.order)
 
     def generators(self) -> list[int]:
@@ -147,10 +171,16 @@ class _Codec:
         return ([self.encode(f, self.top.group.identity) for f in base]
                 + [self.encode(unit, h) for h in self.top.group.generators()])
 
-    def label(self, x: int) -> str:
-        f, h = self.decode(x)
-        inner = ",".join(self.base.labels[d] for d in f)
-        return f"({inner}; {self.top.group.labels[h]})"
+    def labels(self, indices) -> list[str]:
+        """``(k_0,...,k_{n-1}; h)`` for each index, from one array decode."""
+        x = np.asarray(indices, dtype=np.int64)
+        bad = (x < 0) | (x >= self.order)
+        if bad.any():
+            raise WreathlabError(f"wreath index {int(x[bad][0])} out of range")
+        digits, tops = self.decode_array(x)
+        k, h = self.base.labels, self.top.group.labels
+        return [f"({','.join([k[d] for d in f])}; {h[t]})"
+                for f, t in zip(digits.tolist(), tops.tolist())]
 
 
 class WreathGroup(Group):
@@ -177,7 +207,7 @@ class WreathGroup(Group):
         return self._codec.mul(a, b)
 
     def label(self, x: int) -> str:
-        return self._codec.label(x)
+        return self._codec.labels([x])[0]
 
     def generators(self) -> list[int]:
         return self._codec.generators()
@@ -191,11 +221,8 @@ class WreathProduct:
 
     def __init__(self, base_group: FiniteGroup, top: FiniteGSet,
                  size_cap: Optional[int] = None):
-        size_cap = SIZE_CAP_DEFAULT if size_cap is None else size_cap
         # checked before the codec exists: its int64 radix powers overflow far past any cap
-        order = base_group.order**top.size * top.group.order
-        if order > size_cap:
-            raise SizeLimitError(f"wreath order {order} exceeds cap {size_cap}", order)
+        _check_wreath_order(base_group.order, top.size, top.group.order, size_cap)
         codec = _Codec(base_group, top)
         self.base_group = base_group
         self.top = top
@@ -214,7 +241,7 @@ class WreathProduct:
         if self._dense is None:
             _check_dense_order("wreath product", self.order)
             codec = self._codec
-            labels = [codec.label(x) for x in range(codec.order)]
+            labels = codec.labels(np.arange(codec.order))
             # the dense-vs-structural differential test proves this table; skip Light's
             # test and take the codec's generators, as the structural product does
             self._dense = FiniteGroup(codec.dense_table(), labels=labels,

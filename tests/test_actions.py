@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from wreathlab import (
@@ -164,6 +165,29 @@ def test_action_json_act_must_be_rows_of_exact_ints(act):
     data["act"] = act
     with pytest.raises(ActionValidationError, match="'act' must be a list of rows of integers"):
         action_from_json(data)
+
+
+@pytest.mark.parametrize("act", [[[0, 1.9], [1, 0]], [[0, 1.0], [1, 0]], [[0, True], [1, 0]],
+                                 [[0, "1"], [1, 0]], [[0, None], [1, 0]], "01,10",
+                                 [[0, True], ["1", 0]], np.array([[0, 1.9], [1, 0]]),
+                                 np.array([[True, False], [False, True]])])
+def test_in_process_action_cells_must_be_exact_ints(act):
+    # [[0, 1.9], [1, 0]] and [[0, True], ["1", 0]] once loaded as the regular action of C:2
+    with pytest.raises(ActionValidationError, match="'act' must be a list of rows of integers"):
+        FiniteGSet(construct_named("C:2"), act)
+
+
+@pytest.mark.parametrize("act", [[[0, 1], [1]], [[0, 2**70], [1, 0]]])
+def test_action_tables_that_are_not_int64_arrays_are_refused(act):
+    with pytest.raises(ActionValidationError, match="'act' is not a table of int64 integers"):
+        FiniteGSet(construct_named("C:2"), act)
+
+
+def test_integer_action_tables_of_any_width_are_accepted():
+    c2 = construct_named("C:2")
+    for act in ([[0, 1], [1, 0]], ((0, 1), (1, 0)), np.array([[0, 1], [1, 0]], dtype=np.uint8)):
+        om = FiniteGSet(c2, act)
+        assert om.act.dtype == np.int64 and om.act.tolist() == [[0, 1], [1, 0]]
 
 
 @pytest.mark.parametrize("text", ["1.0", "1.9", "NaN", "Infinity"])

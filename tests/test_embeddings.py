@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from wreathlab import (
     SectionMismatchError,
     Section,
     ShortExactSequence,
+    SizeLimitError,
     UnsupportedPrimeError,
     all_sections,
     build_wreath,
@@ -22,6 +24,7 @@ from wreathlab import (
     kk_embedding,
     natural_action,
     omega_embedding,
+    random_section,
     regular_wreath,
     solvability_witness,
     subgroup_from_elements,
@@ -30,6 +33,7 @@ from wreathlab import (
     transport_subgroup,
     verify_embedding,
 )
+from wreathlab.embeddings import _sigma_image
 from wreathlab.groups import DENSE_CAP_DEFAULT
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import (
@@ -86,6 +90,38 @@ def test_kk_on_s3_a3_is_injective_into_order_18():
     report = verify_embedding(phi)
     assert report.is_homomorphism and report.is_injective
     assert report.image_order == 6 and not report.image_is_full
+
+
+def test_kk_embeddings_of_one_extension_share_its_wreath_product():
+    name, ses = ses_catalog()[3]
+    assert name == "S4/V4"
+    eps = ses.g_to_q
+    rng = random.Random(1)
+    sections = [default_section(eps), random_section(eps, rng), random_section(eps, rng)]
+    fresh = regular_wreath(ses.n, ses.q)
+    built = []
+    for s in sections:
+        w, phi = kk_embedding(ses, s)
+        built.append(w)
+        # the same indices as an embedding into a product built afresh
+        assert (phi.image == _sigma_image(ses.g, eps.image, s, ses.n_to_g, fresh)).all()
+    assert all(w is built[0] for w in built) and built[0] is ses.wreath()
+    assert built[0] is not fresh and built[0].order == fresh.order == 4**6 * 6
+    x = np.arange(0, fresh.order, 97)
+    assert (built[0].product.mul_array(x, x[::-1]) == fresh.product.mul_array(x, x[::-1])).all()
+    assert built[0].product.label(4321) == fresh.product.label(4321)
+
+
+def test_kk_checks_the_order_cap_on_every_call():
+    ses = sign_ses()  # A:3 wr_r C:2 has order 3^2 * 2 = 18
+    with pytest.raises(SizeLimitError, match="^wreath order 18 exceeds cap 17$") as err:
+        kk_embedding(ses, size_cap=17)
+    assert err.value.order == 18 and ses._wreath is None  # refused before any build
+    w, _phi = kk_embedding(ses, size_cap=18)
+    for cap in (17, 1):  # a smaller cap on a later call still refuses
+        with pytest.raises(SizeLimitError, match=f"^wreath order 18 exceeds cap {cap}$"):
+            kk_embedding(ses, size_cap=cap)
+    assert kk_embedding(ses)[0] is w
 
 
 def test_kk_with_trivial_kernel_is_the_identity_in_disguise(s3):

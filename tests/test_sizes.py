@@ -246,3 +246,28 @@ def test_a_large_prime_power_is_factored_through_its_base():
     assert report["sharp_size"] == 2 * p**2 and report["sharp_factored"] == f"2*{p}^2"
     assert report["coset_size"] == 8 * p**2 and report["coset_factored"] == f"2^3*{p}^2"
     assert report["ratio"] == 4 and report["ratio_factored"] == "2^2"
+
+
+@pytest.mark.parametrize("p,p_squared", [
+    (2**61 - 1, "2305843009213693951^2"),
+    ((10**9 + 7) * (10**9 + 9), "1000000007^2*1000000009^2"),
+])
+def test_large_prime_factors_are_found_without_trial_division(p, p_squared):
+    # trial division to sqrt(p) does not return on these in 10 s: 2^61 - 1 is
+    # prime, and (10^9 + 7)(10^9 + 9) has two prime factors near 10^9
+    start = time.perf_counter()
+    report = tower_size_comparison(2 * p, 4 * p, 2, 2)
+    assert time.perf_counter() - start < 1
+    assert report["sharp_size"] == 2 * p**2 and report["sharp_factored"] == f"2*{p_squared}"
+    assert report["coset_size"] == 8 * p**2 and report["coset_factored"] == f"2^3*{p_squared}"
+    assert report["ratio"] == 4 and report["ratio_factored"] == "2^2"
+
+
+def test_a_prime_past_the_exact_primality_range_is_refused():
+    p = 2**89 - 1  # prime, and above the deterministic Miller-Rabin range
+    with pytest.raises(ValueError, match="probable prime past the deterministic Miller-Rabin"):
+        tower_size_comparison(2 * p, 4 * p, 2, 2)
+    # a composite that large is still split exactly
+    q = (2**61 - 1) * (10**9 + 7) * 1009**3
+    assert tower_size_comparison(2 * q, 4 * q, 2, 2)["sharp_factored"] == \
+        "2*1009^6*1000000007^2*2305843009213693951^2"

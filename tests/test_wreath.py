@@ -387,7 +387,9 @@ def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
     assert not check_presentation_d4(w.product, y, x)
 
 
-@pytest.mark.parametrize("k_spec,h_spec,degree", THETA_CATALOG)
+# C:45 wr_r C:2 has a 2025-tuple block and two top elements: the widest tuple
+# product under the dense cap
+@pytest.mark.parametrize("k_spec,h_spec,degree", THETA_CATALOG + [("C:45", "C:2", None)])
 def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
     k, omega = _theta_omega(k_spec, h_spec, degree)
     structural = build_wreath(k, omega)
@@ -423,3 +425,21 @@ def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
     # the same element indices carry the same labels and name
     assert dense.labels == [structural.product.label(x) for x in idx.tolist()]
     assert (dense.identity, dense.name) == (structural.product.identity, structural.product.name)
+    assert dense.generators() == structural.product.generators()
+
+
+def label_oracle(w, x):
+    """The label format: decode, then join the base labels and the top label."""
+    f, h = w.decode(x)
+    return "(" + ",".join(w.base_group.labels[d] for d in f) + "; " + w.top.group.labels[h] + ")"
+
+
+@pytest.mark.parametrize("k_spec,h_spec,degree", THETA_CATALOG)
+def test_codec_labels_match_the_scalar_format(k_spec, h_spec, degree):
+    w = build_wreath(*_theta_omega(k_spec, h_spec, degree))
+    idx = np.arange(w.order)
+    assert w._codec.labels(idx) == [label_oracle(w, x) for x in idx.tolist()]
+    assert w._codec.labels([]) == []
+    for bad in (-1, w.order):
+        with pytest.raises(WreathlabError, match=f"wreath index {bad} out of range"):
+            w.product.label(bad)
