@@ -1,7 +1,7 @@
 """Command-line surface: build, embed, sizes, verify.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
-3 resource limit (size cap or search budget).
+3 resource limit (size cap, search budget, int64 overflow or memory).
 """
 
 from __future__ import annotations
@@ -339,8 +339,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (SizeLimitError, SearchBudgetExceededError) as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (SizeLimitError, SearchBudgetExceededError, OverflowError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
     except (WreathlabError, ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

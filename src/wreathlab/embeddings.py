@@ -298,6 +298,10 @@ def solvability_wreath(p: int, size_cap: Optional[int] = None) -> WreathProduct:
 def solvability_witness(g: FiniteGroup, p: int) -> Optional[GroupHom]:
     """An embedding of g into the degree-p^2 affine wreath product, or None.
 
-    Search reads Cayley tables, so the product is made dense here.
+    Search reads Cayley tables, so the product is made dense here, once
+    Lagrange's theorem on the structural product leaves an embedding possible.
     """
-    return embeds_into(g, solvability_wreath(p).dense())
+    w = solvability_wreath(p)
+    if w.order % g.order:
+        return None
+    return embeds_into(g, w.dense())

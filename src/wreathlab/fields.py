@@ -5,7 +5,9 @@ Elements are rational coordinate vectors over the subset basis
 generator 0 as the least significant bit.  An element is stored as integer
 numerators over one positive denominator, reduced so that gcd(den, *nums) = 1;
 that form is canonical, so equality and hashing compare it directly, and
-``Fraction`` coordinates are only built when ``coords`` is read.
+``Fraction`` coordinates are only built when ``coords`` is read.  The
+constructor reads each coordinate's ``as_integer_ratio()`` directly when it
+is an ``int`` or ``Fraction``, and goes through ``Fraction(c)`` otherwise.
 Automorphisms are sign vectors on the generators, so the Galois group over Q
 is elementary abelian of order 2^k and composes by XOR of masks.
 
@@ -15,8 +17,14 @@ coordinate vectors of K = Q(sqrt(d_0),...,sqrt(d_{k-2})).  Arithmetic recurses
 on that split, on plain integer vectors:
 
 * multiplication is Karatsuba's, (a + b√d)(c + e√d) = (ac + d·be) +
-  ((a+b)(c+e) - ac - be)√d, three products in K (fewer when b or e is 0);
-  the product's denominator is the product of the two denominators;
+  ((a+b)(c+e) - ac - be)√d, three products in K (fewer when b or e is 0),
+  down to ``_CONVOLVE_MAX`` = 32 coordinates; there the product is the
+  twisted XOR-convolution z[m1 ^ m2] += x[m1]·y[m2]·prod_{i in m1 & m2} d_i,
+  one object-array expression (x[XOR] * W) @ y over Python ints, so it is
+  exact at any size.  W[m, m2] = prod_{i in (m ^ m2) & m2} d_i is built per
+  field on its first product; the index tables depend on the length only and
+  are shared.  The product's denominator is the product of the two
+  denominators;
 * the inverse is (a - b√d) / N with the norm N = a² - d·b² in K, itself
   inverted recursively down to a = ±1/|a|, with the content divided out at
   each level so that the integers stay small; a zero element raises
@@ -49,33 +57,54 @@ from .actions import regular_action
 from .embeddings import EmbeddingReport, ShortExactSequence, verify_embedding
 
 GENERATOR_BOUND = 10**6
+# coordinate types whose as_integer_ratio() is already the reduced Fraction(c) form
+_EXACT_TYPES = (int, Fraction)
 
 
-def _mul(x: Sequence[int], y: Sequence[int], gens: Sequence[int]) -> list[int]:
-    """Product of integer coordinate vectors of Q(sqrt(gens[0]),...), split on the top one."""
+# _mul convolves vectors of at most this many coordinates and splits longer ones
+_CONVOLVE_MAX = 32
+
+
+@functools.lru_cache(maxsize=8)
+def _convolution_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m ^ m2, (m ^ m2) & m2) over m, m2 < n: the source of x and the mask of
+    the weight for the term x[m ^ m2] * y[m2] of z[m].  They depend on n only."""
+    m = np.arange(n)
+    xor = m[:, None] ^ m[None, :]
+    return xor, xor & m
+
+
+def _mul(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> list[int]:
+    """Product of integer coordinate vectors of the subfield of ``field`` on the
+    first log2(len(x)) generators: split on the top generator down to
+    ``_CONVOLVE_MAX`` coordinates, then one twisted XOR-convolution."""
     n = len(x)
     if n == 1:
         return [x[0] * y[0]]
     if n == 2:
         (a, b), (c, e) = x, y
-        return [a * c + gens[0] * (b * e), a * e + b * c]
+        return [a * c + field.generators[0] * (b * e), a * e + b * c]
+    if n <= _CONVOLVE_MAX:
+        # z[m] = sum_m2 x[m ^ m2] y[m2] prod_{i in (m ^ m2) & m2} d_i, exact on Python ints
+        xs = np.array(x, dtype=object)[_convolution_indices(n)[0]]
+        return ((xs * field._weights(n)) @ np.array(y, dtype=object)).tolist()
     h = n >> 1
     a, b, c, e = x[:h], x[h:], y[:h], y[h:]
     b_zero, e_zero = not any(b), not any(e)
     if b_zero and e_zero:
-        return _mul(a, c, gens) + [0] * h
+        return _mul(a, c, field) + [0] * h
     if b_zero:
-        return _mul(a, c, gens) + _mul(a, e, gens)
+        return _mul(a, c, field) + _mul(a, e, field)
     if e_zero:
-        return _mul(a, c, gens) + _mul(b, c, gens)
-    d = gens[h.bit_length() - 1]
-    ac, be = _mul(a, c, gens), _mul(b, e, gens)
-    mid = _mul([p + q for p, q in zip(a, b)], [p + q for p, q in zip(c, e)], gens)
+        return _mul(a, c, field) + _mul(b, c, field)
+    d = field.generators[h.bit_length() - 1]
+    ac, be = _mul(a, c, field), _mul(b, e, field)
+    mid = _mul([p + q for p, q in zip(a, b)], [p + q for p, q in zip(c, e)], field)
     return ([p + d * q for p, q in zip(ac, be)]
             + [m - p - q for m, p, q in zip(mid, ac, be)])
 
 
-def _inverse(x: Sequence[int], gens: Sequence[int]) -> tuple[list[int], int]:
+def _inverse(x: Sequence[int], field: "MultiQuadField") -> tuple[list[int], int]:
     """x^-1 as (nums, den > 0): (a - b sqrt(d)) / (a^2 - d b^2), the norm inverted in K."""
     content = gcd(*x)
     if content == 0:
@@ -88,17 +117,23 @@ def _inverse(x: Sequence[int], gens: Sequence[int]) -> tuple[list[int], int]:
     h = n >> 1
     a, b = x[:h], x[h:]
     if not any(b):
-        nums, den = _inverse(a, gens)
+        nums, den = _inverse(a, field)
         return nums + [0] * h, den * content
-    d = gens[h.bit_length() - 1]
+    d = field.generators[h.bit_length() - 1]
     norm_nums, norm_den = _inverse(
-        [p - d * q for p, q in zip(_mul(a, a, gens), _mul(b, b, gens))], gens)
-    nums = _mul(a, norm_nums, gens) + [-c for c in _mul(b, norm_nums, gens)]
+        [p - d * q for p, q in zip(_mul(a, a, field), _mul(b, b, field))], field)
+    nums = _mul(a, norm_nums, field) + [-c for c in _mul(b, norm_nums, field)]
     den = norm_den * content
     g = gcd(den, *nums)
     if g != 1:
         nums, den = [c // g for c in nums], den // g
     return nums, den
+
+
+def _ratio(c) -> tuple[int, int]:
+    """Fraction(c) as Python ints: a numpy integer stays one inside a Fraction."""
+    q = Fraction(c)
+    return int(q.numerator), int(q.denominator)
 
 
 def _is_square_free(n: int) -> bool:
@@ -143,11 +178,20 @@ class MultiQuadField:
         self.k = k
         self.dim = 1 << k
         self._products = tuple(products)
+        self._weight_tables: dict[int, np.ndarray] = {}
 
     # -- basis bookkeeping ---------------------------------------------------
 
     def subset_product(self, mask: int) -> int:
         return self._products[mask]
+
+    def _weights(self, n: int) -> np.ndarray:
+        """W[m, m2] = prod_{i in (m ^ m2) & m2} d_i over m, m2 < n, built on first use."""
+        w = self._weight_tables.get(n)
+        if w is None:
+            products = np.array(self._products[:n], dtype=object)
+            w = self._weight_tables[n] = products[_convolution_indices(n)[1]]
+        return w
 
     def basis_label(self, mask: int) -> str:
         if mask == 0:
@@ -211,11 +255,11 @@ class MultiQuadElement:
     def __init__(self, field: MultiQuadField, coords: Sequence):
         if len(coords) != field.dim:
             raise ValueError(f"need {field.dim} coordinates, got {len(coords)}")
-        fracs = [Fraction(c) for c in coords]
-        # each Fraction is reduced, so over the lcm of the denominators gcd(den, *nums) = 1
-        den = lcm(*(c.denominator for c in fracs))
+        ratios = [c.as_integer_ratio() if type(c) in _EXACT_TYPES else _ratio(c) for c in coords]
+        # each ratio is reduced, so over the lcm of the denominators gcd(den, *nums) = 1
+        den = lcm(*(q for _, q in ratios))
         self.field = field
-        self.nums = tuple(c.numerator * (den // c.denominator) for c in fracs)
+        self.nums = tuple(p * (den // q) for p, q in ratios)
         self.den = den
 
     @classmethod
@@ -254,12 +298,12 @@ class MultiQuadElement:
 
     def __mul__(self, other: "MultiQuadElement") -> "MultiQuadElement":
         self._check_same_field(other)
-        nums = _mul(self.nums, other.nums, self.field.generators)
+        nums = _mul(self.nums, other.nums, self.field)
         return MultiQuadElement._of(self.field, nums, self.den * other.den)
 
     def inverse(self) -> "MultiQuadElement":
         """Divide the conjugate over the top generator by the norm, recursively."""
-        nums, den = _inverse(self.nums, self.field.generators)
+        nums, den = _inverse(self.nums, self.field)
         return MultiQuadElement._of(self.field, [self.den * c for c in nums], den)
 
     def __truediv__(self, other: "MultiQuadElement") -> "MultiQuadElement":

@@ -249,7 +249,7 @@ def _pick_generators(g: Group, candidates: Iterable[int],
         if check is not None:
             check(s)
         gens.append(s)
-        levels.append(closure(g, gens))
+        levels.append(closure(g, gens, levels[-1] if levels else None))
         known = set(levels[-1])
     return gens, levels
 
@@ -539,15 +539,24 @@ def subgroup_from_elements(g: FiniteGroup, elems: Iterable[int], name: Optional[
     return sub, incl
 
 
-def closure(g: Group, gens: Iterable[int]) -> list[int]:
-    """Elements of the subgroup generated by ``gens``, ascending; one array product per BFS level."""
+def closure(g: Group, gens: Iterable[int], start: Optional[Iterable[int]] = None) -> list[int]:
+    """Elements of the subgroup generated by ``gens``, ascending; one array product per BFS level.
+
+    ``start``, if given, is the subgroup generated by all of ``gens`` but the
+    last: the search starts from it, and its first level multiplies it by the
+    last generator only.
+    """
     gens = np.array([int(x) for x in gens], dtype=np.int64)
-    seen = {g.identity}
-    level = [g.identity]
+    if start is None:
+        level, step_gens = [g.identity], gens
+    else:
+        level, step_gens = list(start), gens[-1:]
+    seen = set(level)
     while level:
-        step = g.mul_array(np.array(level)[:, None], gens).ravel().tolist()
+        step = g.mul_array(np.array(level)[:, None], step_gens).ravel().tolist()
         level = [y for y in dict.fromkeys(step) if y not in seen]
         seen.update(level)
+        step_gens = gens
     return sorted(seen)
 
 

@@ -38,14 +38,19 @@ from .errors import SizeLimitError, WreathlabError
 from .groups import FiniteGroup, Group, _check_dense_order
 
 SIZE_CAP_DEFAULT = 10**7
+# elements are int64 indices, so no cap admits an order of 2^63 or more
+_INDEX_LIMIT = 2**63
 
 
 def _check_wreath_order(n_base: int, n_points: int, n_top: int,
                        size_cap: Optional[int] = None) -> None:
     """Refuse a wreath product of order n_base^n_points * n_top above the cap
-    (``SIZE_CAP_DEFAULT`` if None) with ``SizeLimitError``, before anything is built."""
+    (``SIZE_CAP_DEFAULT`` if None), or of ``_INDEX_LIMIT`` or more whatever the
+    cap, with ``SizeLimitError``, before anything is built."""
     size_cap = SIZE_CAP_DEFAULT if size_cap is None else size_cap
     order = n_base**n_points * n_top
+    if order >= _INDEX_LIMIT:
+        raise SizeLimitError(f"wreath order {order} exceeds the int64 index range", order)
     if order > size_cap:
         raise SizeLimitError(f"wreath order {order} exceeds cap {size_cap}", order)
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -11,6 +14,8 @@ from wreathlab import (
     load_group,
     regular_wreath,
 )
+import wreathlab
+from wreathlab import cli
 from wreathlab.cli import main
 
 
@@ -99,6 +104,30 @@ def test_build_refuses_json_export_above_the_dense_cap_before_allocating(capsys,
     assert "resource limit: wreath product order 15625 exceeds the dense-table cap 4096" in err
     assert not path.exists()
     assert peak < 2.0, f"peak {peak:.2f} MB"
+
+
+@pytest.mark.parametrize("k,h", [("C:2", "C:70"), ("C:3", "C:40")])
+def test_build_refuses_an_order_past_int64_with_exit_3(k, h):
+    """Both orders fit the cap 10^26 but not an int64 index; run as a fresh process,
+    so any uncaught error would show as a traceback."""
+    src = os.path.dirname(os.path.dirname(wreathlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wreathlab.cli", "build", "--k", k, "--h", h,
+         "--size-cap", str(10**26)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "resource limit" in proc.stderr and "int64" in proc.stderr
+
+
+def test_overflow_and_memory_errors_exit_3(capsys, monkeypatch):
+    for error in (OverflowError("int too large"), MemoryError()):
+        def fail(*_args, **_kwargs):
+            raise error
+        monkeypatch.setattr(cli, "build_wreath", fail)
+        code, _, err = run(capsys, "build", "--k", "C:2", "--h", "C:2")
+        assert code == 3
+        assert err.startswith("resource limit: ")
 
 
 def test_build_env_size_cap(capsys, monkeypatch):

@@ -38,11 +38,12 @@ from wreathlab.groups import DENSE_CAP_DEFAULT
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import (
     find_normal_subgroup,
+    iso_suite,
     ses_catalog,
     ses_from_subgroup,
     stabilizer_subgroup,
 )
-from wreathlab.wreath import WreathGroup
+from wreathlab.wreath import WreathGroup, WreathProduct
 
 
 def sign_ses():
@@ -466,6 +467,39 @@ def test_solvability_for_the_full_degree9_wreath():
 def test_solvability_trivial_cases():
     assert solvability_witness(construct_named("C:2"), 2) is not None
     assert solvability_witness(construct_named("C:5"), 3) is None
+
+
+def count_dense_builds(monkeypatch):
+    """Record the order of every table ``WreathProduct.dense`` builds (not reuses)."""
+    built = []
+    original = WreathProduct.dense
+
+    def counting(self):
+        if self._dense is None:
+            built.append(self.order)
+        return original(self)
+    monkeypatch.setattr(WreathProduct, "dense", counting)
+    return built
+
+
+def test_solvability_refuses_by_lagrange_before_building_a_table(monkeypatch):
+    built = count_dense_builds(monkeypatch)
+    assert solvability_witness(construct_named("C:5"), 3) is None
+    assert built == []
+
+
+def test_iso_suite_builds_two_order_1296_tables(monkeypatch):
+    built = count_dense_builds(monkeypatch)
+    verdicts = [(v.name, v.passed, v.detail) for v in iso_suite()]
+    assert verdicts == [
+        ("affine wreath matches symmetric wreath (order 1296)", True,
+         "bijective hom, generator-certified, 5184 checks; inverse round-trips"),
+        ("degree-9 imprimitive solvability for the full wreath", True, "injective witness found"),
+        ("C2 solvable at p=2", True, ""),
+        ("C5 rejected at p=3 (Lagrange)", True, ""),
+        ("regular-case transport matches the direct formula", True, ""),
+    ]
+    assert built.count(1296) == 2
 
 
 def test_solvability_rejects_large_primes():

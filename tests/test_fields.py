@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from decimal import Decimal
 from math import gcd
 
+import numpy as np
 import pytest
 
 from wreathlab import fields
@@ -240,6 +242,55 @@ def test_integer_arithmetic_matches_the_fraction_recursion(gens):
         for y in samples:
             assert (x * y).coords == tuple(fraction_mul(x.coords, y.coords, field.generators))
         assert x.inverse().coords == tuple(fraction_inverse(x.coords, field.generators))
+
+
+ORACLE_TESTS = [test_mul_matches_the_schoolbook_product,
+                test_inverse_matches_the_conjugate_product,
+                test_integer_arithmetic_matches_the_fraction_recursion]
+
+
+# 2 never convolves (lengths 1 and 2 have their own formulas); 64 convolves whole
+# vectors up to k = 6, so no split is left there
+@pytest.mark.parametrize("convolve_max", [2, 64], ids=["split_only", "convolve_whole"])
+@pytest.mark.parametrize("oracle", ORACLE_TESTS, ids=lambda t: t.__name__[5:])
+@pytest.mark.parametrize("gens", ORACLE_FIELDS, ids=str)
+def test_oracles_hold_at_every_convolution_threshold(monkeypatch, convolve_max, oracle, gens):
+    monkeypatch.setattr(fields, "_CONVOLVE_MAX", convolve_max)
+    oracle(gens)
+
+
+def test_k7_products_split_twice_and_match_the_fraction_recursion():
+    field = MultiQuadField([2, 3, 5, 7, 11, 13, 17])
+    rng = random.Random(20261021)
+    samples = oracle_samples(field, rng, dense=2) + [large_element(field)]
+    for x, y in zip(samples, samples[1:] + samples[:1]):
+        assert (x * y).coords == tuple(fraction_mul(x.coords, y.coords, field.generators))
+    x = samples[0]
+    assert x * x.inverse() == field.one()
+
+
+@pytest.mark.parametrize("gens", [[2, 3, 5], [2, 3, 5, 7, 11], [2, 3, 5, 7, 11, 13]], ids=str)
+def test_convolved_products_stay_exact_past_int64(gens):
+    field = MultiQuadField(gens)
+    x = large_element(field)
+    y = x * x
+    assert max(abs(c) for c in y.nums) > 2**63
+    assert y.coords == tuple(fraction_mul(x.coords, x.coords, field.generators))
+    # operands past int64 too
+    assert (y * x).coords == tuple(fraction_mul(y.coords, x.coords, field.generators))
+
+
+def test_every_accepted_coordinate_type_gives_the_fraction_element():
+    field = MultiQuadField([2, 3])
+    for c in (3, -7, True, False, Fraction(6, -8), "3/4", 0.1, Decimal("0.1"), np.int64(-5)):
+        x = field.element([c, 1, c, 0])
+        want = field.element([Fraction(c), 1, Fraction(c), 0])
+        assert (x.nums, x.den) == (want.nums, want.den), c
+        assert x.coords[0] == Fraction(c)
+        assert all(type(v) is int for v in x.nums + (x.den,)), c
+    # a numpy integer becomes a Python int, so its products cannot wrap
+    big = field.element([np.int64(2**40), 0, 0, 0])
+    assert (big * big).nums == (2**80, 0, 0, 0)
 
 
 def assert_reduced(x):

@@ -190,6 +190,26 @@ def test_pick_generators_matches_the_former_pickers_on_dense_products(k_spec, h_
     assert_picks_match_the_former_pickers(build_wreath(k, omega).dense())
 
 
+def assert_closure_extends_each_prefix_subgroup(g):
+    by_order = np.argsort(-g.element_orders(), kind="stable").tolist()
+    for candidates in (by_order, range(g.order)):
+        gens, _ = _pick_generators(g, candidates)
+        for i in range(1, len(gens) + 1):
+            prefix = closure(g, gens[: i - 1])
+            assert closure(g, gens[:i], prefix) == closure(g, gens[:i])
+
+
+def test_closure_from_a_prefix_subgroup_on_named_families():
+    for spec in NAMED_UP_TO_120:
+        assert_closure_extends_each_prefix_subgroup(construct_named(spec))
+
+
+@pytest.mark.parametrize("k_spec,h_spec,degree", DENSE_THETA_SHAPES)
+def test_closure_from_a_prefix_subgroup_on_dense_products(k_spec, h_spec, degree):
+    k, omega = _theta_omega(k_spec, h_spec, degree)
+    assert_closure_extends_each_prefix_subgroup(build_wreath(k, omega).dense())
+
+
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "D:5", "Q8", "AGL:5"])
 def test_conjugacy_classes_match_a_brute_force_sweep(spec):
     g = construct_named(spec)

@@ -222,6 +222,16 @@ def test_size_cap_carries_the_exact_order():
     assert err.value.order == 10**8 * 8
 
 
+def test_an_order_past_int64_is_refused_whatever_the_cap():
+    """C:2 wr_r C:62 has order 62 * 2^62 >= 2^63: its indices would wrap in int64."""
+    with pytest.raises(SizeLimitError, match="int64") as err:
+        regular_wreath(construct_named("C:2"), construct_named("C:62"), size_cap=10**30)
+    assert err.value.order == 2**62 * 62
+    # the largest order below the limit is still a structural product
+    w = regular_wreath(construct_named("C:2"), construct_named("C:1"), size_cap=10**30)
+    assert w.order == 2
+
+
 def test_encode_decode_roundtrip():
     w = build_wreath(construct_named("S:3"), natural_action(3, construct_named("S:3")))
     for x in range(w.order):
