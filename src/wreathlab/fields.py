@@ -18,13 +18,11 @@ on that split, on plain integer vectors:
 
 * multiplication is Karatsuba's, (a + b√d)(c + e√d) = (ac + d·be) +
   ((a+b)(c+e) - ac - be)√d, three products in K (fewer when b or e is 0),
-  down to ``_CONVOLVE_MAX`` = 32 coordinates; there the product is the
+  down to ``_CONVOLVE_MAX`` = 16 coordinates; there the product is the
   twisted XOR-convolution z[m1 ^ m2] += x[m1]·y[m2]·prod_{i in m1 & m2} d_i,
-  one object-array expression (x[XOR] * W) @ y over Python ints, so it is
-  exact at any size.  W[m, m2] = prod_{i in (m ^ m2) & m2} d_i is built per
-  field on its first product; the index tables depend on the length only and
-  are shared.  The product's denominator is the product of the two
-  denominators;
+  one loop over the nonzero coordinate pairs on Python ints that reads the
+  weights from the field's subset products, so it is exact at any size.  The
+  product's denominator is the product of the two denominators;
 * the inverse is (a - b√d) / N with the norm N = a² - d·b² in K, itself
   inverted recursively down to a = ±1/|a|, with the content divided out at
   each level so that the integers stay small; a zero element raises
@@ -62,16 +60,18 @@ _EXACT_TYPES = (int, Fraction)
 
 
 # _mul convolves vectors of at most this many coordinates and splits longer ones
-_CONVOLVE_MAX = 32
+_CONVOLVE_MAX = 16
 
 
-@functools.lru_cache(maxsize=8)
-def _convolution_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m ^ m2, (m ^ m2) & m2) over m, m2 < n: the source of x and the mask of
-    the weight for the term x[m ^ m2] * y[m2] of z[m].  They depend on n only."""
-    m = np.arange(n)
-    xor = m[:, None] ^ m[None, :]
-    return xor, xor & m
+def _convolve(x: Sequence[int], y: Sequence[int], products: Sequence[int]) -> list[int]:
+    """z[m1 ^ m2] = sum x[m1] y[m2] prod_{i in m1 & m2} d_i over the nonzero coordinates."""
+    z = [0] * len(x)
+    ys = [(m2, b) for m2, b in enumerate(y) if b]
+    for m1, a in enumerate(x):
+        if a:
+            for m2, b in ys:
+                z[m1 ^ m2] += a * b * products[m1 & m2]
+    return z
 
 
 def _mul(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> list[int]:
@@ -85,9 +85,7 @@ def _mul(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> list[in
         (a, b), (c, e) = x, y
         return [a * c + field.generators[0] * (b * e), a * e + b * c]
     if n <= _CONVOLVE_MAX:
-        # z[m] = sum_m2 x[m ^ m2] y[m2] prod_{i in (m ^ m2) & m2} d_i, exact on Python ints
-        xs = np.array(x, dtype=object)[_convolution_indices(n)[0]]
-        return ((xs * field._weights(n)) @ np.array(y, dtype=object)).tolist()
+        return _convolve(x, y, field._products)
     h = n >> 1
     a, b, c, e = x[:h], x[h:], y[:h], y[h:]
     b_zero, e_zero = not any(b), not any(e)
@@ -178,20 +176,11 @@ class MultiQuadField:
         self.k = k
         self.dim = 1 << k
         self._products = tuple(products)
-        self._weight_tables: dict[int, np.ndarray] = {}
 
     # -- basis bookkeeping ---------------------------------------------------
 
     def subset_product(self, mask: int) -> int:
         return self._products[mask]
-
-    def _weights(self, n: int) -> np.ndarray:
-        """W[m, m2] = prod_{i in (m ^ m2) & m2} d_i over m, m2 < n, built on first use."""
-        w = self._weight_tables.get(n)
-        if w is None:
-            products = np.array(self._products[:n], dtype=object)
-            w = self._weight_tables[n] = products[_convolution_indices(n)[1]]
-        return w
 
     def basis_label(self, mask: int) -> str:
         if mask == 0:
