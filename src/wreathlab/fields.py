@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import TowerError
-from .groups import FiniteGroup, GroupHom, subgroup_from_elements
+from .groups import FiniteGroup, GroupHom, _ascending_generators, subgroup_from_elements
 from .wreath import WreathProduct, build_wreath
 from .actions import regular_action
 from .embeddings import EmbeddingReport, ShortExactSequence, verify_embedding
@@ -384,9 +384,11 @@ def galois_group(f: MultiQuadField) -> tuple[FiniteGroup, list[FieldAutomorphism
     the group is elementary abelian of order 2^k.
     """
     dim = f.dim
-    idx = np.arange(dim)
+    idx = np.arange(dim, dtype=np.int32)
     table = idx[:, None] ^ idx[None, :]
-    group = FiniteGroup(table, labels=_mask_labels(dim), name=f"Gal({f!r}/Q)")
+    # XOR on masks is associative by construction: no Light's test
+    group = FiniteGroup(table, labels=_mask_labels(dim), name=f"Gal({f!r}/Q)",
+                        _generator_source=_ascending_generators)
     auts = [
         FieldAutomorphism(f, tuple(-1 if m >> i & 1 else 1 for i in range(f.k)))
         for m in range(dim)

@@ -2,11 +2,23 @@
 
 Every group carries a full ``order x order`` table (``table[i][j]`` is the
 index of ``g_i * g_j``), an identity index, an inverse table and optional
-display labels.  Validation is exact at every order and checks laws on generators
-(Light's test for associativity).  Named families fix a documented enumeration
-so all derived objects (subgroups, quotients, wreath products) are bit-reproducible;
-each table is one array expression in the element coordinates below, and a spec
-whose order exceeds ``DENSE_CAP_DEFAULT`` is refused before anything is allocated:
+display labels.  Validation is exact at every order: the range, identity and
+inverse checks run on every table, and a table from outside the package (a
+direct ``FiniteGroup`` call, ``group_from_json`` or ``load_group``) is proved
+associative by Light's test on each greedy generator.  Both Light's test and
+the inverse check compare the table in row blocks of about ``SWEEP_CHUNK``
+cells, so validation needs O(``SWEEP_CHUNK``) memory beside the table.
+
+Tables the package builds are associative by construction: the named families
+below are formulas, and ``direct_product``, ``subgroup_from_elements`` and
+``quotient`` derive theirs from groups already certified.  They skip Light's
+test and pick the same ascending greedy generators on first use, without it;
+tests run the full test on each of them instead.
+
+Named families fix a documented enumeration so all derived objects (subgroups,
+quotients, wreath products) are bit-reproducible; each table is one array
+expression in the element coordinates below, and a spec whose order exceeds
+``DENSE_CAP_DEFAULT`` is refused before anything is allocated:
 
 * ``C:n``    -- residues 0..n-1, index = exponent.
 * ``D:n``    -- elements r^a s^b, index = 2a + b (a major), order 2n.
@@ -38,8 +50,14 @@ from .errors import (
 
 # the largest order of a dense table built from a spec (C:n, D:n, direct and wreath products)
 DENSE_CAP_DEFAULT = 4096
-# cells per block of the all-pairs hom sweep, so its memory stays O(chunk) at every order
+# cells per block of the all-pairs hom sweep, Light's test and the inverse check,
+# so their memory stays O(chunk) at every order
 SWEEP_CHUNK = 2**20
+
+
+def _rows_per_block(order: int) -> int:
+    """Rows of ``order`` cells in a block of about ``SWEEP_CHUNK`` cells."""
+    return max(1, SWEEP_CHUNK // order)
 
 
 class Group:
@@ -76,8 +94,10 @@ class Group:
 class FiniteGroup(Group):
     """A finite group given by a closed multiplication table, validated exactly.
 
-    ``_generator_source``, for formula-built tables, is a zero-argument callable
-    that ``generators()`` calls on first use instead of Light's test.
+    ``identity`` must be a Python or numpy integer.  ``_generator_source``, for
+    tables the package builds, maps the group to its generators; it is called
+    on first use of ``generators()`` instead of picking them with Light's test
+    at construction.
     """
 
     def __init__(
@@ -87,8 +107,10 @@ class FiniteGroup(Group):
         labels: Optional[Sequence[str]] = None,
         name: Optional[str] = None,
         point_maps: Optional[Sequence[tuple]] = None,
-        _generator_source: Optional[Callable[[], list[int]]] = None,
+        _generator_source: Optional[Callable[[FiniteGroup], list[int]]] = None,
     ):
+        if isinstance(identity, bool) or not isinstance(identity, (int, np.integer)):
+            raise GroupFormatError(f"identity must be an integer, got {identity!r}")
         if not isinstance(table, np.ndarray):
             # one conversion with the dtype given: inferring it would cost as much again
             try:
@@ -123,7 +145,7 @@ class FiniteGroup(Group):
         self.table.setflags(write=False)
         self.inverses.setflags(write=False)
         if _generator_source is None:
-            self.generators()
+            self._generators = _pick_generators(self, range(self.order), self._light_test)[0]
 
     # -- element operations ------------------------------------------------
 
@@ -191,33 +213,42 @@ class FiniteGroup(Group):
             raise GroupValidationError(f"identity column fails: g{i}*e != g{i}")
 
     def _compute_inverses(self) -> np.ndarray:
-        hits = self.table == self.identity
-        if not (hits.sum(axis=1) == 1).all():
-            i = int(np.nonzero(hits.sum(axis=1) != 1)[0][0])
-            raise GroupValidationError(f"element g{i} has no unique inverse")
-        inv = hits.argmax(axis=1).astype(np.int32)
-        both = self.table[inv, np.arange(self.order)] == self.identity
+        n, e, t = self.order, self.identity, self.table
+        inv = np.empty(n, dtype=np.int32)
+        step = _rows_per_block(n)
+        for lo in range(0, n, step):
+            hits = t[lo:lo + step] == e
+            first = hits.argmax(axis=1)
+            # every row holds e at its first hit, and there are as many hits as rows
+            if np.count_nonzero(hits) != len(first) or not hits[np.arange(len(first)), first].all():
+                i = int((hits.sum(axis=1) != 1).argmax())
+                raise GroupValidationError(f"element g{lo + i} has no unique inverse")
+            inv[lo:lo + step] = first
+        both = t[inv, np.arange(n)] == e
         if not both.all():
             i = int(np.nonzero(~both)[0][0])
             raise GroupValidationError(f"left/right inverse mismatch at g{i}")
         return inv
 
+    def _light_test(self, s: int) -> None:
+        """Light's test for s: (x s) y = x (s y) for all x, y, in row blocks of x;
+        raises at the row-major first failing (x, y)."""
+        t = self.table
+        xs, sy = t[:, s], t[s]
+        step = _rows_per_block(self.order)
+        for lo in range(0, self.order, step):
+            bad = t[xs[lo:lo + step]] != t[lo:lo + step].take(sy, axis=1)
+            if bad.any():
+                x, y = divmod(int(bad.argmax()), self.order)
+                raise GroupValidationError(f"associativity fails at (a,b,c)=({lo + x},{s},{y})")
+
     def generators(self) -> list[int]:
-        """Greedy generators by ascending index, each first passing Light's test
-        (x s) y = x (s y) for all x, y, which proves associativity once they generate;
-        a formula-built table takes them from its generator source instead."""
-        if self._generators is None and self._generator_source is not None:
-            self._generators = list(self._generator_source())
+        """Greedy generators by ascending index.  A table from outside the package
+        has them at construction, each first passing Light's test, which proves
+        associativity once they generate; a table the package builds takes them
+        from its generator source on first use."""
         if self._generators is None:
-            t = self.table
-
-            def light(s: int) -> None:
-                bad = t[t[:, s]] != t[:, t[s]]
-                if bad.any():
-                    x, y = divmod(int(bad.argmax()), self.order)
-                    raise GroupValidationError(f"associativity fails at (a,b,c)=({x},{s},{y})")
-
-            self._generators = _pick_generators(self, range(self.order), light)[0]
+            self._generators = list(self._generator_source(self))
         return self._generators
 
     def conjugacy_classes(self) -> dict[int, list[int]]:
@@ -232,6 +263,12 @@ class FiniteGroup(Group):
         for x, rep in enumerate(least.tolist()):
             classes.setdefault(rep, []).append(x)
         return classes
+
+
+def _ascending_generators(g: Group) -> list[int]:
+    """The generator source of a table associative by construction: the greedy
+    ascending picks of ``FiniteGroup.generators()``, without Light's test."""
+    return _pick_generators(g, range(g.order))[0]
 
 
 def _pick_generators(g: Group, candidates: Iterable[int],
@@ -288,7 +325,7 @@ class GroupHom:
         up to it), compared in blocks of about ``SWEEP_CHUNK`` pairs."""
         n, img = self.domain.order, self.image
         b = np.arange(n)[None, :]
-        step = max(1, SWEEP_CHUNK // n)
+        step = _rows_per_block(n)
         for lo in range(0, stop, step):
             a = np.arange(lo, min(lo + step, stop))[:, None]
             bad = img[self.domain.mul_array(a, b)] != self.codomain.mul_array(img[a], img[b])
@@ -394,38 +431,49 @@ class Section:
 
 def _cyclic(n: int) -> FiniteGroup:
     idx = np.arange(n, dtype=np.int32)
-    table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, labels=[str(k) for k in range(n)], name=f"C:{n}")
+    table = idx[:, None] + idx[None, :]
+    np.remainder(table, n, out=table)  # in place: no second order^2 array
+    return FiniteGroup(table, labels=[str(k) for k in range(n)], name=f"C:{n}",
+                       _generator_source=_ascending_generators)
 
 
 def _dihedral(n: int) -> FiniteGroup:
     idx = np.arange(2 * n, dtype=np.int32)
     a, b = idx // 2, idx % 2
-    # r^a s^b r^c s^d = r^(a + (-1)^b c) s^(b + d)
-    table = 2 * ((a[:, None] + (1 - 2 * b[:, None]) * a[None, :]) % n) + (b[:, None] ^ b[None, :])
+    # r^a s^b r^c s^d = r^(a + (-1)^b c) s^(b + d), built in place in one order^2 array
+    table = (1 - 2 * b[:, None]) * a[None, :]
+    table += a[:, None]
+    np.remainder(table, n, out=table)
+    table *= 2
+    table[0::2, 1::2] += 1  # s^(b + d) is s exactly when b != d
+    table[1::2, 0::2] += 1
     rot = ["", "r"] + [f"r{k}" for k in range(2, n)]
     labels = [(r + s) or "e" for r in rot for s in ("", "s")]
-    return FiniteGroup(table, labels=labels, name=f"D:{n}")
+    return FiniteGroup(table, labels=labels, name=f"D:{n}", _generator_source=_ascending_generators)
 
 
 def _perm_group(n: int, even_only: bool) -> FiniteGroup:
     """S:n, or A:n by inversion parity, on one-line permutations in lexicographic order.
 
     Row i has the ascending key sum_x p_i(x) n^(n-1-x).  The key of p_i o p_j is
-    summed one (size, size) gather per point x, and a binary search ranks it.
+    summed one (size, size) gather per point x, in uint16 since every key is
+    below n^n <= 6^6 < 2^16, and a lookup array of n^n entries maps it to its rank.
     """
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int32)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint16)
     if even_only:
         i, j = np.triu_indices(n, 1)
         perms = perms[(perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0]
-    radix = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
-    composed = np.zeros((len(perms), len(perms)), dtype=np.int32)
+    radix = (n ** np.arange(n - 1, -1, -1)).astype(np.uint16)
+    composed = np.zeros((len(perms), len(perms)), dtype=np.uint16)
     for x in range(n):
-        composed += perms[:, perms[:, x]] * radix[x]  # [i, j] = p_i(p_j(x)) n^(n-1-x)
+        # [i, j] = p_i(p_j(x)) n^(n-1-x)
+        composed += np.take(perms * radix[x], perms[:, x], axis=1)
+    rank = np.zeros(n**n, dtype=np.int32)
+    rank[perms @ radix.astype(np.int64)] = np.arange(len(perms), dtype=np.int32)
     maps = [tuple(p) for p in perms.tolist()]
     labels = ["".join(str(x + 1) for x in p) for p in maps]
-    return FiniteGroup(np.searchsorted(perms @ radix, composed), labels=labels,
-                       name=f"{'A' if even_only else 'S'}:{n}", point_maps=maps)
+    return FiniteGroup(rank[composed], labels=labels, name=f"{'A' if even_only else 'S'}:{n}",
+                       point_maps=maps, _generator_source=_ascending_generators)
 
 
 def _affine(p: int) -> FiniteGroup:
@@ -436,13 +484,15 @@ def _affine(p: int) -> FiniteGroup:
     pairs = list(zip(a.tolist(), b.tolist()))
     labels = [f"{x}t+{y}" for x, y in pairs]
     maps = [tuple((x * t + y) % p for t in range(p)) for x, y in pairs]
-    return FiniteGroup(table, labels=labels, name=f"AGL:{p}", point_maps=maps)
+    return FiniteGroup(table, labels=labels, name=f"AGL:{p}", point_maps=maps,
+                       _generator_source=_ascending_generators)
 
 
 def _klein() -> FiniteGroup:
     idx = np.arange(4)
     table = idx[:, None] ^ idx[None, :]
-    return FiniteGroup(table, labels=["e", "a", "b", "ab"], name="V4")
+    return FiniteGroup(table, labels=["e", "a", "b", "ab"], name="V4",
+                       _generator_source=_ascending_generators)
 
 
 def _quaternion() -> FiniteGroup:
@@ -451,7 +501,8 @@ def _quaternion() -> FiniteGroup:
     # units multiply by XOR (ij = k, jk = i, ki = j); neg[u, v] is the sign bit of u v
     neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
     table = 2 * (u ^ u.T) + (sign ^ sign.T ^ neg[u, u.T])
-    return FiniteGroup(table, labels=["1", "-1", "i", "-i", "j", "-j", "k", "-k"], name="Q8")
+    return FiniteGroup(table, labels=["1", "-1", "i", "-i", "j", "-j", "k", "-k"], name="Q8",
+                       _generator_source=_ascending_generators)
 
 
 _PRIMES_AGL = {2, 3, 5, 7}
@@ -516,7 +567,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(order, order)
     labels = [f"({x},{y})" for x in a.labels for y in b.labels]
     name = f"{a.name or 'G'} x {b.name or 'H'}"
-    return FiniteGroup(table, identity=a.identity * nb + b.identity, labels=labels, name=name)
+    return FiniteGroup(table, identity=a.identity * nb + b.identity, labels=labels, name=name,
+                       _generator_source=_ascending_generators)
 
 
 def subgroup_from_elements(g: FiniteGroup, elems: Iterable[int], name: Optional[str] = None):
@@ -534,7 +586,8 @@ def subgroup_from_elements(g: FiniteGroup, elems: Iterable[int], name: Optional[
     labels = [g.labels[x] for x in members]
     maps = [g.point_maps[x] for x in members] if g.point_maps is not None else None
     sub = FiniteGroup(table, identity=int(pos[g.identity]), labels=labels,
-                      name=name or f"subgroup({len(members)}) of {g.name}", point_maps=maps)
+                      name=name or f"subgroup({len(members)}) of {g.name}", point_maps=maps,
+                      _generator_source=_ascending_generators)
     incl = GroupHom(sub, g, np.array(members, dtype=np.int64))
     return sub, incl
 
@@ -608,7 +661,7 @@ def quotient(g: FiniteGroup, n: GroupHom):
     table = coset_of[g.table[reps[:, None], reps[None, :]]]
     labels = [f"[{g.labels[r]}]" for r in reps]
     q = FiniteGroup(table, identity=int(coset_of[g.identity]), labels=labels,
-                    name=f"{g.name}/{n.domain.name}")
+                    name=f"{g.name}/{n.domain.name}", _generator_source=_ascending_generators)
     proj = GroupHom(g, q, coset_of)
     return q, proj
 
@@ -654,7 +707,7 @@ def group_to_json(g: FiniteGroup) -> dict:
         "order": g.order,
         "identity": g.identity,
         "labels": list(g.labels),
-        "table": [[int(v) for v in row] for row in g.table],
+        "table": g.table.tolist(),
     }
 
 
@@ -682,8 +735,12 @@ def group_from_json(data: dict) -> FiniteGroup:
 
 
 def save_group(g: FiniteGroup, path) -> None:
+    """Write ``group_to_json(g)`` as one line of JSON; encoding the whole text
+    at once is several times faster than ``json.dump``'s chunked writes, with
+    the same bytes."""
+    text = json.dumps(group_to_json(g))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(group_to_json(g), fh)
+        fh.write(text)
         fh.write("\n")
 
 

@@ -251,7 +251,7 @@ class WreathProduct:
             # test and take the codec's generators, as the structural product does
             self._dense = FiniteGroup(codec.dense_table(), labels=labels,
                                       name=self.product.name,
-                                      _generator_source=codec.generators)
+                                      _generator_source=lambda _: codec.generators())
         return self._dense
 
     # -- structure maps ------------------------------------------------------

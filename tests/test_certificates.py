@@ -11,6 +11,7 @@ import itertools
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from wreathlab import (
     FiniteGSet,
     GroupHom,
     GroupValidationError,
+    MultiQuadField,
     build_wreath,
     center_subgroup,
     certify_hom,
@@ -27,12 +29,14 @@ from wreathlab import (
     coset_action,
     coset_partition,
     direct_product,
+    galois_group,
     identity_hom,
     kk_embedding,
     natural_action,
     quotient,
     regular_action,
     subgroup_from_elements,
+    subgroup_generated,
     transport_iso,
     transport_subgroup,
 )
@@ -85,16 +89,112 @@ def test_group_certificate_agrees_with_the_triple_sweep(data):
     perm = np.array(data.draw(st.permutations(range(g.order))))
     table = np.empty_like(t)
     table[np.ix_(perm, perm)] = perm[t]
+    identity = int(perm[g.identity])
     try:
-        h = FiniteGroup(table, identity=int(perm[g.identity]))
-    except GroupValidationError:
-        accepted = False
+        h = FiniteGroup(table, identity=identity)
+    except GroupValidationError as exc:
+        accepted, message = False, str(exc)
     else:
         accepted = True
         gens = h.generators()
         assert closure(h, gens) == list(range(g.order))
         assert len(gens) <= (g.order - 1).bit_length()  # each pick at least doubles
     assert accepted == associative(table)
+    if not accepted and message.startswith("associativity"):
+        # the reported triple is the row-major first failure of Light's test for its s
+        x, s, y = map(int, message.split("=(")[1].rstrip(")").split(","))
+        bad = table[table[:, s]] != table[:, table[s]]
+        assert divmod(int(bad.argmax()), g.order) == (x, y)
+    # the certificate compares row blocks; any block size gives the same verdict and message
+    chunk = data.draw(st.sampled_from([1, 7, g.order + 3]))
+    with mock.patch.object(groups_module, "SWEEP_CHUNK", chunk):
+        try:
+            h = FiniteGroup(table, identity=identity)
+        except GroupValidationError as exc:
+            assert not accepted and str(exc) == message
+        else:
+            assert accepted and h.generators() == gens
+
+
+# -- tables the package builds ----------------------------------------------------
+#
+# Named families, direct products, subgroups, quotients and Galois groups are
+# associative by construction and skip Light's test.  These tests stand in for
+# it: the certificate a user-supplied table gets passes on each of their tables,
+# at sizes up to the dense cap, and picks the generators they pick lazily.
+
+
+def certify_from_scratch(g):
+    """g's table through the user-supplied path: Light's test on every greedy
+    pick, which raises unless the table is associative."""
+    h = FiniteGroup(g.table, identity=g.identity)
+    assert g.generators() == h.generators()
+    assert (g.inverses == h.inverses).all()
+
+
+BUILT_SPECS = (["C:1", "C:2", "C:7", "C:500", "C:4096", "D:2", "D:3", "D:31", "D:259", "D:2048",
+                "V4", "Q8"] + [f"S:{n}" for n in range(1, 7)] + [f"A:{n}" for n in range(2, 7)]
+               + [f"AGL:{p}" for p in (2, 3, 5, 7)])
+
+
+@pytest.mark.parametrize("spec", BUILT_SPECS)
+def test_every_named_family_passes_the_certificate_it_skips(spec):
+    certify_from_scratch(construct_named(spec))
+
+
+def reversed_c3():
+    """C:3 as a user table with identity 2."""
+    return FiniteGroup([[2 - (4 - i - j) % 3 for j in range(3)] for i in range(3)], identity=2)
+
+
+@pytest.mark.parametrize("factors", [("C:2", "Q8"), ("S:3", "D:4"), ("A:4", "C:3"), ("S:4", "A:5"),
+                                     ("C:64", "C:64"), ("D:32", "D:32"), ("rev", "S:3")])
+def test_direct_products_pass_the_certificate_they_skip(factors):
+    a, b = (reversed_c3() if f == "rev" else construct_named(f) for f in factors)
+    certify_from_scratch(direct_product(a, b))
+
+
+def large_subgroups():
+    """(group, inclusion of a normal subgroup) at orders up to the dense cap."""
+    c4096, d2048, s6 = construct_named("C:4096"), construct_named("D:2048"), construct_named("S:6")
+    even = [x for x, p in enumerate(s6.point_maps)
+            if sum(p[i] > p[j] for i in range(6) for j in range(i + 1, 6)) % 2 == 0]
+    return [(c4096, subgroup_generated(c4096, [64])[1]), (d2048, center_subgroup(d2048)[1]),
+            (s6, subgroup_from_elements(s6, even)[1])]
+
+
+def test_subgroups_and_quotients_pass_the_certificate_they_skip():
+    pairs = [(ses.g, ses.n_to_g) for _, ses in ses_catalog()] + large_subgroups()
+    for g, incl in pairs:
+        certify_from_scratch(incl.domain)
+        certify_from_scratch(quotient(g, incl)[0])
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_galois_groups_pass_the_certificate_they_skip(k):
+    certify_from_scratch(galois_group(MultiQuadField(PRIMES[:k]))[0])
+
+
+def test_package_tables_skip_lights_test_and_user_tables_run_it():
+    def refuse(self, s):
+        raise AssertionError("Light's test ran on a table the package built")
+
+    with mock.patch.object(FiniteGroup, "_light_test", refuse):
+        s4 = construct_named("S:4")
+        built = [construct_named(spec) for spec in BUILT_SPECS if spec not in ("C:4096", "D:2048")]
+        built.append(direct_product(s4, construct_named("Q8")))
+        sub, incl = subgroup_generated(s4, [s4.point_maps.index((1, 0, 3, 2)),
+                                            s4.point_maps.index((2, 3, 0, 1))])
+        built += [sub, quotient(s4, incl)[0], galois_group(MultiQuadField(PRIMES[:4]))[0]]
+        for g in built:
+            assert closure(g, g.generators()) == list(range(g.order))
+    tested = []
+    with mock.patch.object(FiniteGroup, "_light_test", lambda self, s: tested.append(s)):
+        h = FiniteGroup(s4.table, identity=s4.identity)
+    assert tested == h.generators() == s4.generators()
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from decimal import Decimal
 from math import gcd
@@ -410,6 +411,15 @@ def test_galois_group_of_biquadratic(q57):
     assert group.mul(1, 2) == 3  # rho1 o rho2 = rho3
     assert auts[1].signs == (-1, 1) and auts[2].signs == (1, -1)
     assert auts[1].compose(auts[2]) == auts[3]
+
+
+def test_galois_group_of_twelve_generators_takes_under_half_a_second():
+    field = MultiQuadField([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+    start = time.perf_counter()
+    group, auts = galois_group(field)
+    elapsed = time.perf_counter() - start
+    assert group.order == len(auts) == 4096
+    assert elapsed < 0.5, elapsed
 
 
 def test_galois_group_sizes():

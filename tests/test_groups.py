@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -23,9 +24,12 @@ from wreathlab import (
     normal_core,
     quotient,
     regular_wreath,
+    save_group,
     subgroup_from_elements,
     subgroup_generated,
 )
+from wreathlab import groups
+from wreathlab.cli import main
 from wreathlab.groups import DENSE_CAP_DEFAULT
 from wreathlab.search import are_isomorphic
 
@@ -438,6 +442,36 @@ def test_group_json_roundtrip(tmp_path, d4):
     assert loaded.labels == d4.labels
 
 
+def save_group_with_json_dump(g, path):
+    """The exchange writer before ``tolist`` and one ``json.dumps``: a test oracle."""
+    data = {"order": g.order, "identity": g.identity, "labels": list(g.labels),
+            "table": [[int(v) for v in row] for row in g.table]}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+        fh.write("\n")
+
+
+def test_save_group_writes_the_bytes_of_the_json_dump_writer(tmp_path):
+    rev = FiniteGroup([[2 - (4 - i - j) % 3 for j in range(3)] for i in range(3)], identity=2)
+    c2 = construct_named("C:2")
+    built = [construct_named("C:1"), construct_named("S:4"), construct_named("Q8"),
+              direct_product(rev, c2), regular_wreath(c2, construct_named("C:3")).dense(),
+              FiniteGroup([[1, 0], [0, 1]], identity=1, labels=["a", 'e"\u00e9'])]
+    for g in built:
+        save_group(g, tmp_path / "new.json")
+        save_group_with_json_dump(g, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        assert load_group(tmp_path / "new.json").table.tolist() == g.table.tolist()
+
+
+def test_the_s3_wreath_s3_export_keeps_its_bytes(capsys, tmp_path):
+    # the md5 of the file the json.dump writer made for this build
+    path = tmp_path / "s3wr.json"
+    assert main(["build", "--k", "S:3", "--h", "S:3", "--omega", "natural:3",
+                 "--out", str(path)]) == 0
+    assert hashlib.md5(path.read_bytes()).hexdigest() == "d1b126b9ffd3c2628ee84fed2a1dcfd3"
+
+
 def test_group_json_key_order(d4):
     assert list(group_to_json(d4)) == ["order", "identity", "labels", "table"]
 
@@ -493,6 +527,42 @@ def test_out_of_range_cells_are_refused_before_the_int32_cast():
     # a valid file still loads, labels and all
     g = group_from_json({"order": 2, "identity": 1, "labels": ["a", "e"], "table": [[1, 0], [0, 1]]})
     assert (g.order, g.identity, g.labels) == (2, 1, ["a", "e"])
+
+
+@pytest.mark.parametrize("identity", [0.9, 0.0, np.float64(0), "0", True, False, np.bool_(False),
+                                      None, [0]], ids=repr)
+def test_an_identity_that_is_not_an_integer_is_refused(identity):
+    with pytest.raises(GroupFormatError, match="identity must be an integer"):
+        FiniteGroup([[0, 1], [1, 0]], identity=identity)
+
+
+@pytest.mark.parametrize("identity", [1, np.int64(1), np.int32(1), np.uint8(1)], ids=repr)
+def test_python_and_numpy_integer_identities_are_accepted(identity):
+    g = FiniteGroup([[1, 0], [0, 1]], identity=identity)
+    assert g.identity == 1 and type(g.identity) is int
+
+
+@pytest.mark.parametrize("chunk", [1, 60, 2**20])
+def test_inverse_failures_name_the_first_bad_row_at_every_block_size(monkeypatch, chunk):
+    monkeypatch.setattr(groups, "SWEEP_CHUNK", chunk)  # rows per block: 1, 5 and all 12
+    table = construct_named("C:12").table.copy()
+    table[9, 4] = table[11, 5] = 0  # rows 9 and 11 now hold the identity twice
+    with pytest.raises(GroupValidationError, match=r"^element g9 has no unique inverse$"):
+        FiniteGroup(table)
+
+
+def test_certification_at_the_dense_cap_fits_in_the_table_and_16_mb(peak_mb):
+    g, peak = peak_mb(lambda: construct_named("C:4096"))
+    assert peak <= g.table.nbytes / 2**20 + 16
+    d = construct_named("D:2048")
+    perm = np.random.default_rng(4096).permutation(d.order)
+    table = np.empty(d.table.shape, dtype=np.int64)  # a user table, cast to int32 on load
+    table[np.ix_(perm, perm)] = perm[d.table]
+    identity = int(perm[d.identity])
+    del g, d
+    h, peak = peak_mb(lambda: FiniteGroup(table, identity=identity))
+    assert h.order == 4096
+    assert peak <= h.table.nbytes / 2**20 + 16
 
 
 def test_order_600_loop_is_rejected(c600_loop):
