@@ -58,9 +58,9 @@ from .fields import (
     verify_cocycle,
 )
 from .groups import (
+    Certificate,
     FiniteGroup,
     GroupHom,
-    HomCertificate,
     Section,
     center_subgroup,
     certify_hom,

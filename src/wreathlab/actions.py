@@ -12,6 +12,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Section,
+    _first_failure,
     _read_integer_json,
     coset_partition,
     group_from_json,
@@ -70,10 +71,11 @@ class FiniteGSet:
             w = int(np.nonzero(act[grp.identity] != pts)[0][0])
             raise ActionValidationError(f"identity axiom fails at point {w}")
         for h1 in grp.generators():  # exact: the h1 that pass are closed under products
-            lhs = act[h1][act]                # lhs[h2, w] = h1.(h2.w)
-            rhs = act[grp.table[h1]]          # rhs[h2, w] = (h1 h2).w
-            if not (lhs == rhs).all():
-                h2, w = (int(v) for v in np.argwhere(lhs != rhs)[0])
+            # row h2 compares h1.(h2.w) with (h1 h2).w
+            bad = _first_failure(lambda a, b: act[h1][act[a:b]] != act[grp.table[h1, a:b]],
+                                 grp.order, self.size)
+            if bad is not None:
+                h2, w = divmod(bad, self.size)
                 raise ActionValidationError(
                     f"compatibility axiom fails at (h1,h2,w)=({h1},{h2},{w})")
 

@@ -245,6 +245,8 @@ def cmd_verify(args) -> int:
     samples = None
     if args.depth.startswith("sampled:"):
         samples = int(args.depth.split(":", 1)[1])
+        if samples < 0:
+            raise ValueError(f"bad depth {args.depth!r} (N must be at least 0)")
     elif args.depth != "exhaustive":
         raise ValueError(f"bad depth {args.depth!r} (use exhaustive or sampled:N)")
     verdicts = []

@@ -36,7 +36,9 @@ d_i leaves at most one S.  The 2^k subset products are built once per field.
 
 For a tower Q <= K <= L with rational alpha, every tau fixes alpha, so the
 sign character chi(rho, tau) only asks whether rho negates sqrt(alpha): it is
-the parity of the generators that rho flips on the monomial of sqrt(alpha).
+the parity of the generators that rho flips on the monomial of sqrt(alpha),
+whatever tau is.  The law chi(r1 r2, tau) = chi(r2, r1^-1 tau) + chi(r1, tau)
+holds for a product of the r1 it holds for, so ``verify_cocycle`` checks it on generators.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import TowerError
-from .groups import FiniteGroup, GroupHom, _ascending_generators, subgroup_from_elements
+from .groups import (FiniteGroup, GroupHom, _ascending_generators, _first_failure,
+                     subgroup_from_elements)
 from .wreath import WreathProduct, build_wreath
 from .actions import regular_action
 from .embeddings import EmbeddingReport, ShortExactSequence, verify_embedding
@@ -425,8 +428,8 @@ class QuadraticTower:
     """F=Q <= K <= L with L multiquadratic and a designated rational alpha
     whose canonical square root lies in L but not in K.
 
-    The Galois groups of L and K and the restriction between them are built
-    on first use and then shared by the cocycle check and the embeddings.
+    The restriction Gal(L/Q) -> Gal(K/Q), between the two Galois groups, is
+    built on first use and then shared by the cocycle check and the embeddings.
     """
 
     def __init__(self, l_field: MultiQuadField, k_generators: Sequence[int], alpha):
@@ -453,16 +456,8 @@ class QuadraticTower:
         return self.L.k - len(self.K_generators)
 
     @functools.cached_property
-    def galois_L(self) -> tuple[FiniteGroup, list[FieldAutomorphism]]:
-        return galois_group(self.L)
-
-    @functools.cached_property
-    def galois_K(self) -> tuple[FiniteGroup, list[FieldAutomorphism]]:
-        return galois_group(self.K)
-
-    @functools.cached_property
     def restriction(self) -> GroupHom:
-        return _restriction(self.galois_L[0], self.galois_K[0], self.k_positions)
+        return _restriction(galois_group(self.L)[0], galois_group(self.K)[0], self.k_positions)
 
     def __repr__(self) -> str:
         return f"<tower Q <= {self.K!r} <= {self.L!r}, alpha={self.alpha}>"
@@ -481,13 +476,11 @@ def chi(t: QuadraticTower, rho: FieldAutomorphism, tau: FieldAutomorphism) -> in
     return (rho.mask() & t.alpha_mask).bit_count() & 1
 
 
-def _chi_table(t: QuadraticTower, auts_l: Sequence[FieldAutomorphism],
-               auts_k: Sequence[FieldAutomorphism]) -> list[list[int]]:
-    """chi(rho, tau) for every rho of Gal(L/Q) (rows) and tau of Gal(K/Q) (columns).
-
-    One chi call per pair; the cocycle check then reads each value by lookup.
-    """
-    return [[chi(t, rho, tau) for tau in auts_k] for rho in auts_l]
+def _chi_table(t: QuadraticTower) -> np.ndarray:
+    """chi(rho, tau) for every rho of Gal(L/Q) (rows) and tau of Gal(K/Q) (columns):
+    the parity of mask(rho) & alpha_mask, one read-only column broadcast over tau."""
+    column = np.array([(m & t.alpha_mask).bit_count() & 1 for m in range(t.L.dim)], dtype=np.int8)
+    return np.broadcast_to(column[:, None], (t.L.dim, t.K.dim))
 
 
 def tower_extension(t: QuadraticTower) -> ShortExactSequence:
@@ -510,31 +503,37 @@ def quadratic_kummer_embedding(
     """
     if t.gap != 1:
         raise TowerError("the chi-based embedding needs [L:K] = 2 (one extra generator)")
-    big, auts_l = t.galois_L
-    small, auts_k = t.galois_K
+    big, small = t.restriction.domain, t.restriction.codomain
     flip_idx = t.alpha_mask & ~t.k_mask
     base = FiniteGroup([[0, 1], [1, 0]], labels=["id", big.labels[flip_idx]],
                        name=f"Gal({t.L!r}/{t.K!r})")
     omega = regular_action(small)
     w = build_wreath(base, omega, size_cap=size_cap)
     # row m of the chi table is sigma_m as eta-exponents over Omega = Gal(K/Q)
-    image = w._codec.encode_array(_chi_table(t, auts_l, auts_k), t.restriction.image)
+    image = w._codec.encode_array(_chi_table(t), t.restriction.image)
     phi = GroupHom(big, w.product, image)
     return w, phi, verify_embedding(phi)
 
 
 def verify_cocycle(t: QuadraticTower) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """chi(r1 r2, tau) == chi(r2, r1^-1 tau) + chi(r1, tau) mod 2 over all triples.
-
-    Returns (True, None) or (False, the row-major first failing (rho1, rho2, tau)).
-    """
-    big, auts_l = t.galois_L
-    small, auts_k = t.galois_K
-    table = np.array(_chi_table(t, auts_l, auts_k), dtype=np.int64)
+    """chi(r1 r2, tau) == chi(r2, r1^-1 tau) + chi(r1, tau) mod 2 over all triples,
+    certified for r1 over the generators of Gal(L/Q).  Returns (True, None), or
+    (False, the row-major first failing (rho1, rho2, tau)), found by sweeping the
+    r1 rows up to the first failing generator."""
+    big, small = t.restriction.domain, t.restriction.codomain
+    table = _chi_table(t)
     back = small.inverses[t.restriction.image]  # the restriction of r1^-1
-    lhs = table[big.table]  # lhs[r1, r2, tau] = chi(r1 r2, tau)
-    rhs = (table[np.arange(big.order)[None, :, None], small.table[back][:, None, :]]
-           + table[:, None, :]) % 2
-    if (lhs == rhs).all():
+    r2, tau = np.arange(big.order)[:, None], np.arange(small.order)
+
+    def fails(r1: np.ndarray) -> np.ndarray:  # [i, r2, tau]: the law fails at r1[i]
+        r1 = r1[:, None, None]
+        rhs = (table[r2, small.table[back[r1], tau]] + table[r1, tau]) % 2
+        return table[big.table[r1, r2], tau] != rhs
+
+    gens = np.array(big.generators())
+    bad = fails(gens).any(axis=(1, 2))
+    if not bad.any():
         return True, None
-    return False, tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
+    width = big.order * small.order
+    first = _first_failure(lambda a, b: fails(np.arange(a, b)), int(gens[bad].min()) + 1, width)
+    return False, (first // width, *divmod(first % width, small.order))

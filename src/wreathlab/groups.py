@@ -50,14 +50,26 @@ from .errors import (
 
 # the largest order of a dense table built from a spec (C:n, D:n, direct and wreath products)
 DENSE_CAP_DEFAULT = 4096
-# cells per block of the all-pairs hom sweep, Light's test and the inverse check,
-# so their memory stays O(chunk) at every order
-SWEEP_CHUNK = 2**20
+# cells per block of every first-failure sweep and of the inverse check, so their
+# memory stays O(chunk) at every order
+SWEEP_CHUNK = 2**16
 
 
 def _rows_per_block(order: int) -> int:
     """Rows of ``order`` cells in a block of about ``SWEEP_CHUNK`` cells."""
     return max(1, SWEEP_CHUNK // order)
+
+
+def _first_failure(law: Callable[[int, int], np.ndarray], rows: int, width: int) -> Optional[int]:
+    """The flat index row * width + cell of the row-major first failure of a law
+    on rows 0..rows-1, or None.  ``law(a, b)`` is True where rows a..b-1 fail; it
+    runs on blocks of ``_rows_per_block(width)`` rows, so memory is O(SWEEP_CHUNK)."""
+    step = _rows_per_block(width)
+    for a in range(0, rows, step):
+        bad = law(a, min(a + step, rows))
+        if bad.any():
+            return a * width + int(bad.argmax())
+    return None
 
 
 class Group:
@@ -233,14 +245,12 @@ class FiniteGroup(Group):
     def _light_test(self, s: int) -> None:
         """Light's test for s: (x s) y = x (s y) for all x, y, in row blocks of x;
         raises at the row-major first failing (x, y)."""
-        t = self.table
+        t, n = self.table, self.order
         xs, sy = t[:, s], t[s]
-        step = _rows_per_block(self.order)
-        for lo in range(0, self.order, step):
-            bad = t[xs[lo:lo + step]] != t[lo:lo + step].take(sy, axis=1)
-            if bad.any():
-                x, y = divmod(int(bad.argmax()), self.order)
-                raise GroupValidationError(f"associativity fails at (a,b,c)=({lo + x},{s},{y})")
+        bad = _first_failure(lambda a, b: t[xs[a:b]] != t[a:b].take(sy, axis=1), n, n)
+        if bad is not None:
+            x, y = divmod(bad, n)
+            raise GroupValidationError(f"associativity fails at (a,b,c)=({x},{s},{y})")
 
     def generators(self) -> list[int]:
         """Greedy generators by ascending index.  A table from outside the package
@@ -295,7 +305,7 @@ class GroupHom:
     """A total map between finite groups, recorded element-by-element.
 
     With ``validate`` the hom law is certified by ``certify_hom`` and its
-    ``HomCertificate`` kept as ``certificate``, so a later report reuses it;
+    ``Certificate`` kept as ``certificate``, so a later report reuses it;
     otherwise ``certificate`` is None.
     """
 
@@ -310,7 +320,7 @@ class GroupHom:
             raise GroupValidationError("hom image entry out of codomain range")
         if int(self.image[domain.identity]) != codomain.identity:
             raise GroupValidationError("hom does not send identity to identity")
-        self.certificate: Optional[HomCertificate] = None
+        self.certificate: Optional[Certificate] = None
         if validate:
             cert = certify_hom(self)
             if cert.counterexample is not None:
@@ -320,26 +330,17 @@ class GroupHom:
     def __call__(self, a: int) -> int:
         return int(self.image[a])
 
-    def _sweep(self, stop: int) -> tuple[Optional[tuple[int, int]], int]:
-        """(the row-major first failing pair (a, b) with a < stop or None, the pairs
-        up to it), compared in blocks of about ``SWEEP_CHUNK`` pairs."""
-        n, img = self.domain.order, self.image
-        b = np.arange(n)[None, :]
-        step = _rows_per_block(n)
-        for lo in range(0, stop, step):
-            a = np.arange(lo, min(lo + step, stop))[:, None]
-            bad = img[self.domain.mul_array(a, b)] != self.codomain.mul_array(img[a], img[b])
-            if bad.any():
-                i, j = divmod(int(bad.argmax()), n)
-                return (lo + i, j), (lo + i) * n + j + 1
-        return None, stop * n
+    def _fails(self, lo: int, hi: int, b: Optional[np.ndarray] = None) -> np.ndarray:
+        """bad[a - lo, j] is phi(a b_j) != phi(a) phi(b_j), for the rows lo <= a < hi
+        and the columns b, every element by default: the one statement of the hom law."""
+        img, a = self.image, np.arange(lo, hi)[:, None]
+        b = np.arange(self.domain.order) if b is None else b
+        return img[self.domain.mul_array(a, b)] != self.codomain.mul_array(img[a], img[b])
 
     def find_hom_counterexample(self):
         """First (a, b) with phi(ab) != phi(a)phi(b) over all pairs, row-major, or None."""
-        return self._sweep(self.domain.order)[0]
-
-    def is_homomorphism(self) -> bool:
-        return self.find_hom_counterexample() is None
+        bad = _first_failure(self._fails, self.domain.order, self.domain.order)
+        return None if bad is None else divmod(bad, self.domain.order)
 
     def is_injective(self) -> bool:
         return len(np.unique(self.image)) == self.domain.order
@@ -369,17 +370,17 @@ class GroupHom:
 
 
 @dataclass(frozen=True)
-class HomCertificate:
-    """How a hom law was checked: method, number of checks, seconds taken, and the
-    row-major first failing pair (None when the law holds)."""
+class Certificate:
+    """How a law was checked: method, number of checks, seconds taken, and its first
+    failure or None: a hom law's first failing pair, the theta laws' message."""
 
     method: str
     checks: int
     elapsed_s: float
-    counterexample: Optional[tuple[int, int]]
+    counterexample: Optional[object]
 
 
-def certify_hom(phi: GroupHom) -> HomCertificate:
+def certify_hom(phi: GroupHom) -> Certificate:
     """The hom law of phi, certified by phi(x s) = phi(x) phi(s) for every x and every
     generator s of the domain, which gives it on all pairs.
 
@@ -388,18 +389,14 @@ def certify_hom(phi: GroupHom) -> HomCertificate:
     ``find_hom_counterexample`` reports.
     """
     start = time.perf_counter()
-    domain, img = phi.domain, phi.image
-    s = np.array(domain.generators(), dtype=np.int64)
-    x = np.arange(domain.order)[:, None]
-    # bad[x, i] is phi(x s_i) != phi(x) phi(s_i)
-    bad = img[domain.mul_array(x, s)] != phi.codomain.mul_array(img[x], img[s])
+    n = phi.domain.order
+    bad = phi._fails(0, n, np.array(phi.domain.generators(), dtype=np.int64))  # [x, i] at (x, s_i)
     checks, counterexample = bad.size, None
-    if bad.any():
-        x0 = int(bad.any(axis=1).argmax())
-        counterexample, swept = phi._sweep(x0 + 1)
-        checks += swept
-    return HomCertificate("generator-certified", checks, time.perf_counter() - start,
-                          counterexample)
+    if bad.any():  # sweep the rows up to the first failing one, for the first failing pair
+        first = _first_failure(phi._fails, int(bad.any(axis=1).argmax()) + 1, n)
+        counterexample, checks = divmod(first, n), checks + first + 1
+    return Certificate("generator-certified", checks, time.perf_counter() - start,
+                       counterexample)
 
 
 def identity_hom(g: FiniteGroup) -> GroupHom:

@@ -3,13 +3,14 @@
 Each suite returns Verdict records; the CLI prints them sorted and the
 acceptance tests assert on them.  The theta, omega, cocycle and iso suites are
 exact and take no depth.  The depth (``sampled:N``) and the seed only set the
-kk suite's random sections, drawn where a quotient is too large to try them all.
+kk suite's random sections, drawn where N is below a quotient's section count.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -29,6 +30,7 @@ from .embeddings import (
 )
 from .fields import MultiQuadField, QuadraticTower, verify_cocycle
 from .groups import (
+    Certificate,
     FiniteGroup,
     GroupHom,
     center_subgroup,
@@ -142,8 +144,8 @@ def _theta_omega(k_spec: str, h_spec: str, degree: Optional[int]):
     return k, omega
 
 
-def check_theta_properties(k: FiniteGroup, omega) -> tuple[Optional[str], int]:
-    """(first failure or None, checks) of the theta laws, certified on generators.
+def check_theta_properties(k: FiniteGroup, omega) -> Certificate:
+    """The theta laws certified on generators, the counterexample naming their first failure.
 
     theta_h(f) is the tuple part of (1, h)(f, e).  In order, each naming its
     first failure row-major: theta_e = id; theta_s is a bijection for each
@@ -152,25 +154,30 @@ def check_theta_properties(k: FiniteGroup, omega) -> tuple[Optional[str], int]:
     K^Omega (a generator of K at one point).  The s and the g that pass are
     closed under products, so both laws hold for every h, f and g.
     """
+    start = time.perf_counter()
     codec, h_grp = _Codec(k, omega), omega.group
     b, pv = codec.tuple_count, codec.theta_table()
     gens = np.array(h_grp.generators(), dtype=np.int64)
     k_gens = np.array(k.generators(), dtype=np.int64)
     g = (codec.identity % b + (k_gens[None, :] - k.identity) * codec._pw[:, None]).ravel()
     checks = b * (1 + len(gens) * (1 + h_grp.order + len(g)))
+
+    def certificate(failure: Optional[str]) -> Certificate:
+        return Certificate("generator-certified", checks, time.perf_counter() - start, failure)
+
     f = np.arange(b)
     bad = pv[h_grp.identity] != f
     if bad.any():
-        return f"theta_{h_grp.identity} is not the identity at f={int(np.argmax(bad))}", checks
+        return certificate(f"theta_{h_grp.identity} is not the identity at f={int(np.argmax(bad))}")
     for s in gens.tolist():
         if np.bincount(pv[s], minlength=b).max() != 1:
-            return f"theta_{s} is not a bijection", checks
+            return certificate(f"theta_{s} is not a bijection")
     # bad[h1, i, f]: theta_(h1 s_i)(f) against theta_h1(theta_s_i(f))
     bad = pv[h_grp.mul_array(np.arange(h_grp.order)[:, None], gens)] != pv[:, pv[gens]]
     if bad.any():
         h1, i, f0 = (int(v) for v in np.argwhere(bad)[0])
-        return (f"theta_(h1 h2) != theta_h1 o theta_h2 at (h1,h2,f)="
-                f"({h1},{gens[i]},{f0})"), checks
+        return certificate(f"theta_(h1 h2) != theta_h1 o theta_h2 at (h1,h2,f)="
+                           f"({h1},{gens[i]},{f0})")
     # bad[i, f, j]: theta_s_i(f g_j) against theta_s_i(f) theta_s_i(g_j)
     ps = pv[gens]
     bad = (ps[:, codec.tuple_product(f[:, None], g[None, :])]
@@ -178,8 +185,8 @@ def check_theta_properties(k: FiniteGroup, omega) -> tuple[Optional[str], int]:
     if bad.any():
         i, f0, j = (int(v) for v in np.argwhere(bad)[0])
         s = gens[i]
-        return f"theta_{s}(fg) != theta_{s}(f) theta_{s}(g) at (f,g)=({f0},{g[j]})", checks
-    return None, checks
+        return certificate(f"theta_{s}(fg) != theta_{s}(f) theta_{s}(g) at (f,g)=({f0},{g[j]})")
+    return certificate(None)
 
 
 # -- suites ---------------------------------------------------------------------
@@ -189,10 +196,11 @@ def theta_suite() -> list[Verdict]:
     out = []
     for k_spec, h_spec, degree in THETA_CATALOG:
         k, omega = _theta_omega(k_spec, h_spec, degree)
-        failure, checks = check_theta_properties(k, omega)
+        cert = check_theta_properties(k, omega)
         order = k.order**omega.size * omega.group.order
-        detail = f"generator-certified, {checks} checks, order {order}"
+        detail = f"{cert.method}, {cert.checks} checks, order {order}"
         name = f"{k_spec} wr {h_spec}" + (f" (natural:{degree})" if degree else "")
+        failure = cert.counterexample
         out.append(Verdict("theta", name, failure is None,
                            f"{failure}; {detail}" if failure else detail))
     return out
@@ -210,15 +218,15 @@ def _verify_section(ses: ShortExactSequence, section) -> tuple[Optional[str], in
 
 
 def kk_suite(random_sections: Optional[int] = None, seed: int = 0) -> list[Verdict]:
-    """The default section, then every section where the quotient has at most
-    ``KK_ALL_SECTIONS_LIMIT`` elements and seeded random ones otherwise."""
+    """The default section, then every section where ``random_sections`` covers them or
+    the quotient has at most ``KK_ALL_SECTIONS_LIMIT`` elements, seeded random ones otherwise."""
     random_sections = (KK_RANDOM_SECTIONS_DEFAULT if random_sections is None
                        else random_sections)
     rng = random.Random(seed)
     out = []
     for name, ses in ses_catalog():
-        if ses.q.order <= KK_ALL_SECTIONS_LIMIT:
-            total = ses.n.order**ses.q.order  # each fiber is a coset of N
+        total = ses.n.order**ses.q.order  # each fiber is a coset of N
+        if ses.q.order <= KK_ALL_SECTIONS_LIMIT or random_sections >= total:
             sections, which = all_sections(ses.g_to_q), f"all {total} sections"
         else:
             sections = (random_section(ses.g_to_q, rng) for _ in range(random_sections))

@@ -158,9 +158,9 @@ def test_criterion_6_theta_homomorphism(capsys):
         oracle_checked = 0
         for k_spec, h_spec, degree in THETA_CATALOG:
             k, omega = _theta_omega(k_spec, h_spec, degree)
-            failure, checks = check_theta_properties(k, omega)
-            assert failure is None, (k_spec, h_spec, failure)
-            assert checks > 0
+            cert = check_theta_properties(k, omega)
+            assert cert.counterexample is None, (k_spec, h_spec, cert.counterexample)
+            assert cert.method == "generator-certified" and cert.checks > 0
             if k.order**omega.size * omega.group.order <= 10**4:
                 assert theta_all_pairs(k, omega) is None, (k_spec, h_spec)
                 oracle_checked += 1

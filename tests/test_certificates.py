@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from wreathlab import (
     ActionValidationError,
+    Certificate,
     FiniteGSet,
     GroupHom,
     GroupValidationError,
@@ -308,7 +309,7 @@ def test_certify_hom_agrees_with_all_pairs_on_homs_and_transports(data):
     phi = GroupHom(hom.domain, hom.codomain, image, validate=False)
     expected = first_failing_pair(phi)
     cert = certify_hom(phi)
-    assert cert.method == "generator-certified"
+    assert isinstance(cert, Certificate) and cert.method == "generator-certified"
     assert cert.counterexample == expected
     grid = phi.domain.order * len(phi.domain.generators())
     if expected is None:
@@ -374,8 +375,24 @@ def test_action_check_on_generators_agrees_with_all_h1(data):
         act[h, data.draw(st.integers(0, omega.size - 1))] = data.draw(st.integers(0, omega.size - 1))
     try:
         FiniteGSet(omega.group, act)
-    except ActionValidationError:
-        accepted = False
+    except ActionValidationError as exc:
+        accepted, message = False, str(exc)
     else:
         accepted = True
     assert accepted == action_axioms_hold(omega.group, act)
+    g = omega.group
+    if not accepted and message.startswith("compatibility"):
+        # the first failing generator h1, and its row-major first failing (h2, w)
+        h1, h2, w = map(int, message.split("=(")[1].rstrip(")").split(","))
+        fails = [s for s in g.generators() if (act[s][act] != act[g.table[s]]).any()]
+        bad = act[h1][act] != act[g.table[h1]]
+        assert h1 == fails[0] and divmod(int(bad.argmax()), omega.size) == (h2, w)
+    # the check compares row blocks of h2; any block size gives the same verdict and message
+    chunk = data.draw(st.sampled_from([1, 7, g.order * omega.size + 3]))
+    with mock.patch.object(groups_module, "SWEEP_CHUNK", chunk):
+        try:
+            FiniteGSet(g, act)
+        except ActionValidationError as exc:
+            assert not accepted and str(exc) == message
+        else:
+            assert accepted

@@ -339,6 +339,21 @@ def test_verify_sampled_depth(capsys):
             "each generator-certified, 288 checks)") in out.splitlines()
 
 
+def test_verify_sampled_depth_covering_every_section_enumerates_them(capsys):
+    # S4/V4 has 4^6 = 4096 sections: a larger N tries each once, not N random ones
+    code, out, _ = run(capsys, "verify", "--suite", "kk", "--depth", "sampled:100000000")
+    assert code == 0
+    assert ("PASS kk: S4/V4 (4097 sections verified: the default, then all 4096 sections; "
+            "each generator-certified, 294984 checks)") in out.splitlines()
+
+
+def test_verify_negative_sampled_depth_is_usage_error(capsys):
+    for depth in ("sampled:-5", "sampled:-1"):
+        code, out, err = run(capsys, "verify", "--suite", "kk", "--depth", depth)
+        assert (code, out) == (2, "")
+        assert f"bad depth '{depth}'" in err
+
+
 def test_verify_kk_names_how_its_sections_were_chosen(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kk")
     assert code == 0

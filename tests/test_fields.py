@@ -7,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from wreathlab import fields
+from wreathlab import fields, groups
 from wreathlab import (
     FieldAutomorphism,
     MultiQuadField,
@@ -552,7 +552,7 @@ def test_kummer_embedding_into_an_order_2048_wreath_stays_small(peak_mb):
     order 16, into C:2 wr_r Gal(K/Q) of order 2048, whose dense table alone would
     be 16 MB; the embedding and its report stay under 2 MB."""
     t = QuadraticTower(MultiQuadField([2, 3, 5, 7]), [2, 3, 5], Fraction(7))
-    t.galois_L, t.galois_K  # field set-up, outside the traced region
+    t.restriction  # the Galois groups, built outside the traced region
     (w, _phi, report), peak = peak_mb(lambda: quadratic_kummer_embedding(t))
     assert w.order == 2048 and w._dense is None
     assert report.is_homomorphism and report.is_injective and report.image_order == 16
@@ -608,41 +608,116 @@ def test_cocycle_towers():
         assert ok and witness is None
 
 
-def reference_cocycle(t):
-    """The cocycle law scanned over all (i1, i2, j) with a fresh chi call per term."""
+def chi_values(t):
+    """chi(rho, tau) at every pair, one chi call each, as an int64 array."""
+    _, auts_l = galois_group(t.L)
+    _, auts_k = galois_group(t.K)
+    return np.array([[fields.chi(t, rho, tau) for tau in auts_k] for rho in auts_l])
+
+
+def reference_cocycle(t, table=None):
+    """The cocycle law scanned over all (i1, i2, j), reading chi from ``table``
+    or, by default, from a fresh chi call per term."""
     big, auts_l = galois_group(t.L)
     small, auts_k = galois_group(t.K)
     eps = restriction_hom(t.L, t.K_generators)
+
+    def value(i, j):
+        return fields.chi(t, auts_l[i], auts_k[j]) if table is None else int(table[i][j])
+
     for i1 in range(big.order):
         for i2 in range(big.order):
             prod = big.mul(i1, i2)
             for j in range(small.order):
-                lhs = fields.chi(t, auts_l[prod], auts_k[j])
                 shifted = small.mul(small.inv(int(eps.image[i1])), j)
-                rhs = (fields.chi(t, auts_l[i2], auts_k[shifted])
-                       + fields.chi(t, auts_l[i1], auts_k[j])) % 2
-                if lhs != rhs:
+                if value(prod, j) != (value(i2, shifted) + value(i1, j)) % 2:
                     return False, (i1, i2, j)
     return True, None
 
 
+@pytest.mark.parametrize("gens,k_gens,alpha", TOWERS, ids=str)
+def test_chi_table_is_chi_at_every_pair(gens, k_gens, alpha):
+    t = QuadraticTower(MultiQuadField(gens), k_gens, alpha)
+    table = fields._chi_table(t)
+    assert table.shape == (t.L.dim, t.K.dim) and not table.flags.writeable
+    assert (table == chi_values(t)).all()
+
+
 @pytest.mark.parametrize("gens,k_gens,alpha", TOWERS[:3], ids=str)
 def test_cocycle_reports_the_first_failure_of_the_triple_scan(monkeypatch, gens, k_gens, alpha):
+    """Every single-entry flip of the chi table, read by the certificate through
+    ``_chi_table`` and by the oracle directly."""
     t = QuadraticTower(MultiQuadField(gens), k_gens, alpha)
-    true_chi = fields.chi
-    _, auts_l = galois_group(t.L)
-    _, auts_k = galois_group(t.K)
-    values = {(rho.mask(), tau.mask()): true_chi(t, rho, tau) for rho in auts_l for tau in auts_k}
-    for broken in values:
-        def wrong_chi(_t, rho, tau, broken=broken):
-            key = (rho.mask(), tau.mask())
-            return values[key] ^ (key == broken)
-
-        monkeypatch.setattr(fields, "chi", wrong_chi)
+    values = chi_values(t)
+    for cell in np.ndindex(values.shape):
+        broken = values.copy()
+        broken[cell] ^= 1
+        monkeypatch.setattr(fields, "_chi_table", lambda _t, broken=broken: broken)
         ok, witness = verify_cocycle(t)
-        assert not ok and (ok, witness) == reference_cocycle(t)
-    monkeypatch.setattr(fields, "chi", true_chi)
+        assert not ok and (ok, witness) == reference_cocycle(t, broken)
+    monkeypatch.undo()
     assert verify_cocycle(t) == reference_cocycle(t) == (True, None)
+
+
+def test_cocycle_failure_past_the_first_generator_is_found(monkeypatch):
+    """chi + b1(rho) b2(rho), with b_i the i-th bit of the mask, keeps the law at
+    r1 = the first generator (bit 0 moves neither bit) and breaks it at the
+    second, so a check of the first generator alone would pass it."""
+    t = QuadraticTower(MultiQuadField([2, 3, 5]), [2, 3], Fraction(5))
+    m = np.arange(t.L.dim)
+    broken = chi_values(t) ^ ((m >> 1) & (m >> 2) & 1)[:, None]
+    gens = galois_group(t.L)[0].generators()
+    assert gens == [1, 2, 4]
+    monkeypatch.setattr(fields, "_chi_table", lambda _t: broken)
+    assert verify_cocycle(t) == reference_cocycle(t, broken) == (False, (2, 4, 0))
+
+
+DIFFERENTIAL_TOWERS = [
+    ([5, 7], [5], 7),
+    ([2, 3, 5], [2], 15),
+    ([2, 3, 5, 7], [3, 7], 10),
+    ([2, 3, 5, 7, 11], [2, 3, 5, 7], 11),
+    ([2, 3, 5, 7, 11], [5], 66),
+]
+
+
+def random_corruption(rng, values):
+    """values with a random change: a few flipped cells, a flipped row, or a
+    function u(rho) of the mask added to every column, either a character
+    parity(mask & v), which keeps the law, or a product of two bits, which
+    keeps it only along the other generators."""
+    rows, cols = values.shape
+    broken, m = values.copy(), np.arange(rows)
+    kind = rng.randrange(4)
+    if kind == 0:
+        for _ in range(rng.randint(1, 4)):
+            broken[rng.randrange(rows), rng.randrange(cols)] ^= 1
+    elif kind == 1:
+        broken[rng.randrange(rows)] ^= 1
+    elif kind == 2:
+        v = rng.randrange(rows)
+        broken ^= np.array([bin(x & v).count("1") & 1 for x in range(rows)])[:, None]
+    else:
+        i, j = rng.sample(range(rows.bit_length() - 1), 2)
+        broken ^= ((m >> i) & (m >> j) & 1)[:, None]
+    return broken
+
+
+@pytest.mark.parametrize("gens,k_gens,alpha", DIFFERENTIAL_TOWERS, ids=str)
+def test_cocycle_agrees_with_the_triple_scan_on_random_corruptions(monkeypatch, gens, k_gens,
+                                                                   alpha):
+    t = QuadraticTower(MultiQuadField(gens), k_gens, Fraction(alpha))
+    values, rng = chi_values(t), random.Random(len(gens) * 1000 + alpha)
+    outcomes = set()
+    for _ in range(24):
+        broken = random_corruption(rng, values)
+        monkeypatch.setattr(fields, "_chi_table", lambda _t, broken=broken: broken)
+        # the fallback sweeps r1 in row blocks; any block size finds the same triple
+        monkeypatch.setattr(groups, "SWEEP_CHUNK", rng.choice([1, 7, 2**16]))
+        expected = reference_cocycle(t, broken)
+        assert verify_cocycle(t) == expected
+        outcomes.add(expected[0])
+    assert outcomes == {True, False}
 
 
 def test_tower_builds_its_galois_data_once_and_not_at_construction(monkeypatch):

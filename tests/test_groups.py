@@ -14,6 +14,7 @@ from wreathlab import (
     NonNormalSubgroupError,
     SizeLimitError,
     center_subgroup,
+    certify_hom,
     check_presentation_d4,
     construct_named,
     coset_partition,
@@ -222,7 +223,7 @@ def test_c2_times_c3_is_cyclic():
     prod = direct_product(construct_named("C:2"), construct_named("C:3"))
     iso = are_isomorphic(prod, construct_named("C:6"))
     assert iso is not None
-    assert iso.is_homomorphism() and iso.is_injective() and iso.is_surjective()
+    assert certify_hom(iso).counterexample is None and iso.is_injective() and iso.is_surjective()
 
 
 def test_product_identity_follows_the_factors_identities():

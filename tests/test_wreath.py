@@ -10,6 +10,7 @@ from wreathlab import (
     SizeLimitError,
     WreathlabError,
     build_wreath,
+    certify_hom,
     check_presentation_d4,
     construct_named,
     natural_action,
@@ -116,11 +117,16 @@ def test_theta_certificate_counts_its_checks_and_covers_trivial_groups():
     # 8 (identity) + 8 (bijection) + 2*8 (hom law) + 8*3 (multiplicativity)
     k, omega = construct_named("C:2"), natural_action(3, construct_named("S:3"))
     omega = FiniteGSet(construct_named("C:2"), omega.act[[0, 1]])
-    assert check_theta_properties(k, omega) == (None, 56)
+    def outcome(k, omega):
+        cert = check_theta_properties(k, omega)
+        assert cert.method == "generator-certified" and cert.elapsed_s >= 0
+        return cert.counterexample, cert.checks
+
+    assert outcome(k, omega) == (None, 56)
     c1 = construct_named("C:1")
-    assert check_theta_properties(c1, regular_action(c1)) == (None, 1)
-    assert check_theta_properties(construct_named("C:3"), regular_action(c1)) == (None, 3)
-    assert check_theta_properties(c1, regular_action(construct_named("C:3")))[0] is None
+    assert outcome(c1, regular_action(c1)) == (None, 1)
+    assert outcome(construct_named("C:3"), regular_action(c1)) == (None, 3)
+    assert outcome(c1, regular_action(construct_named("C:3")))[0] is None
 
 
 def test_theta_certificate_agrees_with_the_oracle_on_swapped_action_rows(monkeypatch):
@@ -134,7 +140,7 @@ def test_theta_certificate_agrees_with_the_oracle_on_swapped_action_rows(monkeyp
             act = omega.act.copy()
             act[[a, b]] = act[[b, a]]
             mutant = FiniteGSet(omega.group, act)
-            failure, _checks = check_theta_properties(k, mutant)
+            failure = check_theta_properties(k, mutant).counterexample
             assert (failure is None) == (theta_all_pairs(k, mutant) is None), (k_spec, h_spec, a, b)
             mutants += 1
             if failure is not None:
@@ -183,10 +189,10 @@ def test_theta_certificate_agrees_with_the_oracle_on_twisted_products(monkeypatc
     for x0, y0, z0, kind in mutants:
         with monkeypatch.context() as m:
             twist_mul(m, x0, y0, z0)
-            failure, _checks = check_theta_properties(k, omega)
+            failure = check_theta_properties(k, omega).counterexample
             assert failure is not None and check_kind(failure) == kind, failure
             assert theta_all_pairs(k, omega) is not None
-    assert check_theta_properties(k, omega)[0] is None
+    assert check_theta_properties(k, omega).counterexample is None
 
 
 # -- construction ------------------------------------------------------------------
@@ -351,7 +357,7 @@ def test_structural_generators_cover_every_orbit_and_certify_homs():
     assert gens == [w.encode((1, 0, 0), 0), w.encode((0, 0, 1), 0), w.encode((0, 0, 0), 1)]
     assert closure(w.product, gens) == list(range(w.order))
     # homs out of a structural product are validated on these generators
-    assert GroupHom(w.product, c2, top_projection(w).image).is_homomorphism()
+    assert certify_hom(GroupHom(w.product, c2, top_projection(w).image)).counterexample is None
     broken = np.array(top_projection(w).image)
     broken[gens[0]] = 1
     assert GroupHom(w.product, c2, broken, validate=False).find_hom_counterexample() is not None
