@@ -32,7 +32,7 @@ from .groups import (
     subgroup_from_elements,
 )
 from .search import embeds_into, identify_small
-from .sizes import figure_csv, figure_data, table1
+from .sizes import M_MAX_BOUND, figure_csv, figure_data, table1
 from .suites import find_normal_subgroup, run_suites, ses_from_subgroup, stabilizer_subgroup
 from .wreath import SIZE_CAP_DEFAULT, build_wreath
 
@@ -44,12 +44,14 @@ EXIT_RESOURCE = 3
 
 
 def _size_cap(args) -> int:
-    if args.size_cap:
-        return args.size_cap
-    env = os.environ.get(ENV_SIZE_CAP)
-    if env:
-        return int(env)
-    return SIZE_CAP_DEFAULT
+    """--size-cap, else $WREATHLAB_SIZE_CAP, else the default; below 1 is a usage error."""
+    cap = args.size_cap
+    if cap is None:
+        env = os.environ.get(ENV_SIZE_CAP)
+        cap = int(env) if env else SIZE_CAP_DEFAULT
+    if cap < 1:
+        raise ValueError(f"size cap {cap} must be at least 1")
+    return cap
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -312,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sizes", help="size formulas, catalog rows and figure data")
     p.add_argument("--kf", type=int, required=True)
     p.add_argument("--group")
-    p.add_argument("--m-max", type=int, default=120)
+    p.add_argument("--m-max", type=int, default=120,
+                   help=f"largest m of the figure rows, at most {M_MAX_BOUND}")
     p.add_argument("--emit", choices=["figure", "table1"], default="figure")
     p.add_argument("--out")
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")

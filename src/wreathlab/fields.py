@@ -9,7 +9,9 @@ that form is canonical, so equality and hashing compare it directly, and
 constructor reads each coordinate's ``as_integer_ratio()`` directly when it
 is an ``int`` or ``Fraction``, and goes through ``Fraction(c)`` otherwise.
 Automorphisms are sign vectors on the generators, so the Galois group over Q
-is elementary abelian of order 2^k and composes by XOR of masks.
+is elementary abelian of order 2^k and composes by XOR of masks;
+``galois_group`` returns that XOR group alone, and a ``FieldAutomorphism`` is
+built from a mask only where one is applied to elements.
 
 Because the top generator is the most significant bit, a coordinate vector of
 length 2^k splits in halves as x = a + b*sqrt(d) with d = d_{k-1} and a, b
@@ -39,6 +41,9 @@ sign character chi(rho, tau) only asks whether rho negates sqrt(alpha): it is
 the parity of the generators that rho flips on the monomial of sqrt(alpha),
 whatever tau is.  The law chi(r1 r2, tau) = chi(r2, r1^-1 tau) + chi(r1, tau)
 holds for a product of the r1 it holds for, so ``verify_cocycle`` checks it on generators.
+When [L:K] = 2, ``quadratic_kummer_embedding`` is the kk embedding of
+1 -> Gal(L/K) -> Gal(L/Q) -> Gal(K/Q) -> 1 through the section that lifts each
+tau to the automorphism fixing sqrt(alpha): sigma_rho is then eta^chi(rho, .).
 """
 
 from __future__ import annotations
@@ -51,11 +56,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import TowerError
-from .groups import (FiniteGroup, GroupHom, _ascending_generators, _first_failure,
+from .groups import (FiniteGroup, GroupHom, Section, _ascending_generators, _first_failure,
                      subgroup_from_elements)
-from .wreath import WreathProduct, build_wreath
-from .actions import regular_action
-from .embeddings import EmbeddingReport, ShortExactSequence, verify_embedding
+from .wreath import WreathProduct, _check_wreath_order
+from .embeddings import EmbeddingReport, ShortExactSequence, kk_embedding, verify_embedding
 
 GENERATOR_BOUND = 10**6
 # coordinate types whose as_integer_ratio() is already the reduced Fraction(c) form
@@ -380,23 +384,13 @@ def _mask_labels(count: int) -> list[str]:
     return ["id"] + [f"rho{m}" for m in range(1, count)]
 
 
-def galois_group(f: MultiQuadField) -> tuple[FiniteGroup, list[FieldAutomorphism]]:
-    """Gal over Q as a concrete group (XOR on sign masks) plus the automorphisms.
-
-    Index m corresponds to negating exactly the generators in bitmask m, so
-    the group is elementary abelian of order 2^k.
-    """
-    dim = f.dim
-    idx = np.arange(dim, dtype=np.int32)
-    table = idx[:, None] ^ idx[None, :]
+def galois_group(f: MultiQuadField) -> FiniteGroup:
+    """Gal over Q as a concrete group: index m negates exactly the generators in
+    bitmask m, so the group is elementary abelian of order 2^k under XOR."""
+    idx = np.arange(f.dim, dtype=np.int32)
     # XOR on masks is associative by construction: no Light's test
-    group = FiniteGroup(table, labels=_mask_labels(dim), name=f"Gal({f!r}/Q)",
-                        _generator_source=_ascending_generators)
-    auts = [
-        FieldAutomorphism(f, tuple(-1 if m >> i & 1 else 1 for i in range(f.k)))
-        for m in range(dim)
-    ]
-    return group, auts
+    return FiniteGroup(idx[:, None] ^ idx[None, :], labels=_mask_labels(f.dim),
+                       name=f"Gal({f!r}/Q)", _generator_source=_ascending_generators)
 
 
 def _subfield_positions(f: MultiQuadField, k_generators: Sequence[int]) -> list[int]:
@@ -421,7 +415,7 @@ def restriction_hom(f_big: MultiQuadField, k_generators: Sequence[int]) -> Group
     """The induced surjection Gal(L/Q) -> Gal(K/Q) on concrete groups."""
     positions = _subfield_positions(f_big, k_generators)
     sub_field = MultiQuadField([f_big.generators[p] for p in positions])
-    return _restriction(galois_group(f_big)[0], galois_group(sub_field)[0], positions)
+    return _restriction(galois_group(f_big), galois_group(sub_field), positions)
 
 
 class QuadraticTower:
@@ -457,7 +451,7 @@ class QuadraticTower:
 
     @functools.cached_property
     def restriction(self) -> GroupHom:
-        return _restriction(galois_group(self.L)[0], galois_group(self.K)[0], self.k_positions)
+        return _restriction(galois_group(self.L), galois_group(self.K), self.k_positions)
 
     def __repr__(self) -> str:
         return f"<tower Q <= {self.K!r} <= {self.L!r}, alpha={self.alpha}>"
@@ -496,22 +490,20 @@ def quadratic_kummer_embedding(
     t: QuadraticTower,
     size_cap: Optional[int] = None,
 ) -> tuple[WreathProduct, GroupHom, EmbeddingReport]:
-    """Embed Gal(L/Q) into Gal(L/K) wr_Omega Gal(K/Q) via sigma_rho(tau) = eta^chi.
+    """Embed Gal(L/Q) into Gal(L/K) wr_r Gal(K/Q) via sigma_rho(tau) = eta^chi.
 
-    Omega is Gal(K/Q) acting on itself by composition (K is Galois over Q), the
-    base group is {id, eta} with eta the flip of the single generator of L/K.
+    This is the kk embedding of ``tower_extension(t)`` through the section that
+    lifts each tau to the automorphism of L fixing sqrt(alpha), the lift whose
+    chi row is 0; eta is the flip of the single generator of L/K.
     """
     if t.gap != 1:
         raise TowerError("the chi-based embedding needs [L:K] = 2 (one extra generator)")
-    big, small = t.restriction.domain, t.restriction.codomain
-    flip_idx = t.alpha_mask & ~t.k_mask
-    base = FiniteGroup([[0, 1], [1, 0]], labels=["id", big.labels[flip_idx]],
-                       name=f"Gal({t.L!r}/{t.K!r})")
-    omega = regular_action(small)
-    w = build_wreath(base, omega, size_cap=size_cap)
-    # row m of the chi table is sigma_m as eta-exponents over Omega = Gal(K/Q)
-    image = w._codec.encode_array(_chi_table(t), t.restriction.image)
-    phi = GroupHom(big, w.product, image)
+    _check_wreath_order(2, t.K.dim, t.K.dim, size_cap)  # before any Galois group is built
+    ses = tower_extension(t)
+    lifts = np.flatnonzero(_chi_table(t)[:, 0] == 0)
+    choice = np.empty(t.K.dim, dtype=np.int64)
+    choice[ses.g_to_q.image[lifts]] = lifts
+    w, phi = kk_embedding(ses, Section(ses.q, ses.g, choice), size_cap)
     return w, phi, verify_embedding(phi)
 
 

@@ -210,25 +210,30 @@ class FigureRow:
     marker: str
 
 
+# the largest m_max figure_data and crossover_report accept: they make one row
+# per multiple of kc up to m_max, so at most 50,000 rows (kc >= 2)
+M_MAX_BOUND = 10**5
+
+
+def _multiples(kf: int, group: str, m_max: int) -> tuple[SizeRow, range]:
+    """The catalog row and the multiples of its kc up to m_max, refused with
+    ``ValueError`` above ``M_MAX_BOUND`` before any row is made."""
+    if m_max > M_MAX_BOUND:
+        raise ValueError(f"m_max {m_max} exceeds the bound {M_MAX_BOUND}")
+    row = find_row(kf, group)
+    return row, range(row.kc, m_max + 1, row.kc)
+
+
 def figure_data(kf: int, group: str, m_max: int) -> list[FigureRow]:
     """Log-size rows for m over multiples of kc up to m_max.
 
     The m = 2*kc row carries the "2kc" marker (the reference line in the plots).
     """
-    row = find_row(kf, group)
-    out = []
-    m = row.kc
-    while m <= m_max:
-        out.append(
-            FigureRow(
-                m=m,
-                log_regular=math.log(row.regular_at(m)),
-                log_omega=math.log(row.omega_at(m)),
-                marker="2kc" if m == 2 * row.kc else "",
-            )
-        )
-        m += row.kc
-    return out
+    row, ms = _multiples(kf, group, m_max)
+    return [FigureRow(m=m, log_regular=math.log(row.regular_at(m)),
+                      log_omega=math.log(row.omega_at(m)),
+                      marker="2kc" if m == 2 * row.kc else "")
+            for m in ms]
 
 
 FIGURE_CSV_HEADER = "m,log_regular,log_omega,marker"
@@ -246,11 +251,10 @@ def crossover_report(kf: int, group: str, m_max: int) -> dict:
     matches: equality everywhere for Galois rows; above m = 3kc the regular
     size dominates; at m = 2kc equality holds exactly for dihedral bottom groups.
     """
-    row = find_row(kf, group)
+    row, ms = _multiples(kf, group, m_max)
     comparisons = []
     matches = True
-    m = row.kc
-    while m <= m_max:
+    for m in ms:
         reg, om = row.regular_at(m), row.omega_at(m)
         relation = "eq" if reg == om else ("gt" if reg > om else "lt")
         comparisons.append({"m": m, "regular": reg, "omega": om, "relation": relation})
@@ -262,7 +266,6 @@ def crossover_report(kf: int, group: str, m_max: int) -> dict:
                 matches = False
             if m >= 3 * row.kc and relation != "gt":
                 matches = False
-        m += row.kc
     return {
         "kf": kf,
         "group": group,

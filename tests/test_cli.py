@@ -8,6 +8,7 @@ import pytest
 
 from wreathlab import (
     construct_named,
+    crossover_report,
     figure_csv,
     figure_data,
     group_to_json,
@@ -17,6 +18,7 @@ from wreathlab import (
 import wreathlab
 from wreathlab import cli
 from wreathlab.cli import main
+from wreathlab.sizes import M_MAX_BOUND
 
 
 def run(capsys, *argv):
@@ -139,6 +141,24 @@ def test_build_env_size_cap(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag,env", [("0", None), ("-5", None), (None, "0"), (None, "-5")])
+def test_a_size_cap_below_one_is_a_usage_error(capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("WREATHLAB_SIZE_CAP", env)
+    argv = ["build", "--k", "C:2", "--h", "C:2"] + (["--size-cap", flag] if flag else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: size cap") and "must be at least 1" in err
+
+
+def test_a_size_cap_flag_overrides_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("WREATHLAB_SIZE_CAP", "0")
+    code, out, _ = run(capsys, "build", "--k", "C:2", "--h", "C:2", "--size-cap", "8")
+    assert code == 0 and out.strip() == "order 8, identified D:4"
+    code, _, err = run(capsys, "build", "--k", "C:2", "--h", "C:2", "--size-cap", "7")
+    assert code == 3 and "exceeds cap 7" in err
+
+
 # -- embed -----------------------------------------------------------------------------
 
 
@@ -211,6 +231,25 @@ def test_embed_tower_with_a_huge_prime_alpha_answers_fast(capsys):
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 
+def test_embed_tower_past_the_cap_exits_3_before_building_galois_groups(capsys):
+    primes = "2,3,5,7,11,13,17,19,23,29,31,37"
+    start = time.perf_counter()
+    code, _, err = run(capsys, "embed", "--mode", "tower", "--field", primes,
+                       "--K", primes.rsplit(",", 1)[0], "--alpha", "37")
+    elapsed = time.perf_counter() - start
+    assert code == 3 and "exceeds the int64 index range" in err
+    assert elapsed < 0.2, f"took {elapsed:.2f} s"
+
+
+def test_embed_tower_section_cross_check_tells_the_sqrt_alpha_section_apart(capsys):
+    argv = ["embed", "--mode", "tower", "--field", "2,3,5", "--K", "2,3", "--alpha", "15"]
+    for pairs, verdict in (("rho1:rho1,rho2:rho6,rho3:rho7", "agree"),
+                           ("rho1:rho1,rho2:rho2,rho3:rho3", "DISAGREE")):
+        code, out, _ = run(capsys, *argv, "--section", pairs)
+        assert code == 0
+        assert out.splitlines()[-1] == f"section_cross_check: {verdict}"
+
+
 # -- sizes ------------------------------------------------------------------------------
 
 
@@ -260,6 +299,26 @@ def test_sizes_json_schema(capsys):
 def test_sizes_requires_group_without_table_emit(capsys):
     code, _, _ = run(capsys, "sizes", "--kf", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("m_max", [M_MAX_BOUND + 1, 10**12])
+def test_sizes_refuses_an_m_max_past_the_bound_at_once(capsys, m_max):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sizes", "--kf", "3", "--group", "S3", "--m-max", str(m_max))
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert f"m_max {m_max} exceeds the bound {M_MAX_BOUND}" in err
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        crossover_report(3, "S3", m_max)
+
+
+def test_sizes_accepts_m_max_at_the_bound(capsys):
+    code, out, _ = run(capsys, "sizes", "--kf", "2", "--group", "C2",
+                       "--m-max", str(M_MAX_BOUND))
+    assert code == 0
+    assert len(out.splitlines()) == 1 + M_MAX_BOUND // 2
+    assert str(M_MAX_BOUND) in run(capsys, "sizes", "--help")[1]
 
 
 # -- verify ------------------------------------------------------------------------------

@@ -40,9 +40,10 @@ from wreathlab import (
     transport_subgroup,
 )
 from wreathlab.embeddings import _sigma_image
-from wreathlab.fields import chi, galois_group, restriction_hom
+from wreathlab.fields import chi, restriction_hom
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import find_normal_subgroup, ses_catalog, ses_from_subgroup, stabilizer_subgroup
+from tests.test_fields import SECTION_TOWERS, automorphisms
 
 # the towers of cocycle_suite
 COCYCLE_TOWERS = [((5, 7), (5,), 7), ((2, 3), (2,), 3), ((2, 3, 5), (2, 3), 5)]
@@ -95,8 +96,7 @@ def first_escape(pairs):
 
 def kummer_oracle(t, w):
     """One validated encode per rho of the row of chi(rho, tau) over tau."""
-    _big, auts_l = galois_group(t.L)
-    _small, auts_k = galois_group(t.K)
+    auts_l, auts_k = automorphisms(t.L), automorphisms(t.K)
     eps = restriction_hom(t.L, t.K_generators)
     return np.array([w.encode([chi(t, rho, tau) for tau in auts_k], int(eps.image[m]))
                      for m, rho in enumerate(auts_l)], dtype=np.int64)
@@ -176,7 +176,7 @@ def test_omega_sigma_with_random_coset_representatives():
 
 
 def test_kummer_encoder_matches_the_per_element_loop():
-    for gens, k_gens, alpha in COCYCLE_TOWERS:
+    for gens, k_gens, alpha in COCYCLE_TOWERS + SECTION_TOWERS:
         t = QuadraticTower(MultiQuadField(list(gens)), list(k_gens), Fraction(alpha))
         w, phi, report = quadratic_kummer_embedding(t)
         assert (phi.image == kummer_oracle(t, w)).all()
@@ -191,8 +191,7 @@ def test_kummer_encoder_matches_the_per_element_loop():
 def test_chi_without_division_matches_the_radical_quotient(gens, k_gens, alphas):
     for alpha in alphas:
         t = QuadraticTower(MultiQuadField(list(gens)), list(k_gens), Fraction(alpha))
-        _big, auts_l = galois_group(t.L)
-        _small, auts_k = galois_group(t.K)
+        auts_l, auts_k = automorphisms(t.L), automorphisms(t.K)
         for rho, tau in itertools.product(auts_l, auts_k):
             assert chi(t, rho, tau) == chi_by_division(t, rho, tau)
 

@@ -12,6 +12,7 @@ from wreathlab import (
     FieldAutomorphism,
     MultiQuadField,
     QuadraticTower,
+    SizeLimitError,
     TowerError,
     chi,
     construct_named,
@@ -23,6 +24,12 @@ from wreathlab import (
     verify_cocycle,
 )
 from wreathlab.search import are_isomorphic
+
+
+def automorphisms(f):
+    """The automorphism at each index of galois_group(f): index m negates the generators in m."""
+    return [FieldAutomorphism(f, [-1 if m >> i & 1 else 1 for i in range(f.k)])
+            for m in range(f.dim)]
 
 
 def random_element(field, rng, span=10):
@@ -337,7 +344,7 @@ def test_zero_is_reduced_to_denominator_one(q57):
 def test_every_result_keeps_a_positive_reduced_denominator(gens):
     field = MultiQuadField(gens)
     rng = random.Random(20261020)
-    _, auts = galois_group(field)
+    auts = automorphisms(field)
     for _ in range(200):
         a, b = random_element(field, rng), random_element(field, rng)
         results = [a, b, a + b, a - b, -a, a * b, auts[rng.randrange(field.dim)](a)]
@@ -405,7 +412,7 @@ def test_automorphisms_are_ring_homs():
 
 
 def test_galois_group_of_biquadratic(q57):
-    group, auts = galois_group(q57)
+    group, auts = galois_group(q57), automorphisms(q57)
     assert group.order == 4
     assert group.labels == ["id", "rho1", "rho2", "rho3"]
     assert group.mul(1, 2) == 3  # rho1 o rho2 = rho3
@@ -416,15 +423,15 @@ def test_galois_group_of_biquadratic(q57):
 def test_galois_group_of_twelve_generators_takes_under_half_a_second():
     field = MultiQuadField([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
     start = time.perf_counter()
-    group, auts = galois_group(field)
+    group = galois_group(field)
     elapsed = time.perf_counter() - start
-    assert group.order == len(auts) == 4096
+    assert group.order == 4096
     assert elapsed < 0.5, elapsed
 
 
 def test_galois_group_sizes():
-    assert galois_group(MultiQuadField([2]))[0].order == 2
-    g8, _ = galois_group(MultiQuadField([2, 3, 5]))
+    assert galois_group(MultiQuadField([2])).order == 2
+    g8 = galois_group(MultiQuadField([2, 3, 5]))
     assert g8.order == 8 and g8.is_abelian
     assert all(g8.element_order(x) <= 2 for x in range(8))
 
@@ -433,7 +440,7 @@ def test_restriction_table_for_the_biquadratic_tower(q57):
     eps = restriction_hom(q57, [5])
     names = [eps.codomain.labels[eps(m)] for m in range(4)]
     assert names == ["id", "eta", "id", "eta"]
-    _, auts_k = galois_group(MultiQuadField([5]))
+    auts_k = automorphisms(MultiQuadField([5]))
     assert auts_k[eps.image[2]].signs == (1,)  # rho2 restricts to the identity of K
 
 
@@ -443,7 +450,7 @@ def test_restriction_to_all_generators_is_identity(q57):
 
 
 def test_restricting_the_identity_automorphism(q57):
-    _, auts_k = galois_group(MultiQuadField([5]))
+    auts_k = automorphisms(MultiQuadField([5]))
     assert auts_k[restriction_hom(q57, [5]).image[0]].signs == (1,)
 
 
@@ -472,15 +479,13 @@ def test_tower_validation():
 
 
 def test_chi_is_zero_for_the_identity(tower57):
-    _, auts_l = galois_group(tower57.L)
-    _, auts_k = galois_group(tower57.K)
+    auts_l, auts_k = automorphisms(tower57.L), automorphisms(tower57.K)
     for tau in auts_k:
         assert chi(tower57, auts_l[0], tau) == 0
 
 
 def test_chi_flip_values(tower57):
-    _, auts_l = galois_group(tower57.L)
-    _, auts_k = galois_group(tower57.K)
+    auts_l, auts_k = automorphisms(tower57.L), automorphisms(tower57.K)
     assert chi(tower57, auts_l[2], auts_k[0]) == 1  # rho2 negates sqrt(7)
     assert chi(tower57, auts_l[1], auts_k[1]) == 0  # rho1 fixes sqrt(7)
     assert chi(tower57, auts_l[3], auts_k[1]) == 1
@@ -500,8 +505,7 @@ TOWERS = [
 def test_chi_has_the_closed_form_for_rational_alpha(gens, k_gens, alpha):
     # every tau fixes a rational alpha, so chi only asks whether rho flips sqrt(alpha)
     t = QuadraticTower(MultiQuadField(gens), k_gens, alpha)
-    _, auts_l = galois_group(t.L)
-    _, auts_k = galois_group(t.K)
+    auts_l, auts_k = automorphisms(t.L), automorphisms(t.K)
     for rho in auts_l:
         want = (rho.mask() & t.alpha_mask).bit_count() % 2
         assert [chi(t, rho, tau) for tau in auts_k] == [want] * len(auts_k)
@@ -509,7 +513,7 @@ def test_chi_has_the_closed_form_for_rational_alpha(gens, k_gens, alpha):
 
 def test_chi_rejects_foreign_automorphisms(tower57):
     other = MultiQuadField([2])
-    _, auts = galois_group(other)
+    auts = automorphisms(other)
     with pytest.raises(ValueError):
         chi(tower57, auts[0], auts[0])
 
@@ -519,7 +523,7 @@ def test_chi_rejects_foreign_automorphisms(tower57):
 
 def test_biquadratic_embedding_matches_the_worked_table(tower57):
     w, phi, report = quadratic_kummer_embedding(tower57)
-    gl, _ = galois_group(tower57.L)
+    gl = galois_group(tower57.L)
     table = {gl.labels[x]: w.product.label(phi(x)) for x in range(4)}
     assert table == {
         "id": "(id,id; id)",
@@ -565,21 +569,43 @@ def test_embedding_requires_a_quadratic_step():
         quadratic_kummer_embedding(t)
 
 
+# towers whose sqrt(alpha) involves a generator of K, so the section fixing sqrt(alpha)
+# is not the minimal-preimage default
+SECTION_TOWERS = [((2, 3, 5), (2, 3), 15), ((-1, 2, 3), (-1, 2), 6),
+                  ((2, 3, 5, 7, 11), (2, 3, 5, 7), 22)]
+
+
 def test_embedding_agrees_with_kk_for_default_sections():
-    towers = [
-        QuadraticTower(MultiQuadField([5, 7]), [5], Fraction(7)),
-        QuadraticTower(MultiQuadField([2, 3]), [2], Fraction(3)),
-        QuadraticTower(MultiQuadField([2, 3, 5]), [2, 3], Fraction(5)),
-    ]
-    for t in towers:
+    """The default section fixes sqrt(alpha) exactly when sqrt(alpha) lies on the
+    new generator alone; elsewhere its kk image differs from the Kummer embedding."""
+    default_towers = [((5, 7), (5,), 7), ((2, 3), (2,), 3), ((2, 3, 5), (2, 3), 5)]
+    for gens, k_gens, alpha in default_towers + SECTION_TOWERS:
+        t = QuadraticTower(MultiQuadField(gens), k_gens, Fraction(alpha))
         _, phi, _ = quadratic_kummer_embedding(t)
-        ses = tower_extension(t)
-        _, phi_kk = kk_embedding(ses)
-        assert (phi.image == phi_kk.image).all()
+        _, phi_kk = kk_embedding(tower_extension(t))
+        agree = (phi.image == phi_kk.image).all()
+        assert agree == ((gens, k_gens, alpha) in default_towers), (gens, k_gens, alpha)
+
+
+def test_a_tower_past_the_cap_is_refused_before_any_galois_group(monkeypatch):
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    big = QuadraticTower(MultiQuadField(primes), primes[:11], Fraction(37))
+    small = QuadraticTower(MultiQuadField(primes[:4]), primes[:3], Fraction(7))
+
+    def refuse(_f):
+        raise AssertionError("a Galois group was built before the size check")
+
+    monkeypatch.setattr(fields, "galois_group", refuse)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="wreath order .* exceeds the int64 index range"):
+        quadratic_kummer_embedding(big)
+    with pytest.raises(SizeLimitError, match="wreath order 2048 exceeds cap 2047"):
+        quadratic_kummer_embedding(small, size_cap=2047)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_galois_group_of_tower_is_klein(q57):
-    group, _ = galois_group(q57)
+    group = galois_group(q57)
     assert are_isomorphic(group, construct_named("V4")) is not None
     from wreathlab.search import identify_small
 
@@ -590,7 +616,7 @@ def test_gal_lk_has_two_cosets(q57):
     # Hom(K, K) = {id, eta} matches the two cosets of the K-fixing subgroup
     from wreathlab import coset_action, subgroup_from_elements
 
-    group, _ = galois_group(q57)
+    group = galois_group(q57)
     _, incl = subgroup_from_elements(group, [0, 2])  # id and the sqrt(7) flip
     om, sec = coset_action(group, incl)
     assert om.size == 2
@@ -610,16 +636,15 @@ def test_cocycle_towers():
 
 def chi_values(t):
     """chi(rho, tau) at every pair, one chi call each, as an int64 array."""
-    _, auts_l = galois_group(t.L)
-    _, auts_k = galois_group(t.K)
+    auts_l, auts_k = automorphisms(t.L), automorphisms(t.K)
     return np.array([[fields.chi(t, rho, tau) for tau in auts_k] for rho in auts_l])
 
 
 def reference_cocycle(t, table=None):
     """The cocycle law scanned over all (i1, i2, j), reading chi from ``table``
     or, by default, from a fresh chi call per term."""
-    big, auts_l = galois_group(t.L)
-    small, auts_k = galois_group(t.K)
+    big, small = galois_group(t.L), galois_group(t.K)
+    auts_l, auts_k = automorphisms(t.L), automorphisms(t.K)
     eps = restriction_hom(t.L, t.K_generators)
 
     def value(i, j):
@@ -666,7 +691,7 @@ def test_cocycle_failure_past_the_first_generator_is_found(monkeypatch):
     t = QuadraticTower(MultiQuadField([2, 3, 5]), [2, 3], Fraction(5))
     m = np.arange(t.L.dim)
     broken = chi_values(t) ^ ((m >> 1) & (m >> 2) & 1)[:, None]
-    gens = galois_group(t.L)[0].generators()
+    gens = galois_group(t.L).generators()
     assert gens == [1, 2, 4]
     monkeypatch.setattr(fields, "_chi_table", lambda _t: broken)
     assert verify_cocycle(t) == reference_cocycle(t, broken) == (False, (2, 4, 0))
@@ -744,8 +769,7 @@ def test_tower_builds_its_galois_data_once_and_not_at_construction(monkeypatch):
 
 
 def test_cocycle_identity_case(tower57):
-    _, auts_l = galois_group(tower57.L)
-    _, auts_k = galois_group(tower57.K)
+    auts_l, auts_k = automorphisms(tower57.L), automorphisms(tower57.K)
     # rho1 = rho2 = id: 0 = 0 + 0 for every tau
     for j, tau in enumerate(auts_k):
         assert chi(tower57, auts_l[0], tau) == 0
