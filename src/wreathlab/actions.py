@@ -43,12 +43,17 @@ class FiniteGSet:
     ``act[h][w]`` is the image of point ``w`` under group element ``h``:
     an array of an integer dtype, or a list of rows of ints (a bool, float or
     string cell raises ``ActionValidationError``).  Both action axioms are
-    verified exactly at construction.
+    verified exactly at construction.  ``_group_table``, for the regular
+    action only, says that ``act`` is ``group.table`` itself: it is kept as
+    that read-only array unchecked, since its range, identity and
+    compatibility axioms are the closure, identity and associativity the
+    group already certified.
     """
 
-    def __init__(self, group: FiniteGroup, act, point_labels: Optional[Sequence[str]] = None):
+    def __init__(self, group: FiniteGroup, act, point_labels: Optional[Sequence[str]] = None,
+                 _group_table: bool = False):
         self.group = group
-        self.act = _int64_table(act)
+        self.act = act if _group_table else _int64_table(act)
         if self.act.ndim != 2 or self.act.shape[0] != group.order:
             raise ActionValidationError(
                 f"action table must be |H| x |Omega|, got {self.act.shape}")
@@ -59,8 +64,9 @@ class FiniteGSet:
         )
         if len(self.point_labels) != self.size:
             raise ActionValidationError("point_labels length does not match size")
-        self._validate()
-        self.act.setflags(write=False)
+        if not _group_table:
+            self._validate()
+            self.act.setflags(write=False)
 
     def _validate(self) -> None:
         act, grp = self.act, self.group
@@ -94,7 +100,7 @@ class FiniteGSet:
 
 def regular_action(h: FiniteGroup) -> FiniteGSet:
     """H acting on itself by left multiplication; the table is the Cayley table."""
-    return FiniteGSet(h, h.table, point_labels=list(h.labels))
+    return FiniteGSet(h, h.table, point_labels=list(h.labels), _group_table=True)
 
 
 def coset_action(g: FiniteGroup, h: GroupHom):

@@ -28,7 +28,9 @@ on that split, on plain integer vectors:
 * the inverse is (a - b√d) / N with the norm N = a² - d·b² in K, itself
   inverted recursively down to a = ±1/|a|, with the content divided out at
   each level so that the integers stay small; a zero element raises
-  ZeroDivisionError.
+  ZeroDivisionError.  The squares a² and b² come from ``_square``, which
+  splits as ``_mul`` does, with 2ab = (a+b)² - a² - b², and convolves once
+  over the coordinate pairs m1 <= m2, about half the products of ``_mul``.
 
 The canonical square root of a rational r^2 * prod_{i in S} d_i is the
 positive multiple r of the basis monomial for S.  It is found without
@@ -109,6 +111,36 @@ def _mul(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> list[in
             + [m - p - q for m, p, q in zip(mid, ac, be)])
 
 
+def _square(x: Sequence[int], field: "MultiQuadField") -> list[int]:
+    """``_mul(x, x, field)``: split on the top generator down to ``_CONVOLVE_MAX``
+    coordinates, then one symmetric pass over the nonzero pairs m1 <= m2."""
+    n = len(x)
+    if n == 1:
+        return [x[0] * x[0]]
+    if n == 2:
+        a, b = x
+        return [a * a + field.generators[0] * (b * b), 2 * a * b]
+    if n <= _CONVOLVE_MAX:
+        products = field._products
+        z = [0] * n
+        nz = [(m, c) for m, c in enumerate(x) if c]
+        for i, (m1, a) in enumerate(nz):
+            z[0] += a * a * products[m1]  # m1 ^ m1 = 0, m1 & m1 = m1
+            a2 = 2 * a
+            for m2, b in nz[i + 1:]:
+                z[m1 ^ m2] += a2 * b * products[m1 & m2]
+        return z
+    h = n >> 1
+    a, b = x[:h], x[h:]
+    if not any(b):
+        return _square(a, field) + [0] * h
+    d = field.generators[h.bit_length() - 1]
+    aa, bb = _square(a, field), _square(b, field)
+    mid = _square([p + q for p, q in zip(a, b)], field)
+    return ([p + d * q for p, q in zip(aa, bb)]
+            + [m - p - q for m, p, q in zip(mid, aa, bb)])
+
+
 def _inverse(x: Sequence[int], field: "MultiQuadField") -> tuple[list[int], int]:
     """x^-1 as (nums, den > 0): (a - b sqrt(d)) / (a^2 - d b^2), the norm inverted in K."""
     content = gcd(*x)
@@ -126,7 +158,7 @@ def _inverse(x: Sequence[int], field: "MultiQuadField") -> tuple[list[int], int]
         return nums + [0] * h, den * content
     d = field.generators[h.bit_length() - 1]
     norm_nums, norm_den = _inverse(
-        [p - d * q for p, q in zip(_mul(a, a, field), _mul(b, b, field))], field)
+        [p - d * q for p, q in zip(_square(a, field), _square(b, field))], field)
     nums = _mul(a, norm_nums, field) + [-c for c in _mul(b, norm_nums, field)]
     den = norm_den * content
     g = gcd(den, *nums)

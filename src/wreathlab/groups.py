@@ -2,8 +2,10 @@
 
 Every group carries a full ``order x order`` table (``table[i][j]`` is the
 index of ``g_i * g_j``), an identity index, an inverse table and optional
-display labels.  Validation is exact at every order: the range, identity and
-inverse checks run on every table, and a table from outside the package (a
+display labels.  A table given as rows of cells is converted in one pass over
+its cells, each row by ``array('q').fromlist``, which refuses a float or str
+cell as it reads it.  Validation is exact at every order: the range, identity
+and inverse checks run on every table, and a table from outside the package (a
 direct ``FiniteGroup`` call, ``group_from_json`` or ``load_group``) is proved
 associative by Light's test on each greedy generator.  Both Light's test and
 the inverse check compare the table in row blocks of about ``SWEEP_CHUNK``
@@ -14,6 +16,12 @@ below are formulas, and ``direct_product``, ``subgroup_from_elements`` and
 ``quotient`` derive theirs from groups already certified.  They skip Light's
 test and pick the same ascending greedy generators on first use, without it;
 tests run the full test on each of them instead.
+
+Subgroups are closed by Dimino's coset method (G. Butler, *Fundamental
+Algorithms for Permutation Groups*, LNCS 559, 1991): ``closure`` builds a
+generator's powers by doubling, one ``mul_array`` per doubling, and extends
+the subgroup so far by whole right cosets, one ``mul_array`` per batch of new
+cosets, not one per element or per breadth-first level.
 
 Named families fix a documented enumeration so all derived objects (subgroups,
 quotients, wreath products) are bit-reproducible; each table is one array
@@ -34,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -70,6 +79,27 @@ def _first_failure(law: Callable[[int, int], np.ndarray], rows: int, width: int)
         if bad.any():
             return a * width + int(bad.argmax())
     return None
+
+
+def _int64_rows(table) -> np.ndarray:
+    """A table given as rows of cells as one int64 array, in one pass over the
+    cells: each row goes through ``array('q').fromlist``, which takes an int, a
+    bool or a numpy integer and raises TypeError on any other cell (a float, a
+    str, a list) and OverflowError past int64.  An empty table stays 1-D, as
+    ``np.asarray`` would make it."""
+    cells, width, rows = array("q"), None, 0
+    for row in table:
+        if type(row) is not list:
+            row = list(row)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise GroupFormatError(f"table rows differ in length: {width} and {len(row)}")
+        cells.fromlist(row)
+        rows += 1
+    if not rows:
+        return np.empty(0, dtype=np.int64)
+    return np.frombuffer(cells, dtype=np.int64).reshape(rows, width)
 
 
 class Group:
@@ -124,11 +154,10 @@ class FiniteGroup(Group):
         if isinstance(identity, bool) or not isinstance(identity, (int, np.integer)):
             raise GroupFormatError(f"identity must be an integer, got {identity!r}")
         if not isinstance(table, np.ndarray):
-            # one conversion with the dtype given: inferring it would cost as much again
             try:
-                table = np.asarray(table, dtype=np.int64)
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise GroupFormatError(f"table is not an array of int64 integers: {exc}") from None
+                table = _int64_rows(table)
+            except (TypeError, OverflowError) as exc:
+                raise GroupFormatError(f"table is not rows of int64 integers: {exc}") from None
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupFormatError(f"table must be square, got shape {table.shape}")
         if table.dtype.kind not in "iu":
@@ -162,10 +191,10 @@ class FiniteGroup(Group):
     # -- element operations ------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.table.item(a, b)
 
     def inv(self, a: int) -> int:
-        return int(self.inverses[a])
+        return self.inverses.item(a)
 
     def mul_array(self, a, b) -> np.ndarray:
         return self.table[a, b]
@@ -266,8 +295,10 @@ class FiniteGroup(Group):
         least element, in ascending order of the keys."""
         t = self.table
         least = np.full(self.order, -1)
+        # least.item reads a Python int; a bytearray of the classes seen would cost
+        # a second numpy write per class, more than the reads it saves
         for x in range(self.order):
-            if least[x] < 0:  # x is the least element of a class not yet seen
+            if least.item(x) < 0:  # x is the least element of a class not yet seen
                 least[t[t[:, x], self.inverses]] = x
         classes: dict[int, list[int]] = {}
         for x, rep in enumerate(least.tolist()):
@@ -590,24 +621,59 @@ def subgroup_from_elements(g: FiniteGroup, elems: Iterable[int], name: Optional[
 
 
 def closure(g: Group, gens: Iterable[int], start: Optional[Iterable[int]] = None) -> list[int]:
-    """Elements of the subgroup generated by ``gens``, ascending; one array product per BFS level.
+    """Elements of the subgroup generated by ``gens``, ascending, by Dimino's coset method.
+
+    Each generator s not yet reached extends the subgroup H generated so far
+    to a union of right cosets H y.  A representative y not yet reached brings
+    its powers y, ..., y^(k-1) up to the first y^k already reached; they come
+    by doubling (with P the first m powers, P y^m are the next m, one
+    ``mul_array`` each) and represent k - 1 new cosets, all found by one more
+    ``mul_array`` of H by them.  The representatives start from s; each round
+    multiplies the new ones by every generator, in one ``mul_array``, until
+    no product is new.  Membership is a Python set, and only ``mul``,
+    ``mul_array`` and ``identity`` are used, so a structural product is
+    closed without a table.
 
     ``start``, if given, is the subgroup generated by all of ``gens`` but the
-    last: the search starts from it, and its first level multiplies it by the
-    last generator only.
+    last, and only the last generator extends it.
     """
-    gens = np.array([int(x) for x in gens], dtype=np.int64)
+    gens = [int(x) for x in gens]
     if start is None:
-        level, step_gens = [g.identity], gens
+        seen, used, todo = {g.identity}, [], gens
     else:
-        level, step_gens = list(start), gens[-1:]
-    seen = set(level)
-    while level:
-        step = g.mul_array(np.array(level)[:, None], step_gens).ravel().tolist()
-        level = [y for y in dict.fromkeys(step) if y not in seen]
-        seen.update(level)
-        step_gens = gens
+        seen, used, todo = set(start), gens[:-1], gens[-1:]
+    for s in todo:
+        if s in seen:
+            continue
+        used.append(s)
+        block = np.fromiter(seen, dtype=np.int64, count=len(seen))  # H
+        candidates = [s]
+        while candidates:
+            reps = []
+            for y in candidates:
+                if y not in seen:
+                    powers = _powers_outside(g, y, seen)
+                    seen.update(g.mul_array(block[:, None], np.array(powers)).ravel().tolist())
+                    reps += powers
+            if not reps or len(used) == 1:  # the powers of a lone generator are closed under it
+                break
+            candidates = g.mul_array(np.array(reps)[:, None], np.array(used)).ravel().tolist()
     return sorted(seen)
+
+
+def _powers_outside(g: Group, y: int, seen: set) -> list[int]:
+    """y, y^2, ..., y^(k-1) for the least k > 1 with y^k in ``seen``, which holds
+    the identity and not y, by doubling: with P the first m powers, P y^m are
+    the next m."""
+    powers, t = [g.identity, y], g.mul(y, y)
+    while t not in seen:
+        step = g.mul_array(np.array(powers), t).tolist()
+        for i, z in enumerate(step):
+            if z in seen:
+                return powers[1:] + step[:i]
+        powers += step
+        t = g.mul(t, t)
+    return powers[1:]
 
 
 def subgroup_generated(g: FiniteGroup, gens: Iterable[int]):
@@ -638,13 +704,17 @@ def coset_partition(g: Group, members) -> tuple[np.ndarray, np.ndarray]:
     coset; cosets are numbered by ascending minimal element.
     """
     members = np.asarray(members, dtype=np.int64)
-    coset_of = np.full(g.order, -1, dtype=np.int64)
+    # a list, read and written per element: on small cosets that beats one numpy
+    # scalar read per element and one numpy write per coset
+    coset_of = [-1] * g.order
     reps: list[int] = []
     for x in range(g.order):
         if coset_of[x] < 0:
-            coset_of[g.mul_array(x, members)] = len(reps)
+            k = len(reps)
+            for y in g.mul_array(x, members).tolist():
+                coset_of[y] = k
             reps.append(x)
-    return coset_of, np.array(reps, dtype=np.int64)
+    return np.array(coset_of, dtype=np.int64), np.array(reps, dtype=np.int64)
 
 
 def quotient(g: FiniteGroup, n: GroupHom):

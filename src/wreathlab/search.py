@@ -9,6 +9,11 @@ homomorphism law on the subgroup.  Budget exhaustion raises, so it is never
 confused with a negative answer.  Groups are read only through ``mul``,
 ``mul_array``, ``element_orders()`` and ``conjugacy_classes()``, never
 through a table.
+
+The search state is held in Python containers: the partial map ``img`` is a
+list and the used codomain elements a bytearray, so extending a map reads no
+numpy scalar per edge; the candidate filter reads the bytearray through a
+zero-copy numpy bool view.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ DEFAULT_NODE_BUDGET = 10**7
 
 
 def order_profile(g: FiniteGroup) -> Counter:
-    return Counter(int(v) for v in g.element_orders())
+    """How many elements g has of each order."""
+    counts = np.bincount(g.element_orders()).tolist()
+    return Counter({k: c for k, c in enumerate(counts) if c})
 
 
 class _Search:
@@ -40,16 +47,17 @@ class _Search:
         # highest order first, ties by ascending index
         ranked = np.argsort(-self.a_orders, kind="stable").tolist()
         self.gens, self.levels = _pick_generators(a, ranked)
-        self.img = np.full(a.order, -1, dtype=np.int64)
-        self.used = np.zeros(b.order, dtype=bool)
+        self.img = [-1] * a.order
+        self.used = bytearray(b.order)
+        self.used_view = np.frombuffer(self.used, dtype=bool)
         self.img[a.identity] = b.identity
         self.used[b.identity] = True
 
-    def run(self) -> Optional[np.ndarray]:
+    def run(self) -> Optional[list[int]]:
         if not self.gens:
-            return self.img.copy()
+            return list(self.img)
         if self._dfs(0, [self.a.identity]):
-            return self.img.copy()
+            return list(self.img)
         return None
 
     def _candidates(self, level: int) -> list[int]:
@@ -61,7 +69,7 @@ class _Search:
         if level == 0:
             reps = self.b.conjugacy_classes()
             return [h for h in pool.tolist() if h in reps]
-        pool = pool[~self.used[pool]]
+        pool = pool[~self.used_view[pool]]
         # ord(g_j g_new) must equal ord(img(g_j) h) for every mapped generator g_j
         for gj in self.gens[:level]:
             want = self.a_orders[self.a.mul(gj, g_new)]
@@ -92,13 +100,13 @@ class _Search:
         """Map the generated subgroup; None (with rollback) on any conflict."""
         a_mul, b_mul, img, used = self.a.mul, self.b.mul, self.img, self.used
         gens_now = self.gens[: level + 1]
-        img_gens = [int(img[g]) for g in gens_now[:-1]] + [h]
+        img_gens = [img[g] for g in gens_now[:-1]] + [h]
         added = [g_new]
         img[g_new] = h
         used[h] = True
         queue = list(mapped) + [g_new]
         for x in queue:  # grows as the subgroup is mapped
-            ix = int(img[x])
+            ix = img[x]
             for s, hs in zip(gens_now, img_gens):
                 self.nodes += 1
                 if self.nodes > self.budget:
@@ -107,7 +115,7 @@ class _Search:
                         f"embedding search exceeded {self.budget} nodes")
                 y = a_mul(x, s)
                 iy = b_mul(ix, hs)
-                j = int(img[y])
+                j = img[y]
                 if j < 0 and not used[iy]:
                     img[y] = iy
                     used[iy] = True

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +37,23 @@ def test_regular_action_of_trivial_group():
 def test_regular_action_table_is_the_cayley_table(s3):
     om = regular_action(s3)
     assert (om.act == s3.table).all()
+
+
+def test_regular_action_skips_the_sweep_that_user_actions_keep(monkeypatch):
+    d = construct_named("D:2048")
+    start = time.perf_counter()
+    om = regular_action(d)
+    elapsed = time.perf_counter() - start
+    assert om.act is d.table and om.size == d.order and om.point_labels == d.labels
+    assert elapsed < 0.05, elapsed  # the compatibility sweep took 0.24-0.38 s
+    # an action built from outside is still checked, on the same table
+    swept = []
+    monkeypatch.setattr(FiniteGSet, "_validate", lambda self: swept.append(self))
+    c4 = construct_named("C:4")
+    regular_action(c4)
+    assert swept == []
+    FiniteGSet(c4, c4.table)
+    assert len(swept) == 1
 
 
 def test_regular_action_is_free_and_transitive(s4):

@@ -267,6 +267,22 @@ def test_oracles_hold_at_every_convolution_threshold(monkeypatch, convolve_max, 
     oracle(gens)
 
 
+@pytest.mark.parametrize("convolve_max", [2, 16, 64])
+def test_square_matches_the_general_product(monkeypatch, convolve_max):
+    monkeypatch.setattr(fields, "_CONVOLVE_MAX", convolve_max)
+    primes = [2, 3, 5, 7, 11, 13, -17]
+    rng = random.Random(18)
+    for k in range(1, 8):
+        field = MultiQuadField(primes[:k])
+        for density in (0.2, 0.6, 1.0):
+            for _ in range(3):
+                x = [rng.randint(-10**9, 10**9) if rng.random() < density else 0
+                     for _ in range(field.dim)]
+                assert fields._square(x, field) == fields._mul(x, x, field)
+        top_zero = [rng.randint(-9, 9) for _ in range(field.dim // 2)] + [0] * (field.dim // 2)
+        assert fields._square(top_zero, field) == fields._mul(top_zero, top_zero, field)
+
+
 def test_k7_products_split_twice_and_match_the_fraction_recursion():
     field = MultiQuadField([2, 3, 5, 7, 11, 13, 17])
     rng = random.Random(20261021)

@@ -29,10 +29,12 @@ from wreathlab import (
     subgroup_from_elements,
     subgroup_generated,
 )
-from wreathlab import groups
+from wreathlab import groups, suites
 from wreathlab.cli import main
-from wreathlab.groups import DENSE_CAP_DEFAULT
+from wreathlab.groups import DENSE_CAP_DEFAULT, closure
 from wreathlab.search import are_isomorphic
+from wreathlab.suites import THETA_CATALOG, _theta_omega
+from wreathlab.wreath import build_wreath
 
 
 def brute_closure(g, gens):
@@ -602,3 +604,141 @@ def test_power_squares_and_multiplies_for_a_huge_exponent():
     x = w.encode((0, 1), 1)  # of order 4
     assert w.product.power(x, 10**18) == w.product.identity
     assert w.product.power(x, 10**18 + 1) == x
+
+
+# -- list tables: one-pass conversion with strict cells ------------------------------
+
+
+@pytest.mark.parametrize("table", [[[0, 1.9], [1.2, 0]], [[0, "1"], [1, 0]], [[0, 1], [1, None]],
+                                   [[0, np.float64(1)], [1, 0]]], ids=repr)
+def test_in_process_float_and_str_cells_are_refused(table):
+    with pytest.raises(GroupFormatError, match="integers"):
+        FiniteGroup(table)
+
+
+def test_a_json_str_cell_is_refused():
+    with pytest.raises(GroupFormatError):
+        group_from_json({"order": 2, "identity": 0, "table": [[0, 1], ["1", 0]]})
+
+
+@pytest.mark.parametrize("table", [[], [[]], [[[0], [1]], [[1], [0]]], [[0, 1], [1]], [0, 1], 5],
+                         ids=repr)
+def test_tables_that_are_not_square_rows_of_ints_stay_format_errors(table):
+    with pytest.raises(GroupFormatError):
+        FiniteGroup(table)
+
+
+@pytest.mark.parametrize("table", [[(0, 1), (1, 0)], ((0, 1), (1, 0)),
+                                   [np.array([0, 1]), np.array([1, 0], dtype=np.int32)],
+                                   [[0, True], [True, 0]], [[np.int64(0), 1], [1, np.uint8(0)]]],
+                         ids=repr)
+def test_integer_rows_of_any_sequence_type_still_load(table):
+    g = FiniteGroup(table)
+    assert g.table.tolist() == [[0, 1], [1, 0]] and g.table.dtype == np.int32
+
+
+@pytest.mark.parametrize("cell", [-1, 2**40, 2**32 + 1])
+def test_out_of_range_list_cells_are_refused_as_not_closed(cell):
+    with pytest.raises(GroupValidationError, match="table not closed"):
+        FiniteGroup([[0, 1], [1, cell]])
+
+
+def test_a_cell_past_int64_is_a_format_error():
+    with pytest.raises(GroupFormatError, match="int64"):
+        FiniteGroup([[0, 1], [1, 2**70]])
+
+
+def test_scalar_mul_and_inv_return_python_ints(s4):
+    assert all(type(s4.mul(a, b)) is int for a in range(24) for b in range(24))
+    assert [s4.inv(a) for a in range(24)] == s4.inverses.tolist()
+    assert all(type(s4.inv(a)) is int for a in range(24))
+
+
+# -- closure by doubling and cosets ----------------------------------------------------
+
+
+def bfs_closure(g, gens):
+    """Second closure oracle, for orders where the all-pairs saturation of
+    ``brute_closure`` is too slow: the former breadth-first closure, one array
+    product of each level by every generator."""
+    gens = np.array(list(gens), dtype=np.int64)
+    level, seen = [g.identity], {g.identity}
+    while level:
+        step = g.mul_array(np.array(level)[:, None], gens).ravel().tolist()
+        level = [y for y in dict.fromkeys(step) if y not in seen]
+        seen.update(level)
+    return seen
+
+
+def generator_sets(g, rng):
+    """The group's generators, then a few random single elements, pairs and triples."""
+    sets = [g.generators()]
+    for size in (1, 1, 2, 2, 3):
+        sets.append([rng.randrange(g.order) for _ in range(size)])
+    return sets
+
+
+def relabeled(g, rng):
+    perm = np.array(rng.sample(range(g.order), g.order), dtype=np.int64)
+    table = np.empty((g.order, g.order), dtype=np.int64)
+    table[np.ix_(perm, perm)] = perm[g.table]
+    return FiniteGroup(table.tolist(), identity=int(perm[g.identity]))
+
+
+NAMED_UP_TO_120 = ([f"C:{n}" for n in range(1, 121)] + [f"D:{n}" for n in range(2, 61)]
+                   + [f"S:{n}" for n in range(1, 6)] + [f"A:{n}" for n in range(2, 6)]
+                   + [f"AGL:{p}" for p in (2, 3, 5, 7)] + ["V4", "Q8"])
+
+
+def test_coset_closure_matches_brute_force_on_named_families_and_relabeled_tables():
+    rng = random.Random(18)
+    for spec in NAMED_UP_TO_120:
+        g = construct_named(spec)
+        groups_ = [g, relabeled(g, rng)] if g.order in (12, 24, 32, 60, 64, 120) else [g]
+        for h in groups_:
+            for gens in generator_sets(h, rng):
+                assert closure(h, gens) == sorted(brute_closure(h, gens)), (spec, gens)
+
+
+@pytest.mark.parametrize("k_spec,h_spec,degree", THETA_CATALOG, ids=str)
+def test_coset_closure_matches_the_oracles_on_dense_and_structural_products(k_spec, h_spec, degree):
+    k, omega = _theta_omega(k_spec, h_spec, degree)
+    w = build_wreath(k, omega)
+    rng = random.Random(f"{k_spec} {h_spec} {degree}")
+    forms = [w.product] + ([w.dense()] if w.order <= DENSE_CAP_DEFAULT else [])
+    for gens in generator_sets(w.product, rng):
+        want = bfs_closure(w.product, gens)
+        if len(want) <= 256:
+            assert want == brute_closure(w.product, gens)
+        for g in forms:
+            assert closure(g, gens) == sorted(want), (g, gens)
+
+
+def test_coset_closure_matches_brute_force_on_find_normal_subgroup_calls(monkeypatch):
+    calls = []
+
+    def checked(g, gens, start=None):
+        gens = list(gens)
+        out = closure(g, gens, start)
+        assert out == sorted(brute_closure(g, gens))
+        calls.append(len(gens))
+        return out
+
+    monkeypatch.setattr(suites, "closure", checked)
+    for spec, sub in (("S:3", "A:3"), ("D:4", "V4"), ("S:4", "V4"), ("S:4", "A:4"),
+                      ("Q8", "C:4"), ("A:5", "A:5"), ("D:6", "C:6")):
+        suites.find_normal_subgroup(construct_named(spec), sub)
+    assert max(calls) >= 8  # unions of classes: many generators in one call
+
+
+def test_closure_of_a_cyclic_group_doubles_its_powers():
+    g = construct_named("C:4096")
+    count = [0]
+
+    def counting(a, b):
+        count[0] += 1
+        return groups.FiniteGroup.mul_array(g, a, b)
+
+    g.mul_array = counting
+    assert closure(g, [1]) == list(range(4096))
+    assert count[0] <= 2 * 12 + 2  # the breadth-first closure made 4096 calls

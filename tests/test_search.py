@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from wreathlab import (
     regular_wreath,
 )
 from wreathlab.groups import FiniteGroup, _pick_generators, closure
-from wreathlab.search import are_isomorphic, embeds_into, identify_small
+from wreathlab.search import are_isomorphic, embeds_into, identify_small, order_profile
 from wreathlab.suites import THETA_CATALOG, _theta_omega
 
 CATALOG = ["C:1", "C:4", "C:6", "V4", "S:3", "D:4", "Q8", "A:4", "D:6", "C:8"]
@@ -220,3 +222,10 @@ def test_conjugacy_classes_match_a_brute_force_sweep(spec):
     classes = g.conjugacy_classes()
     assert classes == brute
     assert list(classes) == sorted(brute)  # keyed by least element, ascending
+
+
+def test_order_profile_counts_every_element_order():
+    for spec in ("C:1", "C:12", "D:15", "S:5", "A:5", "AGL:7", "Q8"):
+        g = construct_named(spec)
+        assert order_profile(g) == Counter(int(v) for v in g.element_orders())
+        assert 0 not in order_profile(g).values()
