@@ -7,12 +7,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ActionValidationError
+from .errors import ActionValidationError, GroupFormatError
 from .groups import (
     FiniteGroup,
     GroupHom,
     Section,
     _first_failure,
+    _int64_indices,
     _read_integer_json,
     coset_partition,
     group_from_json,
@@ -129,8 +130,9 @@ def natural_action(n: int, g: FiniteGroup) -> FiniteGSet:
 
 
 def check_equivariant(xi, omega: FiniteGSet, omega_hat: FiniteGSet, phi: GroupHom) -> bool:
-    """xi(h.w) == phi(h).xi(w) for all h, w, with xi a point bijection."""
-    xi = np.asarray(xi, dtype=np.int64)
+    """xi(h.w) == phi(h).xi(w) for all h, w, with xi a point bijection; a
+    non-integer point raises ``GroupFormatError``."""
+    xi = _int64_indices(xi, GroupFormatError)
     if len(xi) != omega.size or omega_hat.size != omega.size:
         return False
     if len(set(int(v) for v in xi)) != omega.size:
@@ -147,7 +149,7 @@ def action_to_json(omega: FiniteGSet) -> dict:
     return {
         "group": group_to_json(omega.group),
         "size": omega.size,
-        "act": [[int(v) for v in row] for row in omega.act],
+        "act": omega.act.tolist(),
         "point_labels": list(omega.point_labels),
     }
 
@@ -168,8 +170,10 @@ def action_from_json(data: dict) -> FiniteGSet:
 
 
 def save_action(omega: FiniteGSet, path) -> None:
+    """Write ``action_to_json(omega)`` as one line of JSON, as ``save_group`` does."""
+    text = json.dumps(action_to_json(omega))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(action_to_json(omega), fh)
+        fh.write(text)
         fh.write("\n")
 
 

@@ -137,7 +137,7 @@ def cmd_build(args) -> int:
 
 
 def _print_embedding(domain, w, phi, report, args, extra: Optional[dict] = None) -> int:
-    image = w._codec.labels(phi.image)  # every image label from one decode
+    image = w.product.labels(phi.image)  # every image label from one decode
     if args.format == "json":
         payload = {
             "phi": [

@@ -31,6 +31,7 @@ import numpy as np
 
 from .actions import FiniteGSet, check_equivariant, coset_action, natural_action
 from .errors import (
+    GroupFormatError,
     NotEquivariantError,
     NotIsomorphismError,
     SectionMismatchError,
@@ -41,6 +42,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Section,
+    _int64_indices,
     certify_hom,
     construct_named,
     default_section,
@@ -165,7 +167,7 @@ def _sigma_image(g: FiniteGroup, tops: np.ndarray, s: Section, sub: GroupHom,
         x, p = divmod(int((digits < 0).argmax()), w.top.size)
         raise SectionMismatchError(
             f"sigma_g({p}) for g index {x} escapes the image of the base group")
-    return w._codec.encode_array(digits, tops)
+    return w.product.encode_array(digits, tops)
 
 
 def kk_embedding(ses: ShortExactSequence, s: Optional[Section] = None,
@@ -237,10 +239,9 @@ def _transport(base_map: GroupHom, top_map: GroupHom, xi, w: WreathProduct,
     hom and injective (``kind`` names the property in the error)."""
     if base_map.codomain.order != w_hat.base_group.order:
         raise NotIsomorphismError("base-component map does not land in the target base group")
-    xi_inv = np.empty(w.top.size, dtype=np.int64)
-    xi_inv[np.asarray(xi, dtype=np.int64)] = np.arange(w.top.size)
-    f, h = w._codec.decode_array(np.arange(w.order))
-    image = w_hat._codec.encode_array(base_map.image[f[:, xi_inv]], top_map.image[h])
+    xi_inv = np.argsort(_int64_indices(xi, GroupFormatError))  # xi is a bijection
+    f, h = w.product.decode_array(np.arange(w.order))
+    image = w_hat.product.encode_array(base_map.image[f[:, xi_inv]], top_map.image[h])
     out = GroupHom(w.product, w_hat.product, image, validate=False)
     cert = certify_hom(out)
     if cert.counterexample is not None:

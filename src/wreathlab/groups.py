@@ -102,14 +102,26 @@ def _int64_rows(table) -> np.ndarray:
     return np.frombuffer(cells, dtype=np.int64).reshape(rows, width)
 
 
+def _int64_indices(values, error: type[Exception]) -> np.ndarray:
+    """Indices as one int64 row: an array of an integer dtype is cast, anything else
+    goes through ``_int64_rows``, so a float, str or None raises ``error``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    try:
+        return _int64_rows([values])[0]
+    except (TypeError, OverflowError) as exc:
+        raise error(f"indices are not int64 integers: {exc}") from None
+
+
 class Group:
     """The element protocol every group representation honours.
 
     A group has ``order``, ``identity`` and ``name``; scalar ``mul`` and
     ``inv``; ``mul_array``, the product broadcast over index arrays; ``label``;
     and ``generators()``, on which hom laws are checked.  ``FiniteGroup`` stores
-    its Cayley table, while ``wreath.WreathGroup`` computes products from the
-    wreath formula.
+    its Cayley table.  ``wreath.WreathGroup``, the one structural wreath group and
+    the ``product`` of every ``WreathProduct``, computes products from the wreath
+    formula and adds the array codec (``encode_array``, ``decode_array``, ``labels``).
     """
 
     def power(self, x: int, k: int) -> int:
@@ -343,7 +355,7 @@ class GroupHom:
     def __init__(self, domain, codomain, image, validate: bool = True):
         self.domain = domain
         self.codomain = codomain
-        self.image = np.asarray(image, dtype=np.int64)
+        self.image = _int64_indices(image, GroupFormatError)
         self.image.setflags(write=False)
         if len(self.image) != domain.order:
             raise GroupValidationError("hom image length does not match domain order")
@@ -444,7 +456,7 @@ class Section:
     def __init__(self, domain, to: FiniteGroup, choice):
         self.domain = domain
         self.to = to
-        self.choice = np.asarray(choice, dtype=np.int64)
+        self.choice = _int64_indices(choice, SectionMismatchError)
         self.choice.setflags(write=False)
 
     def __call__(self, q: int) -> int:

@@ -125,6 +125,14 @@ def _factor_str(factors: Counter) -> str:
     return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items()))
 
 
+def _over(head: str, den: int, factors: Counter) -> str:
+    """``head/den``, a den of 1000 or more written as its ``factors`` in parentheses."""
+    if den == 1:
+        return head
+    ds = _factor_str(factors) if den >= 1000 else str(den)
+    return f"{head}/({ds})" if "*" in ds else f"{head}/{ds}"
+
+
 @dataclass(frozen=True)
 class SizeRow:
     """One catalog row: coefficients of the two size formulas in lowest terms."""
@@ -143,22 +151,12 @@ class SizeRow:
         return Fraction(self.kc, self.k**self.k)
 
     def regular_formula(self) -> str:
-        den = self.kc ** (self.kc - 1)
-        if den == 1:
-            return f"m^{self.kc}"
-        ds = _factor_str(_factors(den)) if den >= 1000 else str(den)
-        ds = f"({ds})" if "*" in ds else ds
-        return f"m^{self.kc}/{ds}"
+        return _over(f"m^{self.kc}", self.kc ** (self.kc - 1), _factors(self.kc, self.kc - 1))
 
     def omega_formula(self) -> str:
         c = self.omega_coeff
         num = "" if c.numerator == 1 else str(c.numerator)
-        if c.denominator == 1:
-            return f"{num}m^{self.k}"
-        ds = (_factor_str(_factors(c.denominator)) if c.denominator >= 1000
-              else str(c.denominator))
-        ds = f"({ds})" if "*" in ds else ds
-        return f"{num}m^{self.k}/{ds}"
+        return _over(f"{num}m^{self.k}", c.denominator, _factors(c.denominator))
 
     def regular_at(self, m: int) -> int:
         return regular_size(m, self.kc)

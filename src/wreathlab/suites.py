@@ -41,7 +41,7 @@ from .groups import (
     subgroup_generated,
 )
 from .search import are_isomorphic
-from .wreath import _Codec, build_wreath
+from .wreath import WreathGroup, build_wreath
 
 KK_RANDOM_SECTIONS_DEFAULT = 20
 KK_ALL_SECTIONS_LIMIT = 4
@@ -65,20 +65,21 @@ class Verdict:
 def find_normal_subgroup(g: FiniteGroup, spec: str):
     """Normal subgroup of g isomorphic to the named spec, as (subgroup, inclusion).
 
-    Normal subgroups are enumerated as closures of unions of conjugacy classes.
+    Normal subgroups are enumerated as closures of unions of r conjugacy classes,
+    r ascending up to d(T) for the target T: a normal N isomorphic to T is
+    generated by the classes of d(T) of its elements, whose orders divide |T|.
     """
     if spec == "center":
         return center_subgroup(g)
     target = construct_named(spec)
-    classes = g.conjugacy_classes()
-    nontrivial = [rep for rep in classes if rep != g.identity]
+    if g.order % target.order:
+        raise ValueError(f"no normal subgroup of {g.name} isomorphic to {spec}")
+    classes, orders = g.conjugacy_classes(), g.element_orders()
+    nontrivial = [rep for rep in classes if rep != g.identity and target.order % orders[rep] == 0]
     seen: set[frozenset] = set()
-    for r in range(len(nontrivial) + 1):
+    for r in range(len(target.generators()) + 1):
         for combo in itertools.combinations(nontrivial, r):
-            gens: list[int] = []
-            for rep in combo:
-                gens.extend(classes[rep])
-            members = frozenset(closure(g, gens))
+            members = frozenset(closure(g, [x for rep in combo for x in classes[rep]]))
             if members in seen or len(members) != target.order:
                 continue
             seen.add(members)
@@ -155,11 +156,11 @@ def check_theta_properties(k: FiniteGroup, omega) -> Certificate:
     closed under products, so both laws hold for every h, f and g.
     """
     start = time.perf_counter()
-    codec, h_grp = _Codec(k, omega), omega.group
-    b, pv = codec.tuple_count, codec.theta_table()
+    w, h_grp = WreathGroup(k, omega), omega.group
+    b, pv = w.tuple_count, w.theta_table()
     gens = np.array(h_grp.generators(), dtype=np.int64)
     k_gens = np.array(k.generators(), dtype=np.int64)
-    g = (codec.identity % b + (k_gens[None, :] - k.identity) * codec._pw[:, None]).ravel()
+    g = (w.identity % b + (k_gens[None, :] - k.identity) * np.array(w.powers)[:, None]).ravel()
     checks = b * (1 + len(gens) * (1 + h_grp.order + len(g)))
 
     def certificate(failure: Optional[str]) -> Certificate:
@@ -180,8 +181,8 @@ def check_theta_properties(k: FiniteGroup, omega) -> Certificate:
                            f"({h1},{gens[i]},{f0})")
     # bad[i, f, j]: theta_s_i(f g_j) against theta_s_i(f) theta_s_i(g_j)
     ps = pv[gens]
-    bad = (ps[:, codec.tuple_product(f[:, None], g[None, :])]
-           != codec.tuple_product(ps[:, :, None], ps[:, g][:, None, :]))
+    bad = (ps[:, w.tuple_product(f[:, None], g[None, :])]
+           != w.tuple_product(ps[:, :, None], ps[:, g][:, None, :]))
     if bad.any():
         i, f0, j = (int(v) for v in np.argwhere(bad)[0])
         s = gens[i]

@@ -2,29 +2,24 @@
 
 Element encoding is mixed radix: index = h * |K|^|Omega| + sum_w f(w) * |K|^w,
 so the tuple digit at point 0 is least significant and the top element is the
-most significant digit.  ``_Codec`` holds the encoding and the one statement
-of the product formula, as broadcasting functions on int64 index arrays; the
-coordinate permutation theta_h(f)(w) = f(h^-1 . w) is read off that formula by
-``_Codec.theta_table``.
+most significant digit.  ``WreathGroup``, the one structural wreath group and
+the ``product`` of every ``WreathProduct``, holds the encoding and the one
+statement of the product formula as broadcasting functions on int64 index
+arrays; its scalar ``encode``, ``decode``, ``mul``, ``inv`` and ``label`` apply
+them to one index, and ``theta_table`` reads theta_h(f)(w) = f(h^-1 . w) off
+the formula.  It honours the group protocol of ``groups.Group``, so hom
+checks, closures, embeddings and transports run on it with nothing of size
+``order`` stored.
 
-Every product (up to the size cap) is a structural ``WreathGroup`` whose
-products the codec computes on demand.  It honours the group protocol of
-``groups.Group``: order, identity, name, scalar mul/inv, the array product
-``mul_array``, labels, generators, powers and ``element_order``, so hom checks,
-closures, embeddings and transports work on it without a table.  The Cayley
-table is built only when a caller asks for it: ``WreathProduct.dense()``
-returns the product as a ``FiniteGroup`` (which embedding search, small-group
-identification and JSON export need) and refuses an order above
-``DENSE_CAP_DEFAULT`` before it allocates anything, so a build stores nothing
-of size ``order``.  Its table is assembled from two small tables: the B x B
-pointwise product of the B = |K|^|Omega| tuples, built as K's table raised to
-a direct power one point at a time (one broadcast add per point), and the theta
-table read off the codec; ``_Codec.labels`` writes every label in one decode.
+``WreathProduct.dense()`` builds the Cayley table as a ``FiniteGroup`` on
+request (search, small-group identification and JSON export read tables) and
+refuses an order above ``DENSE_CAP_DEFAULT`` before it allocates anything.  It
+is assembled from the pointwise product of the B = |K|^|Omega| tuples, K's
+table raised to a direct power one point at a time, and the theta table.
 
-A product depends only on its components, so callers that embed many times
-into one product build it once: ``embeddings.ShortExactSequence.wreath`` keeps
-the extension's N wr_r Q for all of its sections, and checks the order cap on
-every call through ``_check_wreath_order``, the check ``WreathProduct`` makes.
+A product depends only on its components: ``embeddings.ShortExactSequence.wreath``
+keeps the extension's N wr_r Q for all of its sections, and checks the order cap
+on every call through ``_check_wreath_order``, the check ``WreathProduct`` makes.
 """
 
 from __future__ import annotations
@@ -55,54 +50,47 @@ def _check_wreath_order(n_base: int, n_points: int, n_top: int,
         raise SizeLimitError(f"wreath order {order} exceeds cap {size_cap}", order)
 
 
-class _Codec:
-    """The mixed-radix encoding and the wreath product formula.
+class WreathGroup(Group):
+    """K wr_Omega H as a structural group: the mixed-radix encoding and the product formula.
 
-    ``encode``/``decode`` are the validated per-element API; ``encode_array``,
-    ``decode_array``, ``mul`` and ``inv`` work unchecked on int64 index arrays
-    of any broadcastable shapes.
+    The ``*_array`` methods work unchecked on int64 index arrays of any
+    broadcastable shapes; ``encode``, ``decode`` and ``label`` are checked.
     """
 
     def __init__(self, base: FiniteGroup, top: FiniteGSet):
+        _check_wreath_order(base.order, top.size, top.group.order, _INDEX_LIMIT)  # int64 gate
         self.base = base
         self.top = top
+        self.name = f"{base.name or 'K'} wr {top.group.name or 'H'}"
         self.n_base = base.order
         self.n_points = top.size
         self.n_top = top.group.order
         self.tuple_count = base.order**top.size
         self.order = self.tuple_count * self.n_top
         self.powers = [self.n_base**j for j in range(self.n_points)]
-        self.identity = self.encode([base.identity] * self.n_points, top.group.identity)
         self._pw = np.array(self.powers, dtype=np.int64)
         self._ktab = base.table.astype(np.int64)
         self._kinv = base.inverses.astype(np.int64)
         self._htab = top.group.table.astype(np.int64)
         self._hinv = top.group.inverses.astype(np.int64)
         self._inv_act = top.act[top.group.inverses]  # row h is the action of h^-1
+        self.identity = self.encode([base.identity] * self.n_points, top.group.identity)
 
     def encode(self, f: Sequence[int], h: int) -> int:
         if len(f) != self.n_points:
             raise WreathlabError(f"tuple length {len(f)} != |Omega| = {self.n_points}")
-        t = 0
-        for j in range(self.n_points):
-            d = int(f[j])
+        for d in map(int, f):
             if not 0 <= d < self.n_base:
                 raise WreathlabError(f"tuple digit {d} out of base-group range")
-            t += d * self.powers[j]
         if not 0 <= h < self.n_top:
             raise WreathlabError(f"top index {h} out of range")
-        return h * self.tuple_count + t
+        return int(self.encode_array(f, h))
 
     def decode(self, x: int) -> tuple[tuple[int, ...], int]:
         if not 0 <= x < self.order:
             raise WreathlabError(f"wreath index {x} out of range")
-        h, t = divmod(int(x), self.tuple_count)
-        digits = []
-        for _ in range(self.n_points):
-            t, d = divmod(t, self.n_base)
-            digits.append(d)
-        # divmod peels from the least significant end, which is point 0
-        return tuple(digits), h
+        digits, h = self.decode_array(x)
+        return tuple(digits.tolist()), int(h)
 
     def decode_array(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Unchecked decode of an index array: digits of shape x.shape + (n_points,), and tops."""
@@ -114,7 +102,13 @@ class _Codec:
         digits = np.asarray(digits, dtype=np.int64)
         return np.asarray(tops, dtype=np.int64) * self.tuple_count + digits @ self._pw
 
-    def mul(self, x, y) -> np.ndarray:
+    def mul(self, a: int, b: int) -> int:
+        return int(self.mul_array(a, b))
+
+    def inv(self, a: int) -> int:
+        return int(self.inv_array(a))
+
+    def mul_array(self, x, y) -> np.ndarray:
         """(f1, h1)(f2, h2) = (f1 * theta_h1(f2), h1 h2) with theta_h1(f2)(w) = f2(h1^-1 . w)."""
         f1, h1 = self.decode_array(x)
         h2, t2 = np.divmod(np.asarray(y, dtype=np.int64), self.tuple_count)
@@ -126,7 +120,7 @@ class _Codec:
             t = t + self._ktab[f1[..., w], moved] * self.powers[w]
         return t
 
-    def inv(self, x) -> np.ndarray:
+    def inv_array(self, x) -> np.ndarray:
         """(f, h)^-1 = (theta_h^-1(f^-1), h^-1) with theta_h^-1(f)(w) = f(h . w)."""
         f, h = self.decode_array(x)
         moved = np.take_along_axis(f, self.top.act[h], axis=-1)
@@ -135,14 +129,14 @@ class _Codec:
     def tuple_product(self, f, g) -> np.ndarray:
         """Pointwise product of tuple-index arrays, read off (f, e)(g, e) = (fg, e)."""
         e = self.identity - self.identity % self.tuple_count
-        return self.mul(e + np.asarray(f), e + np.asarray(g)) % self.tuple_count
+        return self.mul_array(e + np.asarray(f), e + np.asarray(g)) % self.tuple_count
 
     def theta_table(self) -> np.ndarray:
         """theta[h, f] = theta_h(f) for every h and f, read off (1, h)(f, e) = (theta_h(f), h)."""
         B = self.tuple_count
         unit = self.identity % B
         tops = np.arange(self.n_top, dtype=np.int64) * B + unit
-        return self.mul(tops[:, None], self.identity - unit + np.arange(B)[None, :]) % B
+        return self.mul_array(tops[:, None], self.identity - unit + np.arange(B)[None, :]) % B
 
     def dense_table(self) -> np.ndarray:
         """The Cayley table, one B x B block of tuple parts per h1.
@@ -170,11 +164,10 @@ class _Codec:
 
     def generators(self) -> list[int]:
         """K's generators at the least point of each orbit of Omega, then H's generators."""
-        unit = [self.base.identity] * self.n_points
+        e, k_e, h_e = self.identity, self.base.identity, self.top.group.identity
         points = sorted({min(self.top.orbit(w)) for w in range(self.n_points)})
-        base = [unit[:w] + [k] + unit[w + 1:] for w in points for k in self.base.generators()]
-        return ([self.encode(f, self.top.group.identity) for f in base]
-                + [self.encode(unit, h) for h in self.top.group.generators()])
+        return ([e + (k - k_e) * self.powers[w] for w in points for k in self.base.generators()]
+                + [e + (h - h_e) * self.tuple_count for h in self.top.group.generators()])
 
     def labels(self, indices) -> list[str]:
         """``(k_0,...,k_{n-1}; h)`` for each index, from one array decode."""
@@ -187,38 +180,15 @@ class _Codec:
         return [f"({','.join([k[d] for d in f])}; {h[t]})"
                 for f, t in zip(digits.tolist(), tops.tolist())]
 
-
-class WreathGroup(Group):
-    """A wreath product as a structural group, the only form ``WreathProduct.product`` takes.
-
-    Honours the group protocol with products computed by the codec, so
-    nothing of size ``order`` is stored; ``WreathProduct.dense()`` gives the
-    same elements, labels and generators as a Cayley table on request.
-    """
-
-    def __init__(self, codec: _Codec, name: str):
-        self._codec = codec
-        self.order = codec.order
-        self.identity = codec.identity
-        self.name = name
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self._codec.mul(a, b))
-
-    def inv(self, a: int) -> int:
-        return int(self._codec.inv(a))
-
-    def mul_array(self, a, b) -> np.ndarray:
-        return self._codec.mul(a, b)
-
     def label(self, x: int) -> str:
-        return self._codec.labels([x])[0]
-
-    def generators(self) -> list[int]:
-        return self._codec.generators()
+        return self.labels([x])[0]
 
     def __repr__(self) -> str:
         return f"<{self.name} of order {self.order} (structural)>"
+
+
+# ``perfbench/spans.py`` wraps this class by its former name; the alias goes with that name
+_Codec = WreathGroup
 
 
 class WreathProduct:
@@ -226,14 +196,12 @@ class WreathProduct:
 
     def __init__(self, base_group: FiniteGroup, top: FiniteGSet,
                  size_cap: Optional[int] = None):
-        # checked before the codec exists: its int64 radix powers overflow far past any cap
+        # the cap is checked before the product is built
         _check_wreath_order(base_group.order, top.size, top.group.order, size_cap)
-        codec = _Codec(base_group, top)
         self.base_group = base_group
         self.top = top
-        self._codec = codec
-        self.order = codec.order
-        self.product = WreathGroup(codec, f"{base_group.name or 'K'} wr {top.group.name or 'H'}")
+        self.product = WreathGroup(base_group, top)
+        self.order = self.product.order
         self._dense: Optional[FiniteGroup] = None
 
     def dense(self) -> FiniteGroup:
@@ -245,22 +213,18 @@ class WreathProduct:
         """
         if self._dense is None:
             _check_dense_order("wreath product", self.order)
-            codec = self._codec
-            labels = codec.labels(np.arange(codec.order))
-            # the dense-vs-structural differential test proves this table; skip Light's
-            # test and take the codec's generators, as the structural product does
-            self._dense = FiniteGroup(codec.dense_table(), labels=labels,
-                                      name=self.product.name,
-                                      _generator_source=lambda _: codec.generators())
+            w = self.product  # its table is proved by a differential test: skip Light's test
+            self._dense = FiniteGroup(w.dense_table(), labels=w.labels(np.arange(w.order)),
+                                      name=w.name, _generator_source=lambda _: w.generators())
         return self._dense
 
     # -- structure maps ------------------------------------------------------
 
     def encode(self, f: Sequence[int], h: int) -> int:
-        return self._codec.encode(f, h)
+        return self.product.encode(f, h)
 
     def decode(self, x: int) -> tuple[tuple[int, ...], int]:
-        return self._codec.decode(x)
+        return self.product.decode(x)
 
     def parse_element(self, text: str) -> int:
         s = text.strip()
@@ -276,7 +240,7 @@ class WreathProduct:
                 f"expected {self.top.size} tuple entries in {text!r}")
         f = [self.base_group.label_index(lbl) for lbl in base_labels]
         h = self.top.group.label_index(top_part.strip())
-        return self._codec.encode(f, h)
+        return self.product.encode(f, h)
 
     def __repr__(self) -> str:
         return f"<WreathProduct order {self.order}: {self.product!r}>"

@@ -12,6 +12,7 @@ from wreathlab import (
     check_equivariant,
     construct_named,
     coset_action,
+    group_to_json,
     identity_hom,
     load_action,
     natural_action,
@@ -229,3 +230,26 @@ def test_action_file_roundtrip(tmp_path):
     save_action(om, path)
     loaded = load_action(path)
     assert (loaded.act == om.act).all() and loaded.point_labels == om.point_labels
+
+
+def save_action_with_json_dump(omega, path):
+    """The action writer before ``tolist`` and one ``json.dumps``: a test oracle."""
+    data = {"group": group_to_json(omega.group), "size": omega.size,
+            "act": [[int(v) for v in row] for row in omega.act],
+            "point_labels": list(omega.point_labels)}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+        fh.write("\n")
+
+
+def test_save_action_writes_the_bytes_of_the_json_dump_writer(tmp_path):
+    s4 = construct_named("S:4")
+    stab, incl = subgroup_from_elements(s4, [x for x in range(24) if s4.point_maps[x][3] == 3])
+    actions = [regular_action(construct_named("D:4")), regular_action(construct_named("C:1")),
+               natural_action(4, s4), natural_action(3, construct_named("AGL:3")),
+               coset_action(s4, incl)[0]]
+    for omega in actions:
+        save_action(omega, tmp_path / "new.json")
+        save_action_with_json_dump(omega, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        assert load_action(tmp_path / "new.json").act.tolist() == omega.act.tolist()

@@ -215,6 +215,15 @@ def test_embed_unknown_group_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_embed_without_the_named_normal_subgroup_exits_2_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "embed", "--mode", "kk", "--group", "C:24", "--normal", "V4")
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert "no normal subgroup of C:24 isomorphic to V4" in err
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
 def test_embed_bad_tower_is_usage_error(capsys):
     code, _, _ = run(capsys, "embed", "--mode", "tower", "--field", "4,7",
                      "--K", "4", "--alpha", "7")

@@ -7,6 +7,7 @@ array code.  The library must give exactly the same wreath indices.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from wreathlab import (
     coset_partition,
     construct_named,
     default_section,
+    direct_product,
     identity_hom,
     kk_embedding,
     natural_action,
@@ -40,6 +42,7 @@ from wreathlab import (
     transport_subgroup,
 )
 from wreathlab.embeddings import _sigma_image
+from wreathlab.groups import closure
 from wreathlab.fields import chi, restriction_hom
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import find_normal_subgroup, ses_catalog, ses_from_subgroup, stabilizer_subgroup
@@ -280,3 +283,75 @@ def test_transport_rejects_a_base_map_into_a_larger_group():
     into_c4 = GroupHom(c2, c4, [0, 2])  # injective, but C:4 is not the target base C:2
     with pytest.raises(NotIsomorphismError, match="base group"):
         transport_subgroup(into_c4, identity_hom(s3), [0, 1, 2], w, w)
+
+
+def unbounded_normal_subgroup(g, spec):
+    """The inclusion image ``find_normal_subgroup`` gave before its bounds: every
+    union of nontrivial conjugacy classes, r ascending, with no cut on r, on the
+    classes or on |T|; None where no normal subgroup matches."""
+    target = construct_named(spec)
+    classes = g.conjugacy_classes()
+    nontrivial = [rep for rep in classes if rep != g.identity]
+    seen = set()
+    for r in range(len(nontrivial) + 1):
+        for combo in itertools.combinations(nontrivial, r):
+            members = frozenset(closure(g, [x for rep in combo for x in classes[rep]]))
+            if members in seen or len(members) != target.order:
+                continue
+            seen.add(members)
+            sub, incl = subgroup_from_elements(g, members)
+            if are_isomorphic(sub, target) is not None:
+                return incl.image.tolist()
+    return None
+
+
+def normal_subgroup_image(g, spec):
+    try:
+        return find_normal_subgroup(g, spec)[1].image.tolist()
+    except ValueError:
+        return None
+
+
+NORMAL_TARGETS = ["C:2", "C:3", "C:4", "V4", "C:6", "S:3", "Q8", "D:4"]
+
+
+def test_bounded_normal_subgroup_lookup_matches_the_unbounded_enumeration():
+    """Every named group of order <= 24 and eight direct products, against each
+    target.  The unbounded enumeration visits 2^(classes - 1) unions, so it runs on
+    the groups of at most 12 classes; C:13 to C:24, cyclic, have one subgroup of
+    each order d dividing n, the multiples of n/d, and that is the oracle there."""
+    specs = ([f"C:{n}" for n in range(1, 25)] + [f"D:{n}" for n in range(2, 13)]
+             + [f"S:{n}" for n in range(1, 5)] + [f"A:{n}" for n in range(2, 5)]
+             + ["AGL:2", "AGL:3", "V4", "Q8"])
+    groups = [construct_named(spec) for spec in specs] + [
+        direct_product(construct_named(a), construct_named(b))
+        for a, b in [("V4", "C:2"), ("S:3", "C:2"), ("Q8", "C:2"), ("D:4", "C:2"),
+                     ("S:3", "C:3"), ("V4", "C:3"), ("A:4", "C:2"), ("D:6", "C:2")]]
+    compared = found = 0
+    for g in groups:
+        for spec in NORMAL_TARGETS:
+            got = normal_subgroup_image(g, spec)
+            if len(g.conjugacy_classes()) <= 12:
+                assert got == unbounded_normal_subgroup(g, spec), (g.name, spec)
+                compared += 1
+            else:
+                d = construct_named(spec).order
+                cyclic = spec.startswith("C:") and g.order % d == 0
+                assert got == (list(range(0, g.order, g.order // d)) if cyclic else None), \
+                    (g.name, spec)
+            found += got is not None
+    assert compared == 8 * (len(groups) - 12)
+    assert found == 92
+    # D:4 has two normal V4s; the first union of classes reaches the same one
+    assert normal_subgroup_image(construct_named("D:4"), "V4") == [0, 1, 4, 5]
+
+
+@pytest.mark.parametrize("spec,target", [("C:20", "V4"), ("C:64", "Q8"), ("C:24", "V4"),
+                                         ("D:256", "V4"), ("C:4096", "S:3")])
+def test_a_missing_normal_subgroup_is_refused_fast(spec, target):
+    """The unbounded enumeration took 21.7 s on C:20 / V4 and doubles per class."""
+    g = construct_named(spec)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"no normal subgroup of {spec} isomorphic to {target}"):
+        find_normal_subgroup(g, target)
+    assert time.perf_counter() - start < 0.5

@@ -406,8 +406,8 @@ def test_structural_transport_that_breaks_the_law_names_the_first_pair():
         transport_iso(bad_psi, identity_hom(s3), list(range(6)), w, w)
     a, b = (int(v) for v in re.search(r"\((\d+), (\d+)\)", str(err.value)).groups())
     # the named pair fails, and no pair before it in row-major order does
-    f, h = w._codec.decode_array(np.arange(w.order))
-    image = w._codec.encode_array(swap[f], h)
+    f, h = w.product.decode_array(np.arange(w.order))
+    image = w.product.encode_array(swap[f], h)
     g = w.product
     assert image[g.mul(a, b)] != g.mul(int(image[a]), int(image[b]))
     rows = np.arange(a + 1)[:, None]

@@ -10,20 +10,27 @@ import pytest
 from wreathlab import (
     FiniteGroup,
     GroupFormatError,
+    GroupHom,
     GroupValidationError,
     NonNormalSubgroupError,
+    Section,
+    SectionMismatchError,
     SizeLimitError,
     center_subgroup,
     certify_hom,
+    check_equivariant,
     check_presentation_d4,
     construct_named,
     coset_partition,
     direct_product,
     group_from_json,
     group_to_json,
+    identity_hom,
+    kk_embedding,
     load_group,
     normal_core,
     quotient,
+    regular_action,
     regular_wreath,
     save_group,
     subgroup_from_elements,
@@ -646,6 +653,45 @@ def test_out_of_range_list_cells_are_refused_as_not_closed(cell):
 def test_a_cell_past_int64_is_a_format_error():
     with pytest.raises(GroupFormatError, match="int64"):
         FiniteGroup([[0, 1], [1, 2**70]])
+
+
+# -- homs, sections and point bijections: integer indices only ---------------------
+
+
+NON_INTEGER_INDICES = [[0, 1.7], [0.0, 1.0], ["0", "1"], None, [0, None], "01",
+                       np.array([0.0, 1.0]), np.array([0, 1.5], dtype=object)]
+INTEGER_INDICES = [[0, 1], (0, 1), [np.int64(0), np.int32(1)], range(2), np.array([0, 1]),
+                   np.array([0, 1], dtype=np.uint8), np.array([0, 1], dtype=object)]
+
+
+@pytest.mark.parametrize("values", NON_INTEGER_INDICES, ids=repr)
+def test_homs_sections_and_point_bijections_refuse_non_integer_indices(values):
+    c2 = construct_named("C:2")
+    with pytest.raises(GroupFormatError, match="int"):
+        GroupHom(c2, c2, values)
+    with pytest.raises(SectionMismatchError, match="int"):
+        Section(c2, c2, values)
+    omega = regular_action(c2)
+    with pytest.raises(GroupFormatError, match="int"):
+        check_equivariant(values, omega, omega, identity_hom(c2))
+
+
+@pytest.mark.parametrize("values", INTEGER_INDICES, ids=repr)
+def test_integer_indices_of_any_sequence_type_still_load(values):
+    c2 = construct_named("C:2")
+    hom, section = GroupHom(c2, c2, values), Section(c2, c2, values)
+    assert hom.image.tolist() == section.choice.tolist() == [0, 1]
+    assert hom.image.dtype == section.choice.dtype == np.int64
+    omega = regular_action(c2)
+    assert check_equivariant(values, omega, omega, identity_hom(c2))
+
+
+def test_a_truncating_section_no_longer_builds_a_kk_embedding():
+    """[0, 1.9] once loaded as [0, 1], a section of S:3 -> C:2 through the choice 1."""
+    s3 = construct_named("S:3")
+    ses = suites.ses_from_subgroup(s3, suites.find_normal_subgroup(s3, "A:3")[1])
+    with pytest.raises(SectionMismatchError, match="float"):
+        kk_embedding(ses, Section(ses.q, ses.g, [0, 1.9]))
 
 
 def test_scalar_mul_and_inv_return_python_ints(s4):

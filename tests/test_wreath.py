@@ -20,7 +20,7 @@ from wreathlab import (
 from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import THETA_CATALOG, _theta_omega, check_theta_properties
-from wreathlab.wreath import WreathGroup, _Codec
+from wreathlab.wreath import WreathGroup
 
 
 def brute_wreath_mul(w, x, y):
@@ -34,16 +34,15 @@ def brute_wreath_mul(w, x, y):
 
 
 def theta_of(w, h, f):
-    """theta_h(f) for a tuple f, read off ``_Codec.theta_table``, the package's one
+    """theta_h(f) for a tuple f, read off ``WreathGroup.theta_table``, the package's one
     statement of theta."""
-    codec = w._codec
-    t = w.encode(f, w.top.group.identity) % codec.tuple_count
-    return w.decode(int(codec.theta_table()[h, t]))[0]
+    t = w.encode(f, w.top.group.identity) % w.product.tuple_count
+    return w.decode(int(w.product.theta_table()[h, t]))[0]
 
 
 def top_projection(w):
     """(f, h) |-> h as an unvalidated hom; the tests below prove its law."""
-    image = np.arange(w.order, dtype=np.int64) // w._codec.tuple_count
+    image = np.arange(w.order, dtype=np.int64) // w.product.tuple_count
     return GroupHom(w.product, w.top.group, image, validate=False)
 
 
@@ -82,10 +81,10 @@ def theta_all_pairs(k, omega):
     that theta_h is a bijection and theta_h(fg) = theta_h(f) theta_h(g) for
     every (f, g); returns the first failure, or None.
     """
-    codec = _Codec(k, omega)
+    w = WreathGroup(k, omega)
     h_grp = omega.group
-    tuples = np.arange(codec.tuple_count)
-    prod, pv = codec.tuple_product(tuples[:, None], tuples[None, :]), codec.theta_table()
+    tuples = np.arange(w.tuple_count)
+    prod, pv = w.tuple_product(tuples[:, None], tuples[None, :]), w.theta_table()
     b = prod.shape[0]
     for h1 in range(h_grp.order):
         for h2 in range(h_grp.order):
@@ -150,14 +149,14 @@ def test_theta_certificate_agrees_with_the_oracle_on_swapped_action_rows(monkeyp
 
 
 def twist_mul(monkeypatch, x0, y0, z0):
-    """Make _Codec.mul return z0 for the product x0 y0 and the true value elsewhere."""
-    true_mul = _Codec.mul
+    """Make WreathGroup.mul_array return z0 for the product x0 y0 and the true value elsewhere."""
+    true_mul = WreathGroup.mul_array
 
     def mul(self, x, y):
         hit = (np.asarray(x) == x0) & (np.asarray(y) == y0)
         return np.where(hit, z0, true_mul(self, x, y))
 
-    monkeypatch.setattr(_Codec, "mul", mul)
+    monkeypatch.setattr(WreathGroup, "mul_array", mul)
 
 
 @pytest.mark.parametrize("k_spec,h_spec,degree", THETA_CATALOG[:15])
@@ -166,20 +165,20 @@ def test_theta_certificate_agrees_with_the_oracle_on_twisted_products(monkeypatc
     """Twists that reach theta or a product with a generator of K^Omega.
 
     The certificate presumes that the tuple product is a group, as K's table
-    is certified and the codec multiplies pointwise; a twist elsewhere in the
-    product breaks that premise, and the dense-vs-structural differential
-    test below covers the product itself.
+    is certified and the product formula multiplies tuples pointwise; a twist
+    elsewhere in the product breaks that premise, and the dense-vs-structural
+    differential test below covers the product itself.
     """
     k, omega = _theta_omega(k_spec, h_spec, degree)
-    codec = _Codec(k, omega)
-    b = codec.tuple_count
-    e = codec.identity - codec.identity % b
-    unit = codec.identity % b
+    w = WreathGroup(k, omega)
+    b = w.tuple_count
+    e = w.identity - w.identity % b
+    unit = w.identity % b
     s = omega.group.generators()[0]
     g0 = unit + (k.generators()[0] - k.identity)  # K's first generator at point 0
     f1 = (g0 + 1) % b
-    collide = int(codec.mul(s * b + unit, e + g0))
-    square = int(codec.mul(e + g0, e + g0))
+    collide = w.mul(s * b + unit, e + g0)
+    square = w.mul(e + g0, e + g0)
     mutants = [
         # theta_s(f1) = theta_s(g0): theta_s is not injective
         (s * b + unit, e + f1, collide, "is not a bijection"),
@@ -233,20 +232,43 @@ def test_an_order_past_int64_is_refused_whatever_the_cap():
     with pytest.raises(SizeLimitError, match="int64") as err:
         regular_wreath(construct_named("C:2"), construct_named("C:62"), size_cap=10**30)
     assert err.value.order == 2**62 * 62
+    with pytest.raises(SizeLimitError, match="int64"):
+        WreathGroup(construct_named("C:2"), regular_action(construct_named("C:62")))
     # the largest order below the limit is still a structural product
     w = regular_wreath(construct_named("C:2"), construct_named("C:1"), size_cap=10**30)
     assert w.order == 2
+
+
+def digit_decode(w, x):
+    """The mixed-radix decode as a digit loop: point 0 is the least significant digit."""
+    h, t = divmod(x, w.base_group.order**w.top.size)
+    digits = []
+    for _ in range(w.top.size):
+        t, d = divmod(t, w.base_group.order)
+        digits.append(d)
+    return tuple(digits), h
 
 
 def test_encode_decode_roundtrip():
     w = build_wreath(construct_named("S:3"), natural_action(3, construct_named("S:3")))
     for x in range(w.order):
         f, h = w.decode(x)
+        assert (f, h) == digit_decode(w, x)
+        assert all(type(v) is int for v in (*f, h))
         assert w.encode(f, h) == x
-    with pytest.raises(WreathlabError):
+        assert type(w.encode(f, h)) is int
+    with pytest.raises(WreathlabError, match="wreath index 1296 out of range"):
         w.decode(w.order)
-    with pytest.raises(WreathlabError):
+    with pytest.raises(WreathlabError, match="wreath index -1 out of range"):
+        w.decode(-1)
+    with pytest.raises(WreathlabError, match=r"tuple length 2 != \|Omega\| = 3"):
         w.encode((0, 0), 0)
+    with pytest.raises(WreathlabError, match="tuple digit 6 out of base-group range"):
+        w.encode((0, 6, 0), 0)
+    with pytest.raises(WreathlabError, match="tuple digit -1 out of base-group range"):
+        w.encode((-1, 0, 0), 0)
+    with pytest.raises(WreathlabError, match="top index 6 out of range"):
+        w.encode((0, 0, 0), 6)
 
 
 def test_multiplication_matches_brute_formula_on_all_pairs():
@@ -374,9 +396,9 @@ def test_codec_generators_generate_every_dense_product(k_spec, h_spec, degree):
     w = build_wreath(k, omega)
     dense = w.dense()
     assert isinstance(dense, FiniteGroup)
-    # the dense table takes its generators from the codec, as the structural product does
+    # the dense table takes the structural product's generators
     gens = dense.generators()
-    assert gens == w._codec.generators() == w.product.generators()
+    assert gens == w.product.generators()
     assert closure(dense, gens) == list(range(w.order))
     # so homs out of the dense product are checked on them: the projection passes, a
     # change at one generator fails
@@ -410,15 +432,15 @@ def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
     k, omega = _theta_omega(k_spec, h_spec, degree)
     structural = build_wreath(k, omega)
     assert isinstance(structural.product, WreathGroup)
-    codec = structural._codec
+    product = structural.product
     idx = np.arange(structural.order)
     # the array decoder agrees with the validated scalar decode
-    digits, tops = codec.decode_array(idx)
+    digits, tops = product.decode_array(idx)
     assert digits.shape == (structural.order, structural.top.size)
     assert [(tuple(map(int, f)), int(h)) for f, h in zip(digits, tops)] == \
         [structural.decode(x) for x in idx]
     # and the array encoder inverts it, agreeing with the validated scalar encode
-    assert (codec.encode_array(digits, tops) == idx).all()
+    assert (product.encode_array(digits, tops) == idx).all()
     assert [structural.encode(f, int(h)) for f, h in zip(digits, tops)] == idx.tolist()
     # seeded pairs against the defining formula
     rng = np.random.default_rng(5)
@@ -426,7 +448,7 @@ def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
     products = structural.product.mul_array(xs, ys)
     for x, y, z in zip(xs, ys, products):
         assert int(z) == brute_wreath_mul(structural, int(x), int(y))
-    assert (structural.product.mul_array(xs, codec.inv(xs)) == structural.product.identity).all()
+    assert (product.mul_array(xs, product.inv_array(xs)) == product.identity).all()
     if structural.order > DENSE_CAP_DEFAULT:
         with pytest.raises(SizeLimitError, match="dense-table cap"):
             structural.dense()  # C:5 wr C:5 has no dense table
@@ -437,7 +459,7 @@ def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
     for lo in range(0, dense.order, 256):
         rows = idx[lo:lo + 256, None]
         assert (structural.product.mul_array(rows, idx[None, :]) == table[lo:lo + 256]).all()
-    assert (codec.inv(idx) == dense.inverses).all()
+    assert (product.inv_array(idx) == dense.inverses).all()
     # the same element indices carry the same labels and name
     assert dense.labels == [structural.product.label(x) for x in idx.tolist()]
     assert (dense.identity, dense.name) == (structural.product.identity, structural.product.name)
@@ -454,8 +476,8 @@ def label_oracle(w, x):
 def test_codec_labels_match_the_scalar_format(k_spec, h_spec, degree):
     w = build_wreath(*_theta_omega(k_spec, h_spec, degree))
     idx = np.arange(w.order)
-    assert w._codec.labels(idx) == [label_oracle(w, x) for x in idx.tolist()]
-    assert w._codec.labels([]) == []
+    assert w.product.labels(idx) == [label_oracle(w, x) for x in idx.tolist()]
+    assert w.product.labels([]) == []
     for bad in (-1, w.order):
         with pytest.raises(WreathlabError, match=f"wreath index {bad} out of range"):
             w.product.label(bad)
