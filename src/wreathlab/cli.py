@@ -2,6 +2,13 @@
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
 3 resource limit (size cap, search budget, int64 overflow or memory).
+
+The argument parser is built once, at import, so repeated in-process ``main``
+calls pay only for their own command.  ``main`` looks the command up by name,
+``cmd_<command>`` in this module, on every call, so a replaced ``cmd_*``
+function is the one that runs.  ``embed`` refuses an oversized kk or coset
+embedding from the group specs alone, before it builds the group or does any
+subgroup work.
 """
 
 from __future__ import annotations
@@ -28,13 +35,14 @@ from .groups import (
     construct_named,
     default_section,
     load_group,
+    named_orders,
     save_group,
     subgroup_from_elements,
 )
 from .search import embeds_into, identify_small
 from .sizes import M_MAX_BOUND, figure_csv, figure_data, table1
 from .suites import find_normal_subgroup, run_suites, ses_from_subgroup, stabilizer_subgroup
-from .wreath import SIZE_CAP_DEFAULT, build_wreath
+from .wreath import SIZE_CAP_DEFAULT, _check_wreath_order, build_wreath
 
 ENV_SIZE_CAP = "WREATHLAB_SIZE_CAP"
 EXIT_OK = 0
@@ -168,9 +176,38 @@ def _parse_tower(args) -> QuadraticTower:
     return QuadraticTower(MultiQuadField(gens), k_gens, Fraction(args.alpha))
 
 
+# the arguments each embed mode cannot run without
+_MODE_ARGS = {"kk": ("group", "normal"), "omega": ("group", "subgroup"), "tower": ("field", "alpha")}
+
+
+def _spec_orders(group_spec: str, sub_spec: str) -> tuple[int, Optional[int]]:
+    """(|G|, |T|) from the specs alone; |T| is None for stab:k, known only after its lookup."""
+    g_order, center_order = named_orders(group_spec)
+    if sub_spec == "center":
+        return g_order, center_order
+    return g_order, None if sub_spec.startswith("stab:") else named_orders(sub_spec)[0]
+
+
+def _check_coset_wreath(g_order: int, t_order: Optional[int], size_cap: int,
+                        at_least: bool = False) -> None:
+    """Refuse T wr Q, Q acting on the [G : T] cosets of T, before any subgroup work.
+
+    kk's Q is G/T, of order [G : T]; omega's Q acts transitively on the cosets,
+    so [G : T] only bounds its order from below.  Where |T| does not divide
+    |G|, the subgroup lookup's usage error comes first.
+    """
+    if t_order is not None and g_order % t_order == 0:
+        index = g_order // t_order
+        _check_wreath_order(t_order, index, index, size_cap, at_least)
+
+
 def cmd_embed(args) -> int:
     size_cap = _size_cap(args)
+    missing = [f"--{name}" for name in _MODE_ARGS[args.mode] if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"{args.mode} mode requires {' and '.join(missing)}")
     if args.mode == "kk":
+        _check_coset_wreath(*_spec_orders(args.group, args.normal), size_cap)
         g = construct_named(args.group)
         _n, incl = find_normal_subgroup(g, args.normal)
         ses = ses_from_subgroup(g, incl)
@@ -180,8 +217,12 @@ def cmd_embed(args) -> int:
         w, phi = kk_embedding(ses, section, size_cap=size_cap)
         return _print_embedding(g, w, phi, verify_embedding(phi), args)
     if args.mode == "omega":
+        g_order, h_order = _spec_orders(args.group, args.subgroup)
+        _check_coset_wreath(g_order, h_order, size_cap, at_least=True)
         g = construct_named(args.group)
-        _sub, incl = _resolve_subgroup(g, args.subgroup)
+        sub, incl = _resolve_subgroup(g, args.subgroup)
+        if h_order is None:  # stab:k, checked once its lookup gave |H|
+            _check_coset_wreath(g.order, sub.order, size_cap, at_least=True)
         w, phi = omega_embedding(g, incl, size_cap=size_cap)
         return _print_embedding(g, w, phi, verify_embedding(phi), args)
     if args.mode == "tower":
@@ -295,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the product group JSON here")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--size-cap", type=int, default=None)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("embed", help="construct and verify an embedding")
     p.add_argument("--mode", choices=["kk", "omega", "tower"], required=True)
@@ -309,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--size-cap", type=int, default=None)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("sizes", help="size formulas, catalog rows and figure data")
     p.add_argument("--kf", type=int, required=True)
@@ -319,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=["figure", "table1"], default="figure")
     p.add_argument("--out")
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p.set_defaults(func=cmd_sizes)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all",
@@ -331,19 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-json", help="validate a group exchange file instead")
     p.add_argument("--out")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+# built once per process; argparse keeps no state between parse_args calls
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # looked up per call, so a replaced cmd_* (a test's patch, a tracer's wrapper) runs
+        return globals()[f"cmd_{args.command}"](args)
     except (SizeLimitError, SearchBudgetExceededError, OverflowError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE

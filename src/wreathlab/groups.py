@@ -26,7 +26,8 @@ cosets, not one per element or per breadth-first level.
 Named families fix a documented enumeration so all derived objects (subgroups,
 quotients, wreath products) are bit-reproducible; each table is one array
 expression in the element coordinates below, and a spec whose order exceeds
-``DENSE_CAP_DEFAULT`` is refused before anything is allocated:
+``DENSE_CAP_DEFAULT`` is refused before anything is allocated.
+``named_orders`` gives a spec's order and centre order without building it:
 
 * ``C:n``    -- residues 0..n-1, index = exponent.
 * ``D:n``    -- elements r^a s^b, index = 2a + b (a major), order 2n.
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from array import array
 from dataclasses import dataclass
@@ -554,14 +556,13 @@ def _check_dense_order(what: str, order: int) -> None:
             f"{what} order {order} exceeds the dense-table cap {DENSE_CAP_DEFAULT}", order)
 
 
-def construct_named(spec: str) -> FiniteGroup:
-    """Build a named family member from a spec string like ``C:4`` or ``AGL:3``;
-    an order above ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError`` before any allocation."""
+def _parse_named(spec: str) -> tuple[str, int]:
+    """(family, n) of a spec string such as ``C:4`` or ``AGL:3`` (n is 0 for V4
+    and Q8), refused exactly as ``construct_named`` refuses it: an order above
+    ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError``."""
     s = spec.strip()
-    if s == "V4":
-        return _klein()
-    if s == "Q8":
-        return _quaternion()
+    if s in ("V4", "Q8"):
+        return s, 0
     if ":" not in s:
         raise ValueError(f"unknown group spec {spec!r}")
     family, _, arg = s.partition(":")
@@ -573,25 +574,50 @@ def construct_named(spec: str) -> FiniteGroup:
         if n < 1:
             raise ValueError("C:n requires n >= 1")
         _check_dense_order(s, n)
-        return _cyclic(n)
-    if family == "D":
+    elif family == "D":
         if n < 2:
             raise ValueError("D:n requires n >= 2")
         _check_dense_order(s, 2 * n)
-        return _dihedral(n)
-    if family == "S":
+    elif family == "S":
         if not 1 <= n <= 6:
             raise ValueError("S:n supported for 1 <= n <= 6 (table size bound)")
-        return _perm_group(n, even_only=False)
-    if family == "A":
+    elif family == "A":
         if not 2 <= n <= 6:
             raise ValueError("A:n supported for 2 <= n <= 6")
-        return _perm_group(n, even_only=True)
-    if family == "AGL":
+    elif family == "AGL":
         if n not in _PRIMES_AGL:
             raise ValueError("AGL:p supported for primes p <= 7")
-        return _affine(n)
-    raise ValueError(f"unknown group spec {spec!r}")
+    else:
+        raise ValueError(f"unknown group spec {spec!r}")
+    return family, n
+
+
+def construct_named(spec: str) -> FiniteGroup:
+    """Build a named family member from a spec string like ``C:4`` or ``AGL:3``;
+    an order above ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError`` before any allocation."""
+    family, n = _parse_named(spec)
+    if family == "V4":
+        return _klein()
+    if family == "Q8":
+        return _quaternion()
+    if family in ("S", "A"):
+        return _perm_group(n, even_only=family == "A")
+    return {"C": _cyclic, "D": _dihedral, "AGL": _affine}[family](n)
+
+
+def named_orders(spec: str) -> tuple[int, int]:
+    """(|G|, |Z(G)|) of the group ``construct_named(spec)`` builds, from the spec
+    alone, so a caller can refuse an oversized construction before building G."""
+    family, n = _parse_named(spec)
+    if family in ("S", "A"):
+        order = math.factorial(n) // (2 if family == "A" else 1)
+    else:
+        order = {"V4": 4, "Q8": 8, "C": n, "D": 2 * n, "AGL": n * (n - 1)}[family]
+    if family == "C" or order <= 4:  # every named group of order at most 4 is abelian
+        return order, order
+    if family == "D":  # r^(n/2) is the one central rotation, when n is even
+        return order, 2 - n % 2
+    return order, 2 if family == "Q8" else 1  # S:n, A:n and AGL:p past order 4: Z(G) = 1
 
 
 # -- constructions ------------------------------------------------------------

@@ -38,16 +38,23 @@ _INDEX_LIMIT = 2**63
 
 
 def _check_wreath_order(n_base: int, n_points: int, n_top: int,
-                       size_cap: Optional[int] = None) -> None:
+                       size_cap: Optional[int] = None, at_least: bool = False) -> None:
     """Refuse a wreath product of order n_base^n_points * n_top above the cap
     (``SIZE_CAP_DEFAULT`` if None), or of ``_INDEX_LIMIT`` or more whatever the
-    cap, with ``SizeLimitError``, before anything is built."""
+    cap, with ``SizeLimitError``, before anything is built.
+
+    The message writes an order past 20 digits as ``base^points * top``, and
+    says "at least" when n_top is only a lower bound on the top group's order.
+    """
     size_cap = SIZE_CAP_DEFAULT if size_cap is None else size_cap
     order = n_base**n_points * n_top
+    text = str(order) if order < 10**20 else f"{n_base}^{n_points} * {n_top}"
+    if at_least:
+        text = f"at least {text}"
     if order >= _INDEX_LIMIT:
-        raise SizeLimitError(f"wreath order {order} exceeds the int64 index range", order)
+        raise SizeLimitError(f"wreath order {text} exceeds the int64 index range", order)
     if order > size_cap:
-        raise SizeLimitError(f"wreath order {order} exceeds cap {size_cap}", order)
+        raise SizeLimitError(f"wreath order {text} exceeds cap {size_cap}", order)
 
 
 class WreathGroup(Group):

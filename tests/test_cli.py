@@ -224,6 +224,49 @@ def test_embed_without_the_named_normal_subgroup_exits_2_fast(capsys):
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mode", "kk", "--group", "C:4096", "--normal", "C:2"],
+    ["--mode", "kk", "--group", "D:2048", "--normal", "C:2"],
+    ["--mode", "omega", "--group", "C:4096", "--subgroup", "C:2"],
+    ["--mode", "omega", "--group", "D:2048", "--subgroup", "center"],
+], ids=" ".join)
+def test_an_oversized_embedding_is_refused_before_any_subgroup_work(capsys, peak_mb, argv):
+    start = time.perf_counter()
+    (code, out, err), peak = peak_mb(lambda: run(capsys, "embed", *argv))
+    elapsed = time.perf_counter() - start
+    bound = "at least " if "omega" in argv else ""
+    assert code == 3 and out == ""
+    assert err == f"resource limit: wreath order {bound}2^2048 * 2048 exceeds the int64 index range\n"
+    assert len(err) < 200 and elapsed < 1.0 and peak < 50, (len(err), elapsed, peak)
+
+
+def test_small_refusals_keep_their_messages_and_usage_errors_come_first(capsys):
+    code, _, err = run(capsys, "embed", "--mode", "kk", "--group", "S:3", "--normal", "A:3",
+                       "--size-cap", "17")
+    assert (code, err) == (3, "resource limit: wreath order 18 exceeds cap 17\n")
+    # a stabilizer's order is known only after its lookup; the omega bound takes |Q| >= |Omega|
+    code, _, err = run(capsys, "embed", "--mode", "omega", "--group", "S:6", "--subgroup", "stab:6")
+    assert (code, err) == (3, "resource limit: wreath order at least 17915904000000 "
+                              "exceeds cap 10000000\n")
+    # where |T| does not divide |G|, the lookup's usage error wins whatever the cap
+    code, _, err = run(capsys, "embed", "--mode", "kk", "--group", "C:24", "--normal", "C:5",
+                       "--size-cap", "1")
+    assert (code, err) == (2, "error: no normal subgroup of C:24 isomorphic to C:5\n")
+    code, _, err = run(capsys, "embed", "--mode", "omega", "--group", "C:24", "--subgroup", "C:5",
+                       "--size-cap", "1")
+    assert (code, err) == (2, "error: C:24 has no subgroup isomorphic to C:5\n")
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["--mode", "kk", "--group", "S:3"], "kk mode requires --normal"),
+    (["--mode", "omega"], "omega mode requires --group and --subgroup"),
+    (["--mode", "tower", "--field", "2,3"], "tower mode requires --alpha"),
+])
+def test_embed_without_an_argument_its_mode_needs_is_a_usage_error(capsys, argv, missing):
+    code, out, err = run(capsys, "embed", *argv)
+    assert (code, out, err) == (2, "", f"error: {missing}\n")
+
+
 def test_embed_bad_tower_is_usage_error(capsys):
     code, _, _ = run(capsys, "embed", "--mode", "tower", "--field", "4,7",
                      "--K", "4", "--alpha", "7")
@@ -494,3 +537,39 @@ def test_usage_error_exit_code(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+# -- one parser per process ------------------------------------------------------------
+
+REPEATED_ARGVS = [
+    ["sizes", "--kf", "3", "--emit", "table1"],
+    ["embed", "--mode", "tower", "--field", "2,3,5", "--K", "2,3", "--alpha", "15",
+     "--section", "rho1:rho1,rho2:rho6,rho3:rho7"],
+    ["embed", "--mode", "frobnicate"],
+    ["--help"],
+    ["verify", "--suite", "omega"],
+]
+
+
+def test_the_reused_parser_answers_every_repeat_byte_for_byte(capsys):
+    first = [run(capsys, *argv) for argv in REPEATED_ARGVS]
+    assert [code for code, _, _ in first] == [0, 0, 2, 0, 0]
+    assert "invalid choice: 'frobnicate'" in first[2][2] and first[3][1].startswith("usage:")
+    assert [run(capsys, *argv) for argv in REPEATED_ARGVS] == first
+
+
+def test_main_answers_without_building_a_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for _ in range(2):
+        code, out, _ = run(capsys, "sizes", "--emit", "table1", "--kf", "3")
+        assert code == 0 and out.startswith("C3: kc=3,")
+
+
+def test_main_dispatches_to_the_command_bound_at_call_time(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sizes", lambda args: seen.append(args.kf) or 7)
+    assert main(["sizes", "--kf", "4", "--emit", "table1"]) == 7
+    assert seen == [4]

@@ -38,7 +38,7 @@ from wreathlab import (
 )
 from wreathlab import groups, suites
 from wreathlab.cli import main
-from wreathlab.groups import DENSE_CAP_DEFAULT, closure
+from wreathlab.groups import DENSE_CAP_DEFAULT, closure, named_orders
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import THETA_CATALOG, _theta_omega
 from wreathlab.wreath import build_wreath
@@ -88,6 +88,8 @@ def test_named_orders(spec, order):
 def test_named_rejects_bad_specs(spec):
     with pytest.raises(ValueError):
         construct_named(spec)
+    with pytest.raises(ValueError):
+        named_orders(spec)
 
 
 def test_symmetric_indexing_is_lexicographic():
@@ -207,10 +209,11 @@ def test_named_family_matches_its_loop_built_oracle(spec):
 
 @pytest.mark.parametrize("spec,order", [("C:4097", 4097), ("D:2049", 4098), ("C:10000000000", 10**10)])
 def test_named_orders_above_the_dense_cap_are_refused(spec, order):
-    with pytest.raises(SizeLimitError) as err:
-        construct_named(spec)
-    assert err.value.order == order
-    assert f"exceeds the dense-table cap {DENSE_CAP_DEFAULT}" in str(err.value)
+    for build in (construct_named, named_orders):
+        with pytest.raises(SizeLimitError) as err:
+            build(spec)
+        assert err.value.order == order
+        assert f"exceeds the dense-table cap {DENSE_CAP_DEFAULT}" in str(err.value)
 
 
 # -- direct products -------------------------------------------------------------
@@ -734,6 +737,12 @@ def relabeled(g, rng):
 NAMED_UP_TO_120 = ([f"C:{n}" for n in range(1, 121)] + [f"D:{n}" for n in range(2, 61)]
                    + [f"S:{n}" for n in range(1, 6)] + [f"A:{n}" for n in range(2, 6)]
                    + [f"AGL:{p}" for p in (2, 3, 5, 7)] + ["V4", "Q8"])
+
+
+def test_named_orders_match_the_built_group_and_its_centre():
+    for spec in NAMED_UP_TO_120 + ["S:6", "A:6", "D:1023", "D:1024"]:
+        g = construct_named(spec)
+        assert named_orders(f" {spec} ") == (g.order, len(g.center_indices())), spec
 
 
 def test_coset_closure_matches_brute_force_on_named_families_and_relabeled_tables():

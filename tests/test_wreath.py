@@ -20,7 +20,7 @@ from wreathlab import (
 from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import THETA_CATALOG, _theta_omega, check_theta_properties
-from wreathlab.wreath import WreathGroup
+from wreathlab.wreath import WreathGroup, _check_wreath_order
 
 
 def brute_wreath_mul(w, x, y):
@@ -237,6 +237,20 @@ def test_an_order_past_int64_is_refused_whatever_the_cap():
     # the largest order below the limit is still a structural product
     w = regular_wreath(construct_named("C:2"), construct_named("C:1"), size_cap=10**30)
     assert w.order == 2
+
+
+@pytest.mark.parametrize("n_base,n_points,n_top,at_least,text", [
+    (10, 19, 9, False, "wreath order 90000000000000000000 exceeds the int64 index range"),
+    (10, 20, 1, False, "wreath order 10^20 * 1 exceeds the int64 index range"),
+    (2, 2048, 2048, True, "wreath order at least 2^2048 * 2048 exceeds the int64 index range"),
+    (3, 2, 2, False, "wreath order 18 exceeds cap 17"),
+    (3, 2, 2, True, "wreath order at least 18 exceeds cap 17"),
+])
+def test_the_refusal_writes_an_order_past_20_digits_as_a_power(n_base, n_points, n_top,
+                                                                at_least, text):
+    with pytest.raises(SizeLimitError) as err:
+        _check_wreath_order(n_base, n_points, n_top, 17, at_least)
+    assert str(err.value) == text and err.value.order == n_base**n_points * n_top
 
 
 def digit_decode(w, x):
