@@ -93,7 +93,6 @@ from .sizes import (
 )
 from .wreath import (
     WreathGroup,
-    WreathProduct,
     build_wreath,
     regular_wreath,
 )

@@ -115,8 +115,15 @@ def _build_omega(h: Optional[FiniteGroup], mode: str):
     raise ValueError(f"unknown omega mode {mode!r}")
 
 
+# the omega modes that act through the top group, so cannot run without --h
+_TOP_MODES = ("regular", "natural", "cosets")
+
+
 def cmd_build(args) -> int:
     size_cap = _size_cap(args)
+    mode = args.omega.partition(":")[0]
+    if not args.h and mode in _TOP_MODES:
+        raise ValueError(f"--omega {mode} requires --h")
     k = construct_named(args.k)
     h = construct_named(args.h) if args.h else None
     omega = _build_omega(h, args.omega)
@@ -145,7 +152,7 @@ def cmd_build(args) -> int:
 
 
 def _print_embedding(domain, w, phi, report, args, extra: Optional[dict] = None) -> int:
-    image = w.product.labels(phi.image)  # every image label from one decode
+    image = w.labels(phi.image)  # every image label from one decode
     if args.format == "json":
         payload = {
             "phi": [

@@ -50,7 +50,7 @@ from .groups import (
     quotient,
 )
 from .search import embeds_into
-from .wreath import WreathProduct, _check_wreath_order, build_wreath, regular_wreath
+from .wreath import WreathGroup, _check_wreath_order, build_wreath, regular_wreath
 
 
 class ShortExactSequence:
@@ -67,7 +67,7 @@ class ShortExactSequence:
             raise WreathlabError("image(N -> G) != kernel(G -> Q)")
         self.n_to_g = n_to_g
         self.g_to_q = g_to_q
-        self._wreath: Optional[WreathProduct] = None
+        self._wreath: Optional[WreathGroup] = None
 
     @property
     def n(self) -> FiniteGroup:
@@ -81,7 +81,7 @@ class ShortExactSequence:
     def q(self) -> FiniteGroup:
         return self.g_to_q.codomain
 
-    def wreath(self, size_cap: Optional[int] = None) -> WreathProduct:
+    def wreath(self, size_cap: Optional[int] = None) -> WreathGroup:
         """N wr_r Q, built on the first call and kept: it depends only on the
         extension.  The order cap is checked on every call, before any build."""
         _check_wreath_order(self.n.order, self.q.order, self.q.order, size_cap)
@@ -150,7 +150,7 @@ def _check_section(point_of: np.ndarray, s: Section, size: int) -> None:
 
 
 def _sigma_image(g: FiniteGroup, tops: np.ndarray, s: Section, sub: GroupHom,
-                 w: WreathProduct) -> np.ndarray:
+                 w: WreathGroup) -> np.ndarray:
     """Wreath index of (sigma_x, top(x)) for every x in g.
 
     sigma_x(p) = s(p)^-1 * x * s(top(x)^-1 . p) for each point p of
@@ -167,11 +167,11 @@ def _sigma_image(g: FiniteGroup, tops: np.ndarray, s: Section, sub: GroupHom,
         x, p = divmod(int((digits < 0).argmax()), w.top.size)
         raise SectionMismatchError(
             f"sigma_g({p}) for g index {x} escapes the image of the base group")
-    return w.product.encode_array(digits, tops)
+    return w.encode_array(digits, tops)
 
 
 def kk_embedding(ses: ShortExactSequence, s: Optional[Section] = None,
-                 size_cap: Optional[int] = None) -> tuple[WreathProduct, GroupHom]:
+                 size_cap: Optional[int] = None) -> tuple[WreathGroup, GroupHom]:
     """Embed the extension into N wr_r Q (universal embedding of Kaloujnine-Krasner).
 
     This is the sigma formula with Omega = Q acting on itself by left
@@ -183,11 +183,11 @@ def kk_embedding(ses: ShortExactSequence, s: Optional[Section] = None,
         s = default_section(eps)
     _check_section(eps.image, s, ses.q.order)
     w = ses.wreath(size_cap)
-    return w, GroupHom(ses.g, w.product, _sigma_image(ses.g, eps.image, s, ses.n_to_g, w))
+    return w, GroupHom(ses.g, w, _sigma_image(ses.g, eps.image, s, ses.n_to_g, w))
 
 
 def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
-                    size_cap: Optional[int] = None) -> tuple[WreathProduct, GroupHom]:
+                    size_cap: Optional[int] = None) -> tuple[WreathGroup, GroupHom]:
     """Embed g into H wr_Omega Q with H = image(h_k), Omega its cosets,
     Q = g / normal_core(H).
 
@@ -207,7 +207,7 @@ def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
     p_h = omega_g.act[g.inverses[reps(0)], 0]
     _check_section(omega_g.act[:, p_h], s, omega_g.size)
     w = build_wreath(h_k.domain, omega_q, size_cap=size_cap)
-    return w, GroupHom(g, w.product, _sigma_image(g, proj.image, s, h_k, w))
+    return w, GroupHom(g, w, _sigma_image(g, proj.image, s, h_k, w))
 
 
 def verify_embedding(phi: GroupHom) -> EmbeddingReport:
@@ -233,16 +233,16 @@ def verify_embedding(phi: GroupHom) -> EmbeddingReport:
     )
 
 
-def _transport(base_map: GroupHom, top_map: GroupHom, xi, w: WreathProduct,
-               w_hat: WreathProduct, kind: str) -> GroupHom:
+def _transport(base_map: GroupHom, top_map: GroupHom, xi, w: WreathGroup,
+               w_hat: WreathGroup, kind: str) -> GroupHom:
     """(f, h) |-> (base_map o f o xi^-1, top_map(h)) on all of w, checked to be a
     hom and injective (``kind`` names the property in the error)."""
     if base_map.codomain.order != w_hat.base_group.order:
         raise NotIsomorphismError("base-component map does not land in the target base group")
     xi_inv = np.argsort(_int64_indices(xi, GroupFormatError))  # xi is a bijection
-    f, h = w.product.decode_array(np.arange(w.order))
-    image = w_hat.product.encode_array(base_map.image[f[:, xi_inv]], top_map.image[h])
-    out = GroupHom(w.product, w_hat.product, image, validate=False)
+    f, h = w.decode_array(np.arange(w.order))
+    image = w_hat.encode_array(base_map.image[f[:, xi_inv]], top_map.image[h])
+    out = GroupHom(w, w_hat, image, validate=False)
     cert = certify_hom(out)
     if cert.counterexample is not None:
         raise NotIsomorphismError(f"transport fails the hom law at pair {cert.counterexample}")
@@ -252,8 +252,8 @@ def _transport(base_map: GroupHom, top_map: GroupHom, xi, w: WreathProduct,
     return out
 
 
-def transport_iso(psi: GroupHom, phi: GroupHom, xi, w: WreathProduct,
-                  w_hat: WreathProduct) -> GroupHom:
+def transport_iso(psi: GroupHom, phi: GroupHom, xi, w: WreathGroup,
+                  w_hat: WreathGroup) -> GroupHom:
     """Isomorphism (f, h) |-> (psi o f o xi^-1, phi(h)) between wreath products.
 
     psi and phi must be isomorphisms of the base and top groups and xi an
@@ -271,8 +271,8 @@ def transport_iso(psi: GroupHom, phi: GroupHom, xi, w: WreathProduct,
     return _transport(psi, phi, xi, w, w_hat, "bijective")
 
 
-def transport_subgroup(iota_k: GroupHom, iota_h: GroupHom, xi, w: WreathProduct,
-                       w_hat: WreathProduct) -> GroupHom:
+def transport_subgroup(iota_k: GroupHom, iota_h: GroupHom, xi, w: WreathGroup,
+                       w_hat: WreathGroup) -> GroupHom:
     """Injective hom K wr_Omega H -> K^ wr_Omega^ H^ from component inclusions."""
     if not iota_k.is_injective():
         raise NotIsomorphismError("base-component map is not injective")
@@ -286,7 +286,7 @@ def transport_subgroup(iota_k: GroupHom, iota_h: GroupHom, xi, w: WreathProduct,
 _SOLVABILITY_PRIMES = (2, 3)
 
 
-def solvability_wreath(p: int, size_cap: Optional[int] = None) -> WreathProduct:
+def solvability_wreath(p: int, size_cap: Optional[int] = None) -> WreathGroup:
     """AGL(1,F_p) wr_Omega AGL(1,F_p) with Omega = F_p under evaluation."""
     if p not in _SOLVABILITY_PRIMES:
         raise UnsupportedPrimeError(

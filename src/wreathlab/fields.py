@@ -60,7 +60,7 @@ import numpy as np
 from .errors import TowerError
 from .groups import (FiniteGroup, GroupHom, Section, _ascending_generators, _first_failure,
                      subgroup_from_elements)
-from .wreath import WreathProduct, _check_wreath_order
+from .wreath import WreathGroup, _check_wreath_order
 from .embeddings import EmbeddingReport, ShortExactSequence, kk_embedding, verify_embedding
 
 GENERATOR_BOUND = 10**6
@@ -521,7 +521,7 @@ def tower_extension(t: QuadraticTower) -> ShortExactSequence:
 def quadratic_kummer_embedding(
     t: QuadraticTower,
     size_cap: Optional[int] = None,
-) -> tuple[WreathProduct, GroupHom, EmbeddingReport]:
+) -> tuple[WreathGroup, GroupHom, EmbeddingReport]:
     """Embed Gal(L/Q) into Gal(L/K) wr_r Gal(K/Q) via sigma_rho(tau) = eta^chi.
 
     This is the kk embedding of ``tower_extension(t)`` through the section that

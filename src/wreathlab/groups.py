@@ -121,9 +121,9 @@ class Group:
     A group has ``order``, ``identity`` and ``name``; scalar ``mul`` and
     ``inv``; ``mul_array``, the product broadcast over index arrays; ``label``;
     and ``generators()``, on which hom laws are checked.  ``FiniteGroup`` stores
-    its Cayley table.  ``wreath.WreathGroup``, the one structural wreath group and
-    the ``product`` of every ``WreathProduct``, computes products from the wreath
-    formula and adds the array codec (``encode_array``, ``decode_array``, ``labels``).
+    its Cayley table.  ``wreath.WreathGroup``, the one wreath product object, computes
+    products from the wreath formula, adds the array codec (``encode_array``,
+    ``decode_array``, ``labels``) and builds its table on request (``dense``).
     """
 
     def power(self, x: int, k: int) -> int:

@@ -2,16 +2,16 @@
 
 Element encoding is mixed radix: index = h * |K|^|Omega| + sum_w f(w) * |K|^w,
 so the tuple digit at point 0 is least significant and the top element is the
-most significant digit.  ``WreathGroup``, the one structural wreath group and
-the ``product`` of every ``WreathProduct``, holds the encoding and the one
-statement of the product formula as broadcasting functions on int64 index
-arrays; its scalar ``encode``, ``decode``, ``mul``, ``inv`` and ``label`` apply
-them to one index, and ``theta_table`` reads theta_h(f)(w) = f(h^-1 . w) off
-the formula.  It honours the group protocol of ``groups.Group``, so hom
-checks, closures, embeddings and transports run on it with nothing of size
-``order`` stored.
+most significant digit.  ``WreathGroup`` is the one wreath product object: the
+codomain of every embedding, built by ``build_wreath`` and ``regular_wreath``.
+It holds the encoding and the one statement of the product formula as
+broadcasting functions on int64 index arrays; its scalar ``encode``,
+``decode``, ``mul``, ``inv`` and ``label`` apply them to one index, and
+``theta_table`` reads theta_h(f)(w) = f(h^-1 . w) off the formula.  It honours
+the group protocol of ``groups.Group``, so hom checks, closures, embeddings and
+transports run on it with nothing of size ``order`` stored.
 
-``WreathProduct.dense()`` builds the Cayley table as a ``FiniteGroup`` on
+``WreathGroup.dense()`` builds the Cayley table as a ``FiniteGroup`` on
 request (search, small-group identification and JSON export read tables) and
 refuses an order above ``DENSE_CAP_DEFAULT`` before it allocates anything.  It
 is assembled from the pointwise product of the B = |K|^|Omega| tuples, K's
@@ -19,7 +19,7 @@ table raised to a direct power one point at a time, and the theta table.
 
 A product depends only on its components: ``embeddings.ShortExactSequence.wreath``
 keeps the extension's N wr_r Q for all of its sections, and checks the order cap
-on every call through ``_check_wreath_order``, the check ``WreathProduct`` makes.
+on every call through ``_check_wreath_order``, the check ``WreathGroup`` makes.
 """
 
 from __future__ import annotations
@@ -60,28 +60,33 @@ def _check_wreath_order(n_base: int, n_points: int, n_top: int,
 class WreathGroup(Group):
     """K wr_Omega H as a structural group: the mixed-radix encoding and the product formula.
 
-    The ``*_array`` methods work unchecked on int64 index arrays of any
-    broadcastable shapes; ``encode``, ``decode`` and ``label`` are checked.
+    The ``*_array`` methods work unchecked on int64 index arrays of any broadcastable
+    shapes; the scalar methods are checked, and the order against ``size_cap`` first.
     """
 
-    def __init__(self, base: FiniteGroup, top: FiniteGSet):
-        _check_wreath_order(base.order, top.size, top.group.order, _INDEX_LIMIT)  # int64 gate
-        self.base = base
+    def __init__(self, base_group: FiniteGroup, top: FiniteGSet,
+                 size_cap: Optional[int] = None):
+        _check_wreath_order(base_group.order, top.size, top.group.order, size_cap)
+        self.base_group = base_group
         self.top = top
-        self.name = f"{base.name or 'K'} wr {top.group.name or 'H'}"
-        self.n_base = base.order
+        self.name = f"{base_group.name or 'K'} wr {top.group.name or 'H'}"
+        self.n_base = base_group.order
         self.n_points = top.size
         self.n_top = top.group.order
-        self.tuple_count = base.order**top.size
+        self.tuple_count = base_group.order**top.size
         self.order = self.tuple_count * self.n_top
         self.powers = [self.n_base**j for j in range(self.n_points)]
         self._pw = np.array(self.powers, dtype=np.int64)
-        self._ktab = base.table.astype(np.int64)
-        self._kinv = base.inverses.astype(np.int64)
+        self._ktab = base_group.table.astype(np.int64)
+        self._kinv = base_group.inverses.astype(np.int64)
         self._htab = top.group.table.astype(np.int64)
         self._hinv = top.group.inverses.astype(np.int64)
         self._inv_act = top.act[top.group.inverses]  # row h is the action of h^-1
-        self.identity = self.encode([base.identity] * self.n_points, top.group.identity)
+        self.identity = self.encode([base_group.identity] * self.n_points, top.group.identity)
+        self._dense: Optional[FiniteGroup] = None
+
+    # read only by ``perfbench/spans.py``; goes with its rename (ROADMAP item 3)
+    product = property(lambda self: self)
 
     def encode(self, f: Sequence[int], h: int) -> int:
         if len(f) != self.n_points:
@@ -156,7 +161,7 @@ class WreathGroup(Group):
         ``groups.direct_product``.
         """
         B, n, n_top = self.tuple_count, self.n_base, self.n_top
-        kt = self.base.table.astype(np.int32)
+        kt = self.base_group.table.astype(np.int32)
         prod = np.zeros((1, 1), dtype=np.int32)
         for j in range(self.n_points):
             m = n * prod.shape[0]
@@ -171,9 +176,9 @@ class WreathGroup(Group):
 
     def generators(self) -> list[int]:
         """K's generators at the least point of each orbit of Omega, then H's generators."""
-        e, k_e, h_e = self.identity, self.base.identity, self.top.group.identity
+        e, k_e, h_e = self.identity, self.base_group.identity, self.top.group.identity
         points = sorted({min(self.top.orbit(w)) for w in range(self.n_points)})
-        return ([e + (k - k_e) * self.powers[w] for w in points for k in self.base.generators()]
+        return ([e + (k - k_e) * self.powers[w] for w in points for k in self.base_group.generators()]
                 + [e + (h - h_e) * self.tuple_count for h in self.top.group.generators()])
 
     def labels(self, indices) -> list[str]:
@@ -183,83 +188,74 @@ class WreathGroup(Group):
         if bad.any():
             raise WreathlabError(f"wreath index {int(x[bad][0])} out of range")
         digits, tops = self.decode_array(x)
-        k, h = self.base.labels, self.top.group.labels
+        k, h = self.base_group.labels, self.top.group.labels
         return [f"({','.join([k[d] for d in f])}; {h[t]})"
                 for f, t in zip(digits.tolist(), tops.tolist())]
 
     def label(self, x: int) -> str:
         return self.labels([x])[0]
 
-    def __repr__(self) -> str:
-        return f"<{self.name} of order {self.order} (structural)>"
+    def parse_element(self, text: str) -> int:
+        """The index of ``(k_0,...,k_{n-1}; h)``, the inverse of ``label``.
 
-
-# ``perfbench/spans.py`` wraps this class by its former name; the alias goes with that name
-_Codec = WreathGroup
-
-
-class WreathProduct:
-    """K wr_Omega H: the structural ``product``, its components and encode/decode."""
-
-    def __init__(self, base_group: FiniteGroup, top: FiniteGSet,
-                 size_cap: Optional[int] = None):
-        # the cap is checked before the product is built
-        _check_wreath_order(base_group.order, top.size, top.group.order, size_cap)
-        self.base_group = base_group
-        self.top = top
-        self.product = WreathGroup(base_group, top)
-        self.order = self.product.order
-        self._dense: Optional[FiniteGroup] = None
+        The text splits at the ``;`` and the commas that lie outside every
+        parenthesis and bracket, so component labels may hold either.
+        """
+        s = text.strip()
+        parts = _split_outside(s[1:-1], ";") if s[:1] == "(" and s[-1:] == ")" else []
+        if len(parts) != 2:
+            raise WreathlabError(f"cannot parse wreath element {text!r}")
+        base_labels = _split_outside(parts[0], ",")
+        if len(base_labels) != self.n_points:
+            raise WreathlabError(f"expected {self.n_points} tuple entries in {text!r}")
+        f = [self.base_group.label_index(lbl.strip()) for lbl in base_labels]
+        return self.encode(f, self.top.group.label_index(parts[1].strip()))
 
     def dense(self) -> FiniteGroup:
         """The product as a Cayley-table ``FiniteGroup``, built on the first call.
 
-        Element indices, labels and generators are those of ``product``.  An
-        order above ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError`` before
-        anything is allocated.
+        Indices, labels and generators are this product's; the table, proved by a
+        differential test, skips Light's test.  An order above ``DENSE_CAP_DEFAULT``
+        raises ``SizeLimitError`` before anything is allocated.
         """
         if self._dense is None:
             _check_dense_order("wreath product", self.order)
-            w = self.product  # its table is proved by a differential test: skip Light's test
-            self._dense = FiniteGroup(w.dense_table(), labels=w.labels(np.arange(w.order)),
-                                      name=w.name, _generator_source=lambda _: w.generators())
+            gens = self.generators()  # a list: a closure over self would make a reference cycle
+            self._dense = FiniteGroup(self.dense_table(), labels=self.labels(np.arange(self.order)),
+                                      name=self.name, _generator_source=lambda _: gens)
         return self._dense
 
-    # -- structure maps ------------------------------------------------------
-
-    def encode(self, f: Sequence[int], h: int) -> int:
-        return self.product.encode(f, h)
-
-    def decode(self, x: int) -> tuple[tuple[int, ...], int]:
-        return self.product.decode(x)
-
-    def parse_element(self, text: str) -> int:
-        s = text.strip()
-        if not (s.startswith("(") and s.endswith(")")):
-            raise WreathlabError(f"cannot parse wreath element {text!r}")
-        body = s[1:-1]
-        tuple_part, sep, top_part = body.rpartition(";")
-        if not sep:
-            raise WreathlabError(f"cannot parse wreath element {text!r}")
-        base_labels = [p.strip() for p in tuple_part.split(",")]
-        if len(base_labels) != self.top.size:
-            raise WreathlabError(
-                f"expected {self.top.size} tuple entries in {text!r}")
-        f = [self.base_group.label_index(lbl) for lbl in base_labels]
-        h = self.top.group.label_index(top_part.strip())
-        return self.product.encode(f, h)
-
     def __repr__(self) -> str:
-        return f"<WreathProduct order {self.order}: {self.product!r}>"
+        return f"<{self.name} of order {self.order} (structural)>"
+
+
+# ``perfbench/spans.py`` wraps this class by its former names; the aliases go with its
+# rename (ROADMAP item 3)
+_Codec = WreathProduct = WreathGroup
+
+
+def _split_outside(text: str, sep: str) -> list[str]:
+    """``text`` split at each ``sep`` that lies outside every parenthesis and bracket."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 def build_wreath(k: FiniteGroup, omega: FiniteGSet,
-                 size_cap: Optional[int] = None) -> WreathProduct:
+                 size_cap: Optional[int] = None) -> WreathGroup:
     """Complete wreath product K wr_Omega H for H = omega.group."""
-    return WreathProduct(k, omega, size_cap=size_cap)
+    return WreathGroup(k, omega, size_cap=size_cap)
 
 
 def regular_wreath(k: FiniteGroup, h: FiniteGroup,
-                   size_cap: Optional[int] = None) -> WreathProduct:
+                   size_cap: Optional[int] = None) -> WreathGroup:
     """Regular wreath product K wr_r H (Omega = H under left multiplication)."""
     return build_wreath(k, regular_action(h), size_cap=size_cap)

@@ -76,7 +76,7 @@ def test_criterion_1_d4_identification(capsys):
         w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
         x = w.encode((0, 1), 1)
         y = w.encode((0, 0), 1)
-        assert check_presentation_d4(w.product, x, y)
+        assert check_presentation_d4(w, x, y)
         assert identify_small(w.dense()) == "D:4"
     with capsys.disabled():
         _report(1, t, "order-8 wreath satisfies the dihedral presentation, named D:4")
@@ -131,7 +131,7 @@ def test_criterion_4_omega_embedding_s4(capsys):
         # exhaustive check over all 24^2 domain pairs
         for a in range(24):
             for b in range(24):
-                assert phi(s4.mul(a, b)) == w.product.mul(phi(a), phi(b))
+                assert phi(s4.mul(a, b)) == w.mul(phi(a), phi(b))
         assert len(set(int(v) for v in phi.image)) == 24
     with capsys.disabled():
         _report(4, t, "injective homomorphism into the order-31104 wreath")

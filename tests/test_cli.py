@@ -69,6 +69,17 @@ def test_build_from_action_file(capsys, tmp_path):
     assert out.strip() == "order 48, identified C:2 × S:4"
 
 
+@pytest.mark.parametrize("omega,mode", [
+    ([], "regular"),
+    (["--omega", "regular"], "regular"),
+    (["--omega", "natural:3"], "natural"),
+    (["--omega", "cosets:C:1"], "cosets"),
+])
+def test_build_without_the_top_group_its_omega_needs_is_a_usage_error(capsys, omega, mode):
+    code, out, err = run(capsys, "build", "--k", "C:2", *omega)
+    assert (code, out, err) == (2, "", f"error: --omega {mode} requires --h\n")
+
+
 def test_build_json_schema_is_stable(capsys):
     for args in (("C:2", "C:2"), ("C:1", "S:3")):
         code, out, _ = run(capsys, "build", "--k", args[0], "--h", args[1],

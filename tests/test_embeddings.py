@@ -43,7 +43,7 @@ from wreathlab.suites import (
     ses_from_subgroup,
     stabilizer_subgroup,
 )
-from wreathlab.wreath import WreathGroup, WreathProduct
+from wreathlab.wreath import WreathGroup
 
 
 def sign_ses():
@@ -109,8 +109,8 @@ def test_kk_embeddings_of_one_extension_share_its_wreath_product():
     assert all(w is built[0] for w in built) and built[0] is ses.wreath()
     assert built[0] is not fresh and built[0].order == fresh.order == 4**6 * 6
     x = np.arange(0, fresh.order, 97)
-    assert (built[0].product.mul_array(x, x[::-1]) == fresh.product.mul_array(x, x[::-1])).all()
-    assert built[0].product.label(4321) == fresh.product.label(4321)
+    assert (built[0].mul_array(x, x[::-1]) == fresh.mul_array(x, x[::-1])).all()
+    assert built[0].label(4321) == fresh.label(4321)
 
 
 def test_kk_checks_the_order_cap_on_every_call():
@@ -242,13 +242,13 @@ def test_mutated_phi_yields_a_counterexample():
     w, phi = kk_embedding(ses)
     image = np.array(phi.image)
     image[1] = image[0]  # force a non-identity element onto the identity image
-    broken = GroupHom(ses.g, w.product, image, validate=False)
+    broken = GroupHom(ses.g, w, image, validate=False)
     report = verify_embedding(broken)
     assert not report.is_homomorphism
     assert report.counterexample is not None
     a, b = report.counterexample
     lhs = int(broken.image[ses.g.table[a, b]])
-    rhs = w.product.mul(int(broken.image[a]), int(broken.image[b]))
+    rhs = w.mul(int(broken.image[a]), int(broken.image[b]))
     assert lhs != rhs
     assert report.to_json()["counterexample"] == [a, b]
 
@@ -266,17 +266,17 @@ def first_failing_pair(hom):
 def test_kk_into_a_structural_product_matches_the_dense_build():
     for _name, ses in ses_catalog():
         w, phi_struct = kk_embedding(ses)
-        assert isinstance(w.product, WreathGroup)
+        assert isinstance(w, WreathGroup)
         # the same image into the dense table passes the hom law there too
         # (S4/V4 lands in V4 wr S:3, of order 24576, which has no dense table)
-        dense = w.dense() if w.order <= DENSE_CAP_DEFAULT else w.product
+        dense = w.dense() if w.order <= DENSE_CAP_DEFAULT else w
         phi_dense = GroupHom(ses.g, dense, phi_struct.image)
         assert verify_embedding(phi_struct).to_json() == verify_embedding(phi_dense).to_json()
         # a broken image fails at the same first pair through either codomain
         image = np.array(phi_struct.image)
         image[1], image[2] = image[2], image[1]
         broken = [GroupHom(ses.g, codomain, image, validate=False)
-                  for codomain in (dense, w.product)]
+                  for codomain in (dense, w)]
         expected = first_failing_pair(broken[0])
         assert expected is not None
         assert [hom.find_hom_counterexample() for hom in broken] == [expected, expected]
@@ -388,7 +388,7 @@ def test_identity_transport_on_a_structural_regular_wreath(k_spec, h_spec):
     """Orders 4374, 49,152 and 279,936: an all-pairs check would need order^2 cells."""
     k, h = construct_named(k_spec), construct_named(h_spec)
     w = regular_wreath(k, h)
-    assert isinstance(w.product, WreathGroup)
+    assert isinstance(w, WreathGroup)
     moved = transport_iso(identity_hom(k), identity_hom(h), list(range(h.order)), w, w)
     assert (moved.image == np.arange(w.order)).all()
 
@@ -396,7 +396,7 @@ def test_identity_transport_on_a_structural_regular_wreath(k_spec, h_spec):
 def test_structural_transport_that_breaks_the_law_names_the_first_pair():
     s3 = construct_named("S:3")
     w = regular_wreath(s3, s3)
-    assert isinstance(w.product, WreathGroup)
+    assert isinstance(w, WreathGroup)
     # swap two transpositions and fix the rest: a bijection that is no hom
     swap = np.arange(6)
     swap[[1, 2]] = [2, 1]
@@ -406,9 +406,9 @@ def test_structural_transport_that_breaks_the_law_names_the_first_pair():
         transport_iso(bad_psi, identity_hom(s3), list(range(6)), w, w)
     a, b = (int(v) for v in re.search(r"\((\d+), (\d+)\)", str(err.value)).groups())
     # the named pair fails, and no pair before it in row-major order does
-    f, h = w.product.decode_array(np.arange(w.order))
-    image = w.product.encode_array(swap[f], h)
-    g = w.product
+    f, h = w.decode_array(np.arange(w.order))
+    image = w.encode_array(swap[f], h)
+    g = w
     assert image[g.mul(a, b)] != g.mul(int(image[a]), int(image[b]))
     rows = np.arange(a + 1)[:, None]
     cols = np.arange(w.order)[None, :]
@@ -470,15 +470,15 @@ def test_solvability_trivial_cases():
 
 
 def count_dense_builds(monkeypatch):
-    """Record the order of every table ``WreathProduct.dense`` builds (not reuses)."""
+    """Record the order of every table ``WreathGroup.dense`` builds (not reuses)."""
     built = []
-    original = WreathProduct.dense
+    original = WreathGroup.dense
 
     def counting(self):
         if self._dense is None:
             built.append(self.order)
         return original(self)
-    monkeypatch.setattr(WreathProduct, "dense", counting)
+    monkeypatch.setattr(WreathGroup, "dense", counting)
     return built
 
 

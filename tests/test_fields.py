@@ -540,7 +540,7 @@ def test_chi_rejects_foreign_automorphisms(tower57):
 def test_biquadratic_embedding_matches_the_worked_table(tower57):
     w, phi, report = quadratic_kummer_embedding(tower57)
     gl = galois_group(tower57.L)
-    table = {gl.labels[x]: w.product.label(phi(x)) for x in range(4)}
+    table = {gl.labels[x]: w.label(phi(x)) for x in range(4)}
     assert table == {
         "id": "(id,id; id)",
         "rho1": "(id,id; eta)",

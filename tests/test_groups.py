@@ -397,7 +397,7 @@ def test_quotient_and_partition_share_representatives(d4):
 def test_coset_partition_of_a_structural_product():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     base = sorted(w.encode(f, w.top.group.identity) for f in np.ndindex(2, 2))
-    coset_of, reps = coset_partition(w.product, base)
+    coset_of, reps = coset_partition(w, base)
     assert list(reps) == [0, 4]
     assert list(coset_of) == [0, 0, 0, 0, 1, 1, 1, 1]
 
@@ -596,7 +596,7 @@ def test_exhaustive_associativity_for_small_constructions():
 
 def test_power_matches_repeated_multiplication():
     w = regular_wreath(construct_named("C:2"), construct_named("C:3"))
-    for g, xs in ((construct_named("S:4"), range(24)), (w.product, range(0, w.order, 5))):
+    for g, xs in ((construct_named("S:4"), range(24)), (w, range(0, w.order, 5))):
         for x in xs:
             for k in range(-20, 21):
                 base, acc = (x, g.identity) if k >= 0 else (g.inv(x), g.identity)
@@ -612,8 +612,8 @@ def test_power_squares_and_multiplies_for_a_huge_exponent():
     assert c7.power(3, -10**18) == -3 * 10**18 % 7
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     x = w.encode((0, 1), 1)  # of order 4
-    assert w.product.power(x, 10**18) == w.product.identity
-    assert w.product.power(x, 10**18 + 1) == x
+    assert w.power(x, 10**18) == w.identity
+    assert w.power(x, 10**18 + 1) == x
 
 
 # -- list tables: one-pass conversion with strict cells ------------------------------
@@ -760,11 +760,11 @@ def test_coset_closure_matches_the_oracles_on_dense_and_structural_products(k_sp
     k, omega = _theta_omega(k_spec, h_spec, degree)
     w = build_wreath(k, omega)
     rng = random.Random(f"{k_spec} {h_spec} {degree}")
-    forms = [w.product] + ([w.dense()] if w.order <= DENSE_CAP_DEFAULT else [])
-    for gens in generator_sets(w.product, rng):
-        want = bfs_closure(w.product, gens)
+    forms = [w] + ([w.dense()] if w.order <= DENSE_CAP_DEFAULT else [])
+    for gens in generator_sets(w, rng):
+        want = bfs_closure(w, gens)
         if len(want) <= 256:
-            assert want == brute_closure(w.product, gens)
+            assert want == brute_closure(w, gens)
         for g in forms:
             assert closure(g, gens) == sorted(want), (g, gens)
 

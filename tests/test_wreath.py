@@ -1,4 +1,8 @@
+import functools
+import importlib
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,8 @@ from wreathlab import (
     regular_action,
     regular_wreath,
 )
-from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure
+from wreathlab import wreath
+from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure, direct_product
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import THETA_CATALOG, _theta_omega, check_theta_properties
 from wreathlab.wreath import WreathGroup, _check_wreath_order
@@ -36,14 +41,14 @@ def brute_wreath_mul(w, x, y):
 def theta_of(w, h, f):
     """theta_h(f) for a tuple f, read off ``WreathGroup.theta_table``, the package's one
     statement of theta."""
-    t = w.encode(f, w.top.group.identity) % w.product.tuple_count
-    return w.decode(int(w.product.theta_table()[h, t]))[0]
+    t = w.encode(f, w.top.group.identity) % w.tuple_count
+    return w.decode(int(w.theta_table()[h, t]))[0]
 
 
 def top_projection(w):
     """(f, h) |-> h as an unvalidated hom; the tests below prove its law."""
-    image = np.arange(w.order, dtype=np.int64) // w.product.tuple_count
-    return GroupHom(w.product, w.top.group, image, validate=False)
+    image = np.arange(w.order, dtype=np.int64) // w.tuple_count
+    return GroupHom(w, w.top.group, image, validate=False)
 
 
 def base_inclusion(w, f):
@@ -300,31 +305,31 @@ def test_multiplication_matches_brute_formula_on_all_pairs():
 def test_inverse_examples():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     e = w.encode((0, 0), 0)
-    assert w.product.inv(e) == e
+    assert w.inv(e) == e
     x = w.encode((0, 1), 1)
-    assert w.product.inv(x) == w.encode((1, 0), 1)  # x^-1 = x^3
+    assert w.inv(x) == w.encode((1, 0), 1)  # x^-1 = x^3
     base = w.encode((1, 1), 0)
-    assert w.product.inv(base) == base
+    assert w.inv(base) == base
     # inverses agree with the dense table
     for z in range(w.order):
-        assert w.product.inv(z) == int(w.dense().inverses[z])
+        assert w.inv(z) == int(w.dense().inverses[z])
 
 
 def test_structural_representation_above_dense_cap():
     w = regular_wreath(construct_named("C:2"), construct_named("D:4"))
-    assert isinstance(w.product, WreathGroup)
+    assert isinstance(w, WreathGroup)
     assert w.order == 2**8 * 8
     # spot-check the structural arithmetic against the defining formula
     rng = np.random.default_rng(0)
     for _ in range(200):
         x, y = (int(v) for v in rng.integers(0, w.order, 2))
-        assert w.product.mul(x, y) == brute_wreath_mul(w, x, y)
-        assert w.product.mul(x, w.product.inv(x)) == w.product.identity
+        assert w.mul(x, y) == brute_wreath_mul(w, x, y)
+        assert w.mul(x, w.inv(x)) == w.identity
     # the same wreath densely: its table agrees with the structural route
     table = w.dense().table
     for _ in range(100):
         x, y = (int(v) for v in rng.integers(0, w.order, 2))
-        assert int(table[x, y]) == w.product.mul(x, y)
+        assert int(table[x, y]) == w.mul(x, y)
 
 
 def test_top_projection_is_exact():
@@ -343,22 +348,35 @@ def test_top_projection_is_exact():
 
 def test_element_print_and_parse():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
-    assert w.product.label(w.encode((0, 1), 1)) == "(0,1; 1)"
+    assert w.label(w.encode((0, 1), 1)) == "(0,1; 1)"
     assert w.parse_element("(0,1; 1)") == w.encode((0, 1), 1)
     for x in range(w.order):
-        assert w.parse_element(w.product.label(x)) == x
+        assert w.parse_element(w.label(x)) == x
     with pytest.raises(WreathlabError):
         w.parse_element("0,1; 1")
     with pytest.raises(WreathlabError):
         w.parse_element("(0; 1)")
 
 
+def test_a_label_with_commas_reads_back():
+    c2 = construct_named("C:2")
+    w = regular_wreath(direct_product(c2, c2), c2)
+    assert w.label(5) == "((0,1),(0,1); 0)"
+    assert w.parse_element("((0,1),(0,1); 0)") == 5
+    for text in ("((0,1); 0)", "((0,1),(0,1),(0,0); 0)"):
+        with pytest.raises(WreathlabError, match="expected 2 tuple entries"):
+            w.parse_element(text)
+    for text in ("((0,1),(0,1) 0)", "((0,1),(0,1); 0; 1)", "(0,1),(0,1); 0", "()"):
+        with pytest.raises(WreathlabError, match="cannot parse"):
+            w.parse_element(text)
+
+
 def test_element_orders_in_the_d4_wreath():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     x = w.encode((0, 1), 1)
     y = w.encode((0, 0), 1)
-    assert w.product.element_order(x) == 4
-    assert w.product.element_order(y) == 2
+    assert w.element_order(x) == 4
+    assert w.element_order(y) == 2
 
 
 def test_projection_law_exhaustively_on_a_large_dense_wreath():
@@ -372,14 +390,14 @@ def test_projection_law_exhaustively_on_a_large_dense_wreath():
 def test_projection_law_on_generators_of_a_structural_wreath():
     v4, s3 = construct_named("V4"), construct_named("S:3")
     w = regular_wreath(v4, s3)
-    assert isinstance(w.product, WreathGroup)
+    assert isinstance(w, WreathGroup)
     assert w.order == 24576
     unit = [v4.identity] * 6
     gens = ([w.encode([k] + unit[1:], s3.identity) for k in v4.generators()]
             + [w.encode(unit, h) for h in s3.generators()])
-    assert closure(w.product, gens) == list(range(w.order))
+    assert closure(w, gens) == list(range(w.order))
     # phi(x s) = phi(x) phi(s) for every x and generator s is the law on all pairs
-    proj, g = top_projection(w), w.product
+    proj, g = top_projection(w), w
     x, s = np.arange(w.order)[:, None], np.array(gens)
     assert (proj.image[g.mul_array(x, s)] == s3.mul_array(proj.image[x], proj.image[s])).all()
     assert g.generators() == gens
@@ -389,16 +407,16 @@ def test_structural_generators_cover_every_orbit_and_certify_homs():
     c2 = construct_named("C:2")
     omega = FiniteGSet(c2, [[0, 1, 2], [1, 0, 2]])  # orbits {0, 1} and {2}
     w = build_wreath(c2, omega)
-    gens = w.product.generators()
+    gens = w.generators()
     assert gens == [w.encode((1, 0, 0), 0), w.encode((0, 0, 1), 0), w.encode((0, 0, 0), 1)]
-    assert closure(w.product, gens) == list(range(w.order))
+    assert closure(w, gens) == list(range(w.order))
     # homs out of a structural product are validated on these generators
-    assert certify_hom(GroupHom(w.product, c2, top_projection(w).image)).counterexample is None
+    assert certify_hom(GroupHom(w, c2, top_projection(w).image)).counterexample is None
     broken = np.array(top_projection(w).image)
     broken[gens[0]] = 1
-    assert GroupHom(w.product, c2, broken, validate=False).find_hom_counterexample() is not None
+    assert GroupHom(w, c2, broken, validate=False).find_hom_counterexample() is not None
     with pytest.raises(GroupValidationError, match="hom law fails"):
-        GroupHom(w.product, c2, broken)
+        GroupHom(w, c2, broken)
 
 
 DENSE_THETA_SHAPES = [c for c in THETA_CATALOG if c[:2] != ("C:5", "C:5")]
@@ -412,7 +430,7 @@ def test_codec_generators_generate_every_dense_product(k_spec, h_spec, degree):
     assert isinstance(dense, FiniteGroup)
     # the dense table takes the structural product's generators
     gens = dense.generators()
-    assert gens == w.product.generators()
+    assert gens == w.generators()
     assert closure(dense, gens) == list(range(w.order))
     # so homs out of the dense product are checked on them: the projection passes, a
     # change at one generator fails
@@ -424,19 +442,28 @@ def test_codec_generators_generate_every_dense_product(k_spec, h_spec, degree):
         GroupHom(dense, omega.group, broken)
 
 
+@pytest.mark.parametrize("k_spec,h_spec,degree",
+                         [("C:2 x C:2", "C:2", None), ("C:2 x C:3", "S:3", 3), *DENSE_THETA_SHAPES])
+def test_parse_element_reads_back_every_label(k_spec, h_spec, degree):
+    k = functools.reduce(direct_product, map(construct_named, k_spec.split(" x ")))
+    h = construct_named(h_spec)
+    w = build_wreath(k, regular_action(h) if degree is None else natural_action(degree, h))
+    assert [w.parse_element(text) for text in w.labels(np.arange(w.order))] == list(range(w.order))
+
+
 def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
-    assert isinstance(w.product, WreathGroup)
+    assert isinstance(w, WreathGroup)
     assert w._dense is None  # the dense table is built on request only
     proj = top_projection(w)
     assert proj.find_hom_counterexample() is None
     assert proj.kernel_indices() == [base_inclusion(w, f) for f in ((0, 0), (1, 0), (0, 1), (1, 1))]
     x = w.encode((0, 1), 1)
     y = w.encode((0, 0), 1)
-    assert check_presentation_d4(w.product, x, y)
-    assert w.product.element_order(x) == 4
-    assert w.product.power(x, -1) == w.product.inv(x)
-    assert not check_presentation_d4(w.product, y, x)
+    assert check_presentation_d4(w, x, y)
+    assert w.element_order(x) == 4
+    assert w.power(x, -1) == w.inv(x)
+    assert not check_presentation_d4(w, y, x)
 
 
 # C:45 wr_r C:2 has a 2025-tuple block and two top elements: the widest tuple
@@ -445,8 +472,8 @@ def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
 def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
     k, omega = _theta_omega(k_spec, h_spec, degree)
     structural = build_wreath(k, omega)
-    assert isinstance(structural.product, WreathGroup)
-    product = structural.product
+    assert isinstance(structural, WreathGroup)
+    product = structural
     idx = np.arange(structural.order)
     # the array decoder agrees with the validated scalar decode
     digits, tops = product.decode_array(idx)
@@ -459,7 +486,7 @@ def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
     # seeded pairs against the defining formula
     rng = np.random.default_rng(5)
     xs, ys = rng.integers(0, structural.order, (2, 300))
-    products = structural.product.mul_array(xs, ys)
+    products = structural.mul_array(xs, ys)
     for x, y, z in zip(xs, ys, products):
         assert int(z) == brute_wreath_mul(structural, int(x), int(y))
     assert (product.mul_array(xs, product.inv_array(xs)) == product.identity).all()
@@ -472,12 +499,12 @@ def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
     table = dense.table
     for lo in range(0, dense.order, 256):
         rows = idx[lo:lo + 256, None]
-        assert (structural.product.mul_array(rows, idx[None, :]) == table[lo:lo + 256]).all()
+        assert (structural.mul_array(rows, idx[None, :]) == table[lo:lo + 256]).all()
     assert (product.inv_array(idx) == dense.inverses).all()
     # the same element indices carry the same labels and name
-    assert dense.labels == [structural.product.label(x) for x in idx.tolist()]
-    assert (dense.identity, dense.name) == (structural.product.identity, structural.product.name)
-    assert dense.generators() == structural.product.generators()
+    assert dense.labels == [structural.label(x) for x in idx.tolist()]
+    assert (dense.identity, dense.name) == (structural.identity, structural.name)
+    assert dense.generators() == structural.generators()
 
 
 def label_oracle(w, x):
@@ -490,8 +517,26 @@ def label_oracle(w, x):
 def test_codec_labels_match_the_scalar_format(k_spec, h_spec, degree):
     w = build_wreath(*_theta_omega(k_spec, h_spec, degree))
     idx = np.arange(w.order)
-    assert w.product.labels(idx) == [label_oracle(w, x) for x in idx.tolist()]
-    assert w.product.labels([]) == []
+    assert w.labels(idx) == [label_oracle(w, x) for x in idx.tolist()]
+    assert w.labels([]) == []
     for bad in (-1, w.order):
         with pytest.raises(WreathlabError, match=f"wreath index {bad} out of range"):
-            w.product.label(bad)
+            w.label(bad)
+
+
+def test_every_method_the_tracer_wraps_is_defined_on_its_own_class():
+    """The benchmark tracer wraps each method through ``cls.__dict__``, so a method
+    only inherited (or renamed away) would crash a traced run; its two shims stay."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for table in (spans.METHODS, spans.COUNTED):
+        for layer, classes in table.items():
+            module = importlib.import_module(f"wreathlab.{layer}")
+            for cls_name, methods in classes.items():
+                for method in methods:
+                    assert method in vars(getattr(module, cls_name)), (layer, cls_name, method)
+    assert wreath.WreathProduct is WreathGroup
+    w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
+    assert w.product is w
