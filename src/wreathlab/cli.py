@@ -1,7 +1,8 @@
 """Command-line surface: build, embed, sizes, verify.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
-3 resource limit (size cap, search budget, int64 overflow or memory).
+3 resource limit (a wreath order past the int64 index range, the dense-table
+cap, the search budget, overflow or memory).
 
 The argument parser is built once, at import, so repeated in-process ``main``
 calls pay only for their own command.  ``main`` looks the command up by name,
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -42,24 +42,12 @@ from .groups import (
 from .search import embeds_into, identify_small
 from .sizes import M_MAX_BOUND, figure_csv, figure_data, table1
 from .suites import find_normal_subgroup, run_suites, ses_from_subgroup, stabilizer_subgroup
-from .wreath import SIZE_CAP_DEFAULT, _check_wreath_order, build_wreath
+from .wreath import _check_wreath_order, build_wreath
 
-ENV_SIZE_CAP = "WREATHLAB_SIZE_CAP"
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-def _size_cap(args) -> int:
-    """--size-cap, else $WREATHLAB_SIZE_CAP, else the default; below 1 is a usage error."""
-    cap = args.size_cap
-    if cap is None:
-        env = os.environ.get(ENV_SIZE_CAP)
-        cap = int(env) if env else SIZE_CAP_DEFAULT
-    if cap < 1:
-        raise ValueError(f"size cap {cap} must be at least 1")
-    return cap
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -120,14 +108,13 @@ _TOP_MODES = ("regular", "natural", "cosets")
 
 
 def cmd_build(args) -> int:
-    size_cap = _size_cap(args)
     mode = args.omega.partition(":")[0]
     if not args.h and mode in _TOP_MODES:
         raise ValueError(f"--omega {mode} requires --h")
     k = construct_named(args.k)
     h = construct_named(args.h) if args.h else None
     omega = _build_omega(h, args.omega)
-    w = build_wreath(k, omega, size_cap=size_cap)
+    w = build_wreath(k, omega)
     identified = identify_small(w.dense()) if w.order <= 64 else None
     if args.format == "json":
         payload = {
@@ -195,8 +182,7 @@ def _spec_orders(group_spec: str, sub_spec: str) -> tuple[int, Optional[int]]:
     return g_order, None if sub_spec.startswith("stab:") else named_orders(sub_spec)[0]
 
 
-def _check_coset_wreath(g_order: int, t_order: Optional[int], size_cap: int,
-                        at_least: bool = False) -> None:
+def _check_coset_wreath(g_order: int, t_order: Optional[int], at_least: bool = False) -> None:
     """Refuse T wr Q, Q acting on the [G : T] cosets of T, before any subgroup work.
 
     kk's Q is G/T, of order [G : T]; omega's Q acts transitively on the cosets,
@@ -205,41 +191,38 @@ def _check_coset_wreath(g_order: int, t_order: Optional[int], size_cap: int,
     """
     if t_order is not None and g_order % t_order == 0:
         index = g_order // t_order
-        _check_wreath_order(t_order, index, index, size_cap, at_least)
+        _check_wreath_order(t_order, index, index, at_least=at_least)
 
 
 def cmd_embed(args) -> int:
-    size_cap = _size_cap(args)
     missing = [f"--{name}" for name in _MODE_ARGS[args.mode] if getattr(args, name) is None]
     if missing:
         raise ValueError(f"{args.mode} mode requires {' and '.join(missing)}")
     if args.mode == "kk":
-        _check_coset_wreath(*_spec_orders(args.group, args.normal), size_cap)
+        _check_coset_wreath(*_spec_orders(args.group, args.normal))
         g = construct_named(args.group)
         _n, incl = find_normal_subgroup(g, args.normal)
         ses = ses_from_subgroup(g, incl)
         section = None
         if args.section:
             section = _section_from_pairs(ses.g_to_q, _parse_section_pairs(args.section))
-        w, phi = kk_embedding(ses, section, size_cap=size_cap)
+        w, phi = kk_embedding(ses, section)
         return _print_embedding(g, w, phi, verify_embedding(phi), args)
     if args.mode == "omega":
-        g_order, h_order = _spec_orders(args.group, args.subgroup)
-        _check_coset_wreath(g_order, h_order, size_cap, at_least=True)
+        # stab:k needs S:n, A:n or AGL:p, whose coset products all fit int64
+        _check_coset_wreath(*_spec_orders(args.group, args.subgroup), at_least=True)
         g = construct_named(args.group)
-        sub, incl = _resolve_subgroup(g, args.subgroup)
-        if h_order is None:  # stab:k, checked once its lookup gave |H|
-            _check_coset_wreath(g.order, sub.order, size_cap, at_least=True)
-        w, phi = omega_embedding(g, incl, size_cap=size_cap)
+        _sub, incl = _resolve_subgroup(g, args.subgroup)
+        w, phi = omega_embedding(g, incl)
         return _print_embedding(g, w, phi, verify_embedding(phi), args)
     if args.mode == "tower":
         t = _parse_tower(args)
-        w, phi, report = quadratic_kummer_embedding(t, size_cap=size_cap)
+        w, phi, report = quadratic_kummer_embedding(t)
         extra = None
         if args.section:
             ses = tower_extension(t)
             section = _section_from_pairs(ses.g_to_q, _parse_section_pairs(args.section))
-            _wk, phi_kk = kk_embedding(ses, section, size_cap=size_cap)
+            _wk, phi_kk = kk_embedding(ses, section)
             agree = bool((phi_kk.image == phi.image).all())
             extra = {"section_cross_check": "agree" if agree else "DISAGREE"}
         return _print_embedding(phi.domain, w, phi, report, args, extra)
@@ -342,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="regular | natural:n | cosets:SUB | file:PATH")
     p.add_argument("--out", help="write the product group JSON here")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--size-cap", type=int, default=None)
 
     p = sub.add_parser("embed", help="construct and verify an embedding")
     p.add_argument("--mode", choices=["kk", "omega", "tower"], required=True)
@@ -355,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--section", help="comma-separated q-label:g-label overrides")
     p.add_argument("--out")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--size-cap", type=int, default=None)
 
     p = sub.add_parser("sizes", help="size formulas, catalog rows and figure data")
     p.add_argument("--kf", type=int, required=True)

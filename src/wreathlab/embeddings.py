@@ -50,7 +50,7 @@ from .groups import (
     quotient,
 )
 from .search import embeds_into
-from .wreath import WreathGroup, _check_wreath_order, build_wreath, regular_wreath
+from .wreath import ENUMERATION_CAP, WreathGroup, _check_wreath_order, build_wreath, regular_wreath
 
 
 class ShortExactSequence:
@@ -81,12 +81,10 @@ class ShortExactSequence:
     def q(self) -> FiniteGroup:
         return self.g_to_q.codomain
 
-    def wreath(self, size_cap: Optional[int] = None) -> WreathGroup:
-        """N wr_r Q, built on the first call and kept: it depends only on the
-        extension.  The order cap is checked on every call, before any build."""
-        _check_wreath_order(self.n.order, self.q.order, self.q.order, size_cap)
+    def wreath(self) -> WreathGroup:
+        """N wr_r Q, built on the first call and kept: it depends only on the extension."""
         if self._wreath is None:
-            self._wreath = regular_wreath(self.n, self.q, size_cap=size_cap)
+            self._wreath = regular_wreath(self.n, self.q)
         return self._wreath
 
 
@@ -170,8 +168,8 @@ def _sigma_image(g: FiniteGroup, tops: np.ndarray, s: Section, sub: GroupHom,
     return w.encode_array(digits, tops)
 
 
-def kk_embedding(ses: ShortExactSequence, s: Optional[Section] = None,
-                 size_cap: Optional[int] = None) -> tuple[WreathGroup, GroupHom]:
+def kk_embedding(ses: ShortExactSequence,
+                 s: Optional[Section] = None) -> tuple[WreathGroup, GroupHom]:
     """Embed the extension into N wr_r Q (universal embedding of Kaloujnine-Krasner).
 
     This is the sigma formula with Omega = Q acting on itself by left
@@ -182,12 +180,13 @@ def kk_embedding(ses: ShortExactSequence, s: Optional[Section] = None,
     if s is None:
         s = default_section(eps)
     _check_section(eps.image, s, ses.q.order)
-    w = ses.wreath(size_cap)
+    w = ses.wreath()
     return w, GroupHom(ses.g, w, _sigma_image(ses.g, eps.image, s, ses.n_to_g, w))
 
 
+# ``perfbench/workloads.py`` passes the last parameter, unused; ROADMAP item 3 deletes it
 def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
-                    size_cap: Optional[int] = None) -> tuple[WreathGroup, GroupHom]:
+                    size_cap=None) -> tuple[WreathGroup, GroupHom]:
     """Embed g into H wr_Omega Q with H = image(h_k), Omega its cosets,
     Q = g / normal_core(H).
 
@@ -206,7 +205,7 @@ def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
     # the coset of x is x . p_H, where p_H = r_0^-1 . 0 is the point of the coset H
     p_h = omega_g.act[g.inverses[reps(0)], 0]
     _check_section(omega_g.act[:, p_h], s, omega_g.size)
-    w = build_wreath(h_k.domain, omega_q, size_cap=size_cap)
+    w = build_wreath(h_k.domain, omega_q)
     return w, GroupHom(g, w, _sigma_image(g, proj.image, s, h_k, w))
 
 
@@ -239,6 +238,7 @@ def _transport(base_map: GroupHom, top_map: GroupHom, xi, w: WreathGroup,
     hom and injective (``kind`` names the property in the error)."""
     if base_map.codomain.order != w_hat.base_group.order:
         raise NotIsomorphismError("base-component map does not land in the target base group")
+    _check_wreath_order(w.n_base, w.n_points, w.n_top, ENUMERATION_CAP)
     xi_inv = np.argsort(_int64_indices(xi, GroupFormatError))  # xi is a bijection
     f, h = w.decode_array(np.arange(w.order))
     image = w_hat.encode_array(base_map.image[f[:, xi_inv]], top_map.image[h])
@@ -286,14 +286,14 @@ def transport_subgroup(iota_k: GroupHom, iota_h: GroupHom, xi, w: WreathGroup,
 _SOLVABILITY_PRIMES = (2, 3)
 
 
-def solvability_wreath(p: int, size_cap: Optional[int] = None) -> WreathGroup:
+def solvability_wreath(p: int) -> WreathGroup:
     """AGL(1,F_p) wr_Omega AGL(1,F_p) with Omega = F_p under evaluation."""
     if p not in _SOLVABILITY_PRIMES:
         raise UnsupportedPrimeError(
             f"solvability criterion supports p in {_SOLVABILITY_PRIMES} at desk scale")
     agl = construct_named(f"AGL:{p}")
     omega = natural_action(p, agl)
-    return build_wreath(agl, omega, size_cap=size_cap)
+    return build_wreath(agl, omega)
 
 
 def solvability_witness(g: FiniteGroup, p: int) -> Optional[GroupHom]:

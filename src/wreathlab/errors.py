@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class WreathlabError(Exception):
     """Base class for all package-specific errors."""
@@ -19,9 +21,14 @@ class ActionValidationError(WreathlabError):
 
 
 class SizeLimitError(WreathlabError):
-    """A construction would exceed the configured element cap."""
+    """A construction would pass a size limit: a product past the int64 index range,
+    a dense table above the dense cap, or an enumeration above its cap.
 
-    def __init__(self, message: str, order: int):
+    ``order`` is the refused order, or None where it is decided without forming
+    it (a tower whose wreath order 2^(2^k) * 2^k would have millions of digits).
+    """
+
+    def __init__(self, message: str, order: Optional[int] = None):
         super().__init__(message)
         self.order = order
 

@@ -33,10 +33,15 @@ on that split, on plain integer vectors:
   over the coordinate pairs m1 <= m2, about half the products of ``_mul``.
 
 The canonical square root of a rational r^2 * prod_{i in S} d_i is the
-positive multiple r of the basis monomial for S.  It is found without
-factoring: q = n/m has a root on the monomial of S exactly when
-n*m*prod_S d_i is a perfect square (tested with isqrt), and independence of the
-d_i leaves at most one S.  The 2^k subset products are built once per field.
+positive multiple r of the basis monomial for S.  A square class is a vector
+over F_2: the sign and the parity of each prime of the generators.  The
+generators' vectors are reduced to a basis once per field, which proves them
+independent (or names the first subset whose product is a square), and
+q = n/m has a root on the monomial of S exactly when the vector of n*m is the
+sum of S's and what n*m keeps of other primes is a square (tested with isqrt);
+independence leaves at most one S.  Only the generators are factored, so a
+field of any k is checked, and a square root located, without the 2^k subset
+products, which are built on the arithmetic's first use.
 
 For a tower Q <= K <= L with rational alpha, every tau fixes alpha, so the
 sign character chi(rho, tau) only asks whether rho negates sqrt(alpha): it is
@@ -52,15 +57,15 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import TowerError
+from .errors import SizeLimitError, TowerError
 from .groups import (FiniteGroup, GroupHom, Section, _ascending_generators, _first_failure,
                      subgroup_from_elements)
-from .wreath import WreathGroup, _check_wreath_order
+from .wreath import WreathGroup
 from .embeddings import EmbeddingReport, ShortExactSequence, kk_embedding, verify_embedding
 
 GENERATOR_BOUND = 10**6
@@ -173,16 +178,16 @@ def _ratio(c) -> tuple[int, int]:
     return int(q.numerator), int(q.denominator)
 
 
-def _is_square_free(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+def _prime_divisors(n: int) -> list[int]:
+    """The primes dividing n, ascending, by trial division."""
+    n, out, p = abs(n), [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 class MultiQuadField:
@@ -190,36 +195,84 @@ class MultiQuadField:
 
     def __init__(self, generators: Sequence[int]):
         gens = tuple(int(d) for d in generators)
+        self._prime_bits: dict[int, int] = {}  # each prime's bit in a parity vector; bit 0 is the sign
+        vectors = []
         for d in gens:
             if d in (0, 1):
                 raise ValueError(f"generator {d} is excluded")
             if abs(d) > GENERATOR_BOUND:
                 raise ValueError(f"generator {d} exceeds bound {GENERATOR_BOUND}")
-            if not _is_square_free(d):
+            divisors = _prime_divisors(d)
+            if prod(divisors) != abs(d):
                 raise ValueError(f"generator {d} is not square-free")
+            vector = int(d < 0)
+            for p in divisors:
+                vector |= self._prime_bits.setdefault(p, 2 << len(self._prime_bits))
+            vectors.append(vector)
         if len(set(gens)) != len(gens):
             raise ValueError("generators must be distinct")
-        k = len(gens)
-        products = [1] * (1 << k)
-        for i, d in enumerate(gens):
+        self.generators = gens
+        self.k = len(gens)
+        self.dim = 1 << self.k
+        # highest bit -> (a parity vector, the mask of the generators it is the sum of)
+        self._basis: dict[int, tuple[int, int]] = {}
+        for i, vector in enumerate(vectors):
+            bits, mask = self._reduce(vector, 1 << i)
+            if not bits:  # the first dependent subset in ascending mask order
+                raise ValueError(
+                    f"generators are multiplicatively dependent: subset {mask:#b} "
+                    f"multiplies to the square {self.subset_product(mask)}")
+            self._basis[bits.bit_length()] = (bits, mask)
+
+    @functools.cached_property
+    def _products(self) -> tuple[int, ...]:
+        """prod_{i in S} d_i for every mask S, built on the arithmetic's first use."""
+        products = [1] * self.dim
+        for i, d in enumerate(self.generators):
             bit = 1 << i
             for mask in range(bit):
                 products[mask | bit] = products[mask] * d
-        for mask in range(1, 1 << k):
-            prod = products[mask]
-            if prod > 0 and isqrt(prod) ** 2 == prod:
-                raise ValueError(
-                    f"generators are multiplicatively dependent: subset {mask:#b} "
-                    f"multiplies to the square {prod}")
-        self.generators = gens
-        self.k = k
-        self.dim = 1 << k
-        self._products = tuple(products)
+        return tuple(products)
+
+    # -- square classes over F_2, without the 2^k subset products -----------------
+
+    def _parity(self, n: int) -> tuple[int, int]:
+        """(the sign of n at bit 0 and each prime of the generators that divides n
+        to an odd power at its bit, |n| with those primes divided out)."""
+        bits, n = int(n < 0), abs(n)
+        for p, bit in self._prime_bits.items():
+            while n % p == 0:
+                n //= p
+                bits ^= bit
+        return bits, n
+
+    def _reduce(self, bits: int, mask: int = 0) -> tuple[int, int]:
+        """A parity vector reduced by the generators' basis, with ``mask`` xored by
+        the generators taken out; the vector is 0 where it is their sum."""
+        while bits.bit_length() in self._basis:
+            b, m = self._basis[bits.bit_length()]
+            bits, mask = bits ^ b, mask ^ m
+        return bits, mask
+
+    def _sqrt_monomial(self, q: Fraction) -> tuple[int, Fraction]:
+        """(S, r) with q = r^2 * prod_{i in S} d_i and r > 0, for a nonzero q.
+
+        q = n/m has a root on the monomial of S exactly when n*m*prod_S d_i is
+        a square: the parities of n*m on the generators' primes are the sum of
+        S's, and what is left of n*m is a square.  Independence leaves one S.
+        """
+        n = q.numerator * q.denominator
+        bits, rest = self._parity(n)
+        bits, mask = self._reduce(bits)
+        if bits or isqrt(rest) ** 2 != rest:
+            raise ValueError(f"sqrt({q}) does not lie in {self!r}")
+        d = self.subset_product(mask)
+        return mask, Fraction(isqrt(n * d), q.denominator * abs(d))
 
     # -- basis bookkeeping ---------------------------------------------------
 
     def subset_product(self, mask: int) -> int:
-        return self._products[mask]
+        return prod(d for i, d in enumerate(self.generators) if mask >> i & 1)
 
     def basis_label(self, mask: int) -> str:
         if mask == 0:
@@ -252,13 +305,10 @@ class MultiQuadField:
         q = Fraction(q)
         if q == 0:
             return self.zero()
-        for mask, prod in enumerate(self._products):
-            square = q.numerator * q.denominator * prod
-            if square > 0 and isqrt(square) ** 2 == square:
-                coords = [0] * self.dim
-                coords[mask] = Fraction(isqrt(square), q.denominator * abs(prod))
-                return self.element(coords)
-        raise ValueError(f"sqrt({q}) does not lie in {self!r}")
+        mask, r = self._sqrt_monomial(q)
+        coords = [0] * self.dim
+        coords[mask] = r
+        return self.element(coords)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiQuadField) and self.generators == other.generators
@@ -469,13 +519,16 @@ class QuadraticTower:
         if self.alpha <= 0:
             raise TowerError("alpha must be a positive rational")
         try:
-            self.sqrt_alpha = l_field.sqrt_of_rational(self.alpha)
+            self.alpha_mask = l_field._sqrt_monomial(self.alpha)[0]
         except ValueError as exc:
             raise TowerError(str(exc)) from None
-        self.alpha_mask = next(m for m, c in enumerate(self.sqrt_alpha.nums) if c)
         self.k_mask = sum(1 << p for p in self.k_positions)  # the K generators as an L mask
         if self.alpha_mask & ~self.k_mask == 0:
             raise TowerError("sqrt(alpha) already lies in K")
+
+    @functools.cached_property
+    def sqrt_alpha(self) -> MultiQuadElement:
+        return self.L.sqrt_of_rational(self.alpha)
 
     @property
     def gap(self) -> int:
@@ -520,7 +573,6 @@ def tower_extension(t: QuadraticTower) -> ShortExactSequence:
 
 def quadratic_kummer_embedding(
     t: QuadraticTower,
-    size_cap: Optional[int] = None,
 ) -> tuple[WreathGroup, GroupHom, EmbeddingReport]:
     """Embed Gal(L/Q) into Gal(L/K) wr_r Gal(K/Q) via sigma_rho(tau) = eta^chi.
 
@@ -530,12 +582,15 @@ def quadratic_kummer_embedding(
     """
     if t.gap != 1:
         raise TowerError("the chi-based embedding needs [L:K] = 2 (one extra generator)")
-    _check_wreath_order(2, t.K.dim, t.K.dim, size_cap)  # before any Galois group is built
+    # the order 2^|Gal(K/Q)| * |Gal(K/Q)| is past int64 exactly from k = 6: decided from
+    # k, before any Galois group is built and without forming 2^(2^k)
+    if t.K.k >= 6:
+        raise SizeLimitError(f"wreath order 2^{t.K.dim} * {t.K.dim} exceeds the int64 index range")
     ses = tower_extension(t)
     lifts = np.flatnonzero(_chi_table(t)[:, 0] == 0)
     choice = np.empty(t.K.dim, dtype=np.int64)
     choice[ses.g_to_q.image[lifts]] = lifts
-    w, phi = kk_embedding(ses, Section(ses.q, ses.g, choice), size_cap)
+    w, phi = kk_embedding(ses, Section(ses.q, ses.g, choice))
     return w, phi, verify_embedding(phi)
 
 

@@ -40,7 +40,7 @@ from .groups import (
     subgroup_from_elements,
     subgroup_generated,
 )
-from .search import are_isomorphic
+from .search import are_isomorphic, order_profile
 from .wreath import WreathGroup, build_wreath
 
 KK_RANDOM_SECTIONS_DEFAULT = 20
@@ -68,13 +68,18 @@ def find_normal_subgroup(g: FiniteGroup, spec: str):
     Normal subgroups are enumerated as closures of unions of r conjugacy classes,
     r ascending up to d(T) for the target T: a normal N isomorphic to T is
     generated by the classes of d(T) of its elements, whose orders divide |T|.
+    Where no union of classes holds T's count of elements of each order, the
+    lookup refuses before it takes any closure.
     """
     if spec == "center":
         return center_subgroup(g)
     target = construct_named(spec)
+    missing = ValueError(f"no normal subgroup of {g.name} isomorphic to {spec}")
     if g.order % target.order:
-        raise ValueError(f"no normal subgroup of {g.name} isomorphic to {spec}")
+        raise missing
     classes, orders = g.conjugacy_classes(), g.element_orders()
+    if not _class_sums_admit(classes, orders, target):
+        raise missing
     nontrivial = [rep for rep in classes if rep != g.identity and target.order % orders[rep] == 0]
     seen: set[frozenset] = set()
     for r in range(len(target.generators()) + 1):
@@ -86,7 +91,23 @@ def find_normal_subgroup(g: FiniteGroup, spec: str):
             sub, incl = subgroup_from_elements(g, members)
             if are_isomorphic(sub, target) is not None:
                 return sub, incl
-    raise ValueError(f"no normal subgroup of {g.name} isomorphic to {spec}")
+    raise missing
+
+
+def _class_sums_admit(classes: dict[int, list[int]], orders, target: FiniteGroup) -> bool:
+    """Whether, for each order k, the sizes of some classes of order-k elements sum
+    to T's count of elements of order k, as they do in a normal subgroup isomorphic
+    to T, a union of classes.  Each subset sum is a bitset over a Python int."""
+    sizes: dict[int, list[int]] = {}
+    for rep, members in classes.items():
+        sizes.setdefault(int(orders[rep]), []).append(len(members))
+    for k, count in order_profile(target).items():
+        reachable = 1  # bit s: some of the classes sum to s
+        for size in sizes.get(k, []):
+            reachable |= reachable << size
+        if not reachable >> count & 1:
+            return False
+    return True
 
 
 def stabilizer_subgroup(g: FiniteGroup, point: int):

@@ -17,9 +17,10 @@ refuses an order above ``DENSE_CAP_DEFAULT`` before it allocates anything.  It
 is assembled from the pointwise product of the B = |K|^|Omega| tuples, K's
 table raised to a direct power one point at a time, and the theta table.
 
-A product depends only on its components: ``embeddings.ShortExactSequence.wreath``
-keeps the extension's N wr_r Q for all of its sections, and checks the order cap
-on every call through ``_check_wreath_order``, the check ``WreathGroup`` makes.
+A product is refused only past the int64 index range; ``theta_table`` and the
+transports, which enumerate every element, also refuse an order above
+``ENUMERATION_CAP``.  ``embeddings.ShortExactSequence.wreath`` builds the
+extension's N wr_r Q once and keeps it for all of its sections.
 """
 
 from __future__ import annotations
@@ -32,41 +33,40 @@ from .actions import FiniteGSet, regular_action
 from .errors import SizeLimitError, WreathlabError
 from .groups import FiniteGroup, Group, _check_dense_order
 
-SIZE_CAP_DEFAULT = 10**7
-# elements are int64 indices, so no cap admits an order of 2^63 or more
+# elements are int64 indices, so no product has an order of 2^63 or more
 _INDEX_LIMIT = 2**63
+# the largest order of a product whose every element is enumerated at once
+ENUMERATION_CAP = 10**7
 
 
 def _check_wreath_order(n_base: int, n_points: int, n_top: int,
-                       size_cap: Optional[int] = None, at_least: bool = False) -> None:
-    """Refuse a wreath product of order n_base^n_points * n_top above the cap
-    (``SIZE_CAP_DEFAULT`` if None), or of ``_INDEX_LIMIT`` or more whatever the
-    cap, with ``SizeLimitError``, before anything is built.
+                       cap: Optional[int] = None, at_least: bool = False) -> None:
+    """Refuse a wreath product of order n_base^n_points * n_top of ``_INDEX_LIMIT``
+    or more, or above ``cap`` where one is given, with ``SizeLimitError``,
+    before anything is built.
 
     The message writes an order past 20 digits as ``base^points * top``, and
     says "at least" when n_top is only a lower bound on the top group's order.
     """
-    size_cap = SIZE_CAP_DEFAULT if size_cap is None else size_cap
     order = n_base**n_points * n_top
     text = str(order) if order < 10**20 else f"{n_base}^{n_points} * {n_top}"
     if at_least:
         text = f"at least {text}"
     if order >= _INDEX_LIMIT:
         raise SizeLimitError(f"wreath order {text} exceeds the int64 index range", order)
-    if order > size_cap:
-        raise SizeLimitError(f"wreath order {text} exceeds cap {size_cap}", order)
+    if cap is not None and order > cap:
+        raise SizeLimitError(f"wreath order {text} exceeds cap {cap}", order)
 
 
 class WreathGroup(Group):
     """K wr_Omega H as a structural group: the mixed-radix encoding and the product formula.
 
     The ``*_array`` methods work unchecked on int64 index arrays of any broadcastable
-    shapes; the scalar methods are checked, and the order against ``size_cap`` first.
+    shapes; the scalar methods are checked, and the order against int64 first.
     """
 
-    def __init__(self, base_group: FiniteGroup, top: FiniteGSet,
-                 size_cap: Optional[int] = None):
-        _check_wreath_order(base_group.order, top.size, top.group.order, size_cap)
+    def __init__(self, base_group: FiniteGroup, top: FiniteGSet):
+        _check_wreath_order(base_group.order, top.size, top.group.order)
         self.base_group = base_group
         self.top = top
         self.name = f"{base_group.name or 'K'} wr {top.group.name or 'H'}"
@@ -145,6 +145,7 @@ class WreathGroup(Group):
 
     def theta_table(self) -> np.ndarray:
         """theta[h, f] = theta_h(f) for every h and f, read off (1, h)(f, e) = (theta_h(f), h)."""
+        _check_wreath_order(self.n_base, self.n_points, self.n_top, ENUMERATION_CAP)
         B = self.tuple_count
         unit = self.identity % B
         tops = np.arange(self.n_top, dtype=np.int64) * B + unit
@@ -249,13 +250,11 @@ def _split_outside(text: str, sep: str) -> list[str]:
     return parts
 
 
-def build_wreath(k: FiniteGroup, omega: FiniteGSet,
-                 size_cap: Optional[int] = None) -> WreathGroup:
+def build_wreath(k: FiniteGroup, omega: FiniteGSet) -> WreathGroup:
     """Complete wreath product K wr_Omega H for H = omega.group."""
-    return WreathGroup(k, omega, size_cap=size_cap)
+    return WreathGroup(k, omega)
 
 
-def regular_wreath(k: FiniteGroup, h: FiniteGroup,
-                   size_cap: Optional[int] = None) -> WreathGroup:
+def regular_wreath(k: FiniteGroup, h: FiniteGroup) -> WreathGroup:
     """Regular wreath product K wr_r H (Omega = H under left multiplication)."""
-    return build_wreath(k, regular_action(h), size_cap=size_cap)
+    return build_wreath(k, regular_action(h))

@@ -89,11 +89,12 @@ def test_build_json_schema_is_stable(capsys):
         assert list(payload) == ["order", "identified", "base_order", "omega_size", "top_order"]
 
 
-def test_build_size_cap_exit_code(capsys):
-    code, _, err = run(capsys, "build", "--k", "C:10", "--h", "D:4",
-                       "--omega", "regular")
-    assert code == 3
-    assert "resource limit" in err
+def test_build_admits_a_structural_product_of_any_order_below_int64(capsys):
+    """Nothing of the product's order is allocated, so only the int64 index range bounds it."""
+    code, out, err = run(capsys, "build", "--k", "C:10", "--h", "D:4", "--omega", "regular")
+    assert (code, out, err) == (0, "order 800000000\n", "")
+    code, out, _ = run(capsys, "build", "--k", "C:2", "--h", "C:40")
+    assert (code, out) == (0, "order 43980465111040\n")
 
 
 @pytest.mark.parametrize("k,h", [("C:200000", "C:2"), ("C:2", "D:3000")])
@@ -121,12 +122,11 @@ def test_build_refuses_json_export_above_the_dense_cap_before_allocating(capsys,
 
 @pytest.mark.parametrize("k,h", [("C:2", "C:70"), ("C:3", "C:40")])
 def test_build_refuses_an_order_past_int64_with_exit_3(k, h):
-    """Both orders fit the cap 10^26 but not an int64 index; run as a fresh process,
-    so any uncaught error would show as a traceback."""
+    """Neither order fits an int64 index; run as a fresh process, so any uncaught
+    error would show as a traceback."""
     src = os.path.dirname(os.path.dirname(wreathlab.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "wreathlab.cli", "build", "--k", k, "--h", h,
-         "--size-cap", str(10**26)],
+        [sys.executable, "-m", "wreathlab.cli", "build", "--k", k, "--h", h],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -141,33 +141,6 @@ def test_overflow_and_memory_errors_exit_3(capsys, monkeypatch):
         code, _, err = run(capsys, "build", "--k", "C:2", "--h", "C:2")
         assert code == 3
         assert err.startswith("resource limit: ")
-
-
-def test_build_env_size_cap(capsys, monkeypatch):
-    monkeypatch.setenv("WREATHLAB_SIZE_CAP", "4")
-    code, _, err = run(capsys, "build", "--k", "C:2", "--h", "C:2", "--omega", "regular")
-    assert code == 3
-    monkeypatch.setenv("WREATHLAB_SIZE_CAP", "1000")
-    code, out, _ = run(capsys, "build", "--k", "C:2", "--h", "C:2", "--omega", "regular")
-    assert code == 0
-
-
-@pytest.mark.parametrize("flag,env", [("0", None), ("-5", None), (None, "0"), (None, "-5")])
-def test_a_size_cap_below_one_is_a_usage_error(capsys, monkeypatch, flag, env):
-    if env is not None:
-        monkeypatch.setenv("WREATHLAB_SIZE_CAP", env)
-    argv = ["build", "--k", "C:2", "--h", "C:2"] + (["--size-cap", flag] if flag else [])
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: size cap") and "must be at least 1" in err
-
-
-def test_a_size_cap_flag_overrides_the_environment(capsys, monkeypatch):
-    monkeypatch.setenv("WREATHLAB_SIZE_CAP", "0")
-    code, out, _ = run(capsys, "build", "--k", "C:2", "--h", "C:2", "--size-cap", "8")
-    assert code == 0 and out.strip() == "order 8, identified D:4"
-    code, _, err = run(capsys, "build", "--k", "C:2", "--h", "C:2", "--size-cap", "7")
-    assert code == 3 and "exceeds cap 7" in err
 
 
 # -- embed -----------------------------------------------------------------------------
@@ -227,12 +200,16 @@ def test_embed_unknown_group_is_usage_error(capsys):
 
 
 def test_embed_without_the_named_normal_subgroup_exits_2_fast(capsys):
-    start = time.perf_counter()
-    code, out, err = run(capsys, "embed", "--mode", "kk", "--group", "C:24", "--normal", "V4")
-    elapsed = time.perf_counter() - start
-    assert code == 2 and out == ""
-    assert "no normal subgroup of C:24 isomorphic to V4" in err
-    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+    """No union of classes of C:4096 or D:2048 holds the 1025 or 513 involutions of
+    the target, so the lookup refuses before any closure; it once took minutes."""
+    for group, normal, bound in [("C:24", "V4", 1.0), ("C:4096", "D:1024", 3.0),
+                                 ("D:2048", "D:512", 3.0)]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "embed", "--mode", "kk", "--group", group, "--normal", normal)
+        elapsed = time.perf_counter() - start
+        assert code == 2 and out == ""
+        assert f"no normal subgroup of {group} isomorphic to {normal}" in err
+        assert elapsed < bound, f"{group} / {normal} took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("argv", [
@@ -252,20 +229,32 @@ def test_an_oversized_embedding_is_refused_before_any_subgroup_work(capsys, peak
 
 
 def test_small_refusals_keep_their_messages_and_usage_errors_come_first(capsys):
-    code, _, err = run(capsys, "embed", "--mode", "kk", "--group", "S:3", "--normal", "A:3",
-                       "--size-cap", "17")
-    assert (code, err) == (3, "resource limit: wreath order 18 exceeds cap 17\n")
-    # a stabilizer's order is known only after its lookup; the omega bound takes |Q| >= |Omega|
-    code, _, err = run(capsys, "embed", "--mode", "omega", "--group", "S:6", "--subgroup", "stab:6")
-    assert (code, err) == (3, "resource limit: wreath order at least 17915904000000 "
-                              "exceeds cap 10000000\n")
-    # where |T| does not divide |G|, the lookup's usage error wins whatever the cap
-    code, _, err = run(capsys, "embed", "--mode", "kk", "--group", "C:24", "--normal", "C:5",
-                       "--size-cap", "1")
+    # where |T| does not divide |G|, the lookup's usage error comes first
+    code, _, err = run(capsys, "embed", "--mode", "kk", "--group", "C:24", "--normal", "C:5")
     assert (code, err) == (2, "error: no normal subgroup of C:24 isomorphic to C:5\n")
-    code, _, err = run(capsys, "embed", "--mode", "omega", "--group", "C:24", "--subgroup", "C:5",
-                       "--size-cap", "1")
+    code, _, err = run(capsys, "embed", "--mode", "omega", "--group", "C:24", "--subgroup", "C:5")
     assert (code, err) == (2, "error: C:24 has no subgroup isomorphic to C:5\n")
+
+
+@pytest.mark.parametrize("argv,orders", [
+    (["--mode", "omega", "--group", "S:5", "--subgroup", "stab:5"], "120 of 955514880"),
+    (["--mode", "omega", "--group", "S:6", "--subgroup", "stab:6"], "720 of 2149908480000000"),
+    (["--mode", "omega", "--group", "A:5", "--subgroup", "stab:5"], "60 of 14929920"),
+    (["--mode", "omega", "--group", "A:6", "--subgroup", "stab:6"], "360 of 16796160000000"),
+    (["--mode", "omega", "--group", "AGL:7", "--subgroup", "stab:1"], "42 of 11757312"),
+    (["--mode", "tower", "--field", "2,3,5,7,11,13", "--K", "2,3,5,7,11", "--alpha", "13"],
+     "64 of 137438953472"),
+], ids=" ".join)
+def test_the_papers_coset_embeddings_run_at_default_settings(capsys, argv, orders):
+    """S_n into S_(n-1) wr_n S_n and the 5-generator Kummer tower, once refused by an
+    order cap although nothing of the product's order is allocated."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "embed", *argv)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (f"homomorphism: True, injective: True, image order {orders}, "
+                                    "full: False")
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("argv,missing", [
@@ -302,6 +291,28 @@ def test_embed_tower_past_the_cap_exits_3_before_building_galois_groups(capsys):
     elapsed = time.perf_counter() - start
     assert code == 3 and "exceeds the int64 index range" in err
     assert elapsed < 0.2, f"took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("n_field,n_k,alpha,code,message", [
+    (22, 21, 79, 3, "resource limit: wreath order 2^2097152 * 2097152 exceeds the int64 index range"),
+    (25, 24, 97, 3, "resource limit: wreath order 2^16777216 * 16777216 exceeds the int64 index "
+                    "range"),
+    (22, 2, 79, 2, "error: the chi-based embedding needs [L:K] = 2 (one extra generator)"),
+    # a usage fault still comes before the size: alpha outside L
+    (22, 21, 101, 2, "error: sqrt(101) does not lie in Q(√2,"),
+])
+def test_a_tower_of_many_generators_is_refused_before_its_fields_are_built(
+        capsys, peak_mb, n_field, n_k, alpha, code, message):
+    """The field checks factor the generators, not the 2^k subset products, so a
+    tower of any size is checked at once; the refusal once took 7 s and 700 MB."""
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))][:n_field]
+    argv = ["embed", "--mode", "tower", "--field", ",".join(map(str, primes)),
+            "--K", ",".join(map(str, primes[:n_k])), "--alpha", str(alpha)]
+    start = time.perf_counter()
+    (got, out, err), peak = peak_mb(lambda: run(capsys, *argv))
+    elapsed = time.perf_counter() - start
+    assert (got, out) == (code, "") and err.startswith(message), err
+    assert elapsed < 1.0 and peak < 50, (elapsed, peak)
 
 
 def test_embed_tower_section_cross_check_tells_the_sqrt_alpha_section_apart(capsys):

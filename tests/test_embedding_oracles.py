@@ -40,9 +40,11 @@ from wreathlab import (
     subgroup_generated,
     transport_iso,
     transport_subgroup,
+    verify_embedding,
 )
+from wreathlab import suites
 from wreathlab.embeddings import _sigma_image
-from wreathlab.groups import closure
+from wreathlab.groups import closure, named_orders
 from wreathlab.fields import chi, restriction_hom
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import find_normal_subgroup, ses_catalog, ses_from_subgroup, stabilizer_subgroup
@@ -158,10 +160,41 @@ def omega_cases():
 
 def test_omega_sigma_matches_the_per_element_loop():
     for g, incl in omega_cases():
-        w, phi = omega_embedding(g, incl, size_cap=2 * 10**7)  # A:5 over stab reaches 14.9M
+        w, phi = omega_embedding(g, incl)  # A:5 over stab reaches 14.9M
         reps = coset_action(g, incl)[1]
         assert (phi.image == encode_all(w, omega_oracle(g, incl, reps, w.top))).all(), \
             (g.name, incl.image_set())
+
+
+def agrees_on_all_pairs(g, w, phi):
+    """phi(x) phi(y) = phi(xy) for every pair, in the product's own multiplication."""
+    x = np.arange(g.order)
+    return (w.mul_array(phi.image[:, None], phi.image[None, :])
+            == phi.image[g.mul_array(x[:, None], x[None, :])]).all()
+
+
+@pytest.mark.parametrize("spec,point", [("S:5", 5), ("S:6", 6), ("A:5", 5), ("A:6", 6),
+                                        ("AGL:7", 1)])
+def test_the_papers_stabilizer_embeddings_agree_with_the_oracles(spec, point):
+    """G into Stab wr_Omega G over the cosets of a point stabilizer, at default
+    settings: S_n into S_(n-1) wr_n S_n reaches order 2.1 * 10^15 at n = 6."""
+    g = construct_named(spec)
+    _h, incl = stabilizer_subgroup(g, point)
+    w, phi = omega_embedding(g, incl)
+    report = verify_embedding(phi)
+    assert report.is_homomorphism and report.is_injective and report.wreath_order == w.order
+    reps = coset_action(g, incl)[1]
+    assert (phi.image == encode_all(w, omega_oracle(g, incl, reps, w.top))).all()
+    assert agrees_on_all_pairs(g, w, phi)
+
+
+def test_the_five_generator_kummer_embedding_agrees_with_the_oracles():
+    """Gal(L/Q) into Gal(L/K) wr Gal(K/Q) of order 2^32 * 32, at default settings."""
+    t = QuadraticTower(MultiQuadField([2, 3, 5, 7, 11, 13]), [2, 3, 5, 7, 11], Fraction(13))
+    w, phi, report = quadratic_kummer_embedding(t)
+    assert report.is_homomorphism and report.is_injective and w.order == 2**32 * 32
+    assert (phi.image == kummer_oracle(t, w)).all()
+    assert agrees_on_all_pairs(phi.domain, w, phi)
 
 
 def test_omega_sigma_with_random_coset_representatives():
@@ -344,6 +377,26 @@ def test_bounded_normal_subgroup_lookup_matches_the_unbounded_enumeration():
     assert found == 92
     # D:4 has two normal V4s; the first union of classes reaches the same one
     assert normal_subgroup_image(construct_named("D:4"), "V4") == [0, 1, 4, 5]
+
+
+def test_the_class_sum_screen_changes_no_lookup(monkeypatch):
+    """Every named group G of order <= 64 against every named T whose order divides
+    |G|: with the class-sum screen the lookup returns the same subgroup, or the same
+    refusal, as with the screen patched out."""
+    specs = ([f"C:{n}" for n in range(1, 65)] + [f"D:{n}" for n in range(2, 33)]
+             + [f"S:{n}" for n in range(1, 5)] + [f"A:{n}" for n in range(2, 6)]
+             + [f"AGL:{p}" for p in (2, 3, 5, 7)] + ["V4", "Q8"])
+    order = {spec: named_orders(spec)[0] for spec in specs}
+    pairs = [(g, t) for g in specs for t in specs if order[g] % order[t] == 0]
+    groups = {spec: construct_named(spec) for spec in specs}
+    screened = [normal_subgroup_image(groups[g], t) for g, t in pairs]
+    refused = sum(not suites._class_sums_admit(groups[g].conjugacy_classes(),
+                                               groups[g].element_orders(), groups[t])
+                  for g, t in pairs)
+    monkeypatch.setattr(suites, "_class_sums_admit", lambda *_: True)
+    for (g, t), got in zip(pairs, screened):
+        assert got == normal_subgroup_image(groups[g], t), (g, t)
+    assert (len(pairs), refused) == (1273, 420)
 
 
 @pytest.mark.parametrize("spec,target", [("C:20", "V4"), ("C:64", "Q8"), ("C:24", "V4"),

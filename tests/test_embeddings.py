@@ -25,6 +25,7 @@ from wreathlab import (
     natural_action,
     omega_embedding,
     random_section,
+    regular_action,
     regular_wreath,
     solvability_witness,
     subgroup_from_elements,
@@ -37,6 +38,7 @@ from wreathlab.embeddings import _sigma_image
 from wreathlab.groups import DENSE_CAP_DEFAULT
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import (
+    check_theta_properties,
     find_normal_subgroup,
     iso_suite,
     ses_catalog,
@@ -113,16 +115,24 @@ def test_kk_embeddings_of_one_extension_share_its_wreath_product():
     assert built[0].label(4321) == fresh.label(4321)
 
 
-def test_kk_checks_the_order_cap_on_every_call():
-    ses = sign_ses()  # A:3 wr_r C:2 has order 3^2 * 2 = 18
-    with pytest.raises(SizeLimitError, match="^wreath order 18 exceeds cap 17$") as err:
-        kk_embedding(ses, size_cap=17)
-    assert err.value.order == 18 and ses._wreath is None  # refused before any build
-    w, _phi = kk_embedding(ses, size_cap=18)
-    for cap in (17, 1):  # a smaller cap on a later call still refuses
-        with pytest.raises(SizeLimitError, match=f"^wreath order 18 exceeds cap {cap}$"):
-            kk_embedding(ses, size_cap=cap)
-    assert kk_embedding(ses)[0] is w
+def test_the_calls_that_enumerate_a_whole_product_refuse_it_above_their_cap(peak_mb):
+    """A structural product of any order below int64 is built, but a transport or a
+    theta table holds every element, so each refuses above 10^7 before allocating."""
+    c2, c24 = construct_named("C:2"), construct_named("C:24")
+    w = regular_wreath(c2, c24)  # order 2^24 * 24 = 402653184
+
+    def refused(call):
+        with pytest.raises(SizeLimitError, match=r"^wreath order \d+ exceeds cap 10000000$") as err:
+            call()
+        return err.value
+
+    err, peak = peak_mb(lambda: refused(
+        lambda: transport_iso(identity_hom(c2), identity_hom(c24), list(range(24)), w, w)))
+    assert err.order == w.order == 2**24 * 24 and peak < 2, peak
+    omega = regular_action(construct_named("D:4"))
+    err, peak = peak_mb(lambda: refused(
+        lambda: check_theta_properties(construct_named("C:10"), omega)))
+    assert err.order == 10**8 * 8 and peak < 2, peak
 
 
 def test_kk_with_trivial_kernel_is_the_identity_in_disguise(s3):

@@ -2,7 +2,7 @@ import random
 import time
 from fractions import Fraction
 from decimal import Decimal
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -63,6 +63,55 @@ def test_field_rejects_bad_generators():
         MultiQuadField([2, 3, 6])  # 2*3*6 = 36 is a square
     with pytest.raises(ValueError):
         MultiQuadField([10**7])
+
+
+def subset_products(gens):
+    out = [1] * (1 << len(gens))
+    for mask in range(1, len(out)):
+        low = mask & -mask
+        out[mask] = out[mask ^ low] * gens[low.bit_length() - 1]
+    return out
+
+
+def sqrt_by_products(gens, q):
+    """The former search: the first mask S with n*m*prod_S d_i a positive square."""
+    for mask, prod in enumerate(subset_products(gens)):
+        square = q.numerator * q.denominator * prod
+        if square > 0 and isqrt(square) ** 2 == square:
+            return mask, Fraction(isqrt(square), q.denominator * abs(prod))
+    return None
+
+
+def test_square_classes_over_f2_match_the_subset_products():
+    """Independence, its first dependent subset and every square root, read off the
+    generators' prime parities, against the scan of all 2^k subset products."""
+    rng = random.Random(5)
+    pool = [-1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 35, -2, -3, -6, -15, 105, 210, 999_983]
+    checked = dependent = 0
+    for _ in range(300):
+        gens = rng.sample(pool, rng.randint(1, 6))
+        first = next((m for m, p in enumerate(subset_products(gens))
+                      if m and p > 0 and isqrt(p) ** 2 == p), None)
+        if first is not None:
+            with pytest.raises(ValueError, match=f"subset {first:#b} multiplies to the square "
+                                                 f"{subset_products(gens)[first]}$"):
+                MultiQuadField(gens)
+            dependent += 1
+            continue
+        f = MultiQuadField(gens)
+        for _ in range(10):
+            q = Fraction(rng.choice([-1, 1]) * rng.choice(pool[1:]) * rng.randint(1, 12) ** 2,
+                         rng.choice([1, 2, 3, 7, 11, 999_983]) ** rng.randint(1, 2))
+            want = sqrt_by_products(gens, q)
+            if want is None:
+                with pytest.raises(ValueError, match="does not lie in"):
+                    f.sqrt_of_rational(q)
+            else:
+                coords = [0] * f.dim
+                coords[want[0]] = want[1]
+                assert f.sqrt_of_rational(q) == f.element(coords), (gens, q)
+            checked += 1
+    assert dependent > 50 and checked > 1000
 
 
 def test_negative_generators_are_fine():
@@ -606,7 +655,8 @@ def test_embedding_agrees_with_kk_for_default_sections():
 def test_a_tower_past_the_cap_is_refused_before_any_galois_group(monkeypatch):
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     big = QuadraticTower(MultiQuadField(primes), primes[:11], Fraction(37))
-    small = QuadraticTower(MultiQuadField(primes[:4]), primes[:3], Fraction(7))
+    # the least K past int64: 6 generators, order 2^64 * 64 (5 give 2^32 * 32, which runs)
+    least = QuadraticTower(MultiQuadField(primes[:7]), primes[:6], Fraction(17))
 
     def refuse(_f):
         raise AssertionError("a Galois group was built before the size check")
@@ -615,8 +665,8 @@ def test_a_tower_past_the_cap_is_refused_before_any_galois_group(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(SizeLimitError, match="wreath order .* exceeds the int64 index range"):
         quadratic_kummer_embedding(big)
-    with pytest.raises(SizeLimitError, match="wreath order 2048 exceeds cap 2047"):
-        quadratic_kummer_embedding(small, size_cap=2047)
+    with pytest.raises(SizeLimitError, match=r"^wreath order 2\^64 \* 64 exceeds the int64 index range$"):
+        quadratic_kummer_embedding(least)
     assert time.perf_counter() - start < 0.1
 
 

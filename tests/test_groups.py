@@ -246,7 +246,7 @@ def test_product_identity_follows_the_factors_identities():
     assert are_isomorphic(prod, construct_named("C:6")) is not None
 
 
-def test_product_size_cap(peak_mb):
+def test_product_dense_cap(peak_mb):
     # the dense-table cap bounds the product, checked before its 69 MB table is allocated
     c64, c65 = construct_named("C:64"), construct_named("C:65")
 

@@ -226,21 +226,22 @@ def test_regular_wreath_size_law():
     assert w.order == 1
 
 
-def test_size_cap_carries_the_exact_order():
-    with pytest.raises(SizeLimitError) as err:
-        regular_wreath(construct_named("C:10"), construct_named("D:4"))
+def test_an_enumeration_refusal_carries_the_exact_order():
+    w = regular_wreath(construct_named("C:10"), construct_named("D:4"))
+    with pytest.raises(SizeLimitError, match="^wreath order 800000000 exceeds cap 10000000$") as err:
+        w.theta_table()
     assert err.value.order == 10**8 * 8
 
 
 def test_an_order_past_int64_is_refused_whatever_the_cap():
     """C:2 wr_r C:62 has order 62 * 2^62 >= 2^63: its indices would wrap in int64."""
     with pytest.raises(SizeLimitError, match="int64") as err:
-        regular_wreath(construct_named("C:2"), construct_named("C:62"), size_cap=10**30)
+        regular_wreath(construct_named("C:2"), construct_named("C:62"))
     assert err.value.order == 2**62 * 62
     with pytest.raises(SizeLimitError, match="int64"):
         WreathGroup(construct_named("C:2"), regular_action(construct_named("C:62")))
     # the largest order below the limit is still a structural product
-    w = regular_wreath(construct_named("C:2"), construct_named("C:1"), size_cap=10**30)
+    w = regular_wreath(construct_named("C:2"), construct_named("C:1"))
     assert w.order == 2
 
 
