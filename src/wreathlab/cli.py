@@ -331,8 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", help="ambient group spec (kk/omega modes)")
     p.add_argument("--normal", help="normal subgroup spec (kk mode); 'center' allowed")
     p.add_argument("--subgroup", help="subgroup spec (omega mode); stab:k and center allowed")
-    p.add_argument("--field", help="tower generators, e.g. 5,7")
-    p.add_argument("--K", help="middle-field generators, e.g. 5")
+    p.add_argument("--field", help="tower generators, e.g. 5,7; a list that starts with a "
+                                   "negative one takes =, as in --field=-1,2,3")
+    p.add_argument("--K", help="middle-field generators, e.g. 5; a list that starts with a "
+                               "negative one takes =, as in --K=-1,2")
     p.add_argument("--alpha", help="rational alpha with sqrt(alpha) in L")
     p.add_argument("--section", help="comma-separated q-label:g-label overrides")
     p.add_argument("--out")

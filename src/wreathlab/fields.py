@@ -18,19 +18,24 @@ length 2^k splits in halves as x = a + b*sqrt(d) with d = d_{k-1} and a, b
 coordinate vectors of K = Q(sqrt(d_0),...,sqrt(d_{k-2})).  Arithmetic recurses
 on that split, on plain integer vectors:
 
-* multiplication is Karatsuba's, (a + b√d)(c + e√d) = (ac + d·be) +
-  ((a+b)(c+e) - ac - be)√d, three products in K (fewer when b or e is 0),
-  down to ``_CONVOLVE_MAX`` = 16 coordinates; there the product is the
-  twisted XOR-convolution z[m1 ^ m2] += x[m1]·y[m2]·prod_{i in m1 & m2} d_i,
-  one loop over the nonzero coordinate pairs on Python ints that reads the
-  weights from the field's subset products, so it is exact at any size.  The
-  product's denominator is the product of the two denominators;
+* a product is the twisted XOR-convolution z[m1 ^ m2] += x[m1]·y[m2]·P[m1 & m2],
+  P[S] = prod_{i in S} d_i.  From 16 to 256 coordinates it is one int64
+  kernel, z = (X[m ^ m2] * W) @ Y with W[m, m2] = P[m2 & ~m] gathered once
+  per field, wherever max|x|·max|y|·max|P|·n <= 2^63 - 1: that bounds every
+  term and partial sum, so the kernel cannot overflow and returns the same
+  Python ints.  A field whose subset products pass int64 has no weights and
+  never takes it.  Every other product is Karatsuba's, (a + b√d)(c + e√d) =
+  (ac + d·be) + ((a+b)(c+e) - ac - be)√d, three products in K (fewer when b
+  or e is 0), down to ``_CONVOLVE_MAX`` = 16 coordinates, where one loop over
+  the nonzero coordinate pairs on Python ints convolves, exact at any size.
+  The product's denominator is the product of the two denominators;
 * the inverse is (a - b√d) / N with the norm N = a² - d·b² in K, itself
   inverted recursively down to a = ±1/|a|, with the content divided out at
   each level so that the integers stay small; a zero element raises
   ZeroDivisionError.  The squares a² and b² come from ``_square``, which
-  splits as ``_mul`` does, with 2ab = (a+b)² - a² - b², and convolves once
-  over the coordinate pairs m1 <= m2, about half the products of ``_mul``.
+  takes the kernel or splits as ``_mul`` does, with 2ab = (a+b)² - a² - b²,
+  and convolves once over the coordinate pairs m1 <= m2, about half the
+  products of ``_mul``.
 
 The canonical square root of a rational r^2 * prod_{i in S} d_i is the
 positive multiple r of the basis monomial for S.  A square class is a vector
@@ -75,6 +80,40 @@ _EXACT_TYPES = (int, Fraction)
 
 # _mul convolves vectors of at most this many coordinates and splits longer ones
 _CONVOLVE_MAX = 16
+# _mul and _square hand vectors of _KERNEL_MIN to _KERNEL_MAX coordinates to the
+# int64 kernel wherever _kernel_admits proves that no sum in it can overflow.  At 8
+# coordinates the kernel's numpy calls and the field's weights cost more than the
+# Python loop they replace.
+_KERNEL_MIN, _KERNEL_MAX = 16, 256
+_INT64_MAX = 2**63 - 1
+
+
+@functools.cache
+def _masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m ^ m2, m2 & ~m) for m (rows) and m2 (columns) below n."""
+    m = np.arange(n)
+    return m[:, None] ^ m, m & ~m[:, None]
+
+
+def _kernel_admits(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> bool:
+    """Whether ``_kernel`` computes the product of x and y exactly: n is in the
+    kernel's range, the field has int64 weights, and max|x| max|y| max|P[:n]| n
+    <= 2^63 - 1 bounds every term and partial sum.  Every |d_i| >= 1, so the
+    largest weight is |P[n - 1]|; a zero vector counts as max 1, so that the
+    other operand must fit int64 too."""
+    n = len(x)
+    return (_KERNEL_MIN <= n <= _KERNEL_MAX and field._weights is not None
+            and (max(map(abs, x)) or 1) * (max(map(abs, y)) or 1)
+            * abs(field._products[n - 1]) * n <= _INT64_MAX)
+
+
+def _kernel(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> list[int]:
+    """The twisted XOR-convolution in int64: z = (X[m ^ m2] * W) @ Y, with the
+    subfield's weights W[m, m2] = P[m2 & ~m] the top-left n x n block of the field's."""
+    n = len(x)
+    xor, _ = _masks(n)
+    return ((np.array(x, dtype=np.int64)[xor] * field._weights[:n, :n])
+            @ np.array(y, dtype=np.int64)).tolist()
 
 
 def _convolve(x: Sequence[int], y: Sequence[int], products: Sequence[int]) -> list[int]:
@@ -90,14 +129,17 @@ def _convolve(x: Sequence[int], y: Sequence[int], products: Sequence[int]) -> li
 
 def _mul(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> list[int]:
     """Product of integer coordinate vectors of the subfield of ``field`` on the
-    first log2(len(x)) generators: split on the top generator down to
-    ``_CONVOLVE_MAX`` coordinates, then one twisted XOR-convolution."""
+    first log2(len(x)) generators: the int64 kernel where its bound admits x and
+    y, else split on the top generator down to ``_CONVOLVE_MAX`` coordinates,
+    then one twisted XOR-convolution."""
     n = len(x)
     if n == 1:
         return [x[0] * y[0]]
     if n == 2:
         (a, b), (c, e) = x, y
         return [a * c + field.generators[0] * (b * e), a * e + b * c]
+    if _kernel_admits(x, y, field):
+        return _kernel(x, y, field)
     if n <= _CONVOLVE_MAX:
         return _convolve(x, y, field._products)
     h = n >> 1
@@ -117,14 +159,17 @@ def _mul(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> list[in
 
 
 def _square(x: Sequence[int], field: "MultiQuadField") -> list[int]:
-    """``_mul(x, x, field)``: split on the top generator down to ``_CONVOLVE_MAX``
-    coordinates, then one symmetric pass over the nonzero pairs m1 <= m2."""
+    """``_mul(x, x, field)``: the int64 kernel where its bound admits x, else split
+    on the top generator down to ``_CONVOLVE_MAX`` coordinates, then one
+    symmetric pass over the nonzero pairs m1 <= m2."""
     n = len(x)
     if n == 1:
         return [x[0] * x[0]]
     if n == 2:
         a, b = x
         return [a * a + field.generators[0] * (b * b), 2 * a * b]
+    if _kernel_admits(x, x, field):
+        return _kernel(x, x, field)
     if n <= _CONVOLVE_MAX:
         products = field._products
         z = [0] * n
@@ -233,6 +278,16 @@ class MultiQuadField:
             for mask in range(bit):
                 products[mask | bit] = products[mask] * d
         return tuple(products)
+
+    @functools.cached_property
+    def _weights(self) -> Optional[np.ndarray]:
+        """The kernel's int64 weights W[m, m2] = P[m2 & ~m] for m, m2 below
+        min(2^k, _KERNEL_MAX); None where that is under _KERNEL_MIN or a subset
+        product there passes int64, so that such a field never takes the kernel."""
+        n = min(self.dim, _KERNEL_MAX)
+        if n < _KERNEL_MIN or abs(self._products[n - 1]) > _INT64_MAX:
+            return None
+        return np.array(self._products[:n], dtype=np.int64)[_masks(n)[1]]
 
     # -- square classes over F_2, without the 2^k subset products -----------------
 

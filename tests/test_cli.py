@@ -267,6 +267,19 @@ def test_embed_without_an_argument_its_mode_needs_is_a_usage_error(capsys, argv,
     assert (code, out, err) == (2, "", f"error: {missing}\n")
 
 
+def test_negative_tower_generators_are_read_after_an_equals_sign(capsys):
+    """argparse takes a bare -1,2,3 for an option; the = form, named in --help, passes it."""
+    code, out, _ = run(capsys, "embed", "--mode", "tower", "--field=-1,2,3", "--K=-1,2",
+                       "--alpha", "3")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == (
+        "homomorphism: True, injective: True, image order 8 of 64, full: False")
+    assert run(capsys, "embed", "--mode", "tower", "--field", "-1,2,3", "--K", "-1,2",
+               "--alpha", "3")[0] == 2
+    squeezed = "".join(run(capsys, "embed", "--help")[1].split())  # help wraps at hyphens
+    assert "--field=-1,2,3" in squeezed and "--K=-1,2" in squeezed
+
+
 def test_embed_bad_tower_is_usage_error(capsys):
     code, _, _ = run(capsys, "embed", "--mode", "tower", "--field", "4,7",
                      "--K", "4", "--alpha", "7")

@@ -1,8 +1,9 @@
+import itertools
 import random
 import time
 from fractions import Fraction
 from decimal import Decimal
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -252,7 +253,8 @@ def oracle_samples(field, rng, dense):
     return samples
 
 
-ORACLE_FIELDS = [[2, 3, 5, 7, 11, 13][:k] for k in range(7)] + [[-1, 2], [-1, 2, -3, 5]]
+ORACLE_FIELDS = ([[2, 3, 5, 7, 11, 13][:k] for k in range(7)]
+                 + [[-1, 2], [-1, 2, -3, 5], [-1, 2, -3, 5, 7]])
 
 
 @pytest.mark.parametrize("gens", ORACLE_FIELDS, ids=str)
@@ -306,26 +308,37 @@ ORACLE_TESTS = [test_mul_matches_the_schoolbook_product,
                 test_integer_arithmetic_matches_the_fraction_recursion]
 
 
+# Small inputs take the int64 kernel from 16 coordinates up; a _KERNEL_MAX of 0
+# turns it off, so that the exact paths on Python ints are tested too.
+KERNEL = pytest.mark.parametrize("kernel_max", [fields._KERNEL_MAX, 0],
+                                 ids=["kernel_on", "kernel_off"])
+
+
 # 2 never convolves (lengths 1 and 2 have their own formulas); 64 convolves whole
 # vectors up to k = 6, so no split is left there
+@KERNEL
 @pytest.mark.parametrize("convolve_max", [2, 64], ids=["split_only", "convolve_whole"])
 @pytest.mark.parametrize("oracle", ORACLE_TESTS, ids=lambda t: t.__name__[5:])
 @pytest.mark.parametrize("gens", ORACLE_FIELDS, ids=str)
-def test_oracles_hold_at_every_convolution_threshold(monkeypatch, convolve_max, oracle, gens):
+def test_oracles_hold_at_every_convolution_threshold(monkeypatch, convolve_max, oracle, gens,
+                                                     kernel_max):
     monkeypatch.setattr(fields, "_CONVOLVE_MAX", convolve_max)
+    monkeypatch.setattr(fields, "_KERNEL_MAX", kernel_max)
     oracle(gens)
 
 
+@KERNEL
 @pytest.mark.parametrize("convolve_max", [2, 16, 64])
-def test_square_matches_the_general_product(monkeypatch, convolve_max):
+def test_square_matches_the_general_product(monkeypatch, convolve_max, kernel_max):
     monkeypatch.setattr(fields, "_CONVOLVE_MAX", convolve_max)
+    monkeypatch.setattr(fields, "_KERNEL_MAX", kernel_max)
     primes = [2, 3, 5, 7, 11, 13, -17]
     rng = random.Random(18)
     for k in range(1, 8):
         field = MultiQuadField(primes[:k])
-        for density in (0.2, 0.6, 1.0):
+        for density, span in itertools.product((0.2, 0.6, 1.0), (10**3, 10**9)):
             for _ in range(3):
-                x = [rng.randint(-10**9, 10**9) if rng.random() < density else 0
+                x = [rng.randint(-span, span) if rng.random() < density else 0
                      for _ in range(field.dim)]
                 assert fields._square(x, field) == fields._mul(x, x, field)
         top_zero = [rng.randint(-9, 9) for _ in range(field.dim // 2)] + [0] * (field.dim // 2)
@@ -340,6 +353,66 @@ def test_k7_products_split_twice_and_match_the_fraction_recursion():
         assert (x * y).coords == tuple(fraction_mul(x.coords, y.coords, field.generators))
     x = samples[0]
     assert x * x.inverse() == field.one()
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = fields._kernel
+    monkeypatch.setattr(fields, "_kernel", lambda x, y, f: calls.append(len(x)) or kernel(x, y, f))
+    return calls
+
+
+@pytest.mark.parametrize("gens", [[2, 3, 5, 7], [-2, 3, 5, 7], [2, 3, 5, 7, 11, -13]], ids=str)
+def test_the_kernel_takes_a_product_up_to_its_bound_and_no_further(monkeypatch, gens):
+    """max|x| max|y| |P[n-1]| n cannot equal the odd 2^63 - 1, so the tightest
+    admitted product sits just below it; one more unit of max|y| passes it.  A
+    negative top subset product (-210, -30030) must count by its size."""
+    field = MultiQuadField(gens)
+    n, top = field.dim, abs(field.subset_product(field.dim - 1))
+    limit = fields._INT64_MAX // (top * n)  # the largest admitted max|x| * max|y|
+    big = isqrt(limit)
+    calls = count_kernel_calls(monkeypatch)
+    for span_y, admitted in ((limit // big, True), (limit // big + 1, False)):
+        assert (big * span_y * top * n <= fields._INT64_MAX) == admitted
+        rng = random.Random(span_y)
+        x = field.element([big] + [rng.randint(-big, big) for _ in range(n - 1)])
+        y = field.element([rng.randint(-span_y, span_y) for _ in range(n - 1)] + [-span_y])
+        del calls[:]
+        assert (x * y).coords == tuple(fraction_mul(x.coords, y.coords, field.generators))
+        # past the bound the whole product is split; the halves' own bounds decide
+        assert (calls == [n]) if admitted else (n not in calls), (span_y, calls)
+    # every coordinate at its extreme, x signed as the weights: z[0] = sum x y P piles up
+    span_y = limit // big
+    x = field.element([big if field.subset_product(m) > 0 else -big for m in range(n)])
+    y = field.element([span_y] * n)
+    del calls[:]
+    z = x * y
+    assert z.nums[0] == big * span_y * prod(1 + abs(d) for d in gens) > 2**58
+    assert z.coords == tuple(fraction_mul(x.coords, y.coords, field.generators))
+    assert calls == [n]
+    # a zero operand bounds nothing: the other one past int64 keeps the exact path
+    huge = field.element([2**70 + m for m in range(n)])
+    assert field.zero() * huge == field.zero() == huge * field.zero()
+
+
+@pytest.mark.parametrize("gens", [[999983, 999979, 999961, 999959],
+                                  [2, 3, 999983, 999979, 999961, 999959]], ids=str)
+def test_a_field_whose_products_pass_int64_never_takes_the_kernel(monkeypatch, gens):
+    """Four primes near 10^6 make the top subset product pass int64 (about 10^24),
+    so the field has no weights.  With 2 and 3 in front, the 16-coordinate
+    subfield's products fit (about 6 * 10^12) and would admit the Karatsuba
+    quarters of small elements, but no call reaches the kernel."""
+    field = MultiQuadField(gens)
+    assert field._weights is None
+    calls = count_kernel_calls(monkeypatch)
+    rng = random.Random(25)
+    samples = [field.element([rng.randint(-1, 1) for _ in range(field.dim)]) for _ in range(4)]
+    for x in samples:
+        for y in samples:
+            assert (x * y).coords == tuple(fraction_mul(x.coords, y.coords, field.generators))
+        if x:
+            assert x.inverse().coords == tuple(fraction_inverse(x.coords, field.generators))
+    assert calls == []
 
 
 @pytest.mark.parametrize("gens", [[2, 3, 5], [2, 3, 5, 7, 11], [2, 3, 5, 7, 11, 13]], ids=str)
