@@ -156,14 +156,25 @@ def action_to_json(omega: FiniteGSet) -> dict:
 
 def action_from_json(data: dict) -> FiniteGSet:
     """The action of an exchange dict.  ``group`` is a group dict or the path of
-    a group file, ``size`` an int and ``act`` a list of rows of ints; a bool,
-    float or string in either raises ``ActionValidationError``."""
+    a group file, ``size`` an int, ``act`` a list of rows of ints and
+    ``point_labels``, if present, a list of strings.  A bool, float or string
+    in ``size`` or ``act``, a value that is not an object, a missing key or
+    labels that are not strings raise ``ActionValidationError``."""
+    if not isinstance(data, dict):
+        raise ActionValidationError("action JSON must be an object")
+    for key in ("group", "size", "act"):
+        if key not in data:
+            raise ActionValidationError(f"action JSON missing key {key!r}")
+    labels = data.get("point_labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise ActionValidationError("action JSON point_labels must be a list of strings")
     grp = data["group"]
     group = load_group(grp) if isinstance(grp, str) else group_from_json(grp)
     size, act = data["size"], data["act"]
     if type(size) is not int:  # refuses bool, float and str as well
         raise ActionValidationError(f"action JSON 'size' must be an integer, got {size!r}")
-    omega = FiniteGSet(group, act, point_labels=data.get("point_labels"))
+    omega = FiniteGSet(group, act, point_labels=labels)
     if omega.size != size:
         raise ActionValidationError("declared size does not match action table")
     return omega

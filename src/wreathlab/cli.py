@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except (SizeLimitError, SearchBudgetExceededError, OverflowError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (WreathlabError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (WreathlabError, ValueError, KeyError, OSError) as exc:  # OSError: an unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

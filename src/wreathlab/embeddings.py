@@ -7,8 +7,8 @@ sigma_x(p) = s(p)^-1 * x * s(top(x)^-1 . p).  ``_sigma_image`` is the one
 statement of that formula, evaluated for all x together:
 
 * ``omega_embedding`` sends G into H wr_Omega (G/core(H)) for any subgroup
-  H <= G, where Omega is the left-coset space of H, the quotient acts by
-  translation and s picks coset representatives.
+  H <= G: Omega is the left-coset space of H, G/core(H) is G's image on it
+  (the core is the action's kernel) and s picks coset representatives.
 * ``kk_embedding`` is the same formula with Omega = Q acting on itself: it
   sends an extension 1 -> N -> G -> Q -> 1 into the regular wreath product
   N wr_r Q, s a section of eps and top = eps (Kaloujnine-Krasner).
@@ -42,12 +42,12 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Section,
+    _coset_group,
     _int64_indices,
     certify_hom,
     construct_named,
+    coset_partition,
     default_section,
-    normal_core,
-    quotient,
 )
 from .search import embeds_into
 from .wreath import ENUMERATION_CAP, WreathGroup, _check_wreath_order, build_wreath, regular_wreath
@@ -187,26 +187,23 @@ def kk_embedding(ses: ShortExactSequence,
 # ``perfbench/workloads.py`` passes the last parameter, unused; ROADMAP item 3 deletes it
 def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
                     size_cap=None) -> tuple[WreathGroup, GroupHom]:
-    """Embed g into H wr_Omega Q with H = image(h_k), Omega its cosets,
-    Q = g / normal_core(H).
+    """Embed g into H wr_Omega Q with H = image(h_k), Omega its cosets and
+    Q = g / core(H) the image of g on Omega, the core being the action's kernel.
 
-    The quotient acts on Omega through preimages (well defined because the
-    core lies inside H); s picks one representative per coset.
+    Q's elements are the core's cosets, numbered by least member as in ``quotient``;
+    s picks one representative per coset of H.
     """
-    _core, core_incl = normal_core(g, h_k)
-    q, proj = quotient(g, core_incl)
     omega_g, reps = coset_action(g, h_k)
-    act_q = omega_g.act[default_section(proj).choice]
-    if (act_q[proj.image] != omega_g.act).any():
-        raise WreathlabError("induced quotient action on cosets is ill defined")
-    omega_q = FiniteGSet(q, act_q, point_labels=list(omega_g.point_labels))
-    if s is None:
-        s = reps
+    core = np.flatnonzero((omega_g.act == omega_g.act[g.identity]).all(axis=1))
+    tops, q_reps = coset_partition(g, core)
+    q = _coset_group(g, tops, q_reps, f"{g.name}/core of {h_k.domain.name} in {g.name}")
+    omega_q = FiniteGSet(q, omega_g.act[q_reps], point_labels=omega_g.point_labels)
+    s = reps if s is None else s
     # the coset of x is x . p_H, where p_H = r_0^-1 . 0 is the point of the coset H
     p_h = omega_g.act[g.inverses[reps(0)], 0]
     _check_section(omega_g.act[:, p_h], s, omega_g.size)
     w = build_wreath(h_k.domain, omega_q)
-    return w, GroupHom(g, w, _sigma_image(g, proj.image, s, h_k, w))
+    return w, GroupHom(g, w, _sigma_image(g, tops, s, h_k, w))
 
 
 def verify_embedding(phi: GroupHom) -> EmbeddingReport:

@@ -763,12 +763,16 @@ def quotient(g: FiniteGroup, n: GroupHom):
     if bad.any():
         raise NonNormalSubgroupError(f"gN != Ng at g index {int(bad.argmax())}")
     coset_of, reps = coset_partition(g, members)
+    q = _coset_group(g, coset_of, reps, f"{g.name}/{n.domain.name}")
+    return q, GroupHom(g, q, coset_of)
+
+
+def _coset_group(g: FiniteGroup, coset_of: np.ndarray, reps: np.ndarray, name: str) -> FiniteGroup:
+    """The group of the cosets of a normal subgroup, given as ``coset_partition`` gives them."""
     table = coset_of[g.table[reps[:, None], reps[None, :]]]
     labels = [f"[{g.labels[r]}]" for r in reps]
-    q = FiniteGroup(table, identity=int(coset_of[g.identity]), labels=labels,
-                    name=f"{g.name}/{n.domain.name}", _generator_source=_ascending_generators)
-    proj = GroupHom(g, q, coset_of)
-    return q, proj
+    return FiniteGroup(table, identity=int(coset_of[g.identity]), labels=labels, name=name,
+                       _generator_source=_ascending_generators)
 
 
 def check_presentation_d4(g: Group, x: int, y: int) -> bool:

@@ -114,6 +114,9 @@ def stabilizer_subgroup(g: FiniteGroup, point: int):
     """Point stabilizer of a permutation-like group (1-based point)."""
     if g.point_maps is None:
         raise ValueError("group carries no point data")
+    degree = len(g.point_maps[0])
+    if not 1 <= point <= degree:
+        raise ValueError(f"stabilizer point {point} is outside 1..{degree}")
     p = point - 1
     members = [i for i, pm in enumerate(g.point_maps) if pm[p] == p]
     return subgroup_from_elements(g, members, name=f"stab({point}) in {g.name}")

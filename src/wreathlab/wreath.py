@@ -77,10 +77,10 @@ class WreathGroup(Group):
         self.order = self.tuple_count * self.n_top
         self.powers = [self.n_base**j for j in range(self.n_points)]
         self._pw = np.array(self.powers, dtype=np.int64)
-        self._ktab = base_group.table.astype(np.int64)
-        self._kinv = base_group.inverses.astype(np.int64)
-        self._htab = top.group.table.astype(np.int64)
-        self._hinv = top.group.inverses.astype(np.int64)
+        # the factors' own int32 arrays, not copies: each product with one takes an int64 scalar
+        self._ktab, self._kinv = base_group.table, base_group.inverses
+        self._htab, self._hinv = top.group.table, top.group.inverses
+        self._tuples = np.int64(self.tuple_count)
         self._inv_act = top.act[top.group.inverses]  # row h is the action of h^-1
         self.identity = self.encode([base_group.identity] * self.n_points, top.group.identity)
         self._dense: Optional[FiniteGroup] = None
@@ -125,18 +125,18 @@ class WreathGroup(Group):
         f1, h1 = self.decode_array(x)
         h2, t2 = np.divmod(np.asarray(y, dtype=np.int64), self.tuple_count)
         rows = self._inv_act[h1]
-        t = self._htab[h1, h2] * self.tuple_count
+        t = self._htab[h1, h2] * self._tuples
         # one point at a time keeps every temporary at the broadcast shape
         for w in range(self.n_points):
             moved = t2 // self._pw[rows[..., w]] % self.n_base  # digit of f2 at h1^-1 . w
-            t = t + self._ktab[f1[..., w], moved] * self.powers[w]
+            t = t + self._ktab[f1[..., w], moved] * self._pw[w]
         return t
 
     def inv_array(self, x) -> np.ndarray:
         """(f, h)^-1 = (theta_h^-1(f^-1), h^-1) with theta_h^-1(f)(w) = f(h . w)."""
         f, h = self.decode_array(x)
         moved = np.take_along_axis(f, self.top.act[h], axis=-1)
-        return self._hinv[h] * self.tuple_count + self._kinv[moved] @ self._pw
+        return self._hinv[h] * self._tuples + self._kinv[moved] @ self._pw
 
     def tuple_product(self, f, g) -> np.ndarray:
         """Pointwise product of tuple-index arrays, read off (f, e)(g, e) = (fg, e)."""
@@ -162,13 +162,12 @@ class WreathGroup(Group):
         ``groups.direct_product``.
         """
         B, n, n_top = self.tuple_count, self.n_base, self.n_top
-        kt = self.base_group.table.astype(np.int32)
-        prod = np.zeros((1, 1), dtype=np.int32)
+        kt, prod = self._ktab, np.zeros((1, 1), dtype=np.int32)
         for j in range(self.n_points):
             m = n * prod.shape[0]
             prod = (kt[:, None, :, None] * self.powers[j] + prod[None, :, None, :]).reshape(m, m)
         theta_of = self.theta_table()
-        tops = (self._htab * B).astype(np.int32)[:, None, :, None]
+        tops = (self._htab * B)[:, None, :, None]
         table = np.empty((n_top, B, n_top, B), dtype=np.int32)
         for h1 in range(n_top):  # row of blocks h1: prod[f1, theta[h1, f2]] + h1 h2 B
             vals = np.take(prod, theta_of[h1], axis=1)  # 2-3x faster than prod[:, idx]

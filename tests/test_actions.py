@@ -176,6 +176,29 @@ def test_action_json_size_must_be_an_exact_int(size):
         action_from_json(data)
 
 
+@pytest.mark.parametrize("data", [[1, 2], "act", 7, None])
+def test_action_json_must_be_an_object(data):
+    with pytest.raises(ActionValidationError, match="action JSON must be an object"):
+        action_from_json(data)
+
+
+@pytest.mark.parametrize("labels", [5, "ab", [0, 1], ["0", None]])
+def test_action_json_point_labels_must_be_a_list_of_strings(labels):
+    # 5 once raised TypeError, and "ab" was read as the labels a and b
+    data = c2_action_json()
+    data["point_labels"] = labels
+    with pytest.raises(ActionValidationError, match="point_labels must be a list of strings"):
+        action_from_json(data)
+
+
+@pytest.mark.parametrize("key", ["group", "size", "act"])
+def test_action_json_names_a_missing_key(key):
+    data = c2_action_json()
+    del data[key]
+    with pytest.raises(ActionValidationError, match=f"action JSON missing key '{key}'"):
+        action_from_json(data)
+
+
 @pytest.mark.parametrize("act", [[[0, 1.9], [1, 0]], [[0, 1.0], [1, 0]], [[0, True], [1, 0]],
                                  [[0, "1"], [1, 0]], [[0, None], [1, 0]], "01,10"])
 def test_action_json_act_must_be_rows_of_exact_ints(act):

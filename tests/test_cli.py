@@ -120,17 +120,42 @@ def test_build_refuses_json_export_above_the_dense_cap_before_allocating(capsys,
     assert peak < 2.0, f"peak {peak:.2f} MB"
 
 
+def fresh_process(*argv):
+    """``wreathlab argv`` run as a fresh process, so any uncaught error shows as a traceback."""
+    src = os.path.dirname(os.path.dirname(wreathlab.__file__))
+    return subprocess.run([sys.executable, "-m", "wreathlab.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+
 @pytest.mark.parametrize("k,h", [("C:2", "C:70"), ("C:3", "C:40")])
 def test_build_refuses_an_order_past_int64_with_exit_3(k, h):
-    """Neither order fits an int64 index; run as a fresh process, so any uncaught
-    error would show as a traceback."""
-    src = os.path.dirname(os.path.dirname(wreathlab.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "wreathlab.cli", "build", "--k", k, "--h", h],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    """Neither order fits an int64 index."""
+    proc = fresh_process("build", "--k", k, "--h", h)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "resource limit" in proc.stderr and "int64" in proc.stderr
+
+
+@pytest.mark.parametrize("point", ["0", "-1", "5"])
+@pytest.mark.parametrize("argv", [("embed", "--mode", "omega", "--group", "S:4", "--subgroup"),
+                                  ("build", "--k", "C:2", "--h", "S:4", "--omega")])
+def test_a_stabilizer_point_outside_the_degree_is_a_usage_error(argv, point):
+    """stab:5 once ended in an IndexError (exit 1); stab:0 and stab:-1 read the
+    point tuple from its end."""
+    spec = f"stab:{point}" if argv[0] == "embed" else f"cosets:stab:{point}"
+    proc = fresh_process(*argv, spec)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"stabilizer point {point} is outside 1..4" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [("verify", "--group-json"), ("build", "--k", "C:2", "--omega")])
+def test_a_path_that_is_a_directory_is_a_usage_error(tmp_path, argv):
+    path = str(tmp_path) if argv[0] == "verify" else f"file:{tmp_path}"
+    proc = fresh_process(*argv, path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Is a directory" in proc.stderr
 
 
 def test_overflow_and_memory_errors_exit_3(capsys, monkeypatch):
@@ -563,6 +588,17 @@ def test_action_file_with_a_malformed_group_reference_is_a_usage_error(capsys, t
     code, _, err = run(capsys, "build", "--k", "C:2", "--omega", f"file:{apath}")
     assert code == 2
     assert "JSON number 0.0 is not an integer" in err
+
+
+@pytest.mark.parametrize("text,message", [("[1, 2]", "action JSON must be an object"),
+                                          ('{"size": 2, "act": [[0]]}', "missing key 'group'")])
+def test_an_action_file_that_is_not_an_action_object_is_a_usage_error(tmp_path, text, message):
+    path = tmp_path / "act.json"
+    path.write_text(text)
+    proc = fresh_process("build", "--k", "C:2", "--omega", f"file:{path}")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 def test_usage_error_exit_code(capsys):

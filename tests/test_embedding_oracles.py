@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from wreathlab import (
+    FiniteGSet,
     GroupHom,
     MultiQuadField,
     NotIsomorphismError,
@@ -22,6 +23,7 @@ from wreathlab import (
     SectionMismatchError,
     all_sections,
     build_wreath,
+    center_subgroup,
     check_equivariant,
     coset_action,
     coset_partition,
@@ -164,6 +166,63 @@ def test_omega_sigma_matches_the_per_element_loop():
         reps = coset_action(g, incl)[1]
         assert (phi.image == encode_all(w, omega_oracle(g, incl, reps, w.top))).all(), \
             (g.name, incl.image_set())
+
+
+# named groups up to order 120, with and without point data
+CORE_GROUPS = ["C:12", "C:60", "D:4", "D:5", "D:6", "D:14", "D:30", "Q8", "S:3", "S:4", "S:5",
+               "A:4", "A:5", "AGL:5", "AGL:7"]
+
+
+def subgroup_kinds(g):
+    """The centre, stab:1 and stab:n where g has point data, up to five cyclic
+    subgroups of distinct orders whose coset product fits int64, the whole group
+    and the trivial group."""
+    yield "center", center_subgroup(g)[1]
+    if g.point_maps is not None:
+        for point in (1, len(g.point_maps[0])):
+            yield f"stab:{point}", stabilizer_subgroup(g, point)[1]
+    orders = set()
+    for x, k in enumerate(g.element_orders().tolist()):
+        if k > 1 and k not in orders and len(orders) < 5 and k ** (g.order // k) * g.order < 2**63:
+            orders.add(k)
+            yield f"<{g.labels[x]}>", subgroup_generated(g, [x])[1]
+    yield "whole", subgroup_from_elements(g, range(g.order))[1]
+    yield "trivial", subgroup_from_elements(g, [g.identity])[1]
+
+
+def core_quotient_route(g, h_k):
+    """Q = g / normal_core(H) by ``quotient``, its action on the cosets through
+    ``default_section`` and phi's image from them: the omega embedding's former route."""
+    q, proj = quotient(g, normal_core(g, h_k)[1])
+    omega_g, reps = coset_action(g, h_k)
+    omega_q = FiniteGSet(q, omega_g.act[default_section(proj).choice],
+                         point_labels=omega_g.point_labels)
+    w = build_wreath(h_k.domain, omega_q)
+    return w, _sigma_image(g, proj.image, reps, h_k, w)
+
+
+@pytest.mark.parametrize("spec", CORE_GROUPS)
+def test_the_image_on_the_cosets_is_the_quotient_by_the_core(spec):
+    g = construct_named(spec)
+    for kind, incl in subgroup_kinds(g):
+        w, phi = omega_embedding(g, incl)
+        w_ref, image_ref = core_quotient_route(g, incl)
+        q, q_ref = w.top.group, w_ref.top.group
+        assert (q.name, q.labels, q.identity) == (q_ref.name, q_ref.labels, q_ref.identity), kind
+        assert np.array_equal(q.table, q_ref.table), kind
+        assert np.array_equal(w.top.act, w_ref.top.act), kind
+        assert w.top.point_labels == w_ref.top.point_labels, kind
+        assert np.array_equal(phi.image, image_ref), kind
+        assert w.labels(phi.image) == w_ref.labels(image_ref), kind
+
+
+@pytest.mark.parametrize("spec", CORE_GROUPS)
+def test_the_normal_core_is_the_kernel_of_the_coset_action(spec):
+    g = construct_named(spec)
+    for kind, incl in subgroup_kinds(g):
+        act = coset_action(g, incl)[0].act
+        kernel = np.flatnonzero((act == np.arange(act.shape[1])).all(axis=1))
+        assert normal_core(g, incl)[1].image.tolist() == kernel.tolist(), kind
 
 
 def agrees_on_all_pairs(g, w, phi):
