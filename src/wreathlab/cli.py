@@ -164,10 +164,21 @@ def _print_embedding(domain, w, phi, report, args, extra: Optional[dict] = None)
     return EXIT_OK if (report.is_homomorphism and report.is_injective) else EXIT_VERIFICATION
 
 
+def _parse_integers(text: str, flag: str) -> list[int]:
+    """A comma-separated list of integers; an empty or non-integer entry is a usage error."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def _parse_tower(args) -> QuadraticTower:
-    gens = [int(v) for v in args.field.split(",") if v]
-    k_gens = [int(v) for v in args.K.split(",")] if args.K else []
-    return QuadraticTower(MultiQuadField(gens), k_gens, Fraction(args.alpha))
+    k_gens = _parse_integers(args.K, "--K") if args.K else []
+    try:
+        alpha = Fraction(args.alpha)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--alpha takes a rational such as 5 or 3/2, got {args.alpha!r}") from None
+    return QuadraticTower(MultiQuadField(_parse_integers(args.field, "--field")), k_gens, alpha)
 
 
 # the arguments each embed mode cannot run without

@@ -43,6 +43,7 @@ from .groups import (
     GroupHom,
     Section,
     _coset_group,
+    _count_distinct,
     _int64_indices,
     certify_hom,
     construct_named,
@@ -213,7 +214,7 @@ def verify_embedding(phi: GroupHom) -> EmbeddingReport:
     is reused, and only a hom built unchecked is certified here.
     """
     cert = phi.certificate or certify_hom(phi)
-    image_order = len(np.unique(phi.image))
+    image_order = _count_distinct(phi.image)
     wreath_order = phi.codomain.order
     return EmbeddingReport(
         hom=phi,
@@ -244,7 +245,7 @@ def _transport(base_map: GroupHom, top_map: GroupHom, xi, w: WreathGroup,
     if cert.counterexample is not None:
         raise NotIsomorphismError(f"transport fails the hom law at pair {cert.counterexample}")
     out.certificate = cert
-    if len(np.unique(image)) != w.order:
+    if _count_distinct(image) != w.order:
         raise NotIsomorphismError(f"transport is not {kind}")
     return out
 

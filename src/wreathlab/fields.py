@@ -32,10 +32,11 @@ on that split, on plain integer vectors:
 * the inverse is (a - b√d) / N with the norm N = a² - d·b² in K, itself
   inverted recursively down to a = ±1/|a|, with the content divided out at
   each level so that the integers stay small; a zero element raises
-  ZeroDivisionError.  The squares a² and b² come from ``_square``, which
-  takes the kernel or splits as ``_mul`` does, with 2ab = (a+b)² - a² - b²,
-  and convolves once over the coordinate pairs m1 <= m2, about half the
-  products of ``_mul``.
+  ZeroDivisionError.  The squares a² and b² are ``_mul``'s case ``y is x``:
+  it takes the kernel or splits as any product does, where the middle
+  product is (a+b)² and 2ab = (a+b)² - a² - b², and convolves once over the
+  nonzero pairs m1 < m2, each doubled, about half the products of two
+  different vectors.
 
 The canonical square root of a rational r^2 * prod_{i in S} d_i is the
 positive multiple r of the basis monomial for S.  A square class is a vector
@@ -80,7 +81,7 @@ _EXACT_TYPES = (int, Fraction)
 
 # _mul convolves vectors of at most this many coordinates and splits longer ones
 _CONVOLVE_MAX = 16
-# _mul and _square hand vectors of _KERNEL_MIN to _KERNEL_MAX coordinates to the
+# _mul, squares included, hands vectors of _KERNEL_MIN to _KERNEL_MAX coordinates to the
 # int64 kernel wherever _kernel_admits proves that no sum in it can overflow.  At 8
 # coordinates the kernel's numpy calls and the field's weights cost more than the
 # Python loop they replace.
@@ -117,8 +118,17 @@ def _kernel(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> list
 
 
 def _convolve(x: Sequence[int], y: Sequence[int], products: Sequence[int]) -> list[int]:
-    """z[m1 ^ m2] = sum x[m1] y[m2] prod_{i in m1 & m2} d_i over the nonzero coordinates."""
+    """z[m1 ^ m2] = sum x[m1] y[m2] prod_{i in m1 & m2} d_i over the nonzero coordinates;
+    a square (y is x) takes each nonzero pair m1 < m2 once and doubles it."""
     z = [0] * len(x)
+    if y is x:
+        nz = [(m, c) for m, c in enumerate(x) if c]
+        for i, (m1, a) in enumerate(nz):
+            z[0] += a * a * products[m1]  # m1 ^ m1 = 0, m1 & m1 = m1
+            a2 = 2 * a
+            for m2, b in nz[i + 1:]:
+                z[m1 ^ m2] += a2 * b * products[m1 & m2]
+        return z
     ys = [(m2, b) for m2, b in enumerate(y) if b]
     for m1, a in enumerate(x):
         if a:
@@ -131,7 +141,8 @@ def _mul(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> list[in
     """Product of integer coordinate vectors of the subfield of ``field`` on the
     first log2(len(x)) generators: the int64 kernel where its bound admits x and
     y, else split on the top generator down to ``_CONVOLVE_MAX`` coordinates,
-    then one twisted XOR-convolution."""
+    then one twisted XOR-convolution.  A square is the case ``y is x``, kept
+    through the split."""
     n = len(x)
     if n == 1:
         return [x[0] * y[0]]
@@ -143,7 +154,8 @@ def _mul(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> list[in
     if n <= _CONVOLVE_MAX:
         return _convolve(x, y, field._products)
     h = n >> 1
-    a, b, c, e = x[:h], x[h:], y[:h], y[h:]
+    a, b = x[:h], x[h:]
+    c, e = (a, b) if y is x else (y[:h], y[h:])
     b_zero, e_zero = not any(b), not any(e)
     if b_zero and e_zero:
         return _mul(a, c, field) + [0] * h
@@ -153,42 +165,10 @@ def _mul(x: Sequence[int], y: Sequence[int], field: "MultiQuadField") -> list[in
         return _mul(a, c, field) + _mul(b, c, field)
     d = field.generators[h.bit_length() - 1]
     ac, be = _mul(a, c, field), _mul(b, e, field)
-    mid = _mul([p + q for p, q in zip(a, b)], [p + q for p, q in zip(c, e)], field)
+    s = [p + q for p, q in zip(a, b)]
+    mid = _mul(s, s if y is x else [p + q for p, q in zip(c, e)], field)
     return ([p + d * q for p, q in zip(ac, be)]
             + [m - p - q for m, p, q in zip(mid, ac, be)])
-
-
-def _square(x: Sequence[int], field: "MultiQuadField") -> list[int]:
-    """``_mul(x, x, field)``: the int64 kernel where its bound admits x, else split
-    on the top generator down to ``_CONVOLVE_MAX`` coordinates, then one
-    symmetric pass over the nonzero pairs m1 <= m2."""
-    n = len(x)
-    if n == 1:
-        return [x[0] * x[0]]
-    if n == 2:
-        a, b = x
-        return [a * a + field.generators[0] * (b * b), 2 * a * b]
-    if _kernel_admits(x, x, field):
-        return _kernel(x, x, field)
-    if n <= _CONVOLVE_MAX:
-        products = field._products
-        z = [0] * n
-        nz = [(m, c) for m, c in enumerate(x) if c]
-        for i, (m1, a) in enumerate(nz):
-            z[0] += a * a * products[m1]  # m1 ^ m1 = 0, m1 & m1 = m1
-            a2 = 2 * a
-            for m2, b in nz[i + 1:]:
-                z[m1 ^ m2] += a2 * b * products[m1 & m2]
-        return z
-    h = n >> 1
-    a, b = x[:h], x[h:]
-    if not any(b):
-        return _square(a, field) + [0] * h
-    d = field.generators[h.bit_length() - 1]
-    aa, bb = _square(a, field), _square(b, field)
-    mid = _square([p + q for p, q in zip(a, b)], field)
-    return ([p + d * q for p, q in zip(aa, bb)]
-            + [m - p - q for m, p, q in zip(mid, aa, bb)])
 
 
 def _inverse(x: Sequence[int], field: "MultiQuadField") -> tuple[list[int], int]:
@@ -208,7 +188,7 @@ def _inverse(x: Sequence[int], field: "MultiQuadField") -> tuple[list[int], int]
         return nums + [0] * h, den * content
     d = field.generators[h.bit_length() - 1]
     norm_nums, norm_den = _inverse(
-        [p - d * q for p, q in zip(_square(a, field), _square(b, field))], field)
+        [p - d * q for p, q in zip(_mul(a, a, field), _mul(b, b, field))], field)
     nums = _mul(a, norm_nums, field) + [-c for c in _mul(b, norm_nums, field)]
     den = norm_den * content
     g = gcd(den, *nums)

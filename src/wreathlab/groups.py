@@ -83,6 +83,12 @@ def _first_failure(law: Callable[[int, int], np.ndarray], rows: int, width: int)
     return None
 
 
+def _count_distinct(values: np.ndarray) -> int:
+    """The number of distinct values, by one sort: ``np.unique`` would import numpy.ma."""
+    v = np.sort(values, axis=None)
+    return int(np.count_nonzero(v[1:] != v[:-1])) + (v.size > 0)
+
+
 def _int64_rows(table) -> np.ndarray:
     """A table given as rows of cells as one int64 array, in one pass over the
     cells: each row goes through ``array('q').fromlist``, which takes an int, a
@@ -388,10 +394,10 @@ class GroupHom:
         return None if bad is None else divmod(bad, self.domain.order)
 
     def is_injective(self) -> bool:
-        return len(np.unique(self.image)) == self.domain.order
+        return _count_distinct(self.image) == self.domain.order
 
     def is_surjective(self) -> bool:
-        return len(np.unique(self.image)) == self.codomain.order
+        return _count_distinct(self.image) == self.codomain.order
 
     def image_set(self) -> set[int]:
         return set(int(x) for x in self.image)
@@ -756,13 +762,15 @@ def coset_partition(g: Group, members) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quotient(g: FiniteGroup, n: GroupHom):
-    """Coset group g/image(n) with its projection; representatives are minimal."""
+    """Coset group g/image(n) with its projection; representatives are minimal.
+    Nx and xN both have |N| elements, so N is normal when every n x lies in x's
+    left coset, which is tested in row blocks; a failure names the least x."""
     members = np.array(sorted(n.image_set()), dtype=np.int64)
-    # row x of each side is the coset xN, resp. Nx, as a sorted set
-    bad = (np.sort(g.table[:, members], axis=1) != np.sort(g.table[members].T, axis=1)).any(axis=1)
-    if bad.any():
-        raise NonNormalSubgroupError(f"gN != Ng at g index {int(bad.argmax())}")
     coset_of, reps = coset_partition(g, members)
+    first = _first_failure(lambda a, b: coset_of[g.table[members, a:b]].T != coset_of[a:b, None],
+                           g.order, len(members))
+    if first is not None:
+        raise NonNormalSubgroupError(f"gN != Ng at g index {first // len(members)}")
     q = _coset_group(g, coset_of, reps, f"{g.name}/{n.domain.name}")
     return q, GroupHom(g, q, coset_of)
 
@@ -796,8 +804,9 @@ def default_section(eps: GroupHom, overrides: Optional[dict[int, int]] = None) -
     if not eps.is_surjective():
         raise NotSurjectiveError("section requested for a non-surjective map")
     q = eps.codomain
-    # eps is onto, so the first occurrences are the minimal preimages of 0..|Q|-1
-    choice = np.unique(eps.image, return_index=True)[1].astype(np.int64)
+    # eps is onto, so every target's least preimage is below |G|
+    choice = np.full(q.order, eps.domain.order, dtype=np.int64)
+    np.minimum.at(choice, eps.image, np.arange(eps.domain.order))
     choice[q.identity] = eps.domain.identity
     if overrides:
         for t, x in overrides.items():

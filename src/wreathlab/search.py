@@ -147,11 +147,10 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup, budget: int = DEFAULT_NODE_BU
     """An isomorphism a -> b found by invariant screening plus backtracking."""
     if a.order != b.order:
         return None
-    if a.is_abelian != b.is_abelian:
+    # at equal orders this also screens commutativity: a group is abelian when |Z| = |G|
+    if len(a.center_indices()) != len(b.center_indices()):
         return None
     if order_profile(a) != order_profile(b):
-        return None
-    if len(a.center_indices()) != len(b.center_indices()):
         return None
     return embeds_into(a, b, budget=budget)
 

@@ -311,6 +311,36 @@ def test_embed_bad_tower_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags,flag", [
+    (["--field", "2,3", "--K", "2", "--alpha", "1/0"], "--alpha"),
+    (["--field", "2,,3", "--K", "2", "--alpha", "3"], "--field"),
+    (["--field", "2,3", "--K", "2,,", "--alpha", "3"], "--K"),
+], ids=["zero_denominator", "empty_field_entry", "trailing_empty_K_entries"])
+def test_a_malformed_tower_argument_is_a_usage_error_naming_its_flag(flags, flag):
+    """1/0 once ended in a ZeroDivisionError traceback with exit 1, and 2,,3 was read as 2,3."""
+    proc = fresh_process("embed", "--mode", "tower", *flags)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {flag} takes ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--mode", "kk", "--group", "S:4", "--normal", "V4"],
+    ["embed", "--mode", "omega", "--group", "S:4", "--subgroup", "stab:4"],
+    ["embed", "--mode", "tower", "--field", "2,3,5", "--K", "2,3", "--alpha", "5"],
+    ["build", "--k", "C:2", "--h", "C:3"],
+    ["verify", "--suite", "all"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_a_cli_run_leaves_numpy_ma_unimported(argv):
+    """np.unique imports numpy.ma, 12-14 ms of a run's start-up; counts sort instead."""
+    src = os.path.dirname(os.path.dirname(wreathlab.__file__))
+    script = ("import sys; from wreathlab.cli import main; code = main(sys.argv[1:]); "
+              "print('numpy.ma' in sys.modules, code, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.stderr.splitlines()[-1] == "False 0", proc.stderr
+
+
 def test_embed_tower_with_a_huge_prime_alpha_answers_fast(capsys):
     # 2^61 - 1 is prime: no square root of 7/(2^61 - 1) lies in Q(sqrt 5, sqrt 7)
     start = time.perf_counter()

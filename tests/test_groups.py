@@ -308,22 +308,51 @@ def test_core_of_normal_subgroup_is_itself(d4):
     assert core_incl.image_set() == incl.image_set()
 
 
-def test_core_and_normality_of_every_cyclic_subgroup_against_brute_force(s4):
-    for x in range(s4.order):
-        _, incl = subgroup_generated(s4, [x])
-        members = sorted(incl.image_set())
-        core = set(members)
-        for y in range(s4.order):
-            core &= {s4.mul(s4.mul(y, m), s4.inv(y)) for m in members}
-        assert normal_core(s4, incl)[1].image_set() == core
-        first_bad = next((y for y in range(s4.order)
-                          if {s4.mul(y, m) for m in members} != {s4.mul(m, y) for m in members}),
-                         None)
-        if first_bad is None:
-            assert quotient(s4, incl)[0].order == s4.order // len(members)
-        else:
-            with pytest.raises(NonNormalSubgroupError, match=f"at g index {first_bad}$"):
-                quotient(s4, incl)
+def sorted_rows_first_non_normal(g, members):
+    """The least x whose left coset xN and right coset Nx, each a sorted row of
+    the table, differ; None where N is normal."""
+    bad = (np.sort(g.table[:, members], axis=1) != np.sort(g.table[members].T, axis=1)).any(axis=1)
+    return int(bad.argmax()) if bad.any() else None
+
+
+def brute_quotient(g, members):
+    """The coset group's table, labels and projection, from the left cosets as
+    sets, numbered by least member."""
+    coset = [frozenset(g.mul(x, m) for m in members) for x in range(g.order)]
+    least = {}
+    for x, c in enumerate(coset):
+        least.setdefault(c, x)
+    number = {c: i for i, c in enumerate(least)}
+    reps = list(least.values())
+    table = [[number[coset[g.mul(a, b)]] for b in reps] for a in reps]
+    return table, [f"[{g.labels[r]}]" for r in reps], [number[c] for c in coset]
+
+
+def test_core_and_normality_of_every_cyclic_subgroup_against_brute_force():
+    rng = random.Random(28)
+    named = [construct_named(s) for s in ("C:12", "D:6", "D:15", "Q8", "A:4", "S:4", "A:5", "AGL:7")]
+    outcomes = set()
+    for g in named + [relabeled(named[i], rng) for i in (1, 5, 7)]:
+        for x in range(g.order):
+            _, incl = subgroup_generated(g, [x])
+            members = sorted(incl.image_set())
+            core = set(members)
+            for y in range(g.order):
+                core &= {g.mul(g.mul(y, m), g.inv(y)) for m in members}
+            assert normal_core(g, incl)[1].image_set() == core
+            first_bad = next((y for y in range(g.order)
+                              if {g.mul(y, m) for m in members} != {g.mul(m, y) for m in members}),
+                             None)
+            assert sorted_rows_first_non_normal(g, members) == first_bad
+            outcomes.add(first_bad is None)
+            if first_bad is None:
+                q, proj = quotient(g, incl)
+                assert ([row.tolist() for row in q.table], q.labels, proj.image.tolist()
+                        ) == brute_quotient(g, members), (g.name, x)
+            else:
+                with pytest.raises(NonNormalSubgroupError, match=f"at g index {first_bad}$"):
+                    quotient(g, incl)
+    assert outcomes == {True, False}
 
 
 def test_non_closed_set_names_the_first_escaping_pair(s4):

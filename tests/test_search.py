@@ -27,6 +27,17 @@ def test_c4_not_isomorphic_to_klein():
     assert are_isomorphic(construct_named("C:4"), construct_named("V4")) is None
 
 
+def test_the_centre_screen_tells_an_abelian_group_from_a_non_abelian_one(monkeypatch):
+    """At equal orders |Z| = |G| exactly for the abelian one, so the centre screen
+    answers before the order profiles are read."""
+    from wreathlab import search
+    monkeypatch.setattr(search, "order_profile", lambda g: pytest.fail("order profile read"))
+    for a, b in (("C:6", "S:3"), ("C:8", "Q8"), ("C:8", "D:4"), ("C:24", "S:4")):
+        ga, gb = construct_named(a), construct_named(b)
+        assert ga.is_abelian and not gb.is_abelian
+        assert are_isomorphic(ga, gb) is None and are_isomorphic(gb, ga) is None
+
+
 def test_agl3_isomorphic_to_s3():
     iso = are_isomorphic(construct_named("AGL:3"), construct_named("S:3"))
     assert iso is not None
