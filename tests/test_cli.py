@@ -332,7 +332,7 @@ def test_a_malformed_tower_argument_is_a_usage_error_naming_its_flag(flags, flag
     ["verify", "--suite", "all"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_a_cli_run_leaves_numpy_ma_unimported(argv):
-    """np.unique imports numpy.ma, 12-14 ms of a run's start-up; counts sort instead."""
+    """np.unique imports numpy.ma, which every run paid for at start-up; counts sort instead."""
     src = os.path.dirname(os.path.dirname(wreathlab.__file__))
     script = ("import sys; from wreathlab.cli import main; code = main(sys.argv[1:]); "
               "print('numpy.ma' in sys.modules, code, file=sys.stderr)")

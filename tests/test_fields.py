@@ -330,25 +330,29 @@ def test_oracles_hold_at_every_convolution_threshold(monkeypatch, convolve_max, 
 @KERNEL
 @pytest.mark.parametrize("convolve_max", [2, 16, 64])
 def test_square_matches_the_general_product(monkeypatch, convolve_max, kernel_max):
-    """_mul(x, x) takes the square path (y is x), _mul(x, list(x)) the general one."""
+    """_mul(x, x) takes the square path (y is x) all the way down its split, and
+    matches _mul(x, list(x)), the general path."""
     monkeypatch.setattr(fields, "_CONVOLVE_MAX", convolve_max)
     monkeypatch.setattr(fields, "_KERNEL_MAX", kernel_max)
     squares = []
     mul = fields._mul
     monkeypatch.setattr(fields, "_mul", lambda x, y, f: squares.append(y is x) or mul(x, y, f))
+
+    def check(x, field):
+        squares.clear()
+        square = fields._mul(x, x, field)
+        assert all(squares), "a square's split made a product of two vectors"
+        assert square == fields._mul(x, list(x), field)
+
     primes = [2, 3, 5, 7, 11, 13, -17]
     rng = random.Random(18)
     for k in range(1, 8):
         field = MultiQuadField(primes[:k])
         for density, span in itertools.product((0.2, 0.6, 1.0), (10**3, 10**9)):
             for _ in range(3):
-                x = [rng.randint(-span, span) if rng.random() < density else 0
-                     for _ in range(field.dim)]
-                assert fields._mul(x, x, field) == fields._mul(x, list(x), field)
-        top_zero = [rng.randint(-9, 9) for _ in range(field.dim // 2)] + [0] * (field.dim // 2)
-        assert fields._mul(top_zero, top_zero, field) == fields._mul(top_zero, list(top_zero), field)
-    # each split hands its halves on as squares: more square calls than the 7 * 19 above
-    assert squares.count(True) > 7 * 19
+                check([rng.randint(-span, span) if rng.random() < density else 0
+                       for _ in range(field.dim)], field)
+        check([rng.randint(-9, 9) for _ in range(field.dim // 2)] + [0] * (field.dim // 2), field)
 
 
 def test_k7_products_split_twice_and_match_the_fraction_recursion():

@@ -347,10 +347,10 @@ def test_core_and_normality_of_every_cyclic_subgroup_against_brute_force():
             outcomes.add(first_bad is None)
             if first_bad is None:
                 q, proj = quotient(g, incl)
-                assert ([row.tolist() for row in q.table], q.labels, proj.image.tolist()
-                        ) == brute_quotient(g, members), (g.name, x)
+                assert ((q.table.tolist(), q.labels, proj.image.tolist())
+                        == brute_quotient(g, members)), (g.name, x)
             else:
-                with pytest.raises(NonNormalSubgroupError, match=f"at g index {first_bad}$"):
+                with pytest.raises(NonNormalSubgroupError, match=f"^gN != Ng at g index {first_bad}$"):
                     quotient(g, incl)
     assert outcomes == {True, False}
 
