@@ -10,6 +10,7 @@ import numpy as np
 from .errors import ActionValidationError, GroupFormatError
 from .groups import (
     FiniteGroup,
+    Group,
     GroupHom,
     Section,
     _first_failure,
@@ -45,13 +46,13 @@ class FiniteGSet:
     an array of an integer dtype, or a list of rows of ints (a bool, float or
     string cell raises ``ActionValidationError``).  Both action axioms are
     verified exactly at construction.  ``_group_table``, for the regular
-    action only, says that ``act`` is ``group.table`` itself: it is kept as
-    that read-only array unchecked, since its range, identity and
+    action only, says that ``act`` is the group's own Cayley table: it is
+    kept as that read-only array unchecked, since its range, identity and
     compatibility axioms are the closure, identity and associativity the
     group already certified.
     """
 
-    def __init__(self, group: FiniteGroup, act, point_labels: Optional[Sequence[str]] = None,
+    def __init__(self, group: Group, act, point_labels: Optional[Sequence[str]] = None,
                  _group_table: bool = False):
         self.group = group
         self.act = act if _group_table else _int64_table(act)
@@ -78,8 +79,9 @@ class FiniteGSet:
             w = int(np.nonzero(act[grp.identity] != pts)[0][0])
             raise ActionValidationError(f"identity axiom fails at point {w}")
         for h1 in grp.generators():  # exact: the h1 that pass are closed under products
+            h1_times = grp.mul_array(h1, np.arange(grp.order))
             # row h2 compares h1.(h2.w) with (h1 h2).w
-            bad = _first_failure(lambda a, b: act[h1][act[a:b]] != act[grp.table[h1, a:b]],
+            bad = _first_failure(lambda a, b: act[h1][act[a:b]] != act[h1_times[a:b]],
                                  grp.order, self.size)
             if bad is not None:
                 h2, w = divmod(bad, self.size)
@@ -104,21 +106,20 @@ def regular_action(h: FiniteGroup) -> FiniteGSet:
     return FiniteGSet(h, h.table, point_labels=list(h.labels), _group_table=True)
 
 
-def coset_action(g: FiniteGroup, h: GroupHom):
+def coset_action(g: Group, h: GroupHom):
     """Left translation on cosets of image(h), plus the representative section.
 
     Cosets are indexed by ascending minimal member, so the identity coset is
     point 0 and quotients built from the same subgroup share the indexing.
     """
     coset_of, reps = coset_partition(g, sorted(h.image_set()))
-    act = coset_of[g.table[:, reps]]
-    labels = [f"{g.labels[r]}·H" for r in reps]
+    act = coset_of[g.mul_array(np.arange(g.order)[:, None], reps)]
+    labels = [f"{g.label(r)}·H" for r in reps]
     omega = FiniteGSet(g, act, point_labels=labels)
-    section = Section(omega, g, reps)
-    return omega, section
+    return omega, Section(omega, g, reps)
 
 
-def natural_action(n: int, g: FiniteGroup) -> FiniteGSet:
+def natural_action(n: int, g: Group) -> FiniteGSet:
     """Point action of a permutation-like group carrying one-line point data."""
     if g.point_maps is None:
         raise ActionValidationError("group carries no point data for a natural action")

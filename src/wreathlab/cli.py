@@ -143,7 +143,7 @@ def _print_embedding(domain, w, phi, report, args, extra: Optional[dict] = None)
     if args.format == "json":
         payload = {
             "phi": [
-                {"domain": domain.labels[x], "image": image[x], "index": phi(x)}
+                {"domain": domain.label(x), "image": image[x], "index": phi(x)}
                 for x in range(domain.order)
             ],
             # the time is reported here only, so text output repeats run to run
@@ -153,7 +153,7 @@ def _print_embedding(domain, w, phi, report, args, extra: Optional[dict] = None)
             payload.update(extra)
         _emit(json.dumps(payload), args.out)
     else:
-        lines = [f"{domain.labels[x]} -> {image[x]}" for x in range(domain.order)]
+        lines = [f"{domain.label(x)} -> {image[x]}" for x in range(domain.order)]
         lines.append(
             f"homomorphism: {report.is_homomorphism}, injective: {report.is_injective}, "
             f"image order {report.image_order} of {report.wreath_order}, "

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    Group,
     GroupHom,
     Section,
     _coset_group,
@@ -75,7 +76,7 @@ class ShortExactSequence:
         return self.n_to_g.domain
 
     @property
-    def g(self) -> FiniteGroup:
+    def g(self) -> Group:
         return self.n_to_g.codomain
 
     @property
@@ -148,17 +149,17 @@ def _check_section(point_of: np.ndarray, s: Section, size: int) -> None:
             f"section value s({t}) lies over point {int(point_of[s(t)])}, not {t}")
 
 
-def _sigma_image(g: FiniteGroup, tops: np.ndarray, s: Section, sub: GroupHom,
+def _sigma_image(g: Group, tops: np.ndarray, s: Section, sub: GroupHom,
                  w: WreathGroup) -> np.ndarray:
     """Wreath index of (sigma_x, top(x)) for every x in g.
 
     sigma_x(p) = s(p)^-1 * x * s(top(x)^-1 . p) for each point p of
-    Omega = w.top, all at once in two gathers from g's table.  Every value is
+    Omega = w.top, all at once in two ``mul_array`` calls of g.  Every value is
     checked to land in image(sub) before it becomes a base-group digit.
     """
-    moved = w.top.act[w.top.group.inverses[tops]]  # row x is p |-> top(x)^-1 . p
+    moved = w.top.act[w.top.group.inv_array(tops)]  # row x is p |-> top(x)^-1 . p
     x = np.arange(g.order)[:, None]
-    vals = g.mul_array(g.mul_array(g.inverses[s.choice][None, :], x), s.choice[moved])
+    vals = g.mul_array(g.mul_array(g.inv_array(s.choice)[None, :], x), s.choice[moved])
     digit_of = np.full(g.order, -1, dtype=np.int64)
     digit_of[sub.image] = np.arange(sub.domain.order)
     digits = digit_of[vals]
@@ -186,7 +187,7 @@ def kk_embedding(ses: ShortExactSequence,
 
 
 # ``perfbench/workloads.py`` passes the last parameter, unused; ROADMAP item 3 deletes it
-def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
+def omega_embedding(g: Group, h_k: GroupHom, s: Optional[Section] = None,
                     size_cap=None) -> tuple[WreathGroup, GroupHom]:
     """Embed g into H wr_Omega Q with H = image(h_k), Omega its cosets and
     Q = g / core(H) the image of g on Omega, the core being the action's kernel.
@@ -201,7 +202,7 @@ def omega_embedding(g: FiniteGroup, h_k: GroupHom, s: Optional[Section] = None,
     omega_q = FiniteGSet(q, omega_g.act[q_reps], point_labels=omega_g.point_labels)
     s = reps if s is None else s
     # the coset of x is x . p_H, where p_H = r_0^-1 . 0 is the point of the coset H
-    p_h = omega_g.act[g.inverses[reps(0)], 0]
+    p_h = omega_g.act[g.inv(reps(0)), 0]
     _check_section(omega_g.act[:, p_h], s, omega_g.size)
     w = build_wreath(h_k.domain, omega_q)
     return w, GroupHom(g, w, _sigma_image(g, tops, s, h_k, w))

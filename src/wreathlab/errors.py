@@ -25,7 +25,7 @@ class SizeLimitError(WreathlabError):
     a dense table above the dense cap, or an enumeration above its cap.
 
     ``order`` is the refused order, or None where it is decided without forming
-    it (a tower whose wreath order 2^(2^k) * 2^k would have millions of digits).
+    it (2^16 or more points on a base of two or more elements: 65536 bits at least).
     """
 
     def __init__(self, message: str, order: Optional[int] = None):

@@ -68,10 +68,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError, TowerError
+from .errors import TowerError
 from .groups import (FiniteGroup, GroupHom, Section, _ascending_generators, _first_failure,
                      subgroup_from_elements)
-from .wreath import WreathGroup
+from .wreath import WreathGroup, _check_wreath_order
 from .embeddings import EmbeddingReport, ShortExactSequence, kk_embedding, verify_embedding
 
 GENERATOR_BOUND = 10**6
@@ -617,10 +617,7 @@ def quadratic_kummer_embedding(
     """
     if t.gap != 1:
         raise TowerError("the chi-based embedding needs [L:K] = 2 (one extra generator)")
-    # the order 2^|Gal(K/Q)| * |Gal(K/Q)| is past int64 exactly from k = 6: decided from
-    # k, before any Galois group is built and without forming 2^(2^k)
-    if t.K.k >= 6:
-        raise SizeLimitError(f"wreath order 2^{t.K.dim} * {t.K.dim} exceeds the int64 index range")
+    _check_wreath_order(2, t.K.dim, t.K.dim)  # past int64 from k = 6; before any group is built
     ses = tower_extension(t)
     lifts = np.flatnonzero(_chi_table(t)[:, 0] == 0)
     choice = np.empty(t.K.dim, dtype=np.int64)
@@ -636,13 +633,13 @@ def verify_cocycle(t: QuadraticTower) -> tuple[bool, Optional[tuple[int, int, in
     r1 rows up to the first failing generator."""
     big, small = t.restriction.domain, t.restriction.codomain
     table = _chi_table(t)
-    back = small.inverses[t.restriction.image]  # the restriction of r1^-1
+    back = small.inv_array(t.restriction.image)  # the restriction of r1^-1
     r2, tau = np.arange(big.order)[:, None], np.arange(small.order)
 
     def fails(r1: np.ndarray) -> np.ndarray:  # [i, r2, tau]: the law fails at r1[i]
         r1 = r1[:, None, None]
-        rhs = (table[r2, small.table[back[r1], tau]] + table[r1, tau]) % 2
-        return table[big.table[r1, r2], tau] != rhs
+        rhs = (table[r2, small.mul_array(back[r1], tau)] + table[r1, tau]) % 2
+        return table[big.mul_array(r1, r2), tau] != rhs
 
     gens = np.array(big.generators())
     bad = fails(gens).any(axis=(1, 2))

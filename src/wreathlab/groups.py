@@ -124,13 +124,16 @@ def _int64_indices(values, error: type[Exception]) -> np.ndarray:
 class Group:
     """The element protocol every group representation honours.
 
-    A group has ``order``, ``identity`` and ``name``; scalar ``mul`` and
-    ``inv``; ``mul_array``, the product broadcast over index arrays; ``label``;
-    and ``generators()``, on which hom laws are checked.  ``FiniteGroup`` stores
-    its Cayley table.  ``wreath.WreathGroup``, the one wreath product object, computes
+    A group has ``order``, ``identity`` and ``name``; ``mul``/``mul_array`` and
+    ``inv``/``inv_array`` on one index or broadcast over index arrays;
+    ``label``/``label_index``; ``generators()``, on which hom laws are checked;
+    and ``point_maps`` or None.  Constructions read groups through these only;
+    ``FiniteGroup`` stores its Cayley table.  ``wreath.WreathGroup`` computes
     products from the wreath formula, adds the array codec (``encode_array``,
     ``decode_array``, ``labels``) and builds its table on request (``dense``).
     """
+
+    point_maps = None
 
     def power(self, x: int, k: int) -> int:
         """x^k by square and multiply, in O(log |k|) products."""
@@ -218,6 +221,9 @@ class FiniteGroup(Group):
 
     def mul_array(self, a, b) -> np.ndarray:
         return self.table[a, b]
+
+    def inv_array(self, a) -> np.ndarray:
+        return self.inverses[a]
 
     def label(self, x: int) -> str:
         return self.labels[x]
@@ -450,7 +456,7 @@ def certify_hom(phi: GroupHom) -> Certificate:
                        counterexample)
 
 
-def identity_hom(g: FiniteGroup) -> GroupHom:
+def identity_hom(g: Group) -> GroupHom:
     return GroupHom(g, g, np.arange(g.order), validate=False)
 
 
@@ -461,7 +467,7 @@ class Section:
     holds G-element indices.  A section is not required to be a homomorphism.
     """
 
-    def __init__(self, domain, to: FiniteGroup, choice):
+    def __init__(self, domain, to: Group, choice):
         self.domain = domain
         self.to = to
         self.choice = _int64_indices(choice, SectionMismatchError)
@@ -643,25 +649,24 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
                        _generator_source=_ascending_generators)
 
 
-def subgroup_from_elements(g: FiniteGroup, elems: Iterable[int], name: Optional[str] = None):
+def subgroup_from_elements(g: Group, elems: Iterable[int], name: Optional[str] = None):
     """Subgroup on a closed element set, indexed by ascending parent index."""
-    members = sorted(set(int(x) for x in elems))
-    if members and not 0 <= members[0] <= members[-1] < g.order:
+    members = np.array(sorted(set(int(x) for x in elems)), dtype=np.int64)
+    if len(members) and not 0 <= members[0] <= members[-1] < g.order:
         raise GroupValidationError("element index out of the group's range")
     pos = np.full(g.order, -1, dtype=np.int32)
     pos[members] = np.arange(len(members))
-    table = pos[g.table[np.ix_(members, members)]]
+    table = pos[g.mul_array(members[:, None], members)]
     if (table < 0).any():
         i, j = divmod(int((table < 0).argmax()), len(members))
         raise GroupValidationError(
             f"element set not closed: g{members[i]}*g{members[j]} escapes")
-    labels = [g.labels[x] for x in members]
-    maps = [g.point_maps[x] for x in members] if g.point_maps is not None else None
+    labels = [g.label(x) for x in members.tolist()]
+    maps = [g.point_maps[x] for x in members.tolist()] if g.point_maps is not None else None
     sub = FiniteGroup(table, identity=int(pos[g.identity]), labels=labels,
                       name=name or f"subgroup({len(members)}) of {g.name}", point_maps=maps,
                       _generator_source=_ascending_generators)
-    incl = GroupHom(sub, g, np.array(members, dtype=np.int64))
-    return sub, incl
+    return sub, GroupHom(sub, g, members)
 
 
 def closure(g: Group, gens: Iterable[int], start: Optional[Iterable[int]] = None) -> list[int]:
@@ -720,7 +725,7 @@ def _powers_outside(g: Group, y: int, seen: set) -> list[int]:
     return powers[1:]
 
 
-def subgroup_generated(g: FiniteGroup, gens: Iterable[int]):
+def subgroup_generated(g: Group, gens: Iterable[int]):
     """Closure of ``gens`` under multiplication, as (subgroup, inclusion)."""
     return subgroup_from_elements(g, closure(g, gens))
 
@@ -729,14 +734,14 @@ def center_subgroup(g: FiniteGroup):
     return subgroup_from_elements(g, g.center_indices(), name=f"Z({g.name})")
 
 
-def normal_core(g: FiniteGroup, h: GroupHom):
+def normal_core(g: Group, h: GroupHom):
     """Largest normal subgroup of g inside image(h): intersection of conjugates."""
     members = np.array(sorted(h.image_set()), dtype=np.int64)
     in_h = np.zeros(g.order, dtype=bool)
     in_h[members] = True
     # m is in the core iff x^-1 m x lies in H for every x; row x holds those conjugates
     x = np.arange(g.order)[:, None]
-    conj = g.table[g.table[g.inverses[x], members], x]
+    conj = g.mul_array(g.mul_array(g.inv_array(x), members), x)
     core = members[in_h[conj].all(axis=0)]
     return subgroup_from_elements(g, core, name=f"core of {h.domain.name} in {g.name}")
 
@@ -761,24 +766,24 @@ def coset_partition(g: Group, members) -> tuple[np.ndarray, np.ndarray]:
     return np.array(coset_of, dtype=np.int64), np.array(reps, dtype=np.int64)
 
 
-def quotient(g: FiniteGroup, n: GroupHom):
+def quotient(g: Group, n: GroupHom):
     """Coset group g/image(n) with its projection; representatives are minimal.
-    Nx and xN both have |N| elements, so N is normal when every n x lies in x's
-    left coset, which is tested in row blocks; a failure names the least x."""
+    Nx and xN both have |N| elements, so N is normal when every n x lies in xN.
+    That holds on xN once it holds for x, so only the ascending representatives
+    are tested, in |G| products; the first that fails is the least failing x."""
     members = np.array(sorted(n.image_set()), dtype=np.int64)
     coset_of, reps = coset_partition(g, members)
-    first = _first_failure(lambda a, b: coset_of[g.table[members, a:b]].T != coset_of[a:b, None],
-                           g.order, len(members))
-    if first is not None:
-        raise NonNormalSubgroupError(f"gN != Ng at g index {first // len(members)}")
+    bad = (coset_of[g.mul_array(members[:, None], reps)] != np.arange(len(reps))).any(axis=0)
+    if bad.any():
+        raise NonNormalSubgroupError(f"gN != Ng at g index {reps[bad.argmax()]}")
     q = _coset_group(g, coset_of, reps, f"{g.name}/{n.domain.name}")
     return q, GroupHom(g, q, coset_of)
 
 
-def _coset_group(g: FiniteGroup, coset_of: np.ndarray, reps: np.ndarray, name: str) -> FiniteGroup:
+def _coset_group(g: Group, coset_of: np.ndarray, reps: np.ndarray, name: str) -> FiniteGroup:
     """The group of the cosets of a normal subgroup, given as ``coset_partition`` gives them."""
-    table = coset_of[g.table[reps[:, None], reps[None, :]]]
-    labels = [f"[{g.labels[r]}]" for r in reps]
+    table = coset_of.astype(np.int32)[g.mul_array(reps[:, None], reps)]
+    labels = [f"[{g.label(r)}]" for r in reps]
     return FiniteGroup(table, identity=int(coset_of[g.identity]), labels=labels, name=name,
                        _generator_source=_ascending_generators)
 

@@ -32,6 +32,7 @@ from .fields import MultiQuadField, QuadraticTower, verify_cocycle
 from .groups import (
     Certificate,
     FiniteGroup,
+    Group,
     GroupHom,
     center_subgroup,
     closure,
@@ -122,7 +123,7 @@ def stabilizer_subgroup(g: FiniteGroup, point: int):
     return subgroup_from_elements(g, members, name=f"stab({point}) in {g.name}")
 
 
-def ses_from_subgroup(g: FiniteGroup, incl: GroupHom) -> ShortExactSequence:
+def ses_from_subgroup(g: Group, incl: GroupHom) -> ShortExactSequence:
     _q, proj = quotient(g, incl)
     return ShortExactSequence(incl, proj)
 

@@ -8,14 +8,15 @@ It holds the encoding and the one statement of the product formula as
 broadcasting functions on int64 index arrays; its scalar ``encode``,
 ``decode``, ``mul``, ``inv`` and ``label`` apply them to one index, and
 ``theta_table`` reads theta_h(f)(w) = f(h^-1 . w) off the formula.  It honours
-the group protocol of ``groups.Group``, so hom checks, closures, embeddings and
-transports run on it with nothing of size ``order`` stored.
+the group protocol of ``groups.Group`` and reads its factors through it, so either
+factor may itself be structural, and hom checks, closures, quotients, embeddings
+and transports run on it with nothing of size ``order`` stored.
 
 ``WreathGroup.dense()`` builds the Cayley table as a ``FiniteGroup`` on
 request (search, small-group identification and JSON export read tables) and
 refuses an order above ``DENSE_CAP_DEFAULT`` before it allocates anything.  It
 is assembled from the pointwise product of the B = |K|^|Omega| tuples, K's
-table raised to a direct power one point at a time, and the theta table.
+products raised to a direct power one point at a time, and the theta table.
 
 A product is refused only past the int64 index range; ``theta_table`` and the
 transports, which enumerate every element, also refuse an order above
@@ -47,12 +48,13 @@ def _check_wreath_order(n_base: int, n_points: int, n_top: int,
 
     The message writes an order past 20 digits as ``base^points * top``, and
     says "at least" when n_top is only a lower bound on the top group's order.
+    From 2^16 points on two or more base elements the order (>= 2^65536) is not formed: it is None.
     """
-    order = n_base**n_points * n_top
-    text = str(order) if order < 10**20 else f"{n_base}^{n_points} * {n_top}"
+    order = n_base**n_points * n_top if n_base < 2 or n_points < 2**16 else None
+    text = f"{n_base}^{n_points} * {n_top}" if order is None or order >= 10**20 else str(order)
     if at_least:
         text = f"at least {text}"
-    if order >= _INDEX_LIMIT:
+    if order is None or order >= _INDEX_LIMIT:
         raise SizeLimitError(f"wreath order {text} exceeds the int64 index range", order)
     if cap is not None and order > cap:
         raise SizeLimitError(f"wreath order {text} exceeds cap {cap}", order)
@@ -65,7 +67,7 @@ class WreathGroup(Group):
     shapes; the scalar methods are checked, and the order against int64 first.
     """
 
-    def __init__(self, base_group: FiniteGroup, top: FiniteGSet):
+    def __init__(self, base_group: Group, top: FiniteGSet):
         _check_wreath_order(base_group.order, top.size, top.group.order)
         self.base_group = base_group
         self.top = top
@@ -77,11 +79,8 @@ class WreathGroup(Group):
         self.order = self.tuple_count * self.n_top
         self.powers = [self.n_base**j for j in range(self.n_points)]
         self._pw = np.array(self.powers, dtype=np.int64)
-        # the factors' own int32 arrays, not copies: each product with one takes an int64 scalar
-        self._ktab, self._kinv = base_group.table, base_group.inverses
-        self._htab, self._hinv = top.group.table, top.group.inverses
-        self._tuples = np.int64(self.tuple_count)
-        self._inv_act = top.act[top.group.inverses]  # row h is the action of h^-1
+        self._tuples = np.int64(self.tuple_count)  # int64: a table group's products are int32
+        self._inv_act = top.act[top.group.inv_array(np.arange(self.n_top))]  # row h: h^-1's action
         self.identity = self.encode([base_group.identity] * self.n_points, top.group.identity)
         self._dense: Optional[FiniteGroup] = None
 
@@ -124,19 +123,19 @@ class WreathGroup(Group):
         """(f1, h1)(f2, h2) = (f1 * theta_h1(f2), h1 h2) with theta_h1(f2)(w) = f2(h1^-1 . w)."""
         f1, h1 = self.decode_array(x)
         h2, t2 = np.divmod(np.asarray(y, dtype=np.int64), self.tuple_count)
-        rows = self._inv_act[h1]
-        t = self._htab[h1, h2] * self._tuples
+        k, rows = self.base_group, self._inv_act[h1]
+        t = self.top.group.mul_array(h1, h2) * self._tuples
         # one point at a time keeps every temporary at the broadcast shape
         for w in range(self.n_points):
             moved = t2 // self._pw[rows[..., w]] % self.n_base  # digit of f2 at h1^-1 . w
-            t = t + self._ktab[f1[..., w], moved] * self._pw[w]
+            t = t + k.mul_array(f1[..., w], moved) * self._pw[w]
         return t
 
     def inv_array(self, x) -> np.ndarray:
         """(f, h)^-1 = (theta_h^-1(f^-1), h^-1) with theta_h^-1(f)(w) = f(h . w)."""
         f, h = self.decode_array(x)
         moved = np.take_along_axis(f, self.top.act[h], axis=-1)
-        return self._hinv[h] * self._tuples + self._kinv[moved] @ self._pw
+        return self.top.group.inv_array(h) * self._tuples + self.base_group.inv_array(moved) @ self._pw
 
     def tuple_product(self, f, g) -> np.ndarray:
         """Pointwise product of tuple-index arrays, read off (f, e)(g, e) = (fg, e)."""
@@ -162,12 +161,13 @@ class WreathGroup(Group):
         ``groups.direct_product``.
         """
         B, n, n_top = self.tuple_count, self.n_base, self.n_top
-        kt, prod = self._ktab, np.zeros((1, 1), dtype=np.int32)
+        k, h = np.arange(n), np.arange(n_top)
+        kt, prod = self.base_group.mul_array(k[:, None], k), np.zeros((1, 1), dtype=np.int32)
         for j in range(self.n_points):
             m = n * prod.shape[0]
             prod = (kt[:, None, :, None] * self.powers[j] + prod[None, :, None, :]).reshape(m, m)
         theta_of = self.theta_table()
-        tops = (self._htab * B)[:, None, :, None]
+        tops = (self.top.group.mul_array(h[:, None], h) * B)[:, None, :, None]
         table = np.empty((n_top, B, n_top, B), dtype=np.int32)
         for h1 in range(n_top):  # row of blocks h1: prod[f1, theta[h1, f2]] + h1 h2 B
             vals = np.take(prod, theta_of[h1], axis=1)  # 2-3x faster than prod[:, idx]
@@ -187,15 +187,15 @@ class WreathGroup(Group):
         bad = (x < 0) | (x >= self.order)
         if bad.any():
             raise WreathlabError(f"wreath index {int(x[bad][0])} out of range")
-        digits, tops = self.decode_array(x)
-        k, h = self.base_group.labels, self.top.group.labels
-        return [f"({','.join([k[d] for d in f])}; {h[t]})"
-                for f, t in zip(digits.tolist(), tops.tolist())]
+        digits, tops = (a.tolist() for a in self.decode_array(x))
+        k = {d: self.base_group.label(d) for d in set().union(*digits)}
+        h = {t: self.top.group.label(t) for t in set(tops)}
+        return [f"({','.join([k[d] for d in f])}; {h[t]})" for f, t in zip(digits, tops)]
 
     def label(self, x: int) -> str:
         return self.labels([x])[0]
 
-    def parse_element(self, text: str) -> int:
+    def label_index(self, text: str) -> int:
         """The index of ``(k_0,...,k_{n-1}; h)``, the inverse of ``label``.
 
         The text splits at the ``;`` and the commas that lie outside every
@@ -249,11 +249,11 @@ def _split_outside(text: str, sep: str) -> list[str]:
     return parts
 
 
-def build_wreath(k: FiniteGroup, omega: FiniteGSet) -> WreathGroup:
-    """Complete wreath product K wr_Omega H for H = omega.group."""
+def build_wreath(k: Group, omega: FiniteGSet) -> WreathGroup:
+    """Complete wreath product K wr_Omega H for H = omega.group; either may be structural."""
     return WreathGroup(k, omega)
 
 
-def regular_wreath(k: FiniteGroup, h: FiniteGroup) -> WreathGroup:
+def regular_wreath(k: Group, h: FiniteGroup) -> WreathGroup:
     """Regular wreath product K wr_r H (Omega = H under left multiplication)."""
     return build_wreath(k, regular_action(h))

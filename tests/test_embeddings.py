@@ -515,3 +515,22 @@ def test_iso_suite_builds_two_order_1296_tables(monkeypatch):
 def test_solvability_rejects_large_primes():
     with pytest.raises(UnsupportedPrimeError):
         solvability_witness(construct_named("C:2"), 5)
+
+
+@pytest.mark.parametrize("mode", ["kk", "omega"])
+def test_both_embeddings_of_a_structural_group_match_its_dense_table(mode):
+    """G = C:2 wr S:3 on three points, order 48, embedded over its base group C:2^3."""
+    c2, s3 = construct_named("C:2"), construct_named("S:3")
+    g = build_wreath(c2, natural_action(3, s3))
+    base = [g.encode(f, s3.identity) for f in np.ndindex(2, 2, 2)]
+    results = []
+    for group in (g, g.dense()):
+        _n, incl = subgroup_from_elements(group, base)
+        if mode == "kk":
+            w, phi = kk_embedding(ses_from_subgroup(group, incl))
+        else:
+            w, phi = omega_embedding(group, incl)
+        results.append((phi.image.tolist(), w.labels(phi.image), verify_embedding(phi).to_json()))
+    assert results[0] == results[1]
+    report = results[0][2]
+    assert report["is_homomorphism"] and report["is_injective"] and report["image_order"] == 48

@@ -17,9 +17,11 @@ from wreathlab import (
     certify_hom,
     check_presentation_d4,
     construct_named,
+    coset_action,
     natural_action,
     regular_action,
     regular_wreath,
+    subgroup_from_elements,
 )
 from wreathlab import wreath
 from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure, direct_product
@@ -259,6 +261,17 @@ def test_the_refusal_writes_an_order_past_20_digits_as_a_power(n_base, n_points,
     assert str(err.value) == text and err.value.order == n_base**n_points * n_top
 
 
+def test_an_order_of_2_to_the_65536_or_more_is_refused_without_being_formed():
+    """2^(2^40) would take 2^37 bytes: past 2^16 points the refusal never forms it."""
+    with pytest.raises(SizeLimitError) as err:
+        _check_wreath_order(2, 2**40, 2**40)
+    assert str(err.value) == ("wreath order 2^1099511627776 * 1099511627776 "
+                              "exceeds the int64 index range")
+    assert err.value.order is None
+    # a trivial base group has order n_top, whatever the points
+    _check_wreath_order(1, 2**40, 5)
+
+
 def digit_decode(w, x):
     """The mixed-radix decode as a digit loop: point 0 is the least significant digit."""
     h, t = divmod(x, w.base_group.order**w.top.size)
@@ -350,26 +363,26 @@ def test_top_projection_is_exact():
 def test_element_print_and_parse():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     assert w.label(w.encode((0, 1), 1)) == "(0,1; 1)"
-    assert w.parse_element("(0,1; 1)") == w.encode((0, 1), 1)
+    assert w.label_index("(0,1; 1)") == w.encode((0, 1), 1)
     for x in range(w.order):
-        assert w.parse_element(w.label(x)) == x
+        assert w.label_index(w.label(x)) == x
     with pytest.raises(WreathlabError):
-        w.parse_element("0,1; 1")
+        w.label_index("0,1; 1")
     with pytest.raises(WreathlabError):
-        w.parse_element("(0; 1)")
+        w.label_index("(0; 1)")
 
 
 def test_a_label_with_commas_reads_back():
     c2 = construct_named("C:2")
     w = regular_wreath(direct_product(c2, c2), c2)
     assert w.label(5) == "((0,1),(0,1); 0)"
-    assert w.parse_element("((0,1),(0,1); 0)") == 5
+    assert w.label_index("((0,1),(0,1); 0)") == 5
     for text in ("((0,1); 0)", "((0,1),(0,1),(0,0); 0)"):
         with pytest.raises(WreathlabError, match="expected 2 tuple entries"):
-            w.parse_element(text)
+            w.label_index(text)
     for text in ("((0,1),(0,1) 0)", "((0,1),(0,1); 0; 1)", "(0,1),(0,1); 0", "()"):
         with pytest.raises(WreathlabError, match="cannot parse"):
-            w.parse_element(text)
+            w.label_index(text)
 
 
 def test_element_orders_in_the_d4_wreath():
@@ -445,11 +458,11 @@ def test_codec_generators_generate_every_dense_product(k_spec, h_spec, degree):
 
 @pytest.mark.parametrize("k_spec,h_spec,degree",
                          [("C:2 x C:2", "C:2", None), ("C:2 x C:3", "S:3", 3), *DENSE_THETA_SHAPES])
-def test_parse_element_reads_back_every_label(k_spec, h_spec, degree):
+def test_label_index_reads_back_every_label(k_spec, h_spec, degree):
     k = functools.reduce(direct_product, map(construct_named, k_spec.split(" x ")))
     h = construct_named(h_spec)
     w = build_wreath(k, regular_action(h) if degree is None else natural_action(degree, h))
-    assert [w.parse_element(text) for text in w.labels(np.arange(w.order))] == list(range(w.order))
+    assert [w.label_index(text) for text in w.labels(np.arange(w.order))] == list(range(w.order))
 
 
 def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
@@ -541,3 +554,47 @@ def test_every_method_the_tracer_wraps_is_defined_on_its_own_class():
     assert wreath.WreathProduct is WreathGroup
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     assert w.product is w
+
+
+# -- structural factors ------------------------------------------------------------
+
+
+def assert_same_product(a, b):
+    """Two wreath products agree on every product, inverse, label, generator and table."""
+    x = np.arange(a.order)
+    assert a.order == b.order
+    assert (a.mul_array(x[:, None], x) == b.mul_array(x[:, None], x)).all()
+    assert (a.inv_array(x) == b.inv_array(x)).all()
+    assert a.labels(x) == b.labels(x)
+    assert a.generators() == b.generators()
+    assert (a.dense().table == b.dense().table).all()
+    assert [a.label_index(text) for text in a.labels(x)] == x.tolist()
+
+
+def test_a_structural_wreath_serves_as_the_base_group():
+    c2 = construct_named("C:2")
+    w = regular_wreath(c2, c2)
+    nested = build_wreath(w, regular_action(c2))
+    assert isinstance(nested.base_group, WreathGroup) and nested.order == 128
+    assert_same_product(nested, build_wreath(w.dense(), regular_action(c2)))
+    assert nested.label(37) == "((1,0; 1),(0,0; 1); 0)"
+
+
+def test_a_structural_wreath_serves_as_the_top_group():
+    c2 = construct_named("C:2")
+    w = regular_wreath(c2, c2)
+    pair = [w.identity, w.encode((1, 1), 0)]
+    omega, _ = coset_action(w, subgroup_from_elements(w, pair)[1])
+    omega_dense, _ = coset_action(w.dense(), subgroup_from_elements(w.dense(), pair)[1])
+    assert omega.group is w and (omega.act == omega_dense.act).all()
+    assert omega.point_labels == omega_dense.point_labels
+    assert_same_product(build_wreath(c2, omega), build_wreath(c2, omega_dense))
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 1), (2, 3, 4)])
+def test_inv_array_is_the_inverse_table_on_broadcast_shapes(shape):
+    s4 = construct_named("S:4")
+    idx = np.random.default_rng(7).integers(0, s4.order, shape)
+    out = s4.inv_array(idx)
+    assert out.shape == idx.shape and (out == s4.inverses[idx]).all()
+    assert s4.inv_array(5) == s4.inv(5)
