@@ -131,27 +131,35 @@ def all_sections(eps: GroupHom):
         yield Section(eps.codomain, eps.domain, np.array(combo, dtype=np.int64))
 
 
+def _random_choice(fibers: list[list[int]], rng: random.Random) -> list[int]:
+    """One preimage per point, drawn by rng in point order."""
+    return [rng.choice(fiber) for fiber in fibers]
+
+
 def random_section(eps: GroupHom, rng: random.Random) -> Section:
-    choice = [rng.choice(fiber) for fiber in _fibers(eps)]
+    choice = _random_choice(_fibers(eps), rng)
     return Section(eps.codomain, eps.domain, np.array(choice, dtype=np.int64))
 
 
-def _check_section(point_of: np.ndarray, s: Section, size: int) -> None:
-    """s must pick one preimage under point_of of each point 0..size-1, in order."""
-    if len(s) != size:
-        raise SectionMismatchError(f"section has {len(s)} values for {size} points")
-    if s.choice.min() < 0 or s.choice.max() >= len(point_of):
+def _check_section(point_of: np.ndarray, choice: np.ndarray, size: int) -> None:
+    """Each row of choice, of shape (..., size), must pick one preimage under
+    point_of of each point 0..size-1, in order."""
+    if choice.shape[-1] != size:
+        raise SectionMismatchError(f"section has {choice.shape[-1]} values for {size} points")
+    if choice.min() < 0 or choice.max() >= len(point_of):
         raise SectionMismatchError("section value out of the group's index range")
-    bad = point_of[s.choice] != np.arange(size)
+    bad = point_of[choice] != np.arange(size)
     if bad.any():
-        t = int(bad.argmax())
+        at = int(bad.argmax())
+        t = at % size
         raise SectionMismatchError(
-            f"section value s({t}) lies over point {int(point_of[s(t)])}, not {t}")
+            f"section value s({t}) lies over point {int(point_of[choice.flat[at]])}, not {t}")
 
 
-def _sigma_image(g: Group, tops: np.ndarray, s: Section, sub: GroupHom,
+def _sigma_image(g: Group, tops: np.ndarray, choice: np.ndarray, sub: GroupHom,
                  w: WreathGroup) -> np.ndarray:
-    """Wreath index of (sigma_x, top(x)) for every x in g.
+    """Wreath index of (sigma_x, top(x)) for every x in g, for each section s
+    whose values s(p) are a row of choice: shape (..., |Omega|) -> (..., |g|).
 
     sigma_x(p) = s(p)^-1 * x * s(top(x)^-1 . p) for each point p of
     Omega = w.top, all at once in two ``mul_array`` calls of g.  Every value is
@@ -159,12 +167,13 @@ def _sigma_image(g: Group, tops: np.ndarray, s: Section, sub: GroupHom,
     """
     moved = w.top.act[w.top.group.inv_array(tops)]  # row x is p |-> top(x)^-1 . p
     x = np.arange(g.order)[:, None]
-    vals = g.mul_array(g.mul_array(g.inv_array(s.choice)[None, :], x), s.choice[moved])
+    s_moved = choice.take(moved, axis=-1)  # s(top(x)^-1 . p); take is faster than [..., moved]
+    vals = g.mul_array(g.mul_array(g.inv_array(choice)[..., None, :], x), s_moved)
     digit_of = np.full(g.order, -1, dtype=np.int64)
     digit_of[sub.image] = np.arange(sub.domain.order)
     digits = digit_of[vals]
     if (digits < 0).any():
-        x, p = divmod(int((digits < 0).argmax()), w.top.size)
+        x, p = np.unravel_index(int((digits < 0).argmax()), digits.shape)[-2:]
         raise SectionMismatchError(
             f"sigma_g({p}) for g index {x} escapes the image of the base group")
     return w.encode_array(digits, tops)
@@ -181,9 +190,9 @@ def kk_embedding(ses: ShortExactSequence,
     eps = ses.g_to_q
     if s is None:
         s = default_section(eps)
-    _check_section(eps.image, s, ses.q.order)
+    _check_section(eps.image, s.choice, ses.q.order)
     w = ses.wreath()
-    return w, GroupHom(ses.g, w, _sigma_image(ses.g, eps.image, s, ses.n_to_g, w))
+    return w, GroupHom(ses.g, w, _sigma_image(ses.g, eps.image, s.choice, ses.n_to_g, w))
 
 
 # ``perfbench/workloads.py`` passes the last parameter, unused; ROADMAP item 3 deletes it
@@ -203,9 +212,9 @@ def omega_embedding(g: Group, h_k: GroupHom, s: Optional[Section] = None,
     s = reps if s is None else s
     # the coset of x is x . p_H, where p_H = r_0^-1 . 0 is the point of the coset H
     p_h = omega_g.act[g.inv(reps(0)), 0]
-    _check_section(omega_g.act[:, p_h], s, omega_g.size)
+    _check_section(omega_g.act[:, p_h], s.choice, omega_g.size)
     w = build_wreath(h_k.domain, omega_q)
-    return w, GroupHom(g, w, _sigma_image(g, tops, s, h_k, w))
+    return w, GroupHom(g, w, _sigma_image(g, tops, s.choice, h_k, w))
 
 
 def verify_embedding(phi: GroupHom) -> EmbeddingReport:

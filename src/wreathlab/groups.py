@@ -83,10 +83,14 @@ def _first_failure(law: Callable[[int, int], np.ndarray], rows: int, width: int)
     return None
 
 
-def _count_distinct(values: np.ndarray) -> int:
-    """The number of distinct values, by one sort: ``np.unique`` would import numpy.ma."""
-    v = np.sort(values, axis=None)
-    return int(np.count_nonzero(v[1:] != v[:-1])) + (v.size > 0)
+def _count_distinct(values: np.ndarray):
+    """The number of distinct values along the last axis, by one sort: an int for
+    one row, an array of counts for stacked rows.  ``np.unique`` would import numpy.ma."""
+    v = np.sort(values, axis=-1)
+    new = v[..., 1:] != v[..., :-1]
+    if v.ndim == 1:
+        return int(np.count_nonzero(new)) + (v.size > 0)
+    return np.count_nonzero(new, axis=-1) + (v.shape[-1] > 0)
 
 
 def _int64_rows(table) -> np.ndarray:
@@ -162,7 +166,8 @@ class FiniteGroup(Group):
     ``identity`` must be a Python or numpy integer.  ``_generator_source``, for
     tables the package builds, maps the group to its generators; it is called
     on first use of ``generators()`` instead of picking them with Light's test
-    at construction.
+    at construction.  ``_label_source``, in place of ``labels``, gives the
+    labels on their first read; without either they are the indices.
     """
 
     def __init__(
@@ -173,6 +178,7 @@ class FiniteGroup(Group):
         name: Optional[str] = None,
         point_maps: Optional[Sequence[tuple]] = None,
         _generator_source: Optional[Callable[[FiniteGroup], list[int]]] = None,
+        _label_source: Optional[Callable[[], list[str]]] = None,
     ):
         if isinstance(identity, bool) or not isinstance(identity, (int, np.integer)):
             raise GroupFormatError(f"identity must be an integer, got {identity!r}")
@@ -195,13 +201,15 @@ class FiniteGroup(Group):
                 f"table not closed: entry at {tuple(int(v) for v in bad)} out of range")
         self.identity = int(identity)
         self.table = table.astype(np.int32, copy=False)
-        self.labels = [str(x) for x in labels] if labels is not None else [str(i) for i in range(self.order)]
-        if len(self.labels) != self.order:
+        self._labels = [str(x) for x in labels] if labels is not None else None
+        if self._labels is not None and len(self._labels) != self.order:
             raise GroupFormatError("labels length does not match group order")
+        self._label_source = _label_source
         self.name = name
         # one-line point data for permutation-like families (S:n, A:n, AGL:p)
         self.point_maps = list(point_maps) if point_maps is not None else None
         self._orders: Optional[np.ndarray] = None
+        self._center: Optional[list[int]] = None
         self._generators: Optional[list[int]] = None
         self._generator_source = _generator_source
         self._validate()
@@ -224,6 +232,14 @@ class FiniteGroup(Group):
 
     def inv_array(self, a) -> np.ndarray:
         return self.inverses[a]
+
+    @property
+    def labels(self) -> list[str]:
+        """Display labels by index, made on first read where none were given."""
+        if self._labels is None:
+            source = self._label_source or (lambda: [str(i) for i in range(self.order)])
+            self._labels = source()
+        return self._labels
 
     def label(self, x: int) -> str:
         return self.labels[x]
@@ -259,8 +275,10 @@ class FiniteGroup(Group):
         return self._orders
 
     def center_indices(self) -> list[int]:
-        mask = (self.table == self.table.T).all(axis=1)
-        return [int(i) for i in np.nonzero(mask)[0]]
+        """The central elements, ascending, computed once per group."""
+        if self._center is None:
+            self._center = np.flatnonzero((self.table == self.table.T).all(axis=1)).tolist()
+        return list(self._center)
 
     def __repr__(self) -> str:
         name = self.name or "FiniteGroup"
@@ -389,10 +407,8 @@ class GroupHom:
 
     def _fails(self, lo: int, hi: int, b: Optional[np.ndarray] = None) -> np.ndarray:
         """bad[a - lo, j] is phi(a b_j) != phi(a) phi(b_j), for the rows lo <= a < hi
-        and the columns b, every element by default: the one statement of the hom law."""
-        img, a = self.image, np.arange(lo, hi)[:, None]
-        b = np.arange(self.domain.order) if b is None else b
-        return img[self.domain.mul_array(a, b)] != self.codomain.mul_array(img[a], img[b])
+        and the columns b, every element by default."""
+        return _hom_law_fails(self.domain, self.codomain, self.image, lo, hi, b)
 
     def find_hom_counterexample(self):
         """First (a, b) with phi(ab) != phi(a)phi(b) over all pairs, row-major, or None."""
@@ -424,6 +440,17 @@ class GroupHom:
 
     def __repr__(self) -> str:
         return f"<GroupHom {self.domain!r} -> {self.codomain!r}>"
+
+
+def _hom_law_fails(domain: Group, codomain: Group, img: np.ndarray, lo: int, hi: int,
+                   b: Optional[np.ndarray] = None) -> np.ndarray:
+    """bad[a - lo, j, ...] is phi(a b_j) != phi(a) phi(b_j) for the rows lo <= a < hi
+    and the columns b, every element by default.  img holds phi's values, of shape
+    (|domain|,), or of several maps side by side, (|domain|, m): trailing axes
+    index and broadcast as one map does.  The one statement of the hom law."""
+    a = np.arange(lo, hi)[:, None]
+    b = np.arange(domain.order) if b is None else b
+    return img[domain.mul_array(a, b)] != codomain.mul_array(img[a], img[b])
 
 
 @dataclass(frozen=True)
@@ -471,6 +498,9 @@ class Section:
         self.domain = domain
         self.to = to
         self.choice = _int64_indices(choice, SectionMismatchError)
+        if self.choice.ndim != 1:  # embeddings read stacked rows as several sections
+            raise SectionMismatchError(
+                f"section values must be one row, got shape {self.choice.shape}")
         self.choice.setflags(write=False)
 
     def __call__(self, q: int) -> int:

@@ -6,9 +6,13 @@ products with the generators already mapped.  It extends each assignment over
 the generated subgroup with full edge consistency (img[x*s] == img[x]*img[s]
 for every already-mapped x and every generator s), which certifies the
 homomorphism law on the subgroup.  Budget exhaustion raises, so it is never
-confused with a negative answer.  Groups are read only through ``mul``,
-``mul_array``, ``element_orders()`` and ``conjugacy_classes()``, never
-through a table.
+confused with a negative answer.  Groups are read only through ``mul_array``,
+``element_orders()`` and ``conjugacy_classes()``, never through a table.
+
+Each generator's column of the domain is read once, by one ``mul_array``.
+The codomain is read only through ``mul_array`` too, with no scalar product
+per edge: an extension walks the breadth-first queue one frontier at a time,
+and the images of a frontier's edges come from one ``mul_array``.
 
 The search state is held in Python containers: the partial map ``img`` is a
 list and the used codomain elements a bytearray, so extending a map reads no
@@ -47,6 +51,8 @@ class _Search:
         # highest order first, ties by ascending index
         ranked = np.argsort(-self.a_orders, kind="stable").tolist()
         self.gens, self.levels = _pick_generators(a, ranked)
+        # cols[i][x] = x * gens[i], each generator's column of a read once
+        self.cols = a.mul_array(np.arange(a.order)[:, None], self.gens).T.tolist()
         self.img = [-1] * a.order
         self.used = bytearray(b.order)
         self.used_view = np.frombuffer(self.used, dtype=bool)
@@ -72,7 +78,7 @@ class _Search:
         pool = pool[~self.used_view[pool]]
         # ord(g_j g_new) must equal ord(img(g_j) h) for every mapped generator g_j
         for gj in self.gens[:level]:
-            want = self.a_orders[self.a.mul(gj, g_new)]
+            want = self.a_orders[self.cols[level][gj]]
             pool = pool[self.b_orders[self.b.mul_array(self.img[gj], pool)] == want]
         return pool.tolist()
 
@@ -97,33 +103,43 @@ class _Search:
             self.img[y] = -1
 
     def _extend(self, level: int, mapped: list[int], g_new: int, h: int):
-        """Map the generated subgroup; None (with rollback) on any conflict."""
-        a_mul, b_mul, img, used = self.a.mul, self.b.mul, self.img, self.used
-        gens_now = self.gens[: level + 1]
-        img_gens = [img[g] for g in gens_now[:-1]] + [h]
+        """Map the generated subgroup; None (with rollback) on any conflict.
+
+        The edges x -> x s are examined in breadth-first order, x in the queue
+        and s among the generators so far, one frontier of the queue at a
+        time: the images img[x] img[s] of a frontier's edges come from one
+        ``mul_array`` of b, and each edge counts one node of the budget."""
+        img, used, budget = self.img, self.used, self.budget
+        cols = self.cols[: level + 1]
+        img_gens = np.array([img[g] for g in self.gens[:level]] + [h], dtype=np.int64)
         added = [g_new]
         img[g_new] = h
         used[h] = True
-        queue = list(mapped) + [g_new]
-        for x in queue:  # grows as the subgroup is mapped
-            ix = img[x]
-            for s, hs in zip(gens_now, img_gens):
-                self.nodes += 1
-                if self.nodes > self.budget:
-                    self._undo(added)
-                    raise SearchBudgetExceededError(
-                        f"embedding search exceeded {self.budget} nodes")
-                y = a_mul(x, s)
-                iy = b_mul(ix, hs)
-                j = img[y]
-                if j < 0 and not used[iy]:
-                    img[y] = iy
-                    used[iy] = True
-                    added.append(y)
-                    queue.append(y)
-                elif j != iy:
-                    self._undo(added)
-                    return None
+        frontier, nodes = list(mapped) + [g_new], self.nodes
+        while frontier:
+            found = []
+            targets = self.b.mul_array(np.array([img[x] for x in frontier])[:, None], img_gens)
+            for x, iys in zip(frontier, targets.tolist()):
+                for col, iy in zip(cols, iys):
+                    nodes += 1
+                    if nodes > budget:
+                        self.nodes = nodes
+                        self._undo(added)
+                        raise SearchBudgetExceededError(
+                            f"embedding search exceeded {budget} nodes")
+                    y = col[x]
+                    j = img[y]
+                    if j < 0 and not used[iy]:
+                        img[y] = iy
+                        used[iy] = True
+                        added.append(y)
+                        found.append(y)
+                    elif j != iy:
+                        self.nodes = nodes
+                        self._undo(added)
+                        return None
+            frontier = found
+        self.nodes = nodes
         return added
 
 

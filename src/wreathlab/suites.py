@@ -20,23 +20,31 @@ import numpy as np
 from .actions import check_equivariant, natural_action, regular_action
 from .embeddings import (
     ShortExactSequence,
-    all_sections,
+    _check_section,
+    _fibers,
+    _random_choice,
+    _sigma_image,
     kk_embedding,
     omega_embedding,
-    random_section,
     solvability_witness,
     transport_iso,
     verify_embedding,
 )
+from .errors import SectionMismatchError
 from .fields import MultiQuadField, QuadraticTower, verify_cocycle
 from .groups import (
     Certificate,
     FiniteGroup,
     Group,
     GroupHom,
+    Section,
+    _count_distinct,
+    _hom_law_fails,
+    _rows_per_block,
     center_subgroup,
     closure,
     construct_named,
+    default_section,
     quotient,
     subgroup_from_elements,
     subgroup_generated,
@@ -243,27 +251,74 @@ def _verify_section(ses: ShortExactSequence, section) -> tuple[Optional[str], in
     return None, report.checks
 
 
+def _certified_rows(ses: ShortExactSequence, choices: np.ndarray) -> int:
+    """How many leading rows of choices, each a section's values, give kk embeddings
+    that are injective homs, certified together: one ``_sigma_image`` of every row,
+    one hom-law check on the domain's generators over the stacked images and one
+    distinct count per row.  A block that is not all sections certifies none."""
+    eps, g, w = ses.g_to_q, ses.g, ses.wreath()
+    try:
+        _check_section(eps.image, choices, ses.q.order)
+    except SectionMismatchError:
+        return 0
+    images = _sigma_image(g, eps.image, choices, ses.n_to_g, w)  # row i: section i's map
+    gens = np.array(g.generators(), dtype=np.int64)
+    ok = ~_hom_law_fails(g, w, images.T, 0, g.order, gens).any(axis=(0, 1))
+    ok &= _count_distinct(images) == g.order
+    return len(ok) if ok.all() else int(ok.argmin())
+
+
+def _verify_sections(ses: ShortExactSequence, rows) -> tuple[Optional[str], int, int]:
+    """(first failure or None, sections verified, hom-law checks) of the kk embeddings
+    through each section whose values are a row of rows, in order, up to the first
+    failure.  Rows are checked in blocks of about ``SWEEP_CHUNK`` sigma values by
+    ``_certified_rows``; from a block's first row that fails there, every row is
+    run again through ``_verify_section``, so the failure's text and checks and
+    any exception are that loop's."""
+    g, q = ses.g, ses.q
+    each = g.order * len(g.generators())  # one certificate's checks: each x, each generator
+    step, count, checks = _rows_per_block(each * q.order), 0, 0
+    while block := list(itertools.islice(rows, step)):
+        certified = _certified_rows(ses, np.array(block, dtype=np.int64))
+        count, checks = count + certified, checks + certified * each
+        for row in block[certified:]:
+            count += 1
+            failure, n = _verify_section(ses, Section(q, g, row))
+            checks += n
+            if failure is not None:
+                return failure, count, checks
+    return None, count, checks
+
+
 def kk_suite(random_sections: Optional[int] = None, seed: int = 0) -> list[Verdict]:
     """The default section, then every section where ``random_sections`` covers them or
-    the quotient has at most ``KK_ALL_SECTIONS_LIMIT`` elements, seeded random ones otherwise."""
+    the quotient has at most ``KK_ALL_SECTIONS_LIMIT`` elements, seeded random ones otherwise.
+
+    Each section's embedding is certified an injective hom on generators, in
+    blocks of sections (``_verify_sections``), with the verdicts, counts and
+    exceptions of a loop of ``_verify_section`` over the sections one at a
+    time.  Sections are enumerated, or drawn in ``random_section``'s order,
+    one block at a time, and no more are drawn than that loop would draw.
+    """
     random_sections = (KK_RANDOM_SECTIONS_DEFAULT if random_sections is None
                        else random_sections)
     rng = random.Random(seed)
     out = []
     for name, ses in ses_catalog():
+        fibers, state = _fibers(ses.g_to_q), rng.getstate()
         total = ses.n.order**ses.q.order  # each fiber is a coset of N
-        if ses.q.order <= KK_ALL_SECTIONS_LIMIT or random_sections >= total:
-            sections, which = all_sections(ses.g_to_q), f"all {total} sections"
-        else:
-            sections = (random_section(ses.g_to_q, rng) for _ in range(random_sections))
+        sampled = not (ses.q.order <= KK_ALL_SECTIONS_LIMIT or random_sections >= total)
+        if sampled:
+            rows = (_random_choice(fibers, rng) for _ in range(random_sections))
             which = f"sampled:{random_sections} seed {seed}"
-        count, checks = 0, 0
-        for section in itertools.chain([None], sections):
-            count += 1
-            failure, n = _verify_section(ses, section)
-            checks += n
-            if failure is not None:
-                break
+        else:
+            rows, which = itertools.product(*fibers), f"all {total} sections"
+        default = default_section(ses.g_to_q).choice
+        failure, count, checks = _verify_sections(ses, itertools.chain([default], rows))
+        if failure is not None and sampled:  # draw only the sections checked, not the block's rest
+            rng.setstate(state)
+            for _ in range(count - 1):
+                _random_choice(fibers, rng)
         detail = (f"{count} sections verified: the default, then {which}; "
                   f"each generator-certified, {checks} checks")
         out.append(Verdict("kk", name, failure is None, failure or detail))

@@ -26,6 +26,7 @@ extension's N wr_r Q once and keeps it for all of its sections.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence
 
 import numpy as np
@@ -214,15 +215,19 @@ class WreathGroup(Group):
     def dense(self) -> FiniteGroup:
         """The product as a Cayley-table ``FiniteGroup``, built on the first call.
 
-        Indices, labels and generators are this product's; the table, proved by a
-        differential test, skips Light's test.  An order above ``DENSE_CAP_DEFAULT``
-        raises ``SizeLimitError`` before anything is allocated.
+        Indices, labels and generators are this product's, the labels decoded on
+        their first read; the table, proved by a differential test, skips Light's
+        test.  An order above ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError``
+        before anything is allocated.
         """
         if self._dense is None:
             _check_dense_order("wreath product", self.order)
-            gens = self.generators()  # a list: a closure over self would make a reference cycle
-            self._dense = FiniteGroup(self.dense_table(), labels=self.labels(np.arange(self.order)),
-                                      name=self.name, _generator_source=lambda _: gens)
+            # a list and a bare copy of this product: a closure over self would make a
+            # reference cycle through self._dense
+            gens, codec = self.generators(), copy.copy(self)
+            self._dense = FiniteGroup(self.dense_table(), name=self.name,
+                                      _generator_source=lambda _: gens,
+                                      _label_source=lambda: codec.labels(np.arange(codec.order)))
         return self._dense
 
     def __repr__(self) -> str:

@@ -198,7 +198,7 @@ def core_quotient_route(g, h_k):
     omega_q = FiniteGSet(q, omega_g.act[default_section(proj).choice],
                          point_labels=omega_g.point_labels)
     w = build_wreath(h_k.domain, omega_q)
-    return w, _sigma_image(g, proj.image, reps, h_k, w)
+    return w, _sigma_image(g, proj.image, reps.choice, h_k, w)
 
 
 @pytest.mark.parametrize("spec", CORE_GROUPS)
@@ -349,7 +349,7 @@ def test_sigma_escape_names_the_first_point_row_major():
     bad = Section(ses.q, ses.g, [0, 0])  # not a section: s(1) lies over 0
     x, p = first_escape(kk_oracle(ses, bad))
     with pytest.raises(SectionMismatchError, match=rf"sigma_g\({p}\) for g index {x} "):
-        _sigma_image(ses.g, ses.g_to_q.image, bad, ses.n_to_g, w)
+        _sigma_image(ses.g, ses.g_to_q.image, bad.choice, ses.n_to_g, w)
 
     s4 = construct_named("S:4")
     _h, incl = stabilizer_subgroup(s4, 4)
@@ -359,7 +359,7 @@ def test_sigma_escape_names_the_first_point_row_major():
     x, p = first_escape(omega_oracle(s4, incl, bad, w.top))
     _q, proj = quotient(s4, normal_core(s4, incl)[1])
     with pytest.raises(SectionMismatchError, match=rf"sigma_g\({p}\) for g index {x} "):
-        _sigma_image(s4, proj.image, bad, incl, w)
+        _sigma_image(s4, proj.image, bad.choice, incl, w)
 
 
 @pytest.mark.parametrize("choice", [[0, 6], [-1, 1]])

@@ -107,7 +107,7 @@ def test_kk_embeddings_of_one_extension_share_its_wreath_product():
         w, phi = kk_embedding(ses, s)
         built.append(w)
         # the same indices as an embedding into a product built afresh
-        assert (phi.image == _sigma_image(ses.g, eps.image, s, ses.n_to_g, fresh)).all()
+        assert (phi.image == _sigma_image(ses.g, eps.image, s.choice, ses.n_to_g, fresh)).all()
     assert all(w is built[0] for w in built) and built[0] is ses.wreath()
     assert built[0] is not fresh and built[0].order == fresh.order == 4**6 * 6
     x = np.arange(0, fresh.order, 97)

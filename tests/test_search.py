@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from wreathlab import (
     direct_product,
     regular_wreath,
 )
+from wreathlab import search
 from wreathlab.groups import FiniteGroup, _pick_generators, closure
 from wreathlab.search import are_isomorphic, embeds_into, identify_small, order_profile
 from wreathlab.suites import THETA_CATALOG, _theta_omega
@@ -240,3 +242,145 @@ def test_order_profile_counts_every_element_order():
         g = construct_named(spec)
         assert order_profile(g) == Counter(int(v) for v in g.element_orders())
         assert 0 not in order_profile(g).values()
+
+
+# -- the frontier extension against the per-edge one -------------------------------
+
+
+FrontierSearch = search._Search
+
+
+class PerEdgeSearch(FrontierSearch):
+    """Oracle: the search as it extended a map before it went by frontiers, one
+    scalar ``mul`` per edge on each side."""
+
+    def _extend(self, level, mapped, g_new, h):
+        a_mul, b_mul, img, used = self.a.mul, self.b.mul, self.img, self.used
+        gens_now = self.gens[: level + 1]
+        img_gens = [img[g] for g in gens_now[:-1]] + [h]
+        added = [g_new]
+        img[g_new] = h
+        used[h] = True
+        queue = list(mapped) + [g_new]
+        for x in queue:  # grows as the subgroup is mapped
+            ix = img[x]
+            for s, hs in zip(gens_now, img_gens):
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    self._undo(added)
+                    raise SearchBudgetExceededError(
+                        f"embedding search exceeded {self.budget} nodes")
+                y = a_mul(x, s)
+                iy = b_mul(ix, hs)
+                j = img[y]
+                if j < 0 and not used[iy]:
+                    img[y] = iy
+                    used[iy] = True
+                    added.append(y)
+                    queue.append(y)
+                elif j != iy:
+                    self._undo(added)
+                    return None
+        return added
+
+
+def relabeled(g, rng):
+    """g with its elements renumbered by a random permutation."""
+    p = np.array(rng.sample(range(g.order), g.order))
+    table = np.empty_like(g.table)
+    table[p[:, None], p[None, :]] = p[g.table]
+    return FiniteGroup(table, identity=int(p[g.identity]))
+
+
+def both_searches(a, b, budget=search.DEFAULT_NODE_BUDGET):
+    """(map or exception, nodes) of the frontier search and of the per-edge oracle."""
+    out = []
+    for cls in (FrontierSearch, PerEdgeSearch):
+        s = cls(a, b, budget)
+        try:
+            out.append((s.run(), s.nodes))
+        except SearchBudgetExceededError as exc:
+            out.append((str(exc), s.nodes))
+    return out
+
+
+def group_of(spec):
+    if spec == "C2^3":
+        c2 = construct_named("C:2")
+        return direct_product(c2, direct_product(c2, c2))
+    return construct_named(spec)
+
+
+# (candidate subgroup, ambient group, whether an injective hom exists)
+SEARCH_PAIRS = [
+    ("D:4", "S:4", True), ("C:5", "A:5", True), ("A:4", "A:5", True), ("S:3", "S:4", True),
+    ("V4", "A:4", True), ("C:4", "D:4", True), ("D:5", "A:5", True), ("D:7", "AGL:7", True),
+    ("C:6", "AGL:7", True), ("S:4", "S:5", True),
+    ("Q8", "S:4", False), ("C2^3", "S:4", False), ("C:6", "A:5", False), ("C:4", "A:5", False),
+    ("D:4", "Q8", False), ("Q8", "D:4", False), ("A:4", "D:6", False), ("D:6", "S:4", False),
+]
+
+
+@pytest.mark.parametrize("a,b,exists", SEARCH_PAIRS)
+def test_the_frontier_search_maps_as_the_per_edge_search(a, b, exists):
+    rng = random.Random(f"{a}->{b}")
+    for ga, gb in [(group_of(a), group_of(b))] + [
+            (relabeled(group_of(a), rng), relabeled(group_of(b), rng)) for _ in range(3)]:
+        (got, nodes), want = both_searches(ga, gb)
+        assert (got, nodes) == want and (got is not None) == exists
+        if exists:
+            assert (embeds_into(ga, gb).image == got).all()
+
+
+@pytest.mark.parametrize("a,b", [("C:4", "C:8"), ("C:2", "S:4"), ("C:4", "A:4"), ("C:2", "D:16"),
+                                 ("C:3", "D:8"), ("C:2", "D:12"), ("C:5", "D:5")])
+def test_identification_searches_as_the_per_edge_search(monkeypatch, a, b):
+    """Every search identify_small makes on a relabeled product, run both ways."""
+    g = relabeled(direct_product(construct_named(a), construct_named(b)), random.Random(a + b))
+    runs = []
+
+    class Both(FrontierSearch):
+        def run(self):
+            runs.append(both_searches(self.a, self.b, self.budget))
+            return runs[-1][0][0]
+    monkeypatch.setattr(search, "_Search", Both)
+    assert identify_small(g) == f"{a} × {b}"
+    assert runs and all(frontier == per_edge for frontier, per_edge in runs)
+
+
+def test_the_budget_runs_out_at_the_same_edge():
+    a, b = construct_named("S:4"), construct_named("S:5")
+    (found, needed), want = both_searches(a, b)
+    assert found is not None and (found, needed) == want
+    for budget in (1, 3, 10, needed // 2, needed - 1, needed):
+        frontier, per_edge = both_searches(a, b, budget)
+        assert frontier == per_edge
+        assert isinstance(frontier[0], str) == (budget < needed)
+    with pytest.raises(SearchBudgetExceededError, match=f"exceeded {needed - 1} nodes"):
+        embeds_into(a, b, budget=needed - 1)
+
+
+def test_search_reads_the_codomain_through_mul_array_only(monkeypatch):
+    a, b = construct_named("S:4"), construct_named("S:5")
+    monkeypatch.setattr(b, "mul", lambda x, y: pytest.fail("scalar mul of the codomain"))
+    assert embeds_into(a, b) is not None
+
+
+def test_search_into_a_structural_wreath_fails_on_its_order_profile():
+    """The known defect of ROADMAP item 1, pinned until it is mended: a structural
+    codomain has no element_orders()."""
+    w = regular_wreath(construct_named("C:2"), construct_named("C:13"))
+    with pytest.raises(AttributeError, match="element_orders"):
+        embeds_into(construct_named("C:13"), w)
+
+
+def test_the_centre_is_computed_once_per_group():
+    g = construct_named("S:3")
+    first = g.center_indices()
+    first.append(99)  # the caller's copy, not the cache
+    assert g.center_indices() == [0] == construct_named("S:3").center_indices()
+    g._center = [1]  # the cache is what answers
+    assert g.center_indices() == [1]
+    q8 = construct_named("Q8")
+    brute = [z for z in range(8) if all(q8.mul(z, x) == q8.mul(x, z) for x in range(8))]
+    assert q8.center_indices() == brute == [0, 1]

@@ -1,7 +1,9 @@
 import functools
+import gc
 import importlib
 import importlib.util
 import itertools
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from wreathlab import (
     natural_action,
     regular_action,
     regular_wreath,
+    save_group,
     subgroup_from_elements,
 )
 from wreathlab import wreath
@@ -598,3 +601,36 @@ def test_inv_array_is_the_inverse_table_on_broadcast_shapes(shape):
     out = s4.inv_array(idx)
     assert out.shape == idx.shape and (out == s4.inverses[idx]).all()
     assert s4.inv_array(5) == s4.inv(5)
+
+
+@pytest.mark.parametrize("k_spec,h_spec,degree", [("C:2", "C:3", None), ("Q8", "C:2", None),
+                                                  ("S:3", "S:3", 3)])
+def test_dense_labels_are_decoded_on_first_read(monkeypatch, tmp_path, k_spec, h_spec, degree):
+    w = build_wreath(*_theta_omega(k_spec, h_spec, degree))
+    decodes = []
+    real = WreathGroup.labels
+    monkeypatch.setattr(WreathGroup, "labels",
+                        lambda self, indices: decodes.append(len(indices)) or real(self, indices))
+    dense = w.dense()
+    assert decodes == []  # the table is built without its labels
+    assert dense.labels == w.labels(range(w.order))
+    assert decodes == [w.order, w.order] and dense.labels is dense.labels  # decoded once
+    x = w.order // 3
+    assert dense.label(x) == w.label(x) and dense.label_index(w.label(x)) == x
+    save_group(dense, tmp_path / "lazy.json")
+    eager = FiniteGroup(dense.table, identity=dense.identity, labels=real(w, np.arange(w.order)))
+    save_group(eager, tmp_path / "eager.json")
+    assert (tmp_path / "lazy.json").read_bytes() == (tmp_path / "eager.json").read_bytes()
+
+
+def test_the_dense_group_holds_no_reference_cycle_back_to_its_product():
+    w = build_wreath(*_theta_omega("S:3", "S:3", 3))
+    want = w.labels([0, 1, w.order - 1])
+    dense, product = w.dense(), weakref.ref(w)
+    gc.disable()
+    try:
+        del w
+        assert product() is None  # freed by reference counting, without the cycle collector
+    finally:
+        gc.enable()
+    assert [dense.label(x) for x in (0, 1, dense.order - 1)] == want
