@@ -505,9 +505,10 @@ def galois_group(f: MultiQuadField) -> FiniteGroup:
     """Gal over Q as a concrete group: index m negates exactly the generators in
     bitmask m, so the group is elementary abelian of order 2^k under XOR."""
     idx = np.arange(f.dim, dtype=np.int32)
-    # XOR on masks is associative by construction: no Light's test
+    # XOR on masks is a group by construction, each mask its own inverse: no table scans
     return FiniteGroup(idx[:, None] ^ idx[None, :], labels=_mask_labels(f.dim),
-                       name=f"Gal({f!r}/Q)", _generator_source=_ascending_generators)
+                       name=f"Gal({f!r}/Q)", _generator_source=_ascending_generators,
+                       _inverses=idx)
 
 
 def _subfield_positions(f: MultiQuadField, k_generators: Sequence[int]) -> list[int]:

@@ -4,18 +4,20 @@ Every group carries a full ``order x order`` table (``table[i][j]`` is the
 index of ``g_i * g_j``), an identity index, an inverse table and optional
 display labels.  A table given as rows of cells is converted in one pass over
 its cells, each row by ``array('q').fromlist``, which refuses a float or str
-cell as it reads it.  Validation is exact at every order: the range, identity
-and inverse checks run on every table, and a table from outside the package (a
-direct ``FiniteGroup`` call, ``group_from_json`` or ``load_group``) is proved
+cell as it reads it.  Validation is exact at every order: a table from outside
+the package (a direct ``FiniteGroup`` call, ``group_from_json`` or
+``load_group``) passes the range, identity and inverse checks and is proved
 associative by Light's test on each greedy generator.  Both Light's test and
 the inverse check compare the table in row blocks of about ``SWEEP_CHUNK``
 cells, so validation needs O(``SWEEP_CHUNK``) memory beside the table.
 
-Tables the package builds are associative by construction: the named families
+Tables the package builds are groups by construction: the named families
 below are formulas, and ``direct_product``, ``subgroup_from_elements`` and
-``quotient`` derive theirs from groups already certified.  They skip Light's
-test and pick the same ascending greedy generators on first use, without it;
-tests run the full test on each of them instead.
+``quotient`` derive theirs from groups already certified.  Each comes with the
+inverses its construction knows, in O(order), and skips all four table scans:
+range, identity, inverses and Light's test.  It picks the same ascending greedy
+generators on first use, without Light's test.  Tests run the user-table path
+on each of them instead and compare generators and inverses.
 
 Subgroups are closed by Dimino's coset method (G. Butler, *Fundamental
 Algorithms for Permutation Groups*, LNCS 559, 1991): ``closure`` builds a
@@ -163,11 +165,17 @@ class Group:
 class FiniteGroup(Group):
     """A finite group given by a closed multiplication table, validated exactly.
 
-    ``identity`` must be a Python or numpy integer.  ``_generator_source``, for
-    tables the package builds, maps the group to its generators; it is called
-    on first use of ``generators()`` instead of picking them with Light's test
-    at construction.  ``_label_source``, in place of ``labels``, gives the
-    labels on their first read; without either they are the indices.
+    ``identity`` must be a Python or numpy integer.  A table the package builds
+    passes ``_inverses``, its inverse of each index, and ``_generator_source``,
+    which maps the group to its generators.  Such a table skips the range,
+    identity-row and inverse scans and Light's test; only its shape, dtype,
+    positive order and identity index are checked.  ``tests/test_certificates.py``
+    proves each construction by its ``certify_from_scratch``, which builds the
+    same table through the user path and compares generators and inverses.
+    The generator source is called on first use of ``generators()`` instead of
+    picking them with Light's test at construction.  ``_label_source``, in
+    place of ``labels``, gives the labels on their first read; without either
+    they are the indices.
     """
 
     def __init__(
@@ -179,6 +187,7 @@ class FiniteGroup(Group):
         point_maps: Optional[Sequence[tuple]] = None,
         _generator_source: Optional[Callable[[FiniteGroup], list[int]]] = None,
         _label_source: Optional[Callable[[], list[str]]] = None,
+        _inverses: Optional[np.ndarray] = None,
     ):
         if isinstance(identity, bool) or not isinstance(identity, (int, np.integer)):
             raise GroupFormatError(f"identity must be an integer, got {identity!r}")
@@ -195,7 +204,7 @@ class FiniteGroup(Group):
         if self.order <= 0:
             raise GroupValidationError("group order must be positive")
         # closure is checked before the int32 cast, which would wrap an entry such as 2**40
-        if table.min() < 0 or table.max() >= self.order:
+        if _inverses is None and (table.min() < 0 or table.max() >= self.order):
             bad = np.argwhere((table < 0) | (table >= self.order))[0]
             raise GroupValidationError(
                 f"table not closed: entry at {tuple(int(v) for v in bad)} out of range")
@@ -212,8 +221,13 @@ class FiniteGroup(Group):
         self._center: Optional[list[int]] = None
         self._generators: Optional[list[int]] = None
         self._generator_source = _generator_source
-        self._validate()
-        self.inverses = self._compute_inverses()
+        if not 0 <= self.identity < self.order:
+            raise GroupValidationError(f"identity index {self.identity} out of range")
+        if _inverses is None:
+            self._validate()
+            self.inverses = self._compute_inverses()
+        else:
+            self.inverses = _inverses.astype(np.int32, copy=False)
         self.table.setflags(write=False)
         self.inverses.setflags(write=False)
         if _generator_source is None:
@@ -288,8 +302,6 @@ class FiniteGroup(Group):
 
     def _validate(self) -> None:
         n, e, t = self.order, self.identity, self.table
-        if not 0 <= e < n:
-            raise GroupValidationError(f"identity index {e} out of range")
         if not (t[e] == np.arange(n)).all():
             j = int(np.nonzero(t[e] != np.arange(n))[0][0])
             raise GroupValidationError(f"identity row fails: e*g{j} != g{j}")
@@ -517,8 +529,9 @@ def _cyclic(n: int) -> FiniteGroup:
     idx = np.arange(n, dtype=np.int32)
     table = idx[:, None] + idx[None, :]
     np.remainder(table, n, out=table)  # in place: no second order^2 array
-    return FiniteGroup(table, labels=[str(k) for k in range(n)], name=f"C:{n}",
-                       _generator_source=_ascending_generators)
+    # the labels are the indices, made on first read
+    return FiniteGroup(table, name=f"C:{n}", _generator_source=_ascending_generators,
+                       _inverses=-idx % n)
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -533,7 +546,10 @@ def _dihedral(n: int) -> FiniteGroup:
     table[1::2, 0::2] += 1
     rot = ["", "r"] + [f"r{k}" for k in range(2, n)]
     labels = [(r + s) or "e" for r in rot for s in ("", "s")]
-    return FiniteGroup(table, labels=labels, name=f"D:{n}", _generator_source=_ascending_generators)
+    # a reflection r^a s is its own inverse; r^a goes to r^-a
+    inverses = np.where(b == 1, idx, 2 * (-a % n))
+    return FiniteGroup(table, labels=labels, name=f"D:{n}", _generator_source=_ascending_generators,
+                       _inverses=inverses)
 
 
 def _perm_group(n: int, even_only: bool) -> FiniteGroup:
@@ -556,8 +572,10 @@ def _perm_group(n: int, even_only: bool) -> FiniteGroup:
     rank[perms @ radix.astype(np.int64)] = np.arange(len(perms), dtype=np.int32)
     maps = [tuple(p) for p in perms.tolist()]
     labels = ["".join(str(x + 1) for x in p) for p in maps]
+    # argsort of a one-line permutation is its inverse
     return FiniteGroup(rank[composed], labels=labels, name=f"{'A' if even_only else 'S'}:{n}",
-                       point_maps=maps, _generator_source=_ascending_generators)
+                       point_maps=maps, _generator_source=_ascending_generators,
+                       _inverses=rank[np.argsort(perms, axis=1) @ radix])
 
 
 def _affine(p: int) -> FiniteGroup:
@@ -568,15 +586,18 @@ def _affine(p: int) -> FiniteGroup:
     pairs = list(zip(a.tolist(), b.tolist()))
     labels = [f"{x}t+{y}" for x, y in pairs]
     maps = [tuple((x * t + y) % p for t in range(p)) for x, y in pairs]
+    # (a t + b)^-1 = a^-1 t - a^-1 b, with a^-1 = a^(p-2) by Fermat
+    a_inv = a ** (p - 2) % p
     return FiniteGroup(table, labels=labels, name=f"AGL:{p}", point_maps=maps,
-                       _generator_source=_ascending_generators)
+                       _generator_source=_ascending_generators,
+                       _inverses=(a_inv - 1) * p + (-a_inv * b) % p)
 
 
 def _klein() -> FiniteGroup:
     idx = np.arange(4)
     table = idx[:, None] ^ idx[None, :]
     return FiniteGroup(table, labels=["e", "a", "b", "ab"], name="V4",
-                       _generator_source=_ascending_generators)
+                       _generator_source=_ascending_generators, _inverses=idx)
 
 
 def _quaternion() -> FiniteGroup:
@@ -585,8 +606,9 @@ def _quaternion() -> FiniteGroup:
     # units multiply by XOR (ij = k, jk = i, ki = j); neg[u, v] is the sign bit of u v
     neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
     table = 2 * (u ^ u.T) + (sign ^ sign.T ^ neg[u, u.T])
+    # +-1 are their own inverses; the inverse of +-i, +-j, +-k flips its sign
     return FiniteGroup(table, labels=["1", "-1", "i", "-i", "j", "-j", "k", "-k"], name="Q8",
-                       _generator_source=_ascending_generators)
+                       _generator_source=_ascending_generators, _inverses=idx ^ (idx >= 2))
 
 
 _PRIMES_AGL = {2, 3, 5, 7}
@@ -676,26 +698,33 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     labels = [f"({x},{y})" for x in a.labels for y in b.labels]
     name = f"{a.name or 'G'} x {b.name or 'H'}"
     return FiniteGroup(table, identity=a.identity * nb + b.identity, labels=labels, name=name,
-                       _generator_source=_ascending_generators)
+                       _generator_source=_ascending_generators,
+                       _inverses=(a.inverses[:, None] * nb + b.inverses[None, :]).ravel())
 
 
 def subgroup_from_elements(g: Group, elems: Iterable[int], name: Optional[str] = None):
-    """Subgroup on a closed element set, indexed by ascending parent index."""
+    """Subgroup on a closed element set, indexed by ascending parent index.
+
+    Elements are found among the members by binary search, so nothing of size
+    |G| is allocated: a subgroup of a structural product of any order is cheap.
+    """
     members = np.array(sorted(set(int(x) for x in elems)), dtype=np.int64)
     if len(members) and not 0 <= members[0] <= members[-1] < g.order:
         raise GroupValidationError("element index out of the group's range")
-    pos = np.full(g.order, -1, dtype=np.int32)
-    pos[members] = np.arange(len(members))
-    table = pos[g.mul_array(members[:, None], members)]
-    if (table < 0).any():
-        i, j = divmod(int((table < 0).argmax()), len(members))
+    products = g.mul_array(members[:, None], members)
+    table = np.searchsorted(members, products)
+    inside = members.take(table, mode="clip") == products
+    if not inside.all():
+        i, j = divmod(int(inside.argmin()), len(members))
         raise GroupValidationError(
             f"element set not closed: g{members[i]}*g{members[j]} escapes")
     labels = [g.label(x) for x in members.tolist()]
     maps = [g.point_maps[x] for x in members.tolist()] if g.point_maps is not None else None
-    sub = FiniteGroup(table, identity=int(pos[g.identity]), labels=labels,
+    # a closed non-empty subset of a finite group holds the identity and every inverse
+    sub = FiniteGroup(table, identity=int(np.searchsorted(members, g.identity)), labels=labels,
                       name=name or f"subgroup({len(members)}) of {g.name}", point_maps=maps,
-                      _generator_source=_ascending_generators)
+                      _generator_source=_ascending_generators,
+                      _inverses=np.searchsorted(members, g.inv_array(members)))
     return sub, GroupHom(sub, g, members)
 
 
@@ -815,7 +844,8 @@ def _coset_group(g: Group, coset_of: np.ndarray, reps: np.ndarray, name: str) ->
     table = coset_of.astype(np.int32)[g.mul_array(reps[:, None], reps)]
     labels = [f"[{g.label(r)}]" for r in reps]
     return FiniteGroup(table, identity=int(coset_of[g.identity]), labels=labels, name=name,
-                       _generator_source=_ascending_generators)
+                       _generator_source=_ascending_generators,
+                       _inverses=coset_of[g.inv_array(reps)])
 
 
 def check_presentation_d4(g: Group, x: int, y: int) -> bool:

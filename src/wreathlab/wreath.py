@@ -215,10 +215,11 @@ class WreathGroup(Group):
     def dense(self) -> FiniteGroup:
         """The product as a Cayley-table ``FiniteGroup``, built on the first call.
 
-        Indices, labels and generators are this product's, the labels decoded on
-        their first read; the table, proved by a differential test, skips Light's
-        test.  An order above ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError``
-        before anything is allocated.
+        Indices, labels, generators and inverses are this product's, the labels
+        decoded on their first read; the table, proved by differential tests,
+        skips the table scans and Light's test.  An order above
+        ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError`` before anything is
+        allocated.
         """
         if self._dense is None:
             _check_dense_order("wreath product", self.order)
@@ -227,7 +228,8 @@ class WreathGroup(Group):
             gens, codec = self.generators(), copy.copy(self)
             self._dense = FiniteGroup(self.dense_table(), name=self.name,
                                       _generator_source=lambda _: gens,
-                                      _label_source=lambda: codec.labels(np.arange(codec.order)))
+                                      _label_source=lambda: codec.labels(np.arange(codec.order)),
+                                      _inverses=self.inv_array(np.arange(self.order)))
         return self._dense
 
     def __repr__(self) -> str:

@@ -31,9 +31,12 @@ from wreathlab import (
     coset_partition,
     direct_product,
     galois_group,
+    group_from_json,
+    group_to_json,
     identity_hom,
     kk_embedding,
     natural_action,
+    omega_embedding,
     quotient,
     regular_action,
     subgroup_from_elements,
@@ -42,9 +45,9 @@ from wreathlab import (
     transport_subgroup,
 )
 from wreathlab import groups as groups_module
-from wreathlab.groups import FiniteGroup, closure
+from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure, named_orders
 from wreathlab.search import are_isomorphic
-from wreathlab.suites import find_normal_subgroup, ses_catalog
+from wreathlab.suites import THETA_CATALOG, _theta_omega, find_normal_subgroup, ses_catalog
 
 EXACT = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -119,15 +122,18 @@ def test_group_certificate_agrees_with_the_triple_sweep(data):
 
 # -- tables the package builds ----------------------------------------------------
 #
-# Named families, direct products, subgroups, quotients and Galois groups are
-# associative by construction and skip Light's test.  These tests stand in for
-# it: the certificate a user-supplied table gets passes on each of their tables,
-# at sizes up to the dense cap, and picks the generators they pick lazily.
+# Named families, direct products, subgroups, quotients, Galois groups and dense
+# wreath tables are groups by construction, come with their inverses and skip
+# the range, identity and inverse scans and Light's test.  These tests stand in
+# for them: the certificate a user-supplied table gets passes on each of their
+# tables, at sizes up to the dense cap, finds the inverses they were given and
+# picks the generators they pick lazily.
 
 
 def certify_from_scratch(g):
-    """g's table through the user-supplied path: Light's test on every greedy
-    pick, which raises unless the table is associative."""
+    """g's table through the user-supplied path: the range, identity and inverse
+    scans, then Light's test on every greedy pick, which raise unless the table
+    is a group."""
     h = FiniteGroup(g.table, identity=g.identity)
     assert g.generators() == h.generators()
     assert (g.inverses == h.inverses).all()
@@ -171,6 +177,22 @@ def test_subgroups_and_quotients_pass_the_certificate_they_skip():
         certify_from_scratch(quotient(g, incl)[0])
 
 
+def test_omega_top_groups_pass_the_certificate_they_skip():
+    """omega_embedding's Q is the coset group of its action's kernel, the core of H."""
+    s4 = construct_named("S:4")
+    square = subgroup_generated(s4, [s4.point_maps.index((1, 2, 3, 0)),
+                                     s4.point_maps.index((0, 3, 2, 1))])[1]
+    fixing_3 = [x for x, p in enumerate(s4.point_maps) if p[3] == 3]
+    stabilizer = subgroup_from_elements(s4, fixing_3)[1]
+    pairs = [(ses.g, ses.n_to_g) for _, ses in ses_catalog()] + [(s4, square), (s4, stabilizer)]
+    orders = []
+    for g, incl in pairs:
+        q = omega_embedding(g, incl)[0].top.group
+        certify_from_scratch(q)
+        orders.append(q.order)
+    assert orders[-2:] == [6, 24]  # S4 / V4, and S4 acting faithfully on 4 points
+
+
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
@@ -179,23 +201,53 @@ def test_galois_groups_pass_the_certificate_they_skip(k):
     certify_from_scratch(galois_group(MultiQuadField(PRIMES[:k])))
 
 
-def test_package_tables_skip_lights_test_and_user_tables_run_it():
-    def refuse(self, s):
-        raise AssertionError("Light's test ran on a table the package built")
+def wreath_order(k_spec, h_spec, degree):
+    n_base, n_top = named_orders(k_spec)[0], named_orders(h_spec)[0]
+    return n_base ** (degree or n_top) * n_top
 
-    with mock.patch.object(FiniteGroup, "_light_test", refuse):
-        s4 = construct_named("S:4")
+
+# among them the iso suite's two order-1296 products, AGL:3 and S:3 wr natural:3
+DENSE_THETA_SHAPES = [c for c in THETA_CATALOG if wreath_order(*c) <= DENSE_CAP_DEFAULT]
+
+
+@pytest.mark.parametrize("k_spec,h_spec,degree", DENSE_THETA_SHAPES, ids=str)
+def test_dense_wreath_tables_pass_the_inverse_check_they_skip(k_spec, h_spec, degree):
+    """A dense table's generators are the structural product's, not the greedy
+    picks, so only its inverses are compared with the user path's."""
+    dense = build_wreath(*_theta_omega(k_spec, h_spec, degree)).dense()
+    assert dense.order == wreath_order(k_spec, h_spec, degree)
+    assert (dense.inverses == FiniteGroup(dense.table, identity=dense.identity).inverses).all()
+
+
+def test_package_tables_skip_lights_test_and_user_tables_run_it():
+    def refuse(self, *args):
+        raise AssertionError("a table scan ran on a table the package built")
+
+    with mock.patch.object(FiniteGroup, "_light_test", refuse), \
+            mock.patch.object(FiniteGroup, "_validate", refuse), \
+            mock.patch.object(FiniteGroup, "_compute_inverses", refuse):
+        s4, s3 = construct_named("S:4"), construct_named("S:3")
         built = [construct_named(spec) for spec in BUILT_SPECS if spec not in ("C:4096", "D:2048")]
         built.append(direct_product(s4, construct_named("Q8")))
         sub, incl = subgroup_generated(s4, [s4.point_maps.index((1, 0, 3, 2)),
                                             s4.point_maps.index((2, 3, 0, 1))])
-        built += [sub, quotient(s4, incl)[0], galois_group(MultiQuadField(PRIMES[:4]))]
+        built += [sub, quotient(s4, incl)[0], galois_group(MultiQuadField(PRIMES[:4])),
+                  build_wreath(s3, natural_action(3, s3)).dense()]
         for g in built:
             assert closure(g, g.generators()) == list(range(g.order))
     tested = []
-    with mock.patch.object(FiniteGroup, "_light_test", lambda self, s: tested.append(s)):
+    validate = mock.patch.object(FiniteGroup, "_validate", autospec=True,
+                                 side_effect=FiniteGroup._validate)
+    inverses = mock.patch.object(FiniteGroup, "_compute_inverses", autospec=True,
+                                 side_effect=FiniteGroup._compute_inverses)
+    with mock.patch.object(FiniteGroup, "_light_test", lambda self, s: tested.append(s)), \
+            validate as validated, inverses as inverted:
         h = FiniteGroup(s4.table, identity=s4.identity)
-    assert tested == h.generators() == s4.generators()
+        assert tested == h.generators() == s4.generators()
+        assert validated.call_count == inverted.call_count == 1
+        loaded = group_from_json(group_to_json(s4))
+        assert validated.call_count == inverted.call_count == 2
+    assert (loaded.inverses == h.inverses).all() and (h.inverses == s4.inverses).all()
 
 
 @functools.lru_cache(maxsize=None)

@@ -368,6 +368,19 @@ def test_non_closed_set_names_the_first_escaping_pair(s4):
         subgroup_from_elements(s4, [0, s4.order])
 
 
+def test_a_subgroup_of_a_structural_product_allocates_nothing_of_its_order():
+    # C:2 wr_r C:36 has order 2^36 * 36: a lookup array of that length would need 9 TiB
+    w = regular_wreath(construct_named("C:2"), construct_named("C:36"))
+    trivial, incl = subgroup_from_elements(w, [w.identity])
+    assert trivial.order == 1 and trivial.inverses.tolist() == [0]
+    assert incl.image.tolist() == [w.identity]
+    x = w.encode([1] + [0] * 35, 1)  # (f, h)^36 = (1 at every point, e), so x has order 72
+    sub, incl = subgroup_generated(w, [x])
+    assert sub.order == w.element_order(x) == 72
+    assert (sub.inverses == FiniteGroup(sub.table, identity=sub.identity).inverses).all()
+    assert (incl.image[sub.inverses] == w.inv_array(incl.image)).all()
+
+
 def test_quotient_by_whole_group(s3):
     _, incl = subgroup_from_elements(s3, range(s3.order))
     q, proj = quotient(s3, incl)
