@@ -50,10 +50,8 @@ from .fields import (
     MultiQuadElement,
     MultiQuadField,
     QuadraticTower,
-    chi,
     galois_group,
     quadratic_kummer_embedding,
-    restriction_hom,
     tower_extension,
     verify_cocycle,
 )
@@ -64,7 +62,6 @@ from .groups import (
     Section,
     center_subgroup,
     certify_hom,
-    check_presentation_d4,
     construct_named,
     coset_partition,
     default_section,

@@ -69,8 +69,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import TowerError
-from .groups import (FiniteGroup, GroupHom, Section, _ascending_generators, _first_failure,
-                     subgroup_from_elements)
+from .groups import FiniteGroup, GroupHom, Section, _first_failure, subgroup_from_elements
 from .wreath import WreathGroup, _check_wreath_order
 from .embeddings import EmbeddingReport, ShortExactSequence, kk_embedding, verify_embedding
 
@@ -507,8 +506,7 @@ def galois_group(f: MultiQuadField) -> FiniteGroup:
     idx = np.arange(f.dim, dtype=np.int32)
     # XOR on masks is a group by construction, each mask its own inverse: no table scans
     return FiniteGroup(idx[:, None] ^ idx[None, :], labels=_mask_labels(f.dim),
-                       name=f"Gal({f!r}/Q)", _generator_source=_ascending_generators,
-                       _inverses=idx)
+                       name=f"Gal({f!r}/Q)", _inverses=idx)
 
 
 def _subfield_positions(f: MultiQuadField, k_generators: Sequence[int]) -> list[int]:
@@ -520,20 +518,6 @@ def _subfield_positions(f: MultiQuadField, k_generators: Sequence[int]) -> list[
     if len(positions) != len(set(k_gens)) or len(set(k_gens)) != len(k_gens):
         raise ValueError("K generators must be a subset of the field generators")
     return positions
-
-
-def _restriction(big: FiniteGroup, small: FiniteGroup, positions: Sequence[int]) -> GroupHom:
-    """Gal(L/Q) -> Gal(K/Q): bit j of the image mask is bit positions[j] of the L mask."""
-    m = np.arange(big.order, dtype=np.int64)
-    image = sum((((m >> p) & 1) << j for j, p in enumerate(positions)), np.zeros_like(m))
-    return GroupHom(big, small, image)
-
-
-def restriction_hom(f_big: MultiQuadField, k_generators: Sequence[int]) -> GroupHom:
-    """The induced surjection Gal(L/Q) -> Gal(K/Q) on concrete groups."""
-    positions = _subfield_positions(f_big, k_generators)
-    sub_field = MultiQuadField([f_big.generators[p] for p in positions])
-    return _restriction(galois_group(f_big), galois_group(sub_field), positions)
 
 
 class QuadraticTower:
@@ -572,28 +556,24 @@ class QuadraticTower:
 
     @functools.cached_property
     def restriction(self) -> GroupHom:
-        return _restriction(galois_group(self.L), galois_group(self.K), self.k_positions)
+        """Gal(L/Q) -> Gal(K/Q): bit j of the image mask is bit k_positions[j] of the L mask."""
+        m = np.arange(self.L.dim, dtype=np.int64)
+        image = sum((((m >> p) & 1) << j for j, p in enumerate(self.k_positions)),
+                    np.zeros_like(m))
+        return GroupHom(galois_group(self.L), galois_group(self.K), image)
 
     def __repr__(self) -> str:
         return f"<tower Q <= {self.K!r} <= {self.L!r}, alpha={self.alpha}>"
 
 
-def chi(t: QuadraticTower, rho: FieldAutomorphism, tau: FieldAutomorphism) -> int:
-    """Exponent in (-1)^chi = rho(sqrt(rho^-1(tau(alpha)))) / sqrt(tau(alpha)).
-
-    alpha is rational, so tau(alpha) = alpha and the quotient is the sign rho
-    puts on the monomial of sqrt(alpha): the parity of the generators it flips there.
-    """
-    if tau.field != t.K:
-        raise ValueError("tau must be an automorphism of the tower's K")
-    if rho.field != t.L:
-        raise ValueError("rho must be an automorphism of the tower's L")
-    return (rho.mask() & t.alpha_mask).bit_count() & 1
-
-
 def _chi_table(t: QuadraticTower) -> np.ndarray:
-    """chi(rho, tau) for every rho of Gal(L/Q) (rows) and tau of Gal(K/Q) (columns):
-    the parity of mask(rho) & alpha_mask, one read-only column broadcast over tau."""
+    """chi(rho, tau) for every rho of Gal(L/Q) (rows) and tau of Gal(K/Q) (columns),
+    the exponent in (-1)^chi = rho(sqrt(rho^-1(tau(alpha)))) / sqrt(tau(alpha)).
+
+    alpha is rational, so tau(alpha) = alpha and the quotient is the sign rho puts
+    on the monomial of sqrt(alpha): the parity of mask(rho) & alpha_mask, one
+    read-only column broadcast over tau.
+    """
     column = np.array([(m & t.alpha_mask).bit_count() & 1 for m in range(t.L.dim)], dtype=np.int8)
     return np.broadcast_to(column[:, None], (t.L.dim, t.K.dim))
 

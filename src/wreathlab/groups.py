@@ -13,11 +13,12 @@ cells, so validation needs O(``SWEEP_CHUNK``) memory beside the table.
 
 Tables the package builds are groups by construction: the named families
 below are formulas, and ``direct_product``, ``subgroup_from_elements`` and
-``quotient`` derive theirs from groups already certified.  Each comes with the
-inverses its construction knows, in O(order), and skips all four table scans:
-range, identity, inverses and Light's test.  It picks the same ascending greedy
-generators on first use, without Light's test.  Tests run the user-table path
-on each of them instead and compare generators and inverses.
+``quotient`` derive theirs from groups already certified.  Each passes one
+keyword, ``_inverses``, the inverses its construction knows in O(order), and
+that alone marks it trusted: it skips all four table scans (range, identity,
+inverses and Light's test) and picks the same ascending greedy generators on
+first use, without Light's test.  Tests run the user-table path on each of
+them instead and compare generators and inverses.
 
 Subgroups are closed by Dimino's coset method (G. Butler, *Fundamental
 Algorithms for Permutation Groups*, LNCS 559, 1991): ``closure`` builds a
@@ -133,10 +134,12 @@ class Group:
     A group has ``order``, ``identity`` and ``name``; ``mul``/``mul_array`` and
     ``inv``/``inv_array`` on one index or broadcast over index arrays;
     ``label``/``label_index``; ``generators()``, on which hom laws are checked;
-    and ``point_maps`` or None.  Constructions read groups through these only;
-    ``FiniteGroup`` stores its Cayley table.  ``wreath.WreathGroup`` computes
-    products from the wreath formula, adds the array codec (``encode_array``,
-    ``decode_array``, ``labels``) and builds its table on request (``dense``).
+    and ``point_maps`` or None; ``power`` is built on them.  Constructions read
+    groups through these only.  ``FiniteGroup`` stores its Cayley table, which
+    one keyword, ``_inverses``, marks as package-built and so trusted without
+    scans.  ``wreath.WreathGroup`` computes products from the wreath formula,
+    adds the array codec (``encode_array``, ``decode_array``, ``labels``) and
+    builds its table on request (``dense``).
     """
 
     point_maps = None
@@ -152,28 +155,20 @@ class Group:
             x, k = self.mul(x, x), k >> 1
         return acc
 
-    def element_order(self, x: int) -> int:
-        if not 0 <= x < self.order:
-            raise IndexError(f"element index {x} out of range")
-        cur, k = x, 1
-        while cur != self.identity:
-            cur = self.mul(cur, x)
-            k += 1
-        return k
-
 
 class FiniteGroup(Group):
     """A finite group given by a closed multiplication table, validated exactly.
 
-    ``identity`` must be a Python or numpy integer.  A table the package builds
-    passes ``_inverses``, its inverse of each index, and ``_generator_source``,
-    which maps the group to its generators.  Such a table skips the range,
-    identity-row and inverse scans and Light's test; only its shape, dtype,
-    positive order and identity index are checked.  ``tests/test_certificates.py``
-    proves each construction by its ``certify_from_scratch``, which builds the
-    same table through the user path and compares generators and inverses.
-    The generator source is called on first use of ``generators()`` instead of
-    picking them with Light's test at construction.  ``_label_source``, in
+    ``identity`` must be a Python or numpy integer.  One keyword marks a table
+    the package builds: ``_inverses``, its inverse of each index.  Such a table
+    skips the range, identity-row and inverse scans and Light's test; only its
+    shape, dtype, positive order and identity index are checked, and it picks
+    its generators on first use of ``generators()``, not at construction.
+    ``tests/test_certificates.py`` proves each construction by its
+    ``certify_from_scratch``, which builds the same table through the user path
+    and compares generators and inverses.  Only beside ``_inverses``,
+    ``_generators`` gives generators other than the greedy ones
+    (``WreathGroup.dense`` passes the product's), and ``_label_source``, in
     place of ``labels``, gives the labels on their first read; without either
     they are the indices.
     """
@@ -185,7 +180,7 @@ class FiniteGroup(Group):
         labels: Optional[Sequence[str]] = None,
         name: Optional[str] = None,
         point_maps: Optional[Sequence[tuple]] = None,
-        _generator_source: Optional[Callable[[FiniteGroup], list[int]]] = None,
+        _generators: Optional[list[int]] = None,
         _label_source: Optional[Callable[[], list[str]]] = None,
         _inverses: Optional[np.ndarray] = None,
     ):
@@ -219,19 +214,17 @@ class FiniteGroup(Group):
         self.point_maps = list(point_maps) if point_maps is not None else None
         self._orders: Optional[np.ndarray] = None
         self._center: Optional[list[int]] = None
-        self._generators: Optional[list[int]] = None
-        self._generator_source = _generator_source
+        self._generators = _generators
         if not 0 <= self.identity < self.order:
             raise GroupValidationError(f"identity index {self.identity} out of range")
         if _inverses is None:
             self._validate()
             self.inverses = self._compute_inverses()
+            self._generators = _pick_generators(self, range(self.order), self._light_test)[0]
         else:
             self.inverses = _inverses.astype(np.int32, copy=False)
         self.table.setflags(write=False)
         self.inverses.setflags(write=False)
-        if _generator_source is None:
-            self._generators = _pick_generators(self, range(self.order), self._light_test)[0]
 
     # -- element operations ------------------------------------------------
 
@@ -265,10 +258,6 @@ class FiniteGroup(Group):
             raise KeyError(f"no element labeled {label!r}") from None
 
     # -- cached structure --------------------------------------------------
-
-    @property
-    def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
 
     def element_orders(self) -> np.ndarray:
         """Vector of element orders, computed once per group."""
@@ -340,10 +329,10 @@ class FiniteGroup(Group):
     def generators(self) -> list[int]:
         """Greedy generators by ascending index.  A table from outside the package
         has them at construction, each first passing Light's test, which proves
-        associativity once they generate; a table the package builds takes them
-        from its generator source on first use."""
+        associativity once they generate; a table the package builds, associative
+        by construction, picks them the same way on first use, without the test."""
         if self._generators is None:
-            self._generators = list(self._generator_source(self))
+            self._generators = _pick_generators(self, range(self.order))[0]
         return self._generators
 
     def conjugacy_classes(self) -> dict[int, list[int]]:
@@ -360,12 +349,6 @@ class FiniteGroup(Group):
         for x, rep in enumerate(least.tolist()):
             classes.setdefault(rep, []).append(x)
         return classes
-
-
-def _ascending_generators(g: Group) -> list[int]:
-    """The generator source of a table associative by construction: the greedy
-    ascending picks of ``FiniteGroup.generators()``, without Light's test."""
-    return _pick_generators(g, range(g.order))[0]
 
 
 def _pick_generators(g: Group, candidates: Iterable[int],
@@ -527,11 +510,12 @@ class Section:
 
 def _cyclic(n: int) -> FiniteGroup:
     idx = np.arange(n, dtype=np.int32)
-    table = idx[:, None] + idx[None, :]
-    np.remainder(table, n, out=table)  # in place: no second order^2 array
+    # row i, (i + j) mod n, is the window i..i+n-1 of idx twice over: a view whose
+    # strides are both one cell, copied once, so no division and one order^2 array
+    twice = np.concatenate([idx, idx])
+    table = np.ndarray((n, n), np.int32, buffer=twice, strides=(twice.itemsize,) * 2).copy()
     # the labels are the indices, made on first read
-    return FiniteGroup(table, name=f"C:{n}", _generator_source=_ascending_generators,
-                       _inverses=-idx % n)
+    return FiniteGroup(table, name=f"C:{n}", _inverses=-idx % n)
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -548,8 +532,7 @@ def _dihedral(n: int) -> FiniteGroup:
     labels = [(r + s) or "e" for r in rot for s in ("", "s")]
     # a reflection r^a s is its own inverse; r^a goes to r^-a
     inverses = np.where(b == 1, idx, 2 * (-a % n))
-    return FiniteGroup(table, labels=labels, name=f"D:{n}", _generator_source=_ascending_generators,
-                       _inverses=inverses)
+    return FiniteGroup(table, labels=labels, name=f"D:{n}", _inverses=inverses)
 
 
 def _perm_group(n: int, even_only: bool) -> FiniteGroup:
@@ -574,8 +557,7 @@ def _perm_group(n: int, even_only: bool) -> FiniteGroup:
     labels = ["".join(str(x + 1) for x in p) for p in maps]
     # argsort of a one-line permutation is its inverse
     return FiniteGroup(rank[composed], labels=labels, name=f"{'A' if even_only else 'S'}:{n}",
-                       point_maps=maps, _generator_source=_ascending_generators,
-                       _inverses=rank[np.argsort(perms, axis=1) @ radix])
+                       point_maps=maps, _inverses=rank[np.argsort(perms, axis=1) @ radix])
 
 
 def _affine(p: int) -> FiniteGroup:
@@ -589,15 +571,13 @@ def _affine(p: int) -> FiniteGroup:
     # (a t + b)^-1 = a^-1 t - a^-1 b, with a^-1 = a^(p-2) by Fermat
     a_inv = a ** (p - 2) % p
     return FiniteGroup(table, labels=labels, name=f"AGL:{p}", point_maps=maps,
-                       _generator_source=_ascending_generators,
                        _inverses=(a_inv - 1) * p + (-a_inv * b) % p)
 
 
 def _klein() -> FiniteGroup:
     idx = np.arange(4)
     table = idx[:, None] ^ idx[None, :]
-    return FiniteGroup(table, labels=["e", "a", "b", "ab"], name="V4",
-                       _generator_source=_ascending_generators, _inverses=idx)
+    return FiniteGroup(table, labels=["e", "a", "b", "ab"], name="V4", _inverses=idx)
 
 
 def _quaternion() -> FiniteGroup:
@@ -608,7 +588,7 @@ def _quaternion() -> FiniteGroup:
     table = 2 * (u ^ u.T) + (sign ^ sign.T ^ neg[u, u.T])
     # +-1 are their own inverses; the inverse of +-i, +-j, +-k flips its sign
     return FiniteGroup(table, labels=["1", "-1", "i", "-i", "j", "-j", "k", "-k"], name="Q8",
-                       _generator_source=_ascending_generators, _inverses=idx ^ (idx >= 2))
+                       _inverses=idx ^ (idx >= 2))
 
 
 _PRIMES_AGL = {2, 3, 5, 7}
@@ -698,7 +678,6 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     labels = [f"({x},{y})" for x in a.labels for y in b.labels]
     name = f"{a.name or 'G'} x {b.name or 'H'}"
     return FiniteGroup(table, identity=a.identity * nb + b.identity, labels=labels, name=name,
-                       _generator_source=_ascending_generators,
                        _inverses=(a.inverses[:, None] * nb + b.inverses[None, :]).ravel())
 
 
@@ -723,7 +702,6 @@ def subgroup_from_elements(g: Group, elems: Iterable[int], name: Optional[str] =
     # a closed non-empty subset of a finite group holds the identity and every inverse
     sub = FiniteGroup(table, identity=int(np.searchsorted(members, g.identity)), labels=labels,
                       name=name or f"subgroup({len(members)}) of {g.name}", point_maps=maps,
-                      _generator_source=_ascending_generators,
                       _inverses=np.searchsorted(members, g.inv_array(members)))
     return sub, GroupHom(sub, g, members)
 
@@ -844,18 +822,7 @@ def _coset_group(g: Group, coset_of: np.ndarray, reps: np.ndarray, name: str) ->
     table = coset_of.astype(np.int32)[g.mul_array(reps[:, None], reps)]
     labels = [f"[{g.label(r)}]" for r in reps]
     return FiniteGroup(table, identity=int(coset_of[g.identity]), labels=labels, name=name,
-                       _generator_source=_ascending_generators,
                        _inverses=coset_of[g.inv_array(reps)])
-
-
-def check_presentation_d4(g: Group, x: int, y: int) -> bool:
-    """x^4 = y^2 = e, y x y^-1 = x^-1, and <x, y> is all of g."""
-    e = g.identity
-    if g.power(x, 4) != e or g.power(y, 2) != e:
-        return False
-    if g.mul(g.mul(y, x), g.inv(y)) != g.inv(x):
-        return False
-    return len(closure(g, [x, y])) == g.order
 
 
 # -- section helpers ----------------------------------------------------------

@@ -223,11 +223,11 @@ class WreathGroup(Group):
         """
         if self._dense is None:
             _check_dense_order("wreath product", self.order)
-            # a list and a bare copy of this product: a closure over self would make a
-            # reference cycle through self._dense
-            gens, codec = self.generators(), copy.copy(self)
+            # a bare copy of this product: a closure over self would make a reference
+            # cycle through self._dense
+            codec = copy.copy(self)
             self._dense = FiniteGroup(self.dense_table(), name=self.name,
-                                      _generator_source=lambda _: gens,
+                                      _generators=self.generators(),
                                       _label_source=lambda: codec.labels(np.arange(codec.order)),
                                       _inverses=self.inv_array(np.arange(self.order)))
         return self._dense

@@ -14,7 +14,6 @@ from wreathlab import (
     QuadraticTower,
     build_wreath,
     check_equivariant,
-    check_presentation_d4,
     construct_named,
     figure_data,
     kk_embedding,
@@ -44,6 +43,7 @@ from wreathlab.suites import (
     stabilizer_subgroup,
 )
 
+from tests.test_groups import check_presentation_d4
 from tests.test_sizes import PLOT_DATA
 from tests.test_wreath import theta_all_pairs
 

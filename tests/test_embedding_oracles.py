@@ -47,10 +47,10 @@ from wreathlab import (
 from wreathlab import suites
 from wreathlab.embeddings import _sigma_image
 from wreathlab.groups import closure, named_orders
-from wreathlab.fields import chi, restriction_hom
+from wreathlab.fields import _chi_table
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import find_normal_subgroup, ses_catalog, ses_from_subgroup, stabilizer_subgroup
-from tests.test_fields import SECTION_TOWERS, automorphisms
+from tests.test_fields import SECTION_TOWERS, automorphisms, chi, restricted_mask
 
 # the towers of cocycle_suite
 COCYCLE_TOWERS = [((5, 7), (5,), 7), ((2, 3), (2,), 3), ((2, 3, 5), (2, 3), 5)]
@@ -104,8 +104,7 @@ def first_escape(pairs):
 def kummer_oracle(t, w):
     """One validated encode per rho of the row of chi(rho, tau) over tau."""
     auts_l, auts_k = automorphisms(t.L), automorphisms(t.K)
-    eps = restriction_hom(t.L, t.K_generators)
-    return np.array([w.encode([chi(t, rho, tau) for tau in auts_k], int(eps.image[m]))
+    return np.array([w.encode([chi(t, rho, tau) for tau in auts_k], restricted_mask(t, m))
                      for m, rho in enumerate(auts_l)], dtype=np.int64)
 
 
@@ -286,9 +285,9 @@ def test_kummer_encoder_matches_the_per_element_loop():
 def test_chi_without_division_matches_the_radical_quotient(gens, k_gens, alphas):
     for alpha in alphas:
         t = QuadraticTower(MultiQuadField(list(gens)), list(k_gens), Fraction(alpha))
-        auts_l, auts_k = automorphisms(t.L), automorphisms(t.K)
-        for rho, tau in itertools.product(auts_l, auts_k):
-            assert chi(t, rho, tau) == chi_by_division(t, rho, tau)
+        auts_l, auts_k, table = automorphisms(t.L), automorphisms(t.K), _chi_table(t)
+        for (i, rho), (j, tau) in itertools.product(enumerate(auts_l), enumerate(auts_k)):
+            assert table[i, j] == chi(t, rho, tau) == chi_by_division(t, rho, tau)
 
 
 def test_transports_match_the_per_element_loop():

@@ -17,7 +17,6 @@ from wreathlab import (
     WreathlabError,
     build_wreath,
     certify_hom,
-    check_presentation_d4,
     construct_named,
     coset_action,
     natural_action,
@@ -31,6 +30,7 @@ from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure, direct_pro
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import THETA_CATALOG, _theta_omega, check_theta_properties
 from wreathlab.wreath import WreathGroup, _check_wreath_order
+from tests.test_groups import check_presentation_d4, element_order
 
 
 def brute_wreath_mul(w, x, y):
@@ -392,8 +392,8 @@ def test_element_orders_in_the_d4_wreath():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     x = w.encode((0, 1), 1)
     y = w.encode((0, 0), 1)
-    assert w.element_order(x) == 4
-    assert w.element_order(y) == 2
+    assert element_order(w, x) == 4
+    assert element_order(w, y) == 2
 
 
 def test_projection_law_exhaustively_on_a_large_dense_wreath():
@@ -478,7 +478,7 @@ def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
     x = w.encode((0, 1), 1)
     y = w.encode((0, 0), 1)
     assert check_presentation_d4(w, x, y)
-    assert w.element_order(x) == 4
+    assert element_order(w, x) == 4
     assert w.power(x, -1) == w.inv(x)
     assert not check_presentation_d4(w, y, x)
 
