@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import Optional, Sequence
 
 import numpy as np
@@ -16,6 +15,7 @@ from .groups import (
     _first_failure,
     _int64_indices,
     _read_integer_json,
+    _write_json_line,
     coset_partition,
     group_from_json,
     group_to_json,
@@ -109,8 +109,8 @@ def regular_action(h: FiniteGroup) -> FiniteGSet:
 def coset_action(g: Group, h: GroupHom):
     """Left translation on cosets of image(h), plus the representative section.
 
-    Cosets are indexed by ascending minimal member, so the identity coset is
-    point 0 and quotients built from the same subgroup share the indexing.
+    Cosets are indexed by ascending minimal member, so the coset holding index 0 is
+    point 0, and quotients built from the same subgroup share the indexing.
     """
     coset_of, reps = coset_partition(g, sorted(h.image_set()))
     act = coset_of[g.mul_array(np.arange(g.order)[:, None], reps)]
@@ -182,11 +182,8 @@ def action_from_json(data: dict) -> FiniteGSet:
 
 
 def save_action(omega: FiniteGSet, path) -> None:
-    """Write ``action_to_json(omega)`` as one line of JSON, as ``save_group`` does."""
-    text = json.dumps(action_to_json(omega))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    """Write ``action_to_json(omega)`` as one line of JSON."""
+    _write_json_line(action_to_json(omega), path)
 
 
 def load_action(path) -> FiniteGSet:

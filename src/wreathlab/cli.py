@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .actions import coset_action, load_action, natural_action, regular_action
-from .embeddings import kk_embedding, omega_embedding, verify_embedding
+from .embeddings import _check_coset_wreath, kk_embedding, omega_embedding, verify_embedding
 from .errors import (
     GroupFormatError,
     SearchBudgetExceededError,
@@ -42,7 +42,7 @@ from .groups import (
 from .search import embeds_into, identify_small
 from .sizes import M_MAX_BOUND, figure_csv, figure_data, table1
 from .suites import find_normal_subgroup, run_suites, ses_from_subgroup, stabilizer_subgroup
-from .wreath import _check_wreath_order, build_wreath
+from .wreath import build_wreath
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -191,18 +191,6 @@ def _spec_orders(group_spec: str, sub_spec: str) -> tuple[int, Optional[int]]:
     if sub_spec == "center":
         return g_order, center_order
     return g_order, None if sub_spec.startswith("stab:") else named_orders(sub_spec)[0]
-
-
-def _check_coset_wreath(g_order: int, t_order: Optional[int], at_least: bool = False) -> None:
-    """Refuse T wr Q, Q acting on the [G : T] cosets of T, before any subgroup work.
-
-    kk's Q is G/T, of order [G : T]; omega's Q acts transitively on the cosets,
-    so [G : T] only bounds its order from below.  Where |T| does not divide
-    |G|, the subgroup lookup's usage error comes first.
-    """
-    if t_order is not None and g_order % t_order == 0:
-        index = g_order // t_order
-        _check_wreath_order(t_order, index, index, at_least=at_least)
 
 
 def cmd_embed(args) -> int:

@@ -195,6 +195,18 @@ def kk_embedding(ses: ShortExactSequence,
     return w, GroupHom(ses.g, w, _sigma_image(ses.g, eps.image, s.choice, ses.n_to_g, w))
 
 
+def _check_coset_wreath(g_order: int, t_order: Optional[int], at_least: bool = False) -> None:
+    """Refuse T wr Q, Q acting on the [G : T] cosets of T, from the orders alone: the CLI
+    calls it before any subgroup work, ``omega_embedding`` before any coset work.
+
+    kk's Q is G/T, of order [G : T]; omega's Q acts transitively on the cosets, so [G : T]
+    only bounds its order from below.  A |T| that does not divide |G| passes to the lookup.
+    """
+    if t_order is not None and g_order % t_order == 0:
+        index = g_order // t_order
+        _check_wreath_order(t_order, index, index, at_least=at_least)
+
+
 # ``perfbench/workloads.py`` passes the last parameter, unused; ROADMAP item 3 deletes it
 def omega_embedding(g: Group, h_k: GroupHom, s: Optional[Section] = None,
                     size_cap=None) -> tuple[WreathGroup, GroupHom]:
@@ -204,6 +216,7 @@ def omega_embedding(g: Group, h_k: GroupHom, s: Optional[Section] = None,
     Q's elements are the core's cosets, numbered by least member as in ``quotient``;
     s picks one representative per coset of H.
     """
+    _check_coset_wreath(g.order, h_k.domain.order, at_least=True)
     omega_g, reps = coset_action(g, h_k)
     core = np.flatnonzero((omega_g.act == omega_g.act[g.identity]).all(axis=1))
     tops, q_reps = coset_partition(g, core)

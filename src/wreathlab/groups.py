@@ -772,15 +772,15 @@ def center_subgroup(g: FiniteGroup):
 
 
 def normal_core(g: Group, h: GroupHom):
-    """Largest normal subgroup of g inside image(h): intersection of conjugates."""
-    members = np.array(sorted(h.image_set()), dtype=np.int64)
-    in_h = np.zeros(g.order, dtype=bool)
-    in_h[members] = True
-    # m is in the core iff x^-1 m x lies in H for every x; row x holds those conjugates
-    x = np.arange(g.order)[:, None]
-    conj = g.mul_array(g.mul_array(g.inv_array(x), members), x)
-    core = members[in_h[conj].all(axis=0)]
-    return subgroup_from_elements(g, core, name=f"core of {h.domain.name} in {g.name}")
+    """Largest normal subgroup of g in H = image(h): the fixed point of K <- {k in K : s^-1 k s
+    in K for every generator s of g} from K = H.  Each step keeps every normal subgroup in H."""
+    core, gens = (np.array(v, dtype=np.int64) for v in (sorted(h.image_set()), g.generators()))
+    while True:
+        conj = g.mul_array(g.mul_array(g.inv_array(gens)[:, None], core), gens[:, None])
+        kept = core[(core.take(np.searchsorted(core, conj), mode="clip") == conj).all(axis=0)]
+        if len(kept) == len(core):
+            return subgroup_from_elements(g, core, name=f"core of {h.domain.name} in {g.name}")
+        core = kept
 
 
 def coset_partition(g: Group, members) -> tuple[np.ndarray, np.ndarray]:
@@ -884,14 +884,16 @@ def group_from_json(data: dict) -> FiniteGroup:
     return g
 
 
-def save_group(g: FiniteGroup, path) -> None:
-    """Write ``group_to_json(g)`` as one line of JSON; encoding the whole text
-    at once is several times faster than ``json.dump``'s chunked writes, with
-    the same bytes."""
-    text = json.dumps(group_to_json(g))
+def _write_json_line(data: dict, path) -> None:
+    """Write ``data`` as one line of JSON, encoded whole: faster than ``json.dump``, same bytes."""
+    text = json.dumps(data)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+        print(text, file=fh)
+
+
+def save_group(g: FiniteGroup, path) -> None:
+    """Write ``group_to_json(g)`` as one line of JSON."""
+    _write_json_line(group_to_json(g), path)
 
 
 def _read_integer_json(path, error: type[Exception] = GroupFormatError):

@@ -43,7 +43,7 @@ from wreathlab.suites import (
     stabilizer_subgroup,
 )
 
-from tests.test_groups import check_presentation_d4
+from tests.oracles import check_presentation_d4
 from tests.test_sizes import PLOT_DATA
 from tests.test_wreath import theta_all_pairs
 

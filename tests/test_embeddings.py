@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from wreathlab import (
     verify_embedding,
 )
 from wreathlab.embeddings import _sigma_image
-from wreathlab.groups import DENSE_CAP_DEFAULT
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import (
     check_theta_properties,
@@ -263,36 +263,6 @@ def test_mutated_phi_yields_a_counterexample():
     assert report.to_json()["counterexample"] == [a, b]
 
 
-def first_failing_pair(hom):
-    """Oracle: the row-major first pair breaking the hom law, by a plain loop."""
-    dom, cod = hom.domain, hom.codomain
-    for a in range(dom.order):
-        for b in range(dom.order):
-            if hom(dom.mul(a, b)) != cod.mul(hom(a), hom(b)):
-                return (a, b)
-    return None
-
-
-def test_kk_into_a_structural_product_matches_the_dense_build():
-    for _name, ses in ses_catalog():
-        w, phi_struct = kk_embedding(ses)
-        assert isinstance(w, WreathGroup)
-        # the same image into the dense table passes the hom law there too
-        # (S4/V4 lands in V4 wr S:3, of order 24576, which has no dense table)
-        dense = w.dense() if w.order <= DENSE_CAP_DEFAULT else w
-        phi_dense = GroupHom(ses.g, dense, phi_struct.image)
-        assert verify_embedding(phi_struct).to_json() == verify_embedding(phi_dense).to_json()
-        # a broken image fails at the same first pair through either codomain
-        image = np.array(phi_struct.image)
-        image[1], image[2] = image[2], image[1]
-        broken = [GroupHom(ses.g, codomain, image, validate=False)
-                  for codomain in (dense, w)]
-        expected = first_failing_pair(broken[0])
-        assert expected is not None
-        assert [hom.find_hom_counterexample() for hom in broken] == [expected, expected]
-        assert verify_embedding(broken[1]).to_json() == verify_embedding(broken[0]).to_json()
-
-
 def test_image_order_divides_wreath_order():
     ses = sign_ses()
     w, phi = kk_embedding(ses)
@@ -517,20 +487,20 @@ def test_solvability_rejects_large_primes():
         solvability_witness(construct_named("C:2"), 5)
 
 
-@pytest.mark.parametrize("mode", ["kk", "omega"])
-def test_both_embeddings_of_a_structural_group_match_its_dense_table(mode):
-    """G = C:2 wr S:3 on three points, order 48, embedded over its base group C:2^3."""
-    c2, s3 = construct_named("C:2"), construct_named("S:3")
-    g = build_wreath(c2, natural_action(3, s3))
-    base = [g.encode(f, s3.identity) for f in np.ndindex(2, 2, 2)]
-    results = []
-    for group in (g, g.dense()):
-        _n, incl = subgroup_from_elements(group, base)
-        if mode == "kk":
-            w, phi = kk_embedding(ses_from_subgroup(group, incl))
-        else:
-            w, phi = omega_embedding(group, incl)
-        results.append((phi.image.tolist(), w.labels(phi.image), verify_embedding(phi).to_json()))
-    assert results[0] == results[1]
-    report = results[0][2]
-    assert report["is_homomorphism"] and report["is_injective"] and report["image_order"] == 48
+def test_an_oversized_coset_embedding_is_refused_before_any_coset_work(peak_mb):
+    """G = C:2 wr_r C:8 of order 2048 over H = <base element, top element of order 2>,
+    of order 8: the coset wreath has order at least 8^256 * 256, past int64."""
+    g = regular_wreath(construct_named("C:2"), construct_named("C:8"))
+    _h, incl = subgroup_generated(g, [g.encode([1] + [0] * 7, 0), g.encode([0] * 8, 4)])
+    assert incl.domain.order == 8
+
+    def refused():
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError) as err:
+            omega_embedding(g, incl)
+        return err.value, time.perf_counter() - start
+
+    (err, seconds), peak = peak_mb(refused)
+    assert str(err) == "wreath order at least 8^256 * 256 exceeds the int64 index range"
+    assert err.order == 8**256 * 256
+    assert seconds < 0.1 and peak < 5

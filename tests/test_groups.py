@@ -39,34 +39,16 @@ from wreathlab import groups, suites
 from wreathlab.cli import main
 from wreathlab.groups import DENSE_CAP_DEFAULT, closure, named_orders
 from wreathlab.search import are_isomorphic
-from wreathlab.suites import THETA_CATALOG, _theta_omega
-from wreathlab.wreath import build_wreath
 
-
-def brute_closure(g, gens):
-    """Independent closure oracle: saturate products with plain sets."""
-    elems = {g.identity} | set(gens)
-    while True:
-        new = {g.mul(a, b) for a in elems for b in elems}
-        if new <= elems:
-            return elems
-        elems |= new
-
-
-def element_order(g, x):
-    """The least k >= 1 with x^k = e, on any group: a structural product has no
-    ``element_orders`` table."""
-    return next(k for k in itertools.count(1) if g.power(x, k) == g.identity)
-
-
-def check_presentation_d4(g, x, y):
-    """x^4 = y^2 = e, y x y^-1 = x^-1, and <x, y> is all of g."""
-    e = g.identity
-    if g.power(x, 4) != e or g.power(y, 2) != e:
-        return False
-    if g.mul(g.mul(y, x), g.inv(y)) != g.inv(x):
-        return False
-    return len(closure(g, [x, y])) == g.order
+from tests.oracles import (
+    brute_closure,
+    check_presentation_d4,
+    element_order,
+    generator_sets,
+    loop_oracle,
+    normal_core_sweep,
+    relabeled,
+)
 
 
 # -- named families -------------------------------------------------------------
@@ -120,88 +102,6 @@ def test_q8_center_and_orders():
     g = construct_named("Q8")
     assert sorted(g.center_indices()) == [0, 1]
     assert g.element_orders().tolist() == [1, 2, 4, 4, 4, 4, 4, 4]
-
-
-# -- loop-built oracles of the named families ------------------------------------
-#
-# Each oracle fills the table one entry at a time from the family's documented
-# enumeration and returns (table, identity, labels, point_maps, name).
-
-
-def loop_cyclic(n):
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return table, 0, [str(k) for k in range(n)], None, f"C:{n}"
-
-
-def loop_dihedral(n):
-    size = 2 * n
-    table = [[0] * size for _ in range(size)]
-    for a in range(n):
-        for b in range(2):
-            for c in range(n):
-                for d in range(2):
-                    exp = (a + (c if b == 0 else -c)) % n
-                    table[2 * a + b][2 * c + d] = 2 * exp + ((b + d) % 2)
-    labels = []
-    for a in range(n):
-        for b in range(2):
-            rot = "" if a == 0 else ("r" if a == 1 else f"r{a}")
-            ref = "s" if b else ""
-            labels.append((rot + ref) or "e")
-    return table, 0, labels, None, f"D:{n}"
-
-
-def loop_perm_group(perms, name):
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[x]] for x in range(len(p)))] for q in perms] for p in perms]
-    labels = ["".join(str(x + 1) for x in p) for p in perms]
-    return table, index[tuple(range(len(perms[0])))], labels, perms, name
-
-
-def loop_is_even(p):
-    inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inversions % 2 == 0
-
-
-def loop_affine(p):
-    pairs = [(a, b) for a in range(1, p) for b in range(p)]
-    index = {ab: i for i, ab in enumerate(pairs)}
-    table = [[index[((a * c) % p, (a * d + b) % p)] for c, d in pairs] for a, b in pairs]
-    labels = [f"{a}t+{b}" for a, b in pairs]
-    maps = [tuple((a * t + b) % p for t in range(p)) for a, b in pairs]
-    return table, 0, labels, maps, f"AGL:{p}"
-
-
-def loop_quaternion():
-    units = "1ijk"
-    prod = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
-    table = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        for j in range(8):
-            sw, w = prod[(units[i // 2], units[j // 2])]
-            sign = (-1 if i % 2 else 1) * (-1 if j % 2 else 1) * sw
-            table[i][j] = 2 * units.index(w) + (0 if sign == 1 else 1)
-    return table, 0, ["1", "-1", "i", "-i", "j", "-j", "k", "-k"], None, "Q8"
-
-
-def loop_oracle(spec):
-    if spec == "Q8":
-        return loop_quaternion()
-    family, _, arg = spec.partition(":")
-    n = int(arg)
-    return {
-        "C": lambda: loop_cyclic(n),
-        "D": lambda: loop_dihedral(n),
-        "S": lambda: loop_perm_group(list(itertools.permutations(range(n))), spec),
-        "A": lambda: loop_perm_group([p for p in itertools.permutations(range(n))
-                                      if loop_is_even(p)], spec),
-        "AGL": lambda: loop_affine(n),
-    }[family]()
 
 
 _SEEDED = random.Random(20230626)
@@ -764,34 +664,6 @@ def test_scalar_mul_and_inv_return_python_ints(s4):
 # -- closure by doubling and cosets ----------------------------------------------------
 
 
-def bfs_closure(g, gens):
-    """Second closure oracle, for orders where the all-pairs saturation of
-    ``brute_closure`` is too slow: the former breadth-first closure, one array
-    product of each level by every generator."""
-    gens = np.array(list(gens), dtype=np.int64)
-    level, seen = [g.identity], {g.identity}
-    while level:
-        step = g.mul_array(np.array(level)[:, None], gens).ravel().tolist()
-        level = [y for y in dict.fromkeys(step) if y not in seen]
-        seen.update(level)
-    return seen
-
-
-def generator_sets(g, rng):
-    """The group's generators, then a few random single elements, pairs and triples."""
-    sets = [g.generators()]
-    for size in (1, 1, 2, 2, 3):
-        sets.append([rng.randrange(g.order) for _ in range(size)])
-    return sets
-
-
-def relabeled(g, rng):
-    perm = np.array(rng.sample(range(g.order), g.order), dtype=np.int64)
-    table = np.empty((g.order, g.order), dtype=np.int64)
-    table[np.ix_(perm, perm)] = perm[g.table]
-    return FiniteGroup(table.tolist(), identity=int(perm[g.identity]))
-
-
 NAMED_UP_TO_120 = ([f"C:{n}" for n in range(1, 121)] + [f"D:{n}" for n in range(2, 61)]
                    + [f"S:{n}" for n in range(1, 6)] + [f"A:{n}" for n in range(2, 6)]
                    + [f"AGL:{p}" for p in (2, 3, 5, 7)] + ["V4", "Q8"])
@@ -813,18 +685,17 @@ def test_coset_closure_matches_brute_force_on_named_families_and_relabeled_table
                 assert closure(h, gens) == sorted(brute_closure(h, gens)), (spec, gens)
 
 
-@pytest.mark.parametrize("k_spec,h_spec,degree", THETA_CATALOG, ids=str)
-def test_coset_closure_matches_the_oracles_on_dense_and_structural_products(k_spec, h_spec, degree):
-    k, omega = _theta_omega(k_spec, h_spec, degree)
-    w = build_wreath(k, omega)
-    rng = random.Random(f"{k_spec} {h_spec} {degree}")
-    forms = [w] + ([w.dense()] if w.order <= DENSE_CAP_DEFAULT else [])
-    for gens in generator_sets(w, rng):
-        want = bfs_closure(w, gens)
-        if len(want) <= 256:
-            assert want == brute_closure(w, gens)
-        for g in forms:
-            assert closure(g, gens) == sorted(want), (g, gens)
+def test_normal_core_matches_the_sweep_on_named_families_and_relabeled_tables():
+    rng = random.Random(34)
+    for spec in NAMED_UP_TO_120:
+        g = construct_named(spec)
+        for h in [g, relabeled(g, rng)] if g.order in (12, 24, 32, 60, 64, 120) else [g]:
+            for gens in generator_sets(h, rng):
+                members = closure(h, gens)
+                _sub, incl = subgroup_from_elements(h, members)
+                core, core_incl = normal_core(h, incl)
+                assert core_incl.image.tolist() == normal_core_sweep(h, members), (spec, gens)
+                assert core.name == f"core of {incl.domain.name} in {h.name}"
 
 
 def test_coset_closure_matches_brute_force_on_find_normal_subgroup_calls(monkeypatch):

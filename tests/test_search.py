@@ -16,6 +16,8 @@ from wreathlab.groups import FiniteGroup, _pick_generators, closure
 from wreathlab.search import are_isomorphic, embeds_into, identify_small, order_profile
 from wreathlab.suites import THETA_CATALOG, _theta_omega
 
+from tests.oracles import relabeled
+
 CATALOG = ["C:1", "C:4", "C:6", "V4", "S:3", "D:4", "Q8", "A:4", "D:6", "C:8"]
 
 
@@ -282,14 +284,6 @@ class PerEdgeSearch(FrontierSearch):
                     self._undo(added)
                     return None
         return added
-
-
-def relabeled(g, rng):
-    """g with its elements renumbered by a random permutation."""
-    p = np.array(rng.sample(range(g.order), g.order))
-    table = np.empty_like(g.table)
-    table[p[:, None], p[None, :]] = p[g.table]
-    return FiniteGroup(table, identity=int(p[g.identity]))
 
 
 def both_searches(a, b, budget=search.DEFAULT_NODE_BUDGET):

@@ -1,4 +1,3 @@
-import functools
 import gc
 import importlib
 import importlib.util
@@ -18,29 +17,17 @@ from wreathlab import (
     build_wreath,
     certify_hom,
     construct_named,
-    coset_action,
     natural_action,
     regular_action,
     regular_wreath,
     save_group,
-    subgroup_from_elements,
 )
 from wreathlab import wreath
-from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure, direct_product
+from wreathlab.groups import FiniteGroup, closure, direct_product
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import THETA_CATALOG, _theta_omega, check_theta_properties
 from wreathlab.wreath import WreathGroup, _check_wreath_order
-from tests.test_groups import check_presentation_d4, element_order
-
-
-def brute_wreath_mul(w, x, y):
-    """Independent product oracle straight from the defining formula."""
-    f1, h1 = w.decode(x)
-    f2, h2 = w.decode(y)
-    k, hgrp, om = w.base_group, w.top.group, w.top
-    twisted = [f2[om.apply(hgrp.inv(h1), j)] for j in range(om.size)]
-    prod = [k.mul(a, b) for a, b in zip(f1, twisted)]
-    return w.encode(prod, hgrp.mul(h1, h2))
+from tests.oracles import brute_wreath_mul, check_presentation_d4, element_order, wreath_label
 
 
 def theta_of(w, h, f):
@@ -327,9 +314,6 @@ def test_inverse_examples():
     assert w.inv(x) == w.encode((1, 0), 1)  # x^-1 = x^3
     base = w.encode((1, 1), 0)
     assert w.inv(base) == base
-    # inverses agree with the dense table
-    for z in range(w.order):
-        assert w.inv(z) == int(w.dense().inverses[z])
 
 
 def test_structural_representation_above_dense_cap():
@@ -342,11 +326,6 @@ def test_structural_representation_above_dense_cap():
         x, y = (int(v) for v in rng.integers(0, w.order, 2))
         assert w.mul(x, y) == brute_wreath_mul(w, x, y)
         assert w.mul(x, w.inv(x)) == w.identity
-    # the same wreath densely: its table agrees with the structural route
-    table = w.dense().table
-    for _ in range(100):
-        x, y = (int(v) for v in rng.integers(0, w.order, 2))
-        assert int(table[x, y]) == w.mul(x, y)
 
 
 def test_top_projection_is_exact():
@@ -386,6 +365,9 @@ def test_a_label_with_commas_reads_back():
     for text in ("((0,1),(0,1) 0)", "((0,1),(0,1); 0; 1)", "(0,1),(0,1); 0", "()"):
         with pytest.raises(WreathlabError, match="cannot parse"):
             w.label_index(text)
+    nested = build_wreath(regular_wreath(c2, c2), regular_action(c2))  # a wreath as base group
+    assert nested.label(37) == "((1,0; 1),(0,0; 1); 0)"
+    assert nested.label_index("((1,0; 1),(0,0; 1); 0)") == 37
 
 
 def test_element_orders_in_the_d4_wreath():
@@ -459,15 +441,6 @@ def test_codec_generators_generate_every_dense_product(k_spec, h_spec, degree):
         GroupHom(dense, omega.group, broken)
 
 
-@pytest.mark.parametrize("k_spec,h_spec,degree",
-                         [("C:2 x C:2", "C:2", None), ("C:2 x C:3", "S:3", 3), *DENSE_THETA_SHAPES])
-def test_label_index_reads_back_every_label(k_spec, h_spec, degree):
-    k = functools.reduce(direct_product, map(construct_named, k_spec.split(" x ")))
-    h = construct_named(h_spec)
-    w = build_wreath(k, regular_action(h) if degree is None else natural_action(degree, h))
-    assert [w.label_index(text) for text in w.labels(np.arange(w.order))] == list(range(w.order))
-
-
 def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     assert isinstance(w, WreathGroup)
@@ -483,58 +456,32 @@ def test_structural_c2_wreath_c2_builds_and_keeps_the_d4_presentation():
     assert not check_presentation_d4(w, y, x)
 
 
-# C:45 wr_r C:2 has a 2025-tuple block and two top elements: the widest tuple
-# product under the dense cap
 @pytest.mark.parametrize("k_spec,h_spec,degree", THETA_CATALOG + [("C:45", "C:2", None)])
-def test_structural_products_match_dense_tables(k_spec, h_spec, degree):
-    k, omega = _theta_omega(k_spec, h_spec, degree)
-    structural = build_wreath(k, omega)
-    assert isinstance(structural, WreathGroup)
-    product = structural
-    idx = np.arange(structural.order)
-    # the array decoder agrees with the validated scalar decode
-    digits, tops = product.decode_array(idx)
-    assert digits.shape == (structural.order, structural.top.size)
+def test_the_array_codec_agrees_with_the_scalar_codec(k_spec, h_spec, degree):
+    w = build_wreath(*_theta_omega(k_spec, h_spec, degree))
+    idx = np.arange(w.order)
+    digits, tops = w.decode_array(idx)
+    assert digits.shape == (w.order, w.top.size)
     assert [(tuple(map(int, f)), int(h)) for f, h in zip(digits, tops)] == \
-        [structural.decode(x) for x in idx]
-    # and the array encoder inverts it, agreeing with the validated scalar encode
-    assert (product.encode_array(digits, tops) == idx).all()
-    assert [structural.encode(f, int(h)) for f, h in zip(digits, tops)] == idx.tolist()
-    # seeded pairs against the defining formula
-    rng = np.random.default_rng(5)
-    xs, ys = rng.integers(0, structural.order, (2, 300))
-    products = structural.mul_array(xs, ys)
-    for x, y, z in zip(xs, ys, products):
-        assert int(z) == brute_wreath_mul(structural, int(x), int(y))
-    assert (product.mul_array(xs, product.inv_array(xs)) == product.identity).all()
-    if structural.order > DENSE_CAP_DEFAULT:
-        with pytest.raises(SizeLimitError, match="dense-table cap"):
-            structural.dense()  # C:5 wr C:5 has no dense table
-        return
-    dense = structural.dense()
-    assert structural.dense() is dense  # built once
-    table = dense.table
-    for lo in range(0, dense.order, 256):
-        rows = idx[lo:lo + 256, None]
-        assert (structural.mul_array(rows, idx[None, :]) == table[lo:lo + 256]).all()
-    assert (product.inv_array(idx) == dense.inverses).all()
-    # the same element indices carry the same labels and name
-    assert dense.labels == [structural.label(x) for x in idx.tolist()]
-    assert (dense.identity, dense.name) == (structural.identity, structural.name)
-    assert dense.generators() == structural.generators()
+        [w.decode(x) for x in idx]
+    assert (w.encode_array(digits, tops) == idx).all()
+    assert [w.encode(f, int(h)) for f, h in zip(digits, tops)] == idx.tolist()
 
 
-def label_oracle(w, x):
-    """The label format: decode, then join the base labels and the top label."""
-    f, h = w.decode(x)
-    return "(" + ",".join(w.base_group.labels[d] for d in f) + "; " + w.top.group.labels[h] + ")"
+def test_the_dense_table_is_built_once_and_refused_past_the_cap():
+    w = regular_wreath(construct_named("C:2"), construct_named("C:3"))
+    dense = w.dense()
+    assert w.dense() is dense
+    structural = build_wreath(*_theta_omega("C:5", "C:5", None))
+    with pytest.raises(SizeLimitError, match="dense-table cap"):
+        structural.dense()  # C:5 wr C:5 has no dense table
 
 
 @pytest.mark.parametrize("k_spec,h_spec,degree", THETA_CATALOG)
 def test_codec_labels_match_the_scalar_format(k_spec, h_spec, degree):
     w = build_wreath(*_theta_omega(k_spec, h_spec, degree))
     idx = np.arange(w.order)
-    assert w.labels(idx) == [label_oracle(w, x) for x in idx.tolist()]
+    assert w.labels(idx) == [wreath_label(w, x) for x in idx.tolist()]
     assert w.labels([]) == []
     for bad in (-1, w.order):
         with pytest.raises(WreathlabError, match=f"wreath index {bad} out of range"):
@@ -557,50 +504,6 @@ def test_every_method_the_tracer_wraps_is_defined_on_its_own_class():
     assert wreath.WreathProduct is WreathGroup
     w = regular_wreath(construct_named("C:2"), construct_named("C:2"))
     assert w.product is w
-
-
-# -- structural factors ------------------------------------------------------------
-
-
-def assert_same_product(a, b):
-    """Two wreath products agree on every product, inverse, label, generator and table."""
-    x = np.arange(a.order)
-    assert a.order == b.order
-    assert (a.mul_array(x[:, None], x) == b.mul_array(x[:, None], x)).all()
-    assert (a.inv_array(x) == b.inv_array(x)).all()
-    assert a.labels(x) == b.labels(x)
-    assert a.generators() == b.generators()
-    assert (a.dense().table == b.dense().table).all()
-    assert [a.label_index(text) for text in a.labels(x)] == x.tolist()
-
-
-def test_a_structural_wreath_serves_as_the_base_group():
-    c2 = construct_named("C:2")
-    w = regular_wreath(c2, c2)
-    nested = build_wreath(w, regular_action(c2))
-    assert isinstance(nested.base_group, WreathGroup) and nested.order == 128
-    assert_same_product(nested, build_wreath(w.dense(), regular_action(c2)))
-    assert nested.label(37) == "((1,0; 1),(0,0; 1); 0)"
-
-
-def test_a_structural_wreath_serves_as_the_top_group():
-    c2 = construct_named("C:2")
-    w = regular_wreath(c2, c2)
-    pair = [w.identity, w.encode((1, 1), 0)]
-    omega, _ = coset_action(w, subgroup_from_elements(w, pair)[1])
-    omega_dense, _ = coset_action(w.dense(), subgroup_from_elements(w.dense(), pair)[1])
-    assert omega.group is w and (omega.act == omega_dense.act).all()
-    assert omega.point_labels == omega_dense.point_labels
-    assert_same_product(build_wreath(c2, omega), build_wreath(c2, omega_dense))
-
-
-@pytest.mark.parametrize("shape", [(), (5,), (3, 1), (2, 3, 4)])
-def test_inv_array_is_the_inverse_table_on_broadcast_shapes(shape):
-    s4 = construct_named("S:4")
-    idx = np.random.default_rng(7).integers(0, s4.order, shape)
-    out = s4.inv_array(idx)
-    assert out.shape == idx.shape and (out == s4.inverses[idx]).all()
-    assert s4.inv_array(5) == s4.inv(5)
 
 
 @pytest.mark.parametrize("k_spec,h_spec,degree", [("C:2", "C:3", None), ("Q8", "C:2", None),
