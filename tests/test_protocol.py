@@ -4,7 +4,9 @@
 the group under test and ``reference(g)`` what it must agree with, index for
 index: a ``FiniteGroup`` table (``dense()`` for a structural product, a
 loop-built table for a named family), or ``WreathOracle``, the defining
-formula one element at a time, for a product past the dense cap.
+formula one element at a time, for a product past the dense cap.  Since
+``dense()`` is read off ``mul_array``, every ``WreathGroup`` is also checked
+against the defining formula on seeded pairs.
 
 On every entry the suite checks the protocol: ``mul``/``mul_array`` and
 ``inv``/``inv_array`` on scalars and broadcast shapes, the identity, labels
@@ -14,7 +16,8 @@ wherever the reference is a table, on seeded samples otherwise.  On every
 entry with a table it checks that ``subgroup_from_elements``,
 ``coset_partition``, ``coset_action``, ``normal_core``, ``quotient``,
 ``kk_embedding``, ``omega_embedding`` and ``certify_hom`` give equal output
-on the group and on its reference.
+on the group and on its reference, and that each embedding made is an
+injective homomorphism.
 
 A new ``Group`` class needs one registry line here:
 ``test_every_group_class_is_registered`` fails until it has one.
@@ -55,6 +58,7 @@ from tests.oracles import (
     WreathOracle,
     bfs_closure,
     brute_closure,
+    brute_wreath_mul,
     first_failing_pair,
     generator_sets,
     loop_group,
@@ -227,6 +231,11 @@ def check_products(g, ref):
         assert (g.mul_array(x, y) == ref_mul(ref, x, y)).all()
     assert (ref_mul(ref, x, g.inv_array(x)) == e).all()
     assert (g.mul_array(g.identity, x) == x).all() and (g.mul_array(x, g.identity) == x).all()
+    if isinstance(g, WreathGroup):
+        # dense() is read off mul_array, so a product is also checked against the
+        # defining formula on 300 seeded pairs
+        xs, ys = np.random.default_rng(5).integers(0, n, (2, 300)).tolist()
+        assert g.mul_array(xs, ys).tolist() == [brute_wreath_mul(g, a, b) for a, b in zip(xs, ys)]
 
 
 def check_identity_labels_and_generators(g, ref):
@@ -358,6 +367,9 @@ def hom_summary(hom):
 
 
 def embedding_summary(w, phi):
+    report = verify_embedding(phi)
+    assert report.is_homomorphism and report.is_injective, w.name
+    assert report.image_order == phi.domain.order, w.name
     return phi.image.tolist(), w.labels(phi.image), w.name, w.order, hom_summary(phi)
 
 
