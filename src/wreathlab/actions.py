@@ -12,8 +12,10 @@ from .groups import (
     Group,
     GroupHom,
     Section,
+    _count_distinct,
     _first_failure,
     _int64_indices,
+    _int64_rows,
     _read_integer_json,
     _write_json_line,
     coset_partition,
@@ -23,28 +25,13 @@ from .groups import (
 )
 
 
-def _int64_table(act) -> np.ndarray:
-    """``act`` as int64, refusing any cell that is not an exact integer."""
-    if isinstance(act, np.ndarray):
-        exact = np.issubdtype(act.dtype, np.integer)
-    else:
-        exact = isinstance(act, (list, tuple)) and all(
-            isinstance(row, (list, tuple)) and all(type(v) is int for v in row) for row in act)
-    if not exact:
-        raise ActionValidationError(
-            "'act' must be a list of rows of integers or an array of an integer dtype")
-    try:
-        return np.asarray(act, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:  # ragged rows, or an int past int64
-        raise ActionValidationError(f"'act' is not a table of int64 integers: {exc}") from None
-
-
 class FiniteGSet:
     """A left action of a finite group on points 0..size-1.
 
-    ``act[h][w]`` is the image of point ``w`` under group element ``h``:
-    an array of an integer dtype, or a list of rows of ints (a bool, float or
-    string cell raises ``ActionValidationError``).  Both action axioms are
+    ``act[h][w]`` is the image of point ``w`` under group element ``h``,
+    read by ``groups._int64_rows``: an array of an integer dtype, or rows of
+    Python or numpy ints (a bool, float, str or None cell, ragged rows or a
+    value past int64 raise ``ActionValidationError``).  Both action axioms are
     verified exactly at construction.  ``_group_table``, for the regular
     action only, says that ``act`` is the group's own Cayley table: it is
     kept as that read-only array unchecked, since its range, identity and
@@ -55,7 +42,8 @@ class FiniteGSet:
     def __init__(self, group: Group, act, point_labels: Optional[Sequence[str]] = None,
                  _group_table: bool = False):
         self.group = group
-        self.act = act if _group_table else _int64_table(act)
+        self.act = act if _group_table else _int64_rows(
+            act, ActionValidationError, "'act'").astype(np.int64, copy=False)
         if self.act.ndim != 2 or self.act.shape[0] != group.order:
             raise ActionValidationError(
                 f"action table must be |H| x |Omega|, got {self.act.shape}")
@@ -120,25 +108,21 @@ def coset_action(g: Group, h: GroupHom):
 
 
 def natural_action(n: int, g: Group) -> FiniteGSet:
-    """Point action of a permutation-like group carrying one-line point data."""
+    """Point action of a permutation-like group, its one-line point data read as ``act``."""
     if g.point_maps is None:
         raise ActionValidationError("group carries no point data for a natural action")
     degree = len(g.point_maps[0])
     if degree != n:
         raise ActionValidationError(f"natural action degree {degree} != requested {n}")
-    act = np.array(g.point_maps, dtype=np.int64)
-    return FiniteGSet(g, act)
+    return FiniteGSet(g, g.point_maps)
 
 
 def check_equivariant(xi, omega: FiniteGSet, omega_hat: FiniteGSet, phi: GroupHom) -> bool:
     """xi(h.w) == phi(h).xi(w) for all h, w, with xi a point bijection; a
     non-integer point raises ``GroupFormatError``."""
-    xi = _int64_indices(xi, GroupFormatError)
-    if len(xi) != omega.size or omega_hat.size != omega.size:
-        return False
-    if len(set(int(v) for v in xi)) != omega.size:
-        return False
-    if xi.min() < 0 or xi.max() >= omega_hat.size:
+    xi = _int64_indices(xi, GroupFormatError, "point bijection")
+    if (len(xi) != omega.size or omega_hat.size != omega.size or _count_distinct(xi) != omega.size
+            or xi.min() < 0 or xi.max() >= omega_hat.size):
         return False
     return bool((xi[omega.act] == omega_hat.act[phi.image][:, xi]).all())
 

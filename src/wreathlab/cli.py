@@ -41,7 +41,7 @@ from .groups import (
 )
 from .search import embeds_into, identify_small
 from .sizes import M_MAX_BOUND, figure_csv, figure_data, table1
-from .suites import find_normal_subgroup, run_suites, ses_from_subgroup, stabilizer_subgroup
+from .suites import Verdict, find_normal_subgroup, run_suites, ses_from_subgroup, stabilizer_subgroup
 from .wreath import build_wreath
 
 EXIT_OK = 0
@@ -281,17 +281,15 @@ def cmd_verify(args) -> int:
             raise ValueError(f"bad depth {args.depth!r} (N must be at least 0)")
     elif args.depth != "exhaustive":
         raise ValueError(f"bad depth {args.depth!r} (use exhaustive or sampled:N)")
-    verdicts = []
     if args.group_json:
         try:
-            g = load_group(args.group_json)
-            verdicts.append({"suite": "json", "property": "group_invariants",
-                             "pass": True, "detail": f"order {g.order} valid"})
+            verdict = Verdict("json", "group_invariants", True,
+                              f"order {load_group(args.group_json).order} valid")
         except GroupFormatError:
             raise  # not a group exchange file at all: a usage error, not a failed verdict
         except (WreathlabError, KeyError, ValueError) as exc:
-            verdicts.append({"suite": "json", "property": "group_invariants",
-                             "pass": False, "detail": str(exc)})
+            verdict = Verdict("json", "group_invariants", False, str(exc))
+        verdicts = [verdict.to_json()]
     else:
         verdicts = [v.to_json() for v in run_suites(args.suite, samples, args.seed)]
     all_passed = all(v["pass"] for v in verdicts)

@@ -260,7 +260,7 @@ def _transport(base_map: GroupHom, top_map: GroupHom, xi, w: WreathGroup,
     if base_map.codomain.order != w_hat.base_group.order:
         raise NotIsomorphismError("base-component map does not land in the target base group")
     _check_wreath_order(w.n_base, w.n_points, w.n_top, ENUMERATION_CAP)
-    xi_inv = np.argsort(_int64_indices(xi, GroupFormatError))  # xi is a bijection
+    xi_inv = np.argsort(_int64_indices(xi, GroupFormatError, "point bijection"))  # a bijection
     f, h = w.decode_array(np.arange(w.order))
     image = w_hat.encode_array(base_map.image[f[:, xi_inv]], top_map.image[h])
     out = GroupHom(w, w_hat, image, validate=False)

@@ -272,12 +272,17 @@ class MultiQuadField:
 
     def _parity(self, n: int) -> tuple[int, int]:
         """(the sign of n at bit 0 and each prime of the generators that divides n
-        to an odd power at its bit, |n| with those primes divided out)."""
+        to an odd power at its bit, |n| with those primes divided out).  p^v goes
+        out by p, p^2, p^4, ... from the largest dividing n: O(log v) divisions."""
         bits, n = int(n < 0), abs(n)
         for p, bit in self._prime_bits.items():
-            while n % p == 0:
-                n //= p
-                bits ^= bit
+            powers = [p]
+            while n % powers[-1] == 0:
+                powers.append(powers[-1] ** 2)
+            for q in reversed(powers[:-1]):
+                if n % q == 0:
+                    n //= q
+                    bits ^= bit if q == p else 0
         return bits, n
 
     def _reduce(self, bits: int, mask: int = 0) -> tuple[int, int]:

@@ -2,14 +2,15 @@
 
 Every group carries a full ``order x order`` table (``table[i][j]`` is the
 index of ``g_i * g_j``), an identity index, an inverse table and optional
-display labels.  A table given as rows of cells is converted in one pass over
-its cells, each row by ``array('q').fromlist``, which refuses a float or str
-cell as it reads it.  Validation is exact at every order: a table from outside
-the package (a direct ``FiniteGroup`` call, ``group_from_json`` or
-``load_group``) passes the range, identity and inverse checks and is proved
-associative by Light's test on each greedy generator.  Both Light's test and
-the inverse check compare the table in row blocks of about ``SWEEP_CHUNK``
-cells, so validation needs O(``SWEEP_CHUNK``) memory beside the table.
+display labels.  Every integer handed to the package (tables, action cells,
+hom images, sections, elements, wreath digits) is read by ``_int64_rows``,
+which refuses a bool, float, str or None rather than convert it.
+Validation is exact at every order: a table from outside the package (a
+direct ``FiniteGroup`` call, ``group_from_json`` or ``load_group``) passes
+the range, identity and inverse checks and is proved associative by Light's
+test on each greedy generator.  Both Light's test and the inverse check
+compare the table in row blocks of about ``SWEEP_CHUNK`` cells, so
+validation needs O(``SWEEP_CHUNK``) memory beside the table.
 
 Tables the package builds are groups by construction: the named families
 below are formulas, and ``direct_product``, ``subgroup_from_elements`` and
@@ -96,36 +97,43 @@ def _count_distinct(values: np.ndarray):
     return np.count_nonzero(new, axis=-1) + (v.shape[-1] > 0)
 
 
-def _int64_rows(table) -> np.ndarray:
-    """A table given as rows of cells as one int64 array, in one pass over the
-    cells: each row goes through ``array('q').fromlist``, which takes an int, a
-    bool or a numpy integer and raises TypeError on any other cell (a float, a
-    str, a list) and OverflowError past int64.  An empty table stays 1-D, as
-    ``np.asarray`` would make it."""
-    cells, width, rows = array("q"), None, 0
-    for row in table:
-        if type(row) is not list:
-            row = list(row)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise GroupFormatError(f"table rows differ in length: {width} and {len(row)}")
-        cells.fromlist(row)
-        rows += 1
+def _int64_rows(table, error: type[Exception], what: str = "table") -> np.ndarray:
+    """The one reader of the integers handed to the package: ``table`` as int64
+    rows, or ``error``.  An array of an integer dtype is returned as it is;
+    other rows go, in one pass, through ``array('q').fromlist``, which takes a
+    Python or numpy int and refuses a float, str, None or list cell and a value
+    past int64.  It reads a bool as 0 or 1, so the type of each cell of value 0
+    or 1 (two per row of a group table) is read and a bool refused.  Ragged
+    rows are refused; an empty table stays 1-D, as ``np.asarray`` makes it."""
+    if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
+        return table
+    cells, rows = array("q"), []
+    try:
+        for row in table:
+            row = row if type(row) is list else list(row)
+            if rows and len(row) != len(rows[0]):
+                raise error(f"{what} rows differ in length: {len(rows[0])} and {len(row)}")
+            cells.fromlist(row)
+            rows.append(row)
+    except (TypeError, OverflowError) as exc:
+        raise error(f"{what} must be int64 integers: {exc}") from None
     if not rows:
         return np.empty(0, dtype=np.int64)
-    return np.frombuffer(cells, dtype=np.int64).reshape(rows, width)
+    flat, width = np.frombuffer(cells, dtype=np.int64), len(rows[0])
+    for k in np.flatnonzero(flat.view(np.uint64) <= 1).tolist():  # a 1-D scan: 2-D costs 3x
+        i, j = divmod(k, width)
+        if type(rows[i][j]) is bool:
+            raise error(f"{what} must be int64 integers: cell ({i}, {j}) is a bool")
+    return flat.reshape(len(rows), width)
 
 
-def _int64_indices(values, error: type[Exception]) -> np.ndarray:
-    """Indices as one int64 row: an array of an integer dtype is cast, anything else
-    goes through ``_int64_rows``, so a float, str or None raises ``error``."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        return values.astype(np.int64, copy=False)
-    try:
-        return _int64_rows([values])[0]
-    except (TypeError, OverflowError) as exc:
-        raise error(f"indices are not int64 integers: {exc}") from None
+def _int64_indices(values, error: type[Exception], what: str = "indices") -> np.ndarray:
+    """Indices as one int64 row, read by ``_int64_rows``: refusals raise ``error``,
+    as does an array that is not one row (stacked rows are several sections)."""
+    out = _int64_rows(values[None] if isinstance(values, np.ndarray) else [values], error, what)[0]
+    if out.ndim != 1:
+        raise error(f"{what} must be one row, got shape {out.shape}")
+    return out.astype(np.int64, copy=False)
 
 
 class Group:
@@ -186,15 +194,9 @@ class FiniteGroup(Group):
     ):
         if isinstance(identity, bool) or not isinstance(identity, (int, np.integer)):
             raise GroupFormatError(f"identity must be an integer, got {identity!r}")
-        if not isinstance(table, np.ndarray):
-            try:
-                table = _int64_rows(table)
-            except (TypeError, OverflowError) as exc:
-                raise GroupFormatError(f"table is not rows of int64 integers: {exc}") from None
+        table = _int64_rows(table, GroupFormatError)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupFormatError(f"table must be square, got shape {table.shape}")
-        if table.dtype.kind not in "iu":
-            raise GroupFormatError(f"table entries must be integers, got dtype {table.dtype}")
         self.order = int(table.shape[0])
         if self.order <= 0:
             raise GroupValidationError("group order must be positive")
@@ -382,7 +384,7 @@ class GroupHom:
     def __init__(self, domain, codomain, image, validate: bool = True):
         self.domain = domain
         self.codomain = codomain
-        self.image = _int64_indices(image, GroupFormatError)
+        self.image = _int64_indices(image, GroupFormatError, "hom image")
         self.image.setflags(write=False)
         if len(self.image) != domain.order:
             raise GroupValidationError("hom image length does not match domain order")
@@ -492,10 +494,7 @@ class Section:
     def __init__(self, domain, to: Group, choice):
         self.domain = domain
         self.to = to
-        self.choice = _int64_indices(choice, SectionMismatchError)
-        if self.choice.ndim != 1:  # embeddings read stacked rows as several sections
-            raise SectionMismatchError(
-                f"section values must be one row, got shape {self.choice.shape}")
+        self.choice = _int64_indices(choice, SectionMismatchError, "section")
         self.choice.setflags(write=False)
 
     def __call__(self, q: int) -> int:
@@ -684,10 +683,12 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 def subgroup_from_elements(g: Group, elems: Iterable[int], name: Optional[str] = None):
     """Subgroup on a closed element set, indexed by ascending parent index.
 
+    ``elems`` is read by ``_int64_rows`` (a refusal raises ``GroupFormatError``).
     Elements are found among the members by binary search, so nothing of size
     |G| is allocated: a subgroup of a structural product of any order is cheap.
     """
-    members = np.array(sorted(set(int(x) for x in elems)), dtype=np.int64)
+    members = np.array(sorted(set(_int64_indices(elems, GroupFormatError, "elements").tolist())),
+                       dtype=np.int64)
     if len(members) and not 0 <= members[0] <= members[-1] < g.order:
         raise GroupValidationError("element index out of the group's range")
     products = g.mul_array(members[:, None], members)
@@ -763,8 +764,12 @@ def _powers_outside(g: Group, y: int, seen: set) -> list[int]:
 
 
 def subgroup_generated(g: Group, gens: Iterable[int]):
-    """Closure of ``gens`` under multiplication, as (subgroup, inclusion)."""
-    return subgroup_from_elements(g, closure(g, gens))
+    """Closure of ``gens`` under multiplication, as (subgroup, inclusion); ``gens``
+    is refused as ``subgroup_from_elements`` refuses its elements."""
+    gens = _int64_indices(gens, GroupFormatError, "generators")
+    if len(gens) and not 0 <= gens.min() <= gens.max() < g.order:
+        raise GroupValidationError("element index out of the group's range")
+    return subgroup_from_elements(g, closure(g, gens.tolist()))
 
 
 def center_subgroup(g: FiniteGroup):
@@ -831,7 +836,8 @@ def _coset_group(g: Group, coset_of: np.ndarray, reps: np.ndarray, name: str) ->
 def default_section(eps: GroupHom, overrides: Optional[dict[int, int]] = None) -> Section:
     """Minimal-index preimage per target, with the identity mapped to identity.
 
-    ``overrides`` maps codomain indices to chosen preimages (checked).
+    ``overrides`` maps codomain indices to chosen preimages, read by
+    ``_int64_rows`` and checked: a refusal raises ``SectionMismatchError``.
     """
     if not eps.is_surjective():
         raise NotSurjectiveError("section requested for a non-surjective map")
@@ -841,10 +847,11 @@ def default_section(eps: GroupHom, overrides: Optional[dict[int, int]] = None) -
     np.minimum.at(choice, eps.image, np.arange(eps.domain.order))
     choice[q.identity] = eps.domain.identity
     if overrides:
-        for t, x in overrides.items():
-            if int(eps.image[x]) != t:
-                raise SectionMismatchError(f"override {x} is not a preimage of {t}")
-            choice[t] = x
+        t, x = _int64_rows([[*overrides], [*overrides.values()]], SectionMismatchError, "overrides")
+        bad = (x < 0) | (x >= eps.domain.order) | (eps.image.take(x, mode="clip") != t)
+        if bad.any():
+            raise SectionMismatchError(f"override {x[bad][0]} is not a preimage of {t[bad][0]}")
+        choice[t] = x
     return Section(q, eps.domain, choice)
 
 

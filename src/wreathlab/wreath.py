@@ -33,7 +33,7 @@ import numpy as np
 
 from .actions import FiniteGSet, regular_action
 from .errors import SizeLimitError, WreathlabError
-from .groups import FiniteGroup, Group, _check_dense_order
+from .groups import FiniteGroup, Group, _check_dense_order, _int64_indices
 
 # elements are int64 indices, so no product has an order of 2^63 or more
 _INDEX_LIMIT = 2**63
@@ -82,16 +82,18 @@ class WreathGroup(Group):
         self._pw = np.array(self.powers, dtype=np.int64)
         self._tuples = np.int64(self.tuple_count)  # int64: a table group's products are int32
         self._inv_act = top.act[top.group.inv_array(np.arange(self.n_top))]  # row h: h^-1's action
-        self.identity = self.encode([base_group.identity] * self.n_points, top.group.identity)
+        self.identity = top.group.identity * self.tuple_count + base_group.identity * sum(self.powers)
         self._dense: Optional[FiniteGroup] = None
 
     # read only by ``perfbench/spans.py``; goes with its rename (ROADMAP item 3)
     product = property(lambda self: self)
 
     def encode(self, f: Sequence[int], h: int) -> int:
+        """The index of (f, h), its digits and top read by ``groups._int64_rows``."""
+        *f, h = _int64_indices([*f, h], WreathlabError, "tuple digits and top").tolist()
         if len(f) != self.n_points:
             raise WreathlabError(f"tuple length {len(f)} != |Omega| = {self.n_points}")
-        for d in map(int, f):
+        for d in f:
             if not 0 <= d < self.n_base:
                 raise WreathlabError(f"tuple digit {d} out of base-group range")
         if not 0 <= h < self.n_top:
@@ -99,6 +101,8 @@ class WreathGroup(Group):
         return int(self.encode_array(f, h))
 
     def decode(self, x: int) -> tuple[tuple[int, ...], int]:
+        """(f, h) of the index x, read by ``groups._int64_rows``."""
+        x = _int64_indices([x], WreathlabError, "wreath index").item()
         if not 0 <= x < self.order:
             raise WreathlabError(f"wreath index {x} out of range")
         digits, h = self.decode_array(x)

@@ -205,7 +205,7 @@ def test_action_json_act_must_be_rows_of_exact_ints(act):
     # [[0, 1.9], [1, 0]] once loaded as the regular action of C:2, its 1.9 truncated to 1
     data = c2_action_json()
     data["act"] = act
-    with pytest.raises(ActionValidationError, match="'act' must be a list of rows of integers"):
+    with pytest.raises(ActionValidationError, match="'act' must be int64 integers"):
         action_from_json(data)
 
 
@@ -215,13 +215,13 @@ def test_action_json_act_must_be_rows_of_exact_ints(act):
                                  np.array([[True, False], [False, True]])])
 def test_in_process_action_cells_must_be_exact_ints(act):
     # [[0, 1.9], [1, 0]] and [[0, True], ["1", 0]] once loaded as the regular action of C:2
-    with pytest.raises(ActionValidationError, match="'act' must be a list of rows of integers"):
+    with pytest.raises(ActionValidationError, match="'act' must be int64 integers"):
         FiniteGSet(construct_named("C:2"), act)
 
 
 @pytest.mark.parametrize("act", [[[0, 1], [1]], [[0, 2**70], [1, 0]]])
 def test_action_tables_that_are_not_int64_arrays_are_refused(act):
-    with pytest.raises(ActionValidationError, match="'act' is not a table of int64 integers"):
+    with pytest.raises(ActionValidationError, match="'act' (rows differ in length|must be int64)"):
         FiniteGSet(construct_named("C:2"), act)
 
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from wreathlab import (
+    ActionValidationError,
     FiniteGroup,
+    FiniteGSet,
     GroupFormatError,
     GroupHom,
     GroupValidationError,
@@ -16,17 +18,21 @@ from wreathlab import (
     Section,
     SectionMismatchError,
     SizeLimitError,
+    WreathlabError,
+    action_from_json,
     center_subgroup,
     certify_hom,
     check_equivariant,
     construct_named,
     coset_partition,
+    default_section,
     direct_product,
     group_from_json,
     group_to_json,
     identity_hom,
     kk_embedding,
     load_group,
+    natural_action,
     normal_core,
     quotient,
     regular_action,
@@ -34,6 +40,8 @@ from wreathlab import (
     save_group,
     subgroup_from_elements,
     subgroup_generated,
+    transport_iso,
+    transport_subgroup,
 )
 from wreathlab import groups, suites
 from wreathlab.cli import main
@@ -578,8 +586,9 @@ def test_power_squares_and_multiplies_for_a_huge_exponent():
 
 
 @pytest.mark.parametrize("table", [[[0, 1.9], [1.2, 0]], [[0, "1"], [1, 0]], [[0, 1], [1, None]],
-                                   [[0, np.float64(1)], [1, 0]]], ids=repr)
+                                   [[0, np.float64(1)], [1, 0]], [[0, True], [True, 0]]], ids=repr)
 def test_in_process_float_and_str_cells_are_refused(table):
+    # [[0, True], [True, 0]] once loaded as C:2, each True read as 1
     with pytest.raises(GroupFormatError, match="integers"):
         FiniteGroup(table)
 
@@ -598,7 +607,7 @@ def test_tables_that_are_not_square_rows_of_ints_stay_format_errors(table):
 
 @pytest.mark.parametrize("table", [[(0, 1), (1, 0)], ((0, 1), (1, 0)),
                                    [np.array([0, 1]), np.array([1, 0], dtype=np.int32)],
-                                   [[0, True], [True, 0]], [[np.int64(0), 1], [1, np.uint8(0)]]],
+                                   [[np.int64(0), 1], [1, np.uint8(0)]]],
                          ids=repr)
 def test_integer_rows_of_any_sequence_type_still_load(table):
     g = FiniteGroup(table)
@@ -645,6 +654,76 @@ def test_integer_indices_of_any_sequence_type_still_load(values):
     assert hom.image.dtype == section.choice.dtype == np.int64
     omega = regular_action(c2)
     assert check_equivariant(values, omega, omega, identity_hom(c2))
+
+
+def _c2_wreath():
+    c2 = construct_named("C:2")
+    return regular_wreath(c2, c2)
+
+
+def _c4_onto_c2():
+    """C:4 -> C:4/<2>; 1 and 3 lie over the point 1."""
+    c4 = construct_named("C:4")
+    return quotient(c4, subgroup_generated(c4, [2])[1])[1]
+
+
+# every entry point that takes an index from outside, with its documented error class;
+# each call puts the index v where 1 gives a valid input
+INDEX_ENTRY_POINTS = {
+    "FiniteGroup": (GroupFormatError, lambda c2, v: FiniteGroup([[0, v], [v, 0]])),
+    "group_from_json": (GroupFormatError, lambda c2, v: group_from_json(
+        {"order": 2, "identity": 0, "table": [[0, v], [v, 0]]})),
+    "FiniteGSet": (ActionValidationError, lambda c2, v: FiniteGSet(c2, [[0, v], [v, 0]])),
+    "action_from_json": (ActionValidationError, lambda c2, v: action_from_json(
+        {"group": group_to_json(c2), "size": 2, "act": [[0, v], [v, 0]]})),
+    "natural_action": (ActionValidationError, lambda c2, v: natural_action(
+        2, FiniteGroup(c2.table, point_maps=[(0, v), (v, 0)]))),
+    "GroupHom": (GroupFormatError, lambda c2, v: GroupHom(c2, c2, [0, v])),
+    "Section": (SectionMismatchError, lambda c2, v: Section(c2, c2, [0, v])),
+    "check_equivariant": (GroupFormatError, lambda c2, v: check_equivariant(
+        [0, v], regular_action(c2), regular_action(c2), identity_hom(c2))),
+    "transport_iso": (GroupFormatError, lambda c2, v: transport_iso(
+        identity_hom(c2), identity_hom(c2), [0, v], _c2_wreath(), _c2_wreath())),
+    "transport_subgroup": (GroupFormatError, lambda c2, v: transport_subgroup(
+        identity_hom(c2), identity_hom(c2), [0, v], _c2_wreath(), _c2_wreath())),
+    "subgroup_from_elements": (GroupFormatError, lambda c2, v: subgroup_from_elements(c2, [0, v])),
+    "subgroup_generated": (GroupFormatError, lambda c2, v: subgroup_generated(c2, [v])),
+    "WreathGroup.encode digit": (WreathlabError, lambda c2, v: _c2_wreath().encode([v, 0], 0)),
+    "WreathGroup.encode top": (WreathlabError, lambda c2, v: _c2_wreath().encode([0, 0], v)),
+    "WreathGroup.decode": (WreathlabError, lambda c2, v: _c2_wreath().decode(v)),
+    "default_section target": (SectionMismatchError, lambda c2, v: default_section(
+        _c4_onto_c2(), {v: 3})),
+    "default_section preimage": (SectionMismatchError, lambda c2, v: default_section(
+        _c4_onto_c2(), {1: v})),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 1.5, np.float64(1), "1", None, 2**63],
+                         ids=repr)
+@pytest.mark.parametrize("entry", list(INDEX_ENTRY_POINTS))
+def test_every_entry_point_refuses_an_index_that_is_not_an_int64_integer(entry, value):
+    """Each once took some of these: a bool as 0 or 1, a float or str by int(), a float
+    point map by np.array, and a float override escaped as IndexError."""
+    error, call = INDEX_ENTRY_POINTS[entry]
+    with pytest.raises(error):
+        call(construct_named("C:2"), value)
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), np.uint8(1)], ids=repr)
+@pytest.mark.parametrize("entry", list(INDEX_ENTRY_POINTS))
+def test_every_entry_point_takes_python_and_numpy_ints(entry, value):
+    INDEX_ENTRY_POINTS[entry][1](construct_named("C:2"), value)
+
+
+def test_out_of_range_generators_and_overrides_are_refused():
+    c4 = construct_named("C:4")
+    for gens in ([4], [-1], [1, 2**40]):
+        with pytest.raises(GroupValidationError, match="range"):
+            subgroup_generated(c4, gens)
+    for preimage in (7, -1, 2):
+        with pytest.raises(SectionMismatchError, match=f"override {preimage} is not a preimage"):
+            default_section(_c4_onto_c2(), {1: preimage})
+    assert default_section(_c4_onto_c2(), {1: 3}).choice.tolist() == [0, 3]
 
 
 def test_a_truncating_section_no_longer_builds_a_kk_embedding():
