@@ -20,10 +20,8 @@ from .actions import (
 from .embeddings import (
     EmbeddingReport,
     ShortExactSequence,
-    all_sections,
     kk_embedding,
     omega_embedding,
-    random_section,
     solvability_witness,
     transport_iso,
     transport_subgroup,

@@ -79,12 +79,6 @@ class FiniteGSet:
     def apply(self, h: int, w: int) -> int:
         return int(self.act[h, w])
 
-    def orbit(self, w: int) -> set[int]:
-        return set(int(v) for v in self.act[:, w])
-
-    def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.size
-
     def __repr__(self) -> str:
         return f"<FiniteGSet |Omega|={self.size} under {self.group!r}>"
 
@@ -100,7 +94,7 @@ def coset_action(g: Group, h: GroupHom):
     Cosets are indexed by ascending minimal member, so the coset holding index 0 is
     point 0, and quotients built from the same subgroup share the indexing.
     """
-    coset_of, reps = coset_partition(g, sorted(h.image_set()))
+    coset_of, reps = coset_partition(g, h.image[h.domain.generators()])
     act = coset_of[g.mul_array(np.arange(g.order)[:, None], reps)]
     labels = [f"{g.label(r)}·H" for r in reps]
     omega = FiniteGSet(g, act, point_labels=labels)

@@ -21,9 +21,7 @@ degree p^2.
 
 from __future__ import annotations
 
-import itertools
 import json
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,6 +44,7 @@ from .groups import (
     _coset_group,
     _count_distinct,
     _int64_indices,
+    _pick_generators,
     certify_hom,
     construct_named,
     coset_partition,
@@ -118,27 +117,6 @@ class EmbeddingReport:
 
     def __str__(self) -> str:
         return json.dumps(self.to_json())
-
-
-def _fibers(eps: GroupHom) -> list[list[int]]:
-    """The preimages of each point of eps's codomain, ascending."""
-    return [np.flatnonzero(eps.image == t).tolist() for t in range(eps.codomain.order)]
-
-
-def all_sections(eps: GroupHom):
-    """Every right inverse of eps (|preimage| per point choices)."""
-    for combo in itertools.product(*_fibers(eps)):
-        yield Section(eps.codomain, eps.domain, np.array(combo, dtype=np.int64))
-
-
-def _random_choice(fibers: list[list[int]], rng: random.Random) -> list[int]:
-    """One preimage per point, drawn by rng in point order."""
-    return [rng.choice(fiber) for fiber in fibers]
-
-
-def random_section(eps: GroupHom, rng: random.Random) -> Section:
-    choice = _random_choice(_fibers(eps), rng)
-    return Section(eps.codomain, eps.domain, np.array(choice, dtype=np.int64))
 
 
 def _check_section(point_of: np.ndarray, choice: np.ndarray, size: int) -> None:
@@ -219,7 +197,7 @@ def omega_embedding(g: Group, h_k: GroupHom, s: Optional[Section] = None,
     _check_coset_wreath(g.order, h_k.domain.order, at_least=True)
     omega_g, reps = coset_action(g, h_k)
     core = np.flatnonzero((omega_g.act == omega_g.act[g.identity]).all(axis=1))
-    tops, q_reps = coset_partition(g, core)
+    tops, q_reps = coset_partition(g, _pick_generators(g, core.tolist())[0])
     q = _coset_group(g, tops, q_reps, f"{g.name}/core of {h_k.domain.name} in {g.name}")
     omega_q = FiniteGSet(q, omega_g.act[q_reps], point_labels=omega_g.point_labels)
     s = reps if s is None else s

@@ -27,6 +27,12 @@ generator's powers by doubling, one ``mul_array`` per doubling, and extends
 the subgroup so far by whole right cosets, one ``mul_array`` per batch of new
 cosets, not one per element or per breadth-first level.
 
+Conjugacy classes and cosets are orbits of generator permutations, found by one
+routine, ``_orbits`` (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, section 4.1): classes under x -> s x s^-1 over G's generators s,
+the cosets of H under x -> x t over any generating set of H, which
+``coset_partition`` takes.
+
 Named families fix a documented enumeration so all derived objects (subgroups,
 quotients, wreath products) are bit-reproducible; each table is one array
 expression in the element coordinates below, and a spec whose order exceeds
@@ -95,6 +101,31 @@ def _count_distinct(values: np.ndarray):
     if v.ndim == 1:
         return int(np.count_nonzero(new)) + (v.size > 0)
     return np.count_nonzero(new, axis=-1) + (v.shape[-1] > 0)
+
+
+def _orbits(perms: np.ndarray) -> np.ndarray:
+    """Each point's orbit label, the least point of its orbit, under the group that
+    the rows of ``perms``, the (k, n) point images of k permutations, generate.
+
+    A round gives each point the least label among its own, its images' and its
+    preimages', each label the least of its points', and then labels jump to
+    their labels' until they settle.  Labels fall and stay in their orbit, so
+    once every permutation keeps them they are constant on orbits: the least
+    points.  Memory is a few (2k, n) int64 arrays.
+    """
+    k, n = perms.shape
+    moves = np.empty((2 * k, n), dtype=np.int64)
+    moves[:k] = perms
+    moves[np.arange(k, 2 * k)[:, None], perms] = np.arange(n)  # row k + i inverts row i
+    least = np.arange(n, dtype=np.int64)
+    while True:
+        new = np.minimum(least[moves].min(axis=0, initial=n), least)
+        np.minimum.at(new, least, new)
+        while (new[new] != new).any():
+            new = new[new]
+        if (new[perms] == new).all():
+            return new
+        least = new
 
 
 def _int64_rows(table, error: type[Exception], what: str = "table") -> np.ndarray:
@@ -339,16 +370,12 @@ class FiniteGroup(Group):
 
     def conjugacy_classes(self) -> dict[int, list[int]]:
         """Each conjugacy class {y x y^-1} as its ascending members, keyed by its
-        least element, in ascending order of the keys."""
-        t = self.table
-        least = np.full(self.order, -1)
-        # least.item reads a Python int; a bytearray of the classes seen would cost
-        # a second numpy write per class, more than the reads it saves
-        for x in range(self.order):
-            if least.item(x) < 0:  # x is the least element of a class not yet seen
-                least[t[t[:, x], self.inverses]] = x
+        least element, in ascending order of the keys: the orbits of x -> s x s^-1
+        over the generators s, one gather of the table per generator."""
+        s = np.array(self.generators(), dtype=np.int64)[:, None]
+        labels = _orbits(self.table[self.table[s, np.arange(self.order)], self.inverses[s]])
         classes: dict[int, list[int]] = {}
-        for x, rep in enumerate(least.tolist()):
+        for x, rep in enumerate(labels.tolist()):  # a class first appears at its least element
             classes.setdefault(rep, []).append(x)
         return classes
 
@@ -750,16 +777,15 @@ def closure(g: Group, gens: Iterable[int], start: Optional[Iterable[int]] = None
 
 def _powers_outside(g: Group, y: int, seen: set) -> list[int]:
     """y, y^2, ..., y^(k-1) for the least k > 1 with y^k in ``seen``, which holds
-    the identity and not y, by doubling: with P the first m powers, P y^m are
-    the next m."""
-    powers, t = [g.identity, y], g.mul(y, y)
+    the identity and not y, by doubling: with P the first m powers and t = y^m,
+    P t are the next m and t t the next t, all in one ``mul_array``."""
+    powers, t = [g.identity, y], int(g.mul_array(y, y))
     while t not in seen:
-        step = g.mul_array(np.array(powers), t).tolist()
+        *step, t = g.mul_array(np.array(powers + [t]), t).tolist()
         for i, z in enumerate(step):
             if z in seen:
                 return powers[1:] + step[:i]
         powers += step
-        t = g.mul(t, t)
     return powers[1:]
 
 
@@ -788,34 +814,28 @@ def normal_core(g: Group, h: GroupHom):
         core = kept
 
 
-def coset_partition(g: Group, members) -> tuple[np.ndarray, np.ndarray]:
-    """Left cosets x*M of the element set ``members``.
+def coset_partition(g: Group, gens) -> tuple[np.ndarray, np.ndarray]:
+    """Left cosets xH of the subgroup H that ``gens`` (read by ``_int64_rows``)
+    generates, as the orbits of x -> x t over t in ``gens``: one row of |G|
+    images per t, so a member list of H is valid but costs |H| rows.
 
     Returns the coset index of every element and the minimal element of each
     coset; cosets are numbered by ascending minimal element.
     """
-    members = np.asarray(members, dtype=np.int64)
-    # a list, read and written per element: on small cosets that beats one numpy
-    # scalar read per element and one numpy write per coset
-    coset_of = [-1] * g.order
-    reps: list[int] = []
-    for x in range(g.order):
-        if coset_of[x] < 0:
-            k = len(reps)
-            for y in g.mul_array(x, members).tolist():
-                coset_of[y] = k
-            reps.append(x)
-    return np.array(coset_of, dtype=np.int64), np.array(reps, dtype=np.int64)
+    gens = _int64_indices(gens, GroupFormatError, "generators")
+    least = _orbits(g.mul_array(np.arange(g.order), gens[:, None]))
+    reps = np.flatnonzero(least == np.arange(g.order))
+    return np.searchsorted(reps, least), reps
 
 
 def quotient(g: Group, n: GroupHom):
     """Coset group g/image(n) with its projection; representatives are minimal.
-    Nx and xN both have |N| elements, so N is normal when every n x lies in xN.
-    That holds on xN once it holds for x, so only the ascending representatives
-    are tested, in |G| products; the first that fails is the least failing x."""
-    members = np.array(sorted(n.image_set()), dtype=np.int64)
-    coset_of, reps = coset_partition(g, members)
-    bad = (coset_of[g.mul_array(members[:, None], reps)] != np.arange(len(reps))).any(axis=0)
+    N is normal when t r lies in rN for each generator t of N and ascending
+    representative r (then r^-1 N r = N, and so x^-1 N x = N on rN); the first
+    representative that fails is the least failing x."""
+    gens = n.image[n.domain.generators()]
+    coset_of, reps = coset_partition(g, gens)
+    bad = (coset_of[g.mul_array(gens[:, None], reps)] != np.arange(len(reps))).any(axis=0)
     if bad.any():
         raise NonNormalSubgroupError(f"gN != Ng at g index {reps[bad.argmax()]}")
     q = _coset_group(g, coset_of, reps, f"{g.name}/{n.domain.name}")

@@ -21,8 +21,6 @@ from .actions import check_equivariant, natural_action, regular_action
 from .embeddings import (
     ShortExactSequence,
     _check_section,
-    _fibers,
-    _random_choice,
     _sigma_image,
     kk_embedding,
     omega_embedding,
@@ -290,6 +288,16 @@ def _verify_sections(ses: ShortExactSequence, rows) -> tuple[Optional[str], int,
     return None, count, checks
 
 
+def _fibers(eps: GroupHom) -> list[list[int]]:
+    """The preimages of each point of eps's codomain, ascending."""
+    return [np.flatnonzero(eps.image == t).tolist() for t in range(eps.codomain.order)]
+
+
+def _random_choice(fibers: list[list[int]], rng: random.Random) -> list[int]:
+    """One preimage per point, drawn by rng in point order."""
+    return [rng.choice(fiber) for fiber in fibers]
+
+
 def kk_suite(random_sections: Optional[int] = None, seed: int = 0) -> list[Verdict]:
     """The default section, then every section where ``random_sections`` covers them or
     the quotient has at most ``KK_ALL_SECTIONS_LIMIT`` elements, seeded random ones otherwise.
@@ -297,8 +305,8 @@ def kk_suite(random_sections: Optional[int] = None, seed: int = 0) -> list[Verdi
     Each section's embedding is certified an injective hom on generators, in
     blocks of sections (``_verify_sections``), with the verdicts, counts and
     exceptions of a loop of ``_verify_section`` over the sections one at a
-    time.  Sections are enumerated, or drawn in ``random_section``'s order,
-    one block at a time, and no more are drawn than that loop would draw.
+    time.  Sections are enumerated, or drawn by ``_random_choice``, one block at
+    a time, and no more are drawn than that loop would draw.
     """
     random_sections = (KK_RANDOM_SECTIONS_DEFAULT if random_sections is None
                        else random_sections)

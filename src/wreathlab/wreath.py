@@ -33,7 +33,7 @@ import numpy as np
 
 from .actions import FiniteGSet, regular_action
 from .errors import SizeLimitError, WreathlabError
-from .groups import FiniteGroup, Group, _check_dense_order, _int64_indices
+from .groups import FiniteGroup, Group, _check_dense_order, _int64_indices, _orbits
 
 # elements are int64 indices, so no product has an order of 2^63 or more
 _INDEX_LIMIT = 2**63
@@ -102,10 +102,7 @@ class WreathGroup(Group):
 
     def decode(self, x: int) -> tuple[tuple[int, ...], int]:
         """(f, h) of the index x, read by ``groups._int64_rows``."""
-        x = _int64_indices([x], WreathlabError, "wreath index").item()
-        if not 0 <= x < self.order:
-            raise WreathlabError(f"wreath index {x} out of range")
-        digits, h = self.decode_array(x)
+        digits, h = self.decode_array(self._indices([x])[0])
         return tuple(digits.tolist()), int(h)
 
     def decode_array(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -119,10 +116,18 @@ class WreathGroup(Group):
         return np.asarray(tops, dtype=np.int64) * self.tuple_count + digits @ self._pw
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_array(a, b))
+        return int(self.mul_array(*self._indices([a, b])))
 
     def inv(self, a: int) -> int:
-        return int(self.inv_array(a))
+        return int(self.inv_array(self._indices([a])[0]))
+
+    def _indices(self, x) -> np.ndarray:
+        """Wreath indices read by ``groups._int64_rows`` and checked against the order."""
+        x = _int64_indices(x, WreathlabError, "wreath indices")
+        bad = x.view(np.uint64) >= self.order  # a negative index reads as past 2^63
+        if bad.any():
+            raise WreathlabError(f"wreath index {int(x[bad][0])} out of range")
+        return x
 
     def mul_array(self, x, y) -> np.ndarray:
         """(f1, h1)(f2, h2) = (f1 * theta_h1(f2), h1 h2) with theta_h1(f2)(w) = f2(h1^-1 . w)."""
@@ -182,17 +187,14 @@ class WreathGroup(Group):
     def generators(self) -> list[int]:
         """K's generators at the least point of each orbit of Omega, then H's generators."""
         e, k_e, h_e = self.identity, self.base_group.identity, self.top.group.identity
-        points = sorted({min(self.top.orbit(w)) for w in range(self.n_points)})
+        orbit_of = _orbits(self.top.act[self.top.group.generators()])
+        points = np.flatnonzero(orbit_of == np.arange(self.n_points)).tolist()
         return ([e + (k - k_e) * self.powers[w] for w in points for k in self.base_group.generators()]
                 + [e + (h - h_e) * self.tuple_count for h in self.top.group.generators()])
 
     def labels(self, indices) -> list[str]:
         """``(k_0,...,k_{n-1}; h)`` for each index, from one array decode."""
-        x = np.asarray(indices, dtype=np.int64)
-        bad = (x < 0) | (x >= self.order)
-        if bad.any():
-            raise WreathlabError(f"wreath index {int(x[bad][0])} out of range")
-        digits, tops = (a.tolist() for a in self.decode_array(x))
+        digits, tops = (a.tolist() for a in self.decode_array(self._indices(indices)))
         k = {d: self.base_group.label(d) for d in set().union(*digits)}
         h = {t: self.top.group.label(t) for t in set(tops)}
         return [f"({','.join([k[d] for d in f])}; {h[t]})" for f, t in zip(digits, tops)]

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from wreathlab import FiniteGroup
+from wreathlab import FiniteGroup, Section
 from wreathlab.groups import closure
 
 
@@ -80,6 +80,59 @@ def normal_core_sweep(g, members):
     x = np.arange(g.order)[:, None]
     conj = g.mul_array(g.mul_array(g.inv_array(x), members), x)
     return members[in_h[conj].all(axis=0)].tolist()
+
+
+def class_sweep(g):
+    """The conjugacy classes keyed by least element, as ``conjugacy_classes`` gives
+    them: the former per-class loop, one gather of the table by each element
+    not yet classed."""
+    t = g.table
+    least = np.full(g.order, -1)
+    for x in range(g.order):
+        if least.item(x) < 0:  # x is the least element of a class not yet seen
+            least[t[t[:, x], g.inverses]] = x
+    classes = {}
+    for x, rep in enumerate(least.tolist()):
+        classes.setdefault(rep, []).append(x)
+    return classes
+
+
+def member_coset_partition(g, members):
+    """(coset of each element, least member of each coset) of the left cosets x M
+    of the member list M: the former ``coset_partition``, one ``mul_array`` of
+    M per coset, over a Python list of |G| entries."""
+    members = np.asarray(members, dtype=np.int64)
+    coset_of, reps = [-1] * g.order, []
+    for x in range(g.order):
+        if coset_of[x] < 0:
+            for y in g.mul_array(x, members).tolist():
+                coset_of[y] = len(reps)
+            reps.append(x)
+    return np.array(coset_of, dtype=np.int64), np.array(reps, dtype=np.int64)
+
+
+# -- sections -------------------------------------------------------------------------
+
+
+def fibers(eps):
+    """The preimages of each point of eps's codomain, ascending, by a plain loop."""
+    out = [[] for _ in range(eps.codomain.order)]
+    for x in range(eps.domain.order):
+        out[eps(x)].append(x)
+    return out
+
+
+def all_sections(eps):
+    """Every right inverse of eps, in the order of ``itertools.product`` over the fibers."""
+    for combo in itertools.product(*fibers(eps)):
+        yield Section(eps.codomain, eps.domain, np.array(combo, dtype=np.int64))
+
+
+def random_section(eps, rng):
+    """One preimage per point, drawn by ``rng.choice`` in point order: the kk
+    suite's draws."""
+    choice = [rng.choice(fiber) for fiber in fibers(eps)]
+    return Section(eps.codomain, eps.domain, np.array(choice, dtype=np.int64))
 
 
 # -- loop-built oracles of the named families ------------------------------------

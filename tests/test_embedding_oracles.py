@@ -21,7 +21,6 @@ from wreathlab import (
     QuadraticTower,
     Section,
     SectionMismatchError,
-    all_sections,
     build_wreath,
     center_subgroup,
     check_equivariant,
@@ -37,7 +36,6 @@ from wreathlab import (
     omega_embedding,
     quadratic_kummer_embedding,
     quotient,
-    random_section,
     subgroup_from_elements,
     subgroup_generated,
     transport_iso,
@@ -50,6 +48,7 @@ from wreathlab.groups import closure, named_orders
 from wreathlab.fields import _chi_table
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import find_normal_subgroup, ses_catalog, ses_from_subgroup, stabilizer_subgroup
+from tests.oracles import all_sections, random_section
 from tests.test_fields import SECTION_TOWERS, automorphisms, chi, restricted_mask
 
 # the towers of cocycle_suite

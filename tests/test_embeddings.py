@@ -15,7 +15,6 @@ from wreathlab import (
     ShortExactSequence,
     SizeLimitError,
     UnsupportedPrimeError,
-    all_sections,
     build_wreath,
     center_subgroup,
     construct_named,
@@ -25,7 +24,6 @@ from wreathlab import (
     kk_embedding,
     natural_action,
     omega_embedding,
-    random_section,
     regular_action,
     regular_wreath,
     solvability_witness,
@@ -46,6 +44,8 @@ from wreathlab.suites import (
     stabilizer_subgroup,
 )
 from wreathlab.wreath import WreathGroup
+
+from tests.oracles import all_sections, random_section
 
 
 def sign_ses():

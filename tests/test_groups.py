@@ -45,15 +45,17 @@ from wreathlab import (
 )
 from wreathlab import groups, suites
 from wreathlab.cli import main
-from wreathlab.groups import DENSE_CAP_DEFAULT, closure, named_orders
+from wreathlab.groups import DENSE_CAP_DEFAULT, _orbits, closure, named_orders
 from wreathlab.search import are_isomorphic
 
 from tests.oracles import (
     brute_closure,
     check_presentation_d4,
+    class_sweep,
     element_order,
     generator_sets,
     loop_oracle,
+    member_coset_partition,
     normal_core_sweep,
     relabeled,
 )
@@ -691,6 +693,10 @@ INDEX_ENTRY_POINTS = {
     "WreathGroup.encode digit": (WreathlabError, lambda c2, v: _c2_wreath().encode([v, 0], 0)),
     "WreathGroup.encode top": (WreathlabError, lambda c2, v: _c2_wreath().encode([0, 0], v)),
     "WreathGroup.decode": (WreathlabError, lambda c2, v: _c2_wreath().decode(v)),
+    "WreathGroup.label": (WreathlabError, lambda c2, v: _c2_wreath().label(v)),
+    "WreathGroup.labels": (WreathlabError, lambda c2, v: _c2_wreath().labels([0, v])),
+    "WreathGroup.mul": (WreathlabError, lambda c2, v: _c2_wreath().mul(v, 0)),
+    "WreathGroup.inv": (WreathlabError, lambda c2, v: _c2_wreath().inv(v)),
     "default_section target": (SectionMismatchError, lambda c2, v: default_section(
         _c4_onto_c2(), {v: 3})),
     "default_section preimage": (SectionMismatchError, lambda c2, v: default_section(
@@ -805,3 +811,56 @@ def test_closure_of_a_cyclic_group_doubles_its_powers():
     g.mul_array = counting
     assert closure(g, [1]) == list(range(4096))
     assert count[0] <= 2 * 12 + 2  # the breadth-first closure made 4096 calls
+
+
+# -- orbits of generator permutations: classes and cosets ------------------------------
+
+
+# every family member up to order 120, then the larger ones up to the dense cap
+NAMED_TO_THE_CAP = NAMED_UP_TO_120 + ["S:6", "A:6", "C:1024", "D:1023", "D:1024", "C:4096",
+                                      "D:2048"]
+
+
+def assert_cosets_match_the_member_walk(g, gens):
+    """coset_partition of <gens> from gens, and from the member list where its
+    |H| rows of |G| images fit 2^16 cells, against the member walk."""
+    members = closure(g, gens)
+    want = [a.tolist() for a in member_coset_partition(g, members)]
+    given = [gens] + [members, np.array(members)] * (len(members) * g.order <= 2**16)
+    for x in given:
+        assert [a.tolist() for a in coset_partition(g, x)] == want, (g, gens)
+
+
+def test_classes_and_cosets_match_the_oracles_on_named_families_and_relabeled_tables():
+    rng = random.Random(36)
+    for spec in NAMED_TO_THE_CAP:
+        g = construct_named(spec)
+        for h in [g, relabeled(g, rng)] if g.order in (12, 24, 32, 60, 64, 120, 720) else [g]:
+            assert h.conjugacy_classes() == class_sweep(h), spec
+            for gens in generator_sets(h, rng):
+                assert_cosets_match_the_member_walk(h, gens)
+
+
+def test_the_trivial_group_has_one_class_and_one_coset():
+    c1 = construct_named("C:1")
+    assert c1.generators() == [] and c1.conjugacy_classes() == class_sweep(c1) == {0: [0]}
+    for given in ([], [0], np.array([], dtype=np.int64)):
+        assert [a.tolist() for a in coset_partition(c1, given)] == [[0], [0]]
+    c6 = construct_named("C:6")  # no generators: every element is its own coset
+    assert [a.tolist() for a in coset_partition(c6, [])] == [list(range(6))] * 2
+
+
+def test_orbits_are_least_points_of_generated_orbits():
+    assert _orbits(np.empty((0, 5), dtype=np.int64)).tolist() == [0, 1, 2, 3, 4]
+    assert _orbits(np.array([[1, 2, 0, 4, 3, 5]])).tolist() == [0, 0, 0, 3, 3, 5]
+    # long cycles through descending and ascending points, and two cycles joined by a
+    # second generator
+    for step in (-1, 1):
+        assert _orbits(np.array([[(i + step) % 9 for i in range(9)]])).tolist() == [0] * 9
+    joined = _orbits(np.array([[1, 2, 0, 4, 5, 3], [3, 1, 2, 0, 4, 5]]))
+    assert joined.dtype == np.int64 and joined.tolist() == [0] * 6
+
+
+def test_coset_partition_refuses_generators_that_are_not_integers():
+    with pytest.raises(GroupFormatError):
+        coset_partition(construct_named("C:4"), [0, 2.0])

@@ -2,7 +2,7 @@
 
 ``oracle_kk_suite`` is the suite as it ran before it checked sections in
 blocks: one ``kk_embedding``, certificate and distinct count per section, the
-sections from ``all_sections`` and ``random_section``.  The blocked suite
+sections from the oracles ``all_sections`` and ``random_section``.  The blocked suite
 must give the same verdicts, counts, checks and exceptions, draw the same
 random sections, and build the same images.
 """
@@ -17,11 +17,9 @@ from wreathlab import (
     GroupValidationError,
     Section,
     SectionMismatchError,
-    all_sections,
     construct_named,
     default_section,
     kk_embedding,
-    random_section,
     subgroup_from_elements,
 )
 from wreathlab import embeddings, groups, suites
@@ -36,6 +34,8 @@ from wreathlab.suites import (
     ses_catalog,
     ses_from_subgroup,
 )
+
+from tests.oracles import all_sections, random_section
 
 CATALOG = ses_catalog()
 

@@ -17,7 +17,9 @@ entry with a table it checks that ``subgroup_from_elements``,
 ``coset_partition``, ``coset_action``, ``normal_core``, ``quotient``,
 ``kk_embedding``, ``omega_embedding`` and ``certify_hom`` give equal output
 on the group and on its reference, and that each embedding made is an
-injective homomorphism.
+injective homomorphism.  On every entry, conjugacy classes, coset partitions
+and a product's top orbits, all orbits of generator permutations, match the
+former loops kept in ``tests/oracles.py``.
 
 A new ``Group`` class needs one registry line here:
 ``test_every_group_class_is_registered`` fails until it has one.
@@ -50,7 +52,7 @@ from wreathlab import (
     subgroup_from_elements,
     verify_embedding,
 )
-from wreathlab.groups import DENSE_CAP_DEFAULT, Group, closure
+from wreathlab.groups import DENSE_CAP_DEFAULT, Group, _orbits, closure
 from wreathlab.suites import THETA_CATALOG, _theta_omega, ses_from_subgroup
 from wreathlab.wreath import WreathGroup
 
@@ -59,9 +61,11 @@ from tests.oracles import (
     bfs_closure,
     brute_closure,
     brute_wreath_mul,
+    class_sweep,
     first_failing_pair,
     generator_sets,
     loop_group,
+    member_coset_partition,
     normal_core_sweep,
     renumbered,
 )
@@ -413,6 +417,29 @@ def test_omega_embeddings(entry):
             *omega_embedding(group, subgroup_from_elements(group, members)[1])))
             for group in (g, ref)]
         assert got[0] == got[1], members
+
+
+def test_classes_cosets_and_top_orbits_match_the_oracles(entry):
+    """Classes, cosets and a product's top orbits are orbits of generator
+    permutations: against the former class loop, the member walk over cosets
+    and the orbit of each point read off the action's column."""
+    g, ref = entry
+    if is_table(ref):
+        assert ref.conjugacy_classes() == class_sweep(ref)
+        if isinstance(g, FiniteGroup):
+            assert g.conjugacy_classes() == class_sweep(ref)
+    oracle = ref if is_table(ref) else g  # the member walk multiplies arrays
+    gens = g.generators()
+    for part in (gens[:-1], gens[-1:]):
+        members = closure(g, part)
+        want = [a.tolist() for a in member_coset_partition(oracle, members)]
+        assert [a.tolist() for a in coset_partition(g, part)] == want, part
+        if len(members) * g.order <= CELLS:
+            assert [a.tolist() for a in coset_partition(g, members)] == want, part
+    if isinstance(g, WreathGroup):
+        top = g.top
+        least = [min(top.act[:, w].tolist()) for w in range(top.size)]
+        assert _orbits(top.act[top.group.generators()]).tolist() == least
 
 
 def test_the_coset_of_h_off_point_0_embeds_through_its_own_point():

@@ -418,6 +418,15 @@ def test_structural_generators_cover_every_orbit_and_certify_homs():
         GroupHom(w, c2, broken)
 
 
+def test_structural_generators_take_the_least_point_of_interleaved_orbits():
+    c2 = construct_named("C:2")
+    omega = FiniteGSet(c2, [[0, 1, 2, 3, 4], [2, 3, 0, 1, 4]])  # orbits {0, 2}, {1, 3} and {4}
+    w = build_wreath(c2, omega)
+    base = [w.encode(f, 0) for f in ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 1))]
+    assert w.generators() == base + [w.encode((0,) * 5, 1)]
+    assert closure(w, w.generators()) == list(range(w.order))
+
+
 DENSE_THETA_SHAPES = [c for c in THETA_CATALOG if c[:2] != ("C:5", "C:5")]
 
 
