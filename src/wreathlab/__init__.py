@@ -24,7 +24,6 @@ from .embeddings import (
     omega_embedding,
     solvability_witness,
     transport_iso,
-    transport_subgroup,
     verify_embedding,
 )
 from .errors import (
@@ -66,7 +65,6 @@ from .groups import (
     direct_product,
     group_from_json,
     group_to_json,
-    identity_hom,
     load_group,
     normal_core,
     quotient,

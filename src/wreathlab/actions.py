@@ -76,9 +76,6 @@ class FiniteGSet:
                 raise ActionValidationError(
                     f"compatibility axiom fails at (h1,h2,w)=({h1},{h2},{w})")
 
-    def apply(self, h: int, w: int) -> int:
-        return int(self.act[h, w])
-
     def __repr__(self) -> str:
         return f"<FiniteGSet |Omega|={self.size} under {self.group!r}>"
 

@@ -13,7 +13,7 @@ statement of that formula, evaluated for all x together:
   sends an extension 1 -> N -> G -> Q -> 1 into the regular wreath product
   N wr_r Q, s a section of eps and top = eps (Kaloujnine-Krasner).
 
-Transport maps move embeddings across isomorphic or included components, and
+Transport maps move embeddings across isomorphic components, and
 ``solvability_witness`` searches for an embedding into the affine wreath
 product that characterizes radical solvability of imprimitive polynomials of
 degree p^2.
@@ -231,33 +231,13 @@ def verify_embedding(phi: GroupHom) -> EmbeddingReport:
     )
 
 
-def _transport(base_map: GroupHom, top_map: GroupHom, xi, w: WreathGroup,
-               w_hat: WreathGroup, kind: str) -> GroupHom:
-    """(f, h) |-> (base_map o f o xi^-1, top_map(h)) on all of w, checked to be a
-    hom and injective (``kind`` names the property in the error)."""
-    if base_map.codomain.order != w_hat.base_group.order:
-        raise NotIsomorphismError("base-component map does not land in the target base group")
-    _check_wreath_order(w.n_base, w.n_points, w.n_top, ENUMERATION_CAP)
-    xi_inv = np.argsort(_int64_indices(xi, GroupFormatError, "point bijection"))  # a bijection
-    f, h = w.decode_array(np.arange(w.order))
-    image = w_hat.encode_array(base_map.image[f[:, xi_inv]], top_map.image[h])
-    out = GroupHom(w, w_hat, image, validate=False)
-    cert = certify_hom(out)
-    if cert.counterexample is not None:
-        raise NotIsomorphismError(f"transport fails the hom law at pair {cert.counterexample}")
-    out.certificate = cert
-    if _count_distinct(image) != w.order:
-        raise NotIsomorphismError(f"transport is not {kind}")
-    return out
-
-
 def transport_iso(psi: GroupHom, phi: GroupHom, xi, w: WreathGroup,
                   w_hat: WreathGroup) -> GroupHom:
     """Isomorphism (f, h) |-> (psi o f o xi^-1, phi(h)) between wreath products.
 
     psi and phi must be isomorphisms of the base and top groups and xi an
-    equivariant point bijection; the result is verified bijective over the
-    full element range.
+    equivariant point bijection; the result is certified a hom and verified
+    bijective over the full element range.
     """
     if not (psi.is_injective() and psi.is_surjective()):
         raise NotIsomorphismError("base-component map is not an isomorphism")
@@ -267,19 +247,20 @@ def transport_iso(psi: GroupHom, phi: GroupHom, xi, w: WreathGroup,
         raise NotEquivariantError("point bijection is not equivariant for the top maps")
     if w.order != w_hat.order:
         raise NotIsomorphismError("wreath products have different orders")
-    return _transport(psi, phi, xi, w, w_hat, "bijective")
-
-
-def transport_subgroup(iota_k: GroupHom, iota_h: GroupHom, xi, w: WreathGroup,
-                       w_hat: WreathGroup) -> GroupHom:
-    """Injective hom K wr_Omega H -> K^ wr_Omega^ H^ from component inclusions."""
-    if not iota_k.is_injective():
-        raise NotIsomorphismError("base-component map is not injective")
-    if not iota_h.is_injective():
-        raise NotIsomorphismError("top-component map is not injective")
-    if not check_equivariant(xi, w.top, w_hat.top, iota_h):
-        raise NotEquivariantError("point bijection is not equivariant for the inclusions")
-    return _transport(iota_k, iota_h, xi, w, w_hat, "injective")
+    if psi.codomain.order != w_hat.base_group.order:
+        raise NotIsomorphismError("base-component map does not land in the target base group")
+    _check_wreath_order(w.n_base, w.n_points, w.n_top, ENUMERATION_CAP)
+    xi_inv = np.argsort(_int64_indices(xi, GroupFormatError, "point bijection"))  # a bijection
+    f, h = w.decode_array(np.arange(w.order))
+    image = w_hat.encode_array(psi.image[f[:, xi_inv]], phi.image[h])
+    out = GroupHom(w, w_hat, image, validate=False)
+    cert = certify_hom(out)
+    if cert.counterexample is not None:
+        raise NotIsomorphismError(f"transport fails the hom law at pair {cert.counterexample}")
+    out.certificate = cert
+    if _count_distinct(image) != w.order:
+        raise NotIsomorphismError("transport is not bijective")
+    return out
 
 
 _SOLVABILITY_PRIMES = (2, 3)

@@ -334,11 +334,6 @@ class MultiQuadField:
         coords[0] = q
         return self.element(coords)
 
-    def gen_sqrt(self, i: int) -> "MultiQuadElement":
-        coords = [0] * self.dim
-        coords[1 << i] = 1
-        return self.element(coords)
-
     def sqrt_of_rational(self, q) -> "MultiQuadElement":
         """Canonical square root r * basis(S) of q = r^2 * prod_{i in S} d_i."""
         q = Fraction(q)
@@ -436,14 +431,6 @@ class MultiQuadElement:
     def __bool__(self) -> bool:
         return any(self.nums)
 
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.nums[0], self.den)
-
     def __str__(self) -> str:
         terms = []
         for mask, c in enumerate(self.coords):
@@ -462,7 +449,7 @@ class MultiQuadElement:
 
 
 class FieldAutomorphism:
-    """Automorphism sqrt(d_i) -> signs[i] * sqrt(d_i); composition is sign product."""
+    """Automorphism sqrt(d_i) -> signs[i] * sqrt(d_i)."""
 
     __slots__ = ("field", "signs")
 
@@ -484,11 +471,6 @@ class FieldAutomorphism:
         return MultiQuadElement._of(self.field, nums, x.den)
 
     __call__ = apply
-
-    def compose(self, other: "FieldAutomorphism") -> "FieldAutomorphism":
-        if other.field != self.field:
-            raise ValueError("automorphisms of different fields")
-        return FieldAutomorphism(self.field, tuple(a * b for a, b in zip(self.signs, other.signs)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldAutomorphism) and self.field == other.field

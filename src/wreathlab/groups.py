@@ -507,10 +507,6 @@ def certify_hom(phi: GroupHom) -> Certificate:
                        counterexample)
 
 
-def identity_hom(g: Group) -> GroupHom:
-    return GroupHom(g, g, np.arange(g.order), validate=False)
-
-
 class Section:
     """A right inverse of a surjection: one chosen preimage per target point.
 
@@ -526,9 +522,6 @@ class Section:
 
     def __call__(self, q: int) -> int:
         return int(self.choice[q])
-
-    def __len__(self) -> int:
-        return len(self.choice)
 
 
 # -- named families ---------------------------------------------------------
@@ -713,23 +706,29 @@ def subgroup_from_elements(g: Group, elems: Iterable[int], name: Optional[str] =
     ``elems`` is read by ``_int64_rows`` (a refusal raises ``GroupFormatError``).
     Elements are found among the members by binary search, so nothing of size
     |G| is allocated: a subgroup of a structural product of any order is cheap.
+    The int32 table is written in row blocks, so the only |H|^2 array is the table.
     """
     members = np.array(sorted(set(_int64_indices(elems, GroupFormatError, "elements").tolist())),
                        dtype=np.int64)
-    if len(members) and not 0 <= members[0] <= members[-1] < g.order:
+    n = len(members)
+    if n and not 0 <= members[0] <= members[-1] < g.order:
         raise GroupValidationError("element index out of the group's range")
-    products = g.mul_array(members[:, None], members)
-    table = np.searchsorted(members, products)
-    inside = members.take(table, mode="clip") == products
-    if not inside.all():
-        i, j = divmod(int(inside.argmin()), len(members))
-        raise GroupValidationError(
-            f"element set not closed: g{members[i]}*g{members[j]} escapes")
+    table = np.empty((n, n), dtype=np.int32)
+
+    def escapes(a: int, b: int) -> np.ndarray:  # writes rows a..b-1 of the table
+        products = g.mul_array(members[a:b, None], members)
+        table[a:b] = np.searchsorted(members, products)
+        return members.take(table[a:b], mode="clip") != products
+
+    bad = _first_failure(escapes, n, n)
+    if bad is not None:
+        i, j = divmod(bad, n)
+        raise GroupValidationError(f"element set not closed: g{members[i]}*g{members[j]} escapes")
     labels = [g.label(x) for x in members.tolist()]
     maps = [g.point_maps[x] for x in members.tolist()] if g.point_maps is not None else None
     # a closed non-empty subset of a finite group holds the identity and every inverse
     sub = FiniteGroup(table, identity=int(np.searchsorted(members, g.identity)), labels=labels,
-                      name=name or f"subgroup({len(members)}) of {g.name}", point_maps=maps,
+                      name=name or f"subgroup({n}) of {g.name}", point_maps=maps,
                       _inverses=np.searchsorted(members, g.inv_array(members)))
     return sub, GroupHom(sub, g, members)
 
@@ -817,12 +816,18 @@ def normal_core(g: Group, h: GroupHom):
 def coset_partition(g: Group, gens) -> tuple[np.ndarray, np.ndarray]:
     """Left cosets xH of the subgroup H that ``gens`` (read by ``_int64_rows``)
     generates, as the orbits of x -> x t over t in ``gens``: one row of |G|
-    images per t, so a member list of H is valid but costs |H| rows.
+    images per t.  An irredundant list has at most log2 |G| members, each at
+    least doubling the subgroup, so a longer one (a member list of H, say) is
+    first reduced to greedy generators.
 
     Returns the coset index of every element and the minimal element of each
     coset; cosets are numbered by ascending minimal element.
     """
     gens = _int64_indices(gens, GroupFormatError, "generators")
+    if len(gens) and not 0 <= gens.min() <= gens.max() < g.order:
+        raise GroupValidationError("element index out of the group's range")
+    if len(gens) > g.order.bit_length():
+        gens = np.array(_pick_generators(g, gens.tolist())[0], dtype=np.int64)
     least = _orbits(g.mul_array(np.arange(g.order), gens[:, None]))
     reps = np.flatnonzero(least == np.arange(g.order))
     return np.searchsorted(reps, least), reps

@@ -143,10 +143,6 @@ class SizeRow:
     dihedral: bool
 
     @property
-    def regular_coeff(self) -> Fraction:
-        return Fraction(1, self.kc ** (self.kc - 1))
-
-    @property
     def omega_coeff(self) -> Fraction:
         return Fraction(self.kc, self.k**self.k)
 

@@ -7,11 +7,23 @@ routines replaced.  None of them is called by ``src``.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
-from wreathlab import FiniteGroup, Section
+from wreathlab import FiniteGroup, GroupHom, Section
 from wreathlab.groups import closure
+
+
+def identity_hom(g):
+    """The identity map of g, unchecked: every index to itself."""
+    return GroupHom(g, g, np.arange(g.order), validate=False)
+
+
+def rational_value(x):
+    """The value of a multiquadratic element with no irrational coordinate."""
+    assert not any(x.nums[1:]), f"{x} is not rational"
+    return Fraction(x.nums[0], x.den)
 
 
 def brute_closure(g, gens):
@@ -263,7 +275,7 @@ def brute_wreath_mul(w, x, y):
     f1, h1 = w.decode(x)
     f2, h2 = w.decode(y)
     k, hgrp, om = w.base_group, w.top.group, w.top
-    twisted = [f2[om.apply(hgrp.inv(h1), j)] for j in range(om.size)]
+    twisted = [f2[om.act[hgrp.inv(h1), j]] for j in range(om.size)]
     prod = [k.mul(a, b) for a, b in zip(f1, twisted)]
     return w.encode(prod, hgrp.mul(h1, h2))
 

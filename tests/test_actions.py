@@ -13,7 +13,6 @@ from wreathlab import (
     construct_named,
     coset_action,
     group_to_json,
-    identity_hom,
     load_action,
     natural_action,
     regular_action,
@@ -23,17 +22,19 @@ from wreathlab import (
 from wreathlab.groups import _orbits
 from wreathlab.search import are_isomorphic
 
+from tests.oracles import identity_hom
+
 
 def test_regular_action_of_c2_swaps_points():
     g = construct_named("C:2")
     om = regular_action(g)
     assert om.size == 2
-    assert om.apply(1, 0) == 1 and om.apply(1, 1) == 0
+    assert om.act[1, 0] == 1 and om.act[1, 1] == 0
 
 
 def test_regular_action_of_trivial_group():
     om = regular_action(construct_named("C:1"))
-    assert om.size == 1 and om.apply(0, 0) == 0
+    assert om.size == 1 and om.act[0, 0] == 0
 
 
 def test_regular_action_table_is_the_cayley_table(s3):
@@ -62,7 +63,7 @@ def test_regular_action_is_free_and_transitive(s4):
     om = regular_action(s4)
     for w1 in range(om.size):
         for w2 in range(om.size):
-            carriers = [h for h in range(s4.order) if om.apply(h, w1) == w2]
+            carriers = [h for h in range(s4.order) if om.act[h, w1] == w2]
             assert len(carriers) == 1
 
 
@@ -97,7 +98,7 @@ def test_natural_action_of_s3_and_a4():
     s3 = construct_named("S:3")
     om = natural_action(3, s3)
     assert (_orbits(om.act[om.group.generators()]) == 0).all()
-    stab = [h for h in range(s3.order) if om.apply(h, 0) == 0]
+    stab = [h for h in range(s3.order) if om.act[h, 0] == 0]
     assert len(stab) == 2
     a4 = construct_named("A:4")
     om = natural_action(4, a4)
@@ -109,7 +110,7 @@ def test_agl3_evaluation_action():
     om = natural_action(3, agl)
     assert om.size == 3 and (_orbits(om.act[om.group.generators()]) == 0).all()
     # gamma_{a,b}(t) = a t + b: index of gamma_{2,1} is (2-1)*3 + 1 = 4
-    assert [om.apply(4, t) for t in range(3)] == [1, 0, 2]
+    assert [om.act[4, t] for t in range(3)] == [1, 0, 2]
 
 
 def test_natural_action_requires_point_data():
@@ -141,7 +142,7 @@ def test_equivariance_matches_a_pointwise_scan():
              (regular_action(s3), regular_action(s3), identity_hom(s3))]
     for om, om_hat, phi in cases:
         for xi in itertools.islice(itertools.permutations(range(om.size)), 200):
-            scan = all(xi[om.apply(h, w)] == om_hat.apply(phi(h), xi[w])
+            scan = all(xi[om.act[h, w]] == om_hat.act[phi(h), xi[w]]
                        for h in range(om.group.order) for w in range(om.size))
             assert check_equivariant(list(xi), om, om_hat, phi) == scan
 

@@ -33,7 +33,6 @@ from wreathlab import (
     galois_group,
     group_from_json,
     group_to_json,
-    identity_hom,
     kk_embedding,
     natural_action,
     omega_embedding,
@@ -42,12 +41,13 @@ from wreathlab import (
     subgroup_from_elements,
     subgroup_generated,
     transport_iso,
-    transport_subgroup,
 )
 from wreathlab import groups as groups_module
 from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure, named_orders
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import THETA_CATALOG, _theta_omega, find_normal_subgroup, ses_catalog
+
+from tests.oracles import identity_hom
 
 EXACT = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -327,17 +327,19 @@ def transports():
     """Transports between wreath products, out of structural products and, with
     the same images, between their dense tables."""
     c2, c4, s3, agl = (construct_named(x) for x in ("C:2", "C:4", "S:3", "AGL:3"))
-    c3_sub, incl_h = find_normal_subgroup(s3, "C:3")
-    inversion = GroupHom(c4, c4, [0, 3, 2, 1])
+    c3 = find_normal_subgroup(s3, "C:3")[0]
+    inversion, inversion3 = GroupHom(c4, c4, [0, 3, 2, 1]), GroupHom(c3, c3, c3.inverses)
     w3, w4 = build_wreath(c2, natural_action(3, s3)), build_wreath(c2, regular_action(c4))
-    small = build_wreath(c2, natural_action(3, c3_sub))
+    small = build_wreath(c2, natural_action(3, c3))
+    flip = next(list(p) for p in itertools.permutations(range(3))
+                if check_equivariant(list(p), small.top, small.top, inversion3))
     moves = [
-        (transport_iso(identity_hom(c2), identity_hom(s3), [0, 1, 2], w3, w3), w3, w3),
-        (transport_iso(identity_hom(c2), inversion, list(inversion.image), w4, w4), w4, w4),
-        (transport_subgroup(identity_hom(c2), incl_h, [0, 1, 2], small, w3), small, w3),
+        (transport_iso(identity_hom(c2), identity_hom(s3), [0, 1, 2], w3, w3), w3),
+        (transport_iso(identity_hom(c2), inversion, list(inversion.image), w4, w4), w4),
+        (transport_iso(identity_hom(c2), inversion3, flip, small, small), small),
     ]
-    out = [t for t, _w, _w_hat in moves]
-    out += [GroupHom(w.dense(), w_hat.dense(), t.image, validate=False) for t, w, w_hat in moves]
+    out = [t for t, _w in moves]
+    out += [GroupHom(w.dense(), w.dense(), t.image, validate=False) for t, w in moves]
     w_agl, w_s3 = build_wreath(agl, natural_action(3, agl)), build_wreath(s3, natural_action(3, s3))
     psi = are_isomorphic(agl, s3)
     xi = next(list(p) for p in itertools.permutations(range(3))

@@ -29,7 +29,6 @@ from wreathlab import (
     construct_named,
     default_section,
     direct_product,
-    identity_hom,
     kk_embedding,
     natural_action,
     normal_core,
@@ -39,7 +38,6 @@ from wreathlab import (
     subgroup_from_elements,
     subgroup_generated,
     transport_iso,
-    transport_subgroup,
     verify_embedding,
 )
 from wreathlab import suites
@@ -48,7 +46,7 @@ from wreathlab.groups import closure, named_orders
 from wreathlab.fields import _chi_table
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import find_normal_subgroup, ses_catalog, ses_from_subgroup, stabilizer_subgroup
-from tests.oracles import all_sections, random_section
+from tests.oracles import all_sections, identity_hom, random_section, rational_value
 from tests.test_fields import SECTION_TOWERS, automorphisms, chi, restricted_mask
 
 # the towers of cocycle_suite
@@ -109,8 +107,8 @@ def kummer_oracle(t, w):
 
 def chi_by_division(t, rho, tau):
     """chi read off the quotient of the two radicals."""
-    tau_alpha = tau.apply(t.K.rational(t.alpha)).rational_value()
-    pre = rho.apply(t.L.rational(tau_alpha)).rational_value()
+    tau_alpha = rational_value(tau.apply(t.K.rational(t.alpha)))
+    pre = rational_value(rho.apply(t.L.rational(tau_alpha)))
     quotient_val = rho.apply(t.L.sqrt_of_rational(pre)) / t.L.sqrt_of_rational(tau_alpha)
     return {t.L.one(): 0, -t.L.one(): 1}[quotient_val]
 
@@ -308,12 +306,14 @@ def test_transports_match_the_per_element_loop():
     moved = transport_iso(identity_hom(c2), conj, xi, w, w)
     assert (moved.image == transport_oracle(identity_hom(c2), conj, xi, w, w)).all()
 
-    c3_sub, incl_h = find_normal_subgroup(s3, "C:3")
-    w_small = build_wreath(c2, natural_action(3, c3_sub))
-    w_big = build_wreath(c2, natural_action(3, s3))
-    moved = transport_subgroup(identity_hom(c2), incl_h, [0, 1, 2], w_small, w_big)
-    assert (moved.image == transport_oracle(identity_hom(c2), incl_h, [0, 1, 2],
-                                            w_small, w_big)).all()
+    # inversion on the rotations C:3 of 3 points, whose xi is a reflection
+    c3 = find_normal_subgroup(s3, "C:3")[0]
+    inversion = GroupHom(c3, c3, c3.inverses)
+    w = build_wreath(c2, natural_action(3, c3))
+    xi = next(list(c) for c in itertools.permutations(range(3))
+              if check_equivariant(list(c), w.top, w.top, inversion))
+    moved = transport_iso(identity_hom(c2), inversion, xi, w, w)
+    assert (moved.image == transport_oracle(identity_hom(c2), inversion, xi, w, w)).all()
 
 
 # -- the guards ------------------------------------------------------------------
@@ -370,9 +370,9 @@ def test_kk_rejects_a_section_value_outside_the_group(choice):
 def test_transport_rejects_a_base_map_into_a_larger_group():
     s3, c2, c4 = construct_named("S:3"), construct_named("C:2"), construct_named("C:4")
     w = build_wreath(c2, natural_action(3, s3))
-    into_c4 = GroupHom(c2, c4, [0, 2])  # injective, but C:4 is not the target base C:2
+    # an isomorphism, but of C:4, not of the target base C:2
     with pytest.raises(NotIsomorphismError, match="base group"):
-        transport_subgroup(into_c4, identity_hom(s3), [0, 1, 2], w, w)
+        transport_iso(identity_hom(c4), identity_hom(s3), [0, 1, 2], w, w)
 
 
 def unbounded_normal_subgroup(g, spec):

@@ -20,7 +20,6 @@ from wreathlab import (
     construct_named,
     coset_action,
     default_section,
-    identity_hom,
     kk_embedding,
     natural_action,
     omega_embedding,
@@ -30,7 +29,6 @@ from wreathlab import (
     subgroup_from_elements,
     subgroup_generated,
     transport_iso,
-    transport_subgroup,
     verify_embedding,
 )
 from wreathlab.embeddings import _sigma_image
@@ -45,7 +43,7 @@ from wreathlab.suites import (
 )
 from wreathlab.wreath import WreathGroup
 
-from tests.oracles import all_sections, random_section
+from tests.oracles import all_sections, identity_hom, random_section
 
 
 def sign_ses():
@@ -363,9 +361,10 @@ def test_the_hom_law_is_certified_once_per_embedding(monkeypatch):
     assert calls == [phi, unchecked]
 
 
-@pytest.mark.parametrize("k_spec,h_spec", [("C:3", "C:6"), ("C:2", "C:12"), ("S:3", "S:3")])
+@pytest.mark.parametrize("k_spec,h_spec",
+                         [("C:2", "C:2"), ("C:3", "C:6"), ("C:2", "C:12"), ("S:3", "S:3")])
 def test_identity_transport_on_a_structural_regular_wreath(k_spec, h_spec):
-    """Orders 4374, 49,152 and 279,936: an all-pairs check would need order^2 cells."""
+    """Orders 8, 4374, 49,152 and 279,936: an all-pairs check would need order^2 cells."""
     k, h = construct_named(k_spec), construct_named(h_spec)
     w = regular_wreath(k, h)
     assert isinstance(w, WreathGroup)
@@ -403,34 +402,14 @@ def test_transport_rejects_non_equivariant_bijection(s3):
                       [1, 0, 2], w, w)
 
 
-def test_transport_subgroup_c2_from_c3_to_s3():
-    s3 = construct_named("S:3")
-    c3_sub, incl_h = find_normal_subgroup(s3, "C:3")
-    c2 = construct_named("C:2")
-    w_small = build_wreath(c2, natural_action(3, c3_sub))
-    w_big = build_wreath(c2, natural_action(3, s3))
-    assert (w_small.order, w_big.order) == (24, 48)
-    moved = transport_subgroup(identity_hom(c2), incl_h, [0, 1, 2], w_small, w_big)
-    assert moved.find_hom_counterexample() is None
-    assert len(set(int(v) for v in moved.image)) == w_small.order
-
-
-def test_transport_subgroup_identity_components():
-    c2 = construct_named("C:2")
-    w = regular_wreath(c2, c2)
-    moved = transport_subgroup(identity_hom(c2), identity_hom(c2), [0, 1], w, w)
-    assert (moved.image == np.arange(w.order)).all()
-
-
-def test_transport_with_trivial_base_reduces_to_top_inclusion():
-    s3 = construct_named("S:3")
-    c3_sub, incl_h = find_normal_subgroup(s3, "C:3")
-    c1 = construct_named("C:1")
-    w_small = build_wreath(c1, natural_action(3, c3_sub))
-    w_big = build_wreath(c1, natural_action(3, s3))
-    moved = transport_subgroup(identity_hom(c1), incl_h, [0, 1, 2], w_small, w_big)
-    _, tops = zip(*(w_big.decode(int(v)) for v in moved.image))
-    assert list(tops) == [int(v) for v in incl_h.image]
+def test_transport_with_trivial_base_reduces_to_the_top_map():
+    s3, c1 = construct_named("S:3"), construct_named("C:1")
+    c = s3.point_maps.index((1, 2, 0))
+    conj = GroupHom(s3, s3, [s3.mul(s3.mul(c, h), s3.inv(c)) for h in range(s3.order)])
+    w = build_wreath(c1, natural_action(3, s3))
+    moved = transport_iso(identity_hom(c1), conj, list(s3.point_maps[c]), w, w)
+    _, tops = zip(*(w.decode(int(v)) for v in moved.image))
+    assert list(tops) == [int(v) for v in conj.image]
 
 
 # -- solvability -----------------------------------------------------------------------------

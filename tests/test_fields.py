@@ -131,7 +131,7 @@ def test_square_classes_over_f2_match_the_subset_products():
 def test_negative_generators_are_fine():
     f = MultiQuadField([-1, 2])
     assert f.dim == 4
-    i = f.gen_sqrt(0)
+    i = f.sqrt_of_rational(-1)
     assert i * i == f.rational(-1)
 
 
@@ -139,18 +139,18 @@ def test_negative_generators_are_fine():
 
 
 def test_difference_of_squares(q57):
-    one, s5 = q57.one(), q57.gen_sqrt(0)
+    one, s5 = q57.one(), q57.sqrt_of_rational(5)
     assert (one + s5) * (one - s5) == q57.rational(-4)
 
 
 def test_inverse_of_sqrt7(q57):
-    s7 = q57.gen_sqrt(1)
+    s7 = q57.sqrt_of_rational(7)
     assert s7.inverse() == q57.element([0, 0, Fraction(1, 7), 0])
     assert s7.inverse() * s7 == q57.one()
 
 
 def test_sqrt5_times_sqrt7_is_the_joint_monomial(q57):
-    prod = q57.gen_sqrt(0) * q57.gen_sqrt(1)
+    prod = q57.sqrt_of_rational(5) * q57.sqrt_of_rational(7)
     assert prod == q57.element([0, 0, 0, 1])
     assert str(prod) == "√5·√7"
 
@@ -491,7 +491,7 @@ def test_ints_and_fractions_give_the_same_element(q57):
     assert ints == fracs and hash(ints) == hash(fracs)
     assert (ints.nums, ints.den) == ((1, -2, 0, 3), 1)
     assert q57.rational(3) == q57.rational(Fraction(6, 2)) == q57.rational("3")
-    assert q57.rational(3).rational_value() == 3
+    assert (q57.rational(3).nums, q57.rational(3).den) == ((3, 0, 0, 0), 1)
 
 
 def test_zero_is_reduced_to_denominator_one(q57):
@@ -596,7 +596,8 @@ def test_galois_group_of_biquadratic(q57):
     assert group.labels == ["id", "rho1", "rho2", "rho3"]
     assert group.mul(1, 2) == 3  # rho1 o rho2 = rho3
     assert auts[1].signs == (-1, 1) and auts[2].signs == (1, -1)
-    assert auts[1].compose(auts[2]) == auts[3]
+    x = q57.element([1, 2, 3, 4])  # no coordinate is 0, so x's image fixes the signs
+    assert auts[1](auts[2](x)) == auts[3](x)
 
 
 def test_galois_group_of_twelve_generators_takes_under_half_a_second():

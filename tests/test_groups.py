@@ -29,7 +29,6 @@ from wreathlab import (
     direct_product,
     group_from_json,
     group_to_json,
-    identity_hom,
     kk_embedding,
     load_group,
     natural_action,
@@ -41,7 +40,6 @@ from wreathlab import (
     subgroup_from_elements,
     subgroup_generated,
     transport_iso,
-    transport_subgroup,
 )
 from wreathlab import groups, suites
 from wreathlab.cli import main
@@ -54,6 +52,7 @@ from tests.oracles import (
     class_sweep,
     element_order,
     generator_sets,
+    identity_hom,
     loop_oracle,
     member_coset_partition,
     normal_core_sweep,
@@ -294,6 +293,30 @@ def test_non_closed_set_names_the_first_escaping_pair(s4):
         subgroup_from_elements(s4, [0, s4.order])
 
 
+def test_an_escape_past_the_first_row_block_names_the_row_major_first_pair(monkeypatch):
+    """{0, 1} x C:256 in C:4 x C:256: the rows (0, a) are closed, and the first escape,
+    (1, 0)(1, 0) = (2, 0), is in row 256, past the first block of 128 rows."""
+    g = direct_product(construct_named("C:4"), construct_named("C:256"))
+    members = np.arange(512)
+    # oracle: the row-major first escape among all |H|^2 products at once
+    escapes = ~np.isin(g.mul_array(members[:, None], members), members)
+    assert divmod(int(escapes.argmax()), 512) == (256, 256) and groups._rows_per_block(512) == 128
+    for chunk in (1, 7, 2**16, 2**20):
+        monkeypatch.setattr(groups, "SWEEP_CHUNK", chunk)
+        with pytest.raises(GroupValidationError,
+                           match=re.escape("element set not closed: g256*g256 escapes")):
+            subgroup_from_elements(g, members)
+
+
+def test_a_subgroup_table_is_the_only_array_of_its_order_squared(peak_mb):
+    """C:4096 over all its elements: the int32 table is 64 MB, and the binary search
+    runs in row blocks.  Three int64 |H|^2 arrays once peaked at 336 MB."""
+    g = construct_named("C:4096")
+    (sub, incl), peak = peak_mb(lambda: subgroup_from_elements(g, range(g.order)))
+    assert (sub.table == g.table).all() and (incl.image == np.arange(g.order)).all()
+    assert peak < 70, f"peak {peak:.1f} MB"
+
+
 def test_a_subgroup_of_a_structural_product_allocates_nothing_of_its_order():
     # C:2 wr_r C:36 has order 2^36 * 36: a lookup array of that length would need 9 TiB
     w = regular_wreath(construct_named("C:2"), construct_named("C:36"))
@@ -352,6 +375,17 @@ def test_coset_partition_numbers_cosets_by_minimal_member(s4):
     for x in range(s4.order):
         coset = next(c for c in cosets if x in c)
         assert reps[coset_of[x]] == min(coset)
+
+
+def test_a_long_member_list_is_reduced_to_generators_first(peak_mb):
+    """A list longer than log2 |G| is redundant; as given, 4096 members of C:4096 made
+    4096 rows of |G| images, 576 MB of peak."""
+    g = construct_named("C:4096")
+    for members, generator in ((np.arange(4096), 1), (np.arange(0, 4096, 8), 8)):
+        (coset_of, reps), peak = peak_mb(lambda: coset_partition(g, members))
+        want_of, want_reps = coset_partition(g, [generator])
+        assert (coset_of == want_of).all() and (reps == want_reps).all()
+        assert peak < 5, f"peak {peak:.2f} MB"
 
 
 def test_quotient_and_partition_share_representatives(d4):
@@ -686,10 +720,9 @@ INDEX_ENTRY_POINTS = {
         [0, v], regular_action(c2), regular_action(c2), identity_hom(c2))),
     "transport_iso": (GroupFormatError, lambda c2, v: transport_iso(
         identity_hom(c2), identity_hom(c2), [0, v], _c2_wreath(), _c2_wreath())),
-    "transport_subgroup": (GroupFormatError, lambda c2, v: transport_subgroup(
-        identity_hom(c2), identity_hom(c2), [0, v], _c2_wreath(), _c2_wreath())),
     "subgroup_from_elements": (GroupFormatError, lambda c2, v: subgroup_from_elements(c2, [0, v])),
     "subgroup_generated": (GroupFormatError, lambda c2, v: subgroup_generated(c2, [v])),
+    "coset_partition": (GroupFormatError, lambda c2, v: coset_partition(c2, [v])),
     "WreathGroup.encode digit": (WreathlabError, lambda c2, v: _c2_wreath().encode([v, 0], 0)),
     "WreathGroup.encode top": (WreathlabError, lambda c2, v: _c2_wreath().encode([0, 0], v)),
     "WreathGroup.decode": (WreathlabError, lambda c2, v: _c2_wreath().decode(v)),
@@ -724,8 +757,9 @@ def test_every_entry_point_takes_python_and_numpy_ints(entry, value):
 def test_out_of_range_generators_and_overrides_are_refused():
     c4 = construct_named("C:4")
     for gens in ([4], [-1], [1, 2**40]):
-        with pytest.raises(GroupValidationError, match="range"):
-            subgroup_generated(c4, gens)
+        for generated in (subgroup_generated, coset_partition):  # -1 once read as 3
+            with pytest.raises(GroupValidationError, match="range"):
+                generated(c4, gens)
     for preimage in (7, -1, 2):
         with pytest.raises(SectionMismatchError, match=f"override {preimage} is not a preimage"):
             default_section(_c4_onto_c2(), {1: preimage})
@@ -859,8 +893,3 @@ def test_orbits_are_least_points_of_generated_orbits():
         assert _orbits(np.array([[(i + step) % 9 for i in range(9)]])).tolist() == [0] * 9
     joined = _orbits(np.array([[1, 2, 0, 4, 5, 3], [3, 1, 2, 0, 4, 5]]))
     assert joined.dtype == np.int64 and joined.tolist() == [0] * 6
-
-
-def test_coset_partition_refuses_generators_that_are_not_integers():
-    with pytest.raises(GroupFormatError):
-        coset_partition(construct_named("C:4"), [0, 2.0])
