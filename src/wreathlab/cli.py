@@ -1,8 +1,8 @@
 """Command-line surface: build, embed, sizes, verify.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
-3 resource limit (a wreath order past the int64 index range, the dense-table
-cap, the search budget, overflow or memory).
+3 resource limit (a wreath order past the int64 index range, a table past the
+byte budget, the search budget, overflow or memory).
 
 The argument parser is built once, at import, so repeated in-process ``main``
 calls pay only for their own command.  ``main`` looks the command up by name,
@@ -172,12 +172,29 @@ def _parse_integers(text: str, flag: str) -> list[int]:
         raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
+def _parse_alpha(text: str) -> Fraction:
+    """``--alpha`` as a Fraction whose numerator and denominator stay within Python's
+    digit limit for integer strings, so the tower's arithmetic and messages can use it.
+
+    An exponent past the limit plus twice the mantissa's length is refused before
+    ``Fraction`` raises 10 to it: the reduced numerator or denominator would pass
+    the limit.  The digits of any other alpha are checked once it is parsed.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        too_long = limit and abs(int(exponent or 0)) > limit + 2 * len(mantissa)
+        alpha = None if too_long else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--alpha takes a rational such as 5 or 3/2, got {text!r}") from None
+    if alpha is None or limit and max(alpha.numerator, alpha.denominator) >= 10**limit:
+        raise ValueError(f"--alpha has a numerator or denominator of more than {limit} digits")
+    return alpha
+
+
 def _parse_tower(args) -> QuadraticTower:
     k_gens = _parse_integers(args.K, "--K") if args.K else []
-    try:
-        alpha = Fraction(args.alpha)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--alpha takes a rational such as 5 or 3/2, got {args.alpha!r}") from None
+    alpha = _parse_alpha(args.alpha)
     return QuadraticTower(MultiQuadField(_parse_integers(args.field, "--field")), k_gens, alpha)
 
 

@@ -41,6 +41,7 @@ from .groups import (
     Group,
     GroupHom,
     Section,
+    _budget,
     _coset_group,
     _count_distinct,
     _int64_indices,
@@ -51,7 +52,7 @@ from .groups import (
     default_section,
 )
 from .search import embeds_into
-from .wreath import ENUMERATION_CAP, WreathGroup, _check_wreath_order, build_wreath, regular_wreath
+from .wreath import WreathGroup, _check_wreath_order, build_wreath, regular_wreath
 
 
 class ShortExactSequence:
@@ -249,7 +250,7 @@ def transport_iso(psi: GroupHom, phi: GroupHom, xi, w: WreathGroup,
         raise NotIsomorphismError("wreath products have different orders")
     if psi.codomain.order != w_hat.base_group.order:
         raise NotIsomorphismError("base-component map does not land in the target base group")
-    _check_wreath_order(w.n_base, w.n_points, w.n_top, ENUMERATION_CAP)
+    _budget(8 * w.order * w.n_points, "transport digits", w.order)
     xi_inv = np.argsort(_int64_indices(xi, GroupFormatError, "point bijection"))  # a bijection
     f, h = w.decode_array(np.arange(w.order))
     image = w_hat.encode_array(psi.image[f[:, xi_inv]], phi.image[h])

@@ -22,7 +22,7 @@ class ActionValidationError(WreathlabError):
 
 class SizeLimitError(WreathlabError):
     """A construction would pass a size limit: a product past the int64 index range,
-    a dense table above the dense cap, or an enumeration above its cap.
+    or a table past the byte budget, ``groups.BYTE_BUDGET``, checked before allocating.
 
     ``order`` is the refused order, or None where it is decided without forming
     it (2^16 or more points on a base of two or more elements: 65536 bits at least).

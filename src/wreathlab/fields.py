@@ -69,7 +69,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import TowerError
-from .groups import FiniteGroup, GroupHom, Section, _first_failure, subgroup_from_elements
+from .groups import FiniteGroup, GroupHom, Section, _budget, _first_failure, subgroup_from_elements
 from .wreath import WreathGroup, _check_wreath_order
 from .embeddings import EmbeddingReport, ShortExactSequence, kk_embedding, verify_embedding
 
@@ -489,7 +489,8 @@ def _mask_labels(count: int) -> list[str]:
 
 def galois_group(f: MultiQuadField) -> FiniteGroup:
     """Gal over Q as a concrete group: index m negates exactly the generators in
-    bitmask m, so the group is elementary abelian of order 2^k under XOR."""
+    bitmask m, so the group is elementary abelian of order 2^k under XOR; k <= 12."""
+    _budget(4 * f.dim**2, "Galois group table", f.dim)
     idx = np.arange(f.dim, dtype=np.int32)
     # XOR on masks is a group by construction, each mask its own inverse: no table scans
     return FiniteGroup(idx[:, None] ^ idx[None, :], labels=_mask_labels(f.dim),

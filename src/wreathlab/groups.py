@@ -35,8 +35,9 @@ the cosets of H under x -> x t over any generating set of H, which
 
 Named families fix a documented enumeration so all derived objects (subgroups,
 quotients, wreath products) are bit-reproducible; each table is one array
-expression in the element coordinates below, and a spec whose order exceeds
-``DENSE_CAP_DEFAULT`` is refused before anything is allocated.
+expression in the element coordinates below.  One size rule, ``_budget``, refuses
+a named, product, subgroup, quotient, wreath, theta, transport or Galois table
+past ``BYTE_BUDGET`` (64 MiB, the int32 table of order 4096) before allocating it.
 ``named_orders`` gives a spec's order and centre order without building it:
 
 * ``C:n``    -- residues 0..n-1, index = exponent.
@@ -69,11 +70,18 @@ from .errors import (
     SizeLimitError,
 )
 
-# the largest order of a dense table built from a spec (C:n, D:n, direct and wreath products)
-DENSE_CAP_DEFAULT = 4096
+# the most bytes one table the package builds may take: the int32 table of order 4096
+BYTE_BUDGET = 4 * 4096**2
 # cells per block of every first-failure sweep and of the inverse check, so their
 # memory stays O(chunk) at every order
 SWEEP_CHUNK = 2**16
+
+
+def _budget(nbytes: int, what: str, order: int) -> None:
+    """Refuse an array of ``nbytes`` past ``BYTE_BUDGET``, before it is allocated, with
+    ``SizeLimitError`` carrying ``order``, the order of the group it is for."""
+    if nbytes > BYTE_BUDGET:
+        raise SizeLimitError(f"{what} of order {order} exceeds the byte budget {BYTE_BUDGET}", order)
 
 
 def _rows_per_block(order: int) -> int:
@@ -613,16 +621,10 @@ def _quaternion() -> FiniteGroup:
 _PRIMES_AGL = {2, 3, 5, 7}
 
 
-def _check_dense_order(what: str, order: int) -> None:
-    if order > DENSE_CAP_DEFAULT:
-        raise SizeLimitError(
-            f"{what} order {order} exceeds the dense-table cap {DENSE_CAP_DEFAULT}", order)
-
-
 def _parse_named(spec: str) -> tuple[str, int]:
     """(family, n) of a spec string such as ``C:4`` or ``AGL:3`` (n is 0 for V4
-    and Q8), refused exactly as ``construct_named`` refuses it: an order above
-    ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError``."""
+    and Q8), refused exactly as ``construct_named`` refuses it: a table past the
+    byte budget raises ``SizeLimitError``."""
     s = spec.strip()
     if s in ("V4", "Q8"):
         return s, 0
@@ -636,11 +638,11 @@ def _parse_named(spec: str) -> tuple[str, int]:
     if family == "C":
         if n < 1:
             raise ValueError("C:n requires n >= 1")
-        _check_dense_order(s, n)
+        _budget(4 * n**2, f"{s} table", n)
     elif family == "D":
         if n < 2:
             raise ValueError("D:n requires n >= 2")
-        _check_dense_order(s, 2 * n)
+        _budget(4 * (2 * n)**2, f"{s} table", 2 * n)
     elif family == "S":
         if not 1 <= n <= 6:
             raise ValueError("S:n supported for 1 <= n <= 6 (table size bound)")
@@ -657,7 +659,7 @@ def _parse_named(spec: str) -> tuple[str, int]:
 
 def construct_named(spec: str) -> FiniteGroup:
     """Build a named family member from a spec string like ``C:4`` or ``AGL:3``;
-    an order above ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError`` before any allocation."""
+    a table past the byte budget raises ``SizeLimitError`` before any allocation."""
     family, n = _parse_named(spec)
     if family == "V4":
         return _klein()
@@ -687,10 +689,10 @@ def named_orders(spec: str) -> tuple[int, int]:
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Componentwise product on pairs, a-index major; an order above
-    ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError`` before any allocation."""
+    """Componentwise product on pairs, a-index major; a table past the byte
+    budget raises ``SizeLimitError`` before any allocation."""
     order = a.order * b.order
-    _check_dense_order("direct product", order)
+    _budget(4 * order**2, "direct product table", order)
     nb = b.order
     # table[(i1*nb+i2),(j1*nb+j2)] = a.table[i1,j1]*nb + b.table[i2,j2]: one int32 order^2 array
     table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(order, order)
@@ -713,6 +715,7 @@ def subgroup_from_elements(g: Group, elems: Iterable[int], name: Optional[str] =
     n = len(members)
     if n and not 0 <= members[0] <= members[-1] < g.order:
         raise GroupValidationError("element index out of the group's range")
+    _budget(4 * n**2, "subgroup table", n)
     table = np.empty((n, n), dtype=np.int32)
 
     def escapes(a: int, b: int) -> np.ndarray:  # writes rows a..b-1 of the table
@@ -849,6 +852,7 @@ def quotient(g: Group, n: GroupHom):
 
 def _coset_group(g: Group, coset_of: np.ndarray, reps: np.ndarray, name: str) -> FiniteGroup:
     """The group of the cosets of a normal subgroup, given as ``coset_partition`` gives them."""
+    _budget(4 * len(reps)**2, "quotient table", len(reps))
     table = coset_of.astype(np.int32)[g.mul_array(reps[:, None], reps)]
     labels = [f"[{g.label(r)}]" for r in reps]
     return FiniteGroup(table, identity=int(coset_of[g.identity]), labels=labels, name=name,

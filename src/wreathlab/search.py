@@ -143,23 +143,23 @@ class _Search:
         return added
 
 
-def embeds_into(a: FiniteGroup, b: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Optional[GroupHom]:
+def embeds_into(a: FiniteGroup, b: FiniteGroup) -> Optional[GroupHom]:
     """An injective hom a -> b if one exists; None otherwise.
 
-    Budget exhaustion raises SearchBudgetExceededError instead of answering.
+    Exhausting ``DEFAULT_NODE_BUDGET`` raises SearchBudgetExceededError instead of answering.
     """
     if b.order % a.order != 0:
         return None
     ca, cb = order_profile(a), order_profile(b)
     if any(ca[k] > cb.get(k, 0) for k in ca):
         return None
-    img = _Search(a, b, budget).run()
+    img = _Search(a, b, DEFAULT_NODE_BUDGET).run()
     if img is None:
         return None
     return GroupHom(a, b, img)
 
 
-def are_isomorphic(a: FiniteGroup, b: FiniteGroup, budget: int = DEFAULT_NODE_BUDGET) -> Optional[GroupHom]:
+def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Optional[GroupHom]:
     """An isomorphism a -> b found by invariant screening plus backtracking."""
     if a.order != b.order:
         return None
@@ -168,7 +168,7 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup, budget: int = DEFAULT_NODE_BU
         return None
     if order_profile(a) != order_profile(b):
         return None
-    return embeds_into(a, b, budget=budget)
+    return embeds_into(a, b)
 
 
 # -- small-group identification ------------------------------------------------

@@ -14,14 +14,15 @@ and transports run on it with nothing of size ``order`` stored.
 
 ``WreathGroup.dense()`` builds the Cayley table as a ``FiniteGroup`` on
 request (search, small-group identification and JSON export read tables) and
-refuses an order above ``DENSE_CAP_DEFAULT`` before it allocates anything.  It
-is assembled from the pointwise product of the B = |K|^|Omega| tuples, K's
-products raised to a direct power one point at a time, and the theta table.
+refuses a table past ``groups.BYTE_BUDGET`` (an order above 4096) before it
+allocates anything.  It is assembled from the pointwise product of the
+B = |K|^|Omega| tuples, K's products raised to a direct power one point at a
+time, and the theta table.
 
 A product is refused only past the int64 index range; ``theta_table`` and the
-transports, which enumerate every element, also refuse an order above
-``ENUMERATION_CAP``.  ``embeddings.ShortExactSequence.wreath`` builds the
-extension's N wr_r Q once and keeps it for all of its sections.
+transports, which enumerate every element, refuse an int64 array past the byte
+budget: one cell per element, one per digit.  ``embeddings.ShortExactSequence.wreath``
+builds the extension's N wr_r Q once and keeps it for all of its sections.
 """
 
 from __future__ import annotations
@@ -33,19 +34,15 @@ import numpy as np
 
 from .actions import FiniteGSet, regular_action
 from .errors import SizeLimitError, WreathlabError
-from .groups import FiniteGroup, Group, _check_dense_order, _int64_indices, _orbits
+from .groups import FiniteGroup, Group, _budget, _int64_indices, _orbits
 
 # elements are int64 indices, so no product has an order of 2^63 or more
 _INDEX_LIMIT = 2**63
-# the largest order of a product whose every element is enumerated at once
-ENUMERATION_CAP = 10**7
 
 
-def _check_wreath_order(n_base: int, n_points: int, n_top: int,
-                       cap: Optional[int] = None, at_least: bool = False) -> None:
+def _check_wreath_order(n_base: int, n_points: int, n_top: int, at_least: bool = False) -> None:
     """Refuse a wreath product of order n_base^n_points * n_top of ``_INDEX_LIMIT``
-    or more, or above ``cap`` where one is given, with ``SizeLimitError``,
-    before anything is built.
+    or more with ``SizeLimitError``, before anything is built.
 
     The message writes an order past 20 digits as ``base^points * top``, and
     says "at least" when n_top is only a lower bound on the top group's order.
@@ -57,8 +54,6 @@ def _check_wreath_order(n_base: int, n_points: int, n_top: int,
         text = f"at least {text}"
     if order is None or order >= _INDEX_LIMIT:
         raise SizeLimitError(f"wreath order {text} exceeds the int64 index range", order)
-    if cap is not None and order > cap:
-        raise SizeLimitError(f"wreath order {text} exceeds cap {cap}", order)
 
 
 class WreathGroup(Group):
@@ -154,7 +149,7 @@ class WreathGroup(Group):
 
     def theta_table(self) -> np.ndarray:
         """theta[h, f] = theta_h(f) for every h and f, read off (1, h)(f, e) = (theta_h(f), h)."""
-        _check_wreath_order(self.n_base, self.n_points, self.n_top, ENUMERATION_CAP)
+        _budget(8 * self.order, "theta table", self.order)
         B = self.tuple_count
         unit = self.identity % B
         tops = np.arange(self.n_top, dtype=np.int64) * B + unit
@@ -223,12 +218,11 @@ class WreathGroup(Group):
 
         Indices, labels, generators and inverses are this product's, the labels
         decoded on their first read; the table, proved by differential tests,
-        skips the table scans and Light's test.  An order above
-        ``DENSE_CAP_DEFAULT`` raises ``SizeLimitError`` before anything is
-        allocated.
+        skips the table scans and Light's test.  A table past the byte budget
+        raises ``SizeLimitError`` before anything is allocated.
         """
         if self._dense is None:
-            _check_dense_order("wreath product", self.order)
+            _budget(4 * self.order**2, "wreath product table", self.order)
             # a bare copy of this product: a closure over self would make a reference
             # cycle through self._dense
             codec = copy.copy(self)

@@ -43,7 +43,7 @@ from wreathlab import (
     transport_iso,
 )
 from wreathlab import groups as groups_module
-from wreathlab.groups import DENSE_CAP_DEFAULT, FiniteGroup, closure, named_orders
+from wreathlab.groups import BYTE_BUDGET, FiniteGroup, closure, named_orders
 from wreathlab.search import are_isomorphic
 from wreathlab.suites import THETA_CATALOG, _theta_omega, find_normal_subgroup, ses_catalog
 
@@ -207,7 +207,7 @@ def wreath_order(k_spec, h_spec, degree):
 
 
 # among them the iso suite's two order-1296 products, AGL:3 and S:3 wr natural:3
-DENSE_THETA_SHAPES = [c for c in THETA_CATALOG if wreath_order(*c) <= DENSE_CAP_DEFAULT]
+DENSE_THETA_SHAPES = [c for c in THETA_CATALOG if 4 * wreath_order(*c)**2 <= BYTE_BUDGET]
 
 
 @pytest.mark.parametrize("k_spec,h_spec,degree", DENSE_THETA_SHAPES, ids=str)

@@ -18,7 +18,8 @@ from wreathlab import (
 import wreathlab
 from wreathlab import cli
 from wreathlab.cli import main
-from wreathlab.sizes import M_MAX_BOUND
+from wreathlab.groups import named_orders
+from wreathlab.sizes import M_MAX_BOUND, table1
 
 
 def run(capsys, *argv):
@@ -69,6 +70,12 @@ def test_build_from_action_file(capsys, tmp_path):
     assert out.strip() == "order 48, identified C:2 × S:4"
 
 
+def test_build_acts_on_the_cosets_of_a_named_subgroup(capsys):
+    """S:3 on the 3 cosets of a C:2 found by search: C:2 wr S:3 has order 2^3 * 6."""
+    code, out, err = run(capsys, "build", "--k", "C:2", "--h", "S:3", "--omega", "cosets:C:2")
+    assert (code, out, err) == (0, f"order {2**3 * 6}, identified C:2 × S:4\n", "")
+
+
 @pytest.mark.parametrize("omega,mode", [
     ([], "regular"),
     (["--omega", "regular"], "regular"),
@@ -103,7 +110,7 @@ def test_build_refuses_a_spec_above_the_dense_cap_at_once(capsys, k, h):
     code, _, err = run(capsys, "build", "--k", k, "--h", h)
     elapsed = time.perf_counter() - start
     assert code == 3
-    assert "resource limit" in err and "exceeds the dense-table cap 4096" in err
+    assert "resource limit" in err and "exceeds the byte budget 67108864" in err
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 
@@ -115,7 +122,8 @@ def test_build_refuses_json_export_above_the_dense_cap_before_allocating(capsys,
                                                  "--omega", "regular", "--out", str(path)))
     assert code == 3
     assert out == "order 15625\n"
-    assert "resource limit: wreath product order 15625 exceeds the dense-table cap 4096" in err
+    assert ("resource limit: wreath product table of order 15625 exceeds the byte budget 67108864"
+            in err)
     assert not path.exists()
     assert peak < 2.0, f"peak {peak:.2f} MB"
 
@@ -215,6 +223,21 @@ def test_embed_omega_stabilizer(capsys):
     assert code == 0
     assert text.splitlines()[-1] == ("homomorphism: True, injective: True, "
                                      "image order 24 of 31104, full: False")
+
+
+@pytest.mark.parametrize("mode,group,flag,spec,h,core", [
+    ("omega", "D:4", "--subgroup", "center", 2, 2),
+    ("kk", "Q8", "--normal", "center", 2, 2),
+    ("omega", "S:4", "--subgroup", "C:3", 3, 1),
+], ids=["omega D:4 center", "kk Q8 center", "omega S:4 C:3"])
+def test_the_subgroup_specs_embed_into_the_coset_wreath(capsys, mode, group, flag, spec, h, core):
+    """G goes into H wr (G/core H) on the [G:H] cosets of H, of order
+    |H|^[G:H] * |G/core H|; for a normal H, kk's N wr_r G/N is the same order."""
+    g = named_orders(group)[0]
+    code, out, err = run(capsys, "embed", "--mode", mode, "--group", group, flag, spec)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == ("homomorphism: True, injective: True, "
+                                    f"image order {g} of {h ** (g // h) * (g // core)}, full: False")
 
 
 def test_embed_unknown_group_is_usage_error(capsys):
@@ -383,6 +406,29 @@ def test_a_tower_of_many_generators_is_refused_before_its_fields_are_built(
     assert elapsed < 1.0 and peak < 50, (elapsed, peak)
 
 
+@pytest.mark.parametrize("alpha", ["1e1000000", "1e-1000000", "1e99999"])
+def test_an_alpha_past_the_digit_limit_is_refused_before_fraction_parses_it(capsys, alpha):
+    """Fraction raises 10 to the exponent with no string conversion: 1e1000000 once ran
+    22 s and 1e99999 ended in Python's own integer-string message."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "embed", "--mode", "tower", "--field", "2,3", "--K", "2",
+                         "--alpha", alpha)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "") and err.startswith("error: --alpha "), err
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
+def test_an_alpha_at_the_digit_limit_is_parsed(capsys):
+    """10^4299 has 4300 digits, and 0.001e4302 reduces to it; 10^4300 has one too many."""
+    limit = sys.get_int_max_str_digits()
+    for alpha, code in ((f"1e{limit - 1}", 0), (f"0.001e{limit + 2}", 0), (f"1e-{limit - 1}", 0),
+                        (f"1e{limit}", 2), (f"1e-{limit}", 2)):
+        got, _, err = run(capsys, "embed", "--mode", "tower", "--field", "2,3,5", "--K", "2,3",
+                          "--alpha", alpha)
+        assert got == code, (alpha, err)
+
+
 def test_embed_tower_section_cross_check_tells_the_sqrt_alpha_section_apart(capsys):
     argv = ["embed", "--mode", "tower", "--field", "2,3,5", "--K", "2,3", "--alpha", "15"]
     for pairs, verdict in (("rho1:rho1,rho2:rho6,rho3:rho7", "agree"),
@@ -436,6 +482,15 @@ def test_sizes_json_schema(capsys):
     payload = json.loads(out)
     assert list(payload) == ["kf", "group", "rows"]
     assert list(payload["rows"][0]) == ["m", "log_regular", "log_omega", "marker"]
+
+
+def test_sizes_table1_as_json_prints_the_rows_of_table1(capsys):
+    code, out, _ = run(capsys, "sizes", "--kf", "3", "--emit", "table1", "--format", "json")
+    rows = table1(3)
+    assert code == 0 and len(rows) == 2
+    assert json.loads(out) == {"kf": 3, "rows": [
+        {"group": r.group_name, "kc": r.kc, "regular": r.regular_formula(), "omega": r.omega_formula()}
+        for r in rows]}
 
 
 def test_sizes_requires_group_without_table_emit(capsys):

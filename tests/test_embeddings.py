@@ -115,12 +115,13 @@ def test_kk_embeddings_of_one_extension_share_its_wreath_product():
 
 def test_the_calls_that_enumerate_a_whole_product_refuse_it_above_their_cap(peak_mb):
     """A structural product of any order below int64 is built, but a transport or a
-    theta table holds every element, so each refuses above 10^7 before allocating."""
+    theta table holds every element, so each refuses past the byte budget before allocating."""
     c2, c24 = construct_named("C:2"), construct_named("C:24")
     w = regular_wreath(c2, c24)  # order 2^24 * 24 = 402653184
 
     def refused(call):
-        with pytest.raises(SizeLimitError, match=r"^wreath order \d+ exceeds cap 10000000$") as err:
+        with pytest.raises(SizeLimitError, match=r"^(transport digits|theta table) of order \d+ "
+                                                 r"exceeds the byte budget 67108864$") as err:
             call()
         return err.value
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from wreathlab import (
     GroupFormatError,
     GroupHom,
     GroupValidationError,
+    MultiQuadField,
     NonNormalSubgroupError,
     Section,
     SectionMismatchError,
@@ -27,6 +29,7 @@ from wreathlab import (
     coset_partition,
     default_section,
     direct_product,
+    galois_group,
     group_from_json,
     group_to_json,
     kk_embedding,
@@ -43,7 +46,7 @@ from wreathlab import (
 )
 from wreathlab import groups, suites
 from wreathlab.cli import main
-from wreathlab.groups import DENSE_CAP_DEFAULT, _orbits, closure, named_orders
+from wreathlab.groups import BYTE_BUDGET, _orbits, closure, named_orders
 from wreathlab.search import are_isomorphic
 
 from tests.oracles import (
@@ -138,7 +141,7 @@ def test_named_orders_above_the_dense_cap_are_refused(spec, order):
         with pytest.raises(SizeLimitError) as err:
             build(spec)
         assert err.value.order == order
-        assert f"exceeds the dense-table cap {DENSE_CAP_DEFAULT}" in str(err.value)
+        assert str(err.value) == f"{spec} table of order {order} exceeds the byte budget {BYTE_BUDGET}"
 
 
 # -- direct products -------------------------------------------------------------
@@ -172,7 +175,7 @@ def test_product_identity_follows_the_factors_identities():
 
 
 def test_product_dense_cap(peak_mb):
-    # the dense-table cap bounds the product, checked before its 69 MB table is allocated
+    # the byte budget bounds the product, checked before its 69 MB table is allocated
     c64, c65 = construct_named("C:64"), construct_named("C:65")
 
     def refused():
@@ -181,8 +184,57 @@ def test_product_dense_cap(peak_mb):
         return err.value
 
     err, peak = peak_mb(refused)
-    assert err.order == 64 * 65 > DENSE_CAP_DEFAULT
+    assert err.order == 64 * 65 and 4 * err.order**2 > BYTE_BUDGET
     assert peak < 1
+
+
+# -- the byte budget ----------------------------------------------------------------
+
+
+def base_subgroup(n):
+    """The base group of C:2 wr_r C:n, of order 2^n, from its tuples with one 1 digit."""
+    w = regular_wreath(construct_named("C:2"), construct_named(f"C:{n}"))
+    return subgroup_generated(w, [w.encode([int(j == i) for j in range(n)], 0) for i in range(n)])
+
+
+def trivial_quotient(n):
+    """C:2 wr_r C:n by its trivial subgroup: a copy of the whole product."""
+    w = regular_wreath(construct_named("C:2"), construct_named(f"C:{n}"))
+    return quotient(w, subgroup_generated(w, [])[1])
+
+
+def galois_of(k):
+    primes = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
+    return galois_group(MultiQuadField(primes[:k]))
+
+
+@pytest.mark.parametrize("build,what,order", [
+    (lambda: base_subgroup(13), "subgroup table", 2**13),  # once 10.2 s and 263 MB
+    (lambda: trivial_quotient(9), "quotient table", 2**9 * 9),  # once 3.5 s and 649 MB
+    (lambda: galois_of(13), "Galois group table", 2**13),  # once 0.15 s and 257 MB
+], ids=["subgroup", "quotient", "galois"])
+def test_a_table_past_the_byte_budget_is_refused_before_it_is_built(peak_mb, build, what, order):
+    def refused():
+        with pytest.raises(SizeLimitError) as err:
+            build()
+        return err.value
+
+    start = time.perf_counter()
+    err, peak = peak_mb(refused)
+    elapsed = time.perf_counter() - start
+    assert str(err) == f"{what} of order {order} exceeds the byte budget {BYTE_BUDGET}"
+    assert err.order == order and 4 * order**2 > BYTE_BUDGET
+    assert elapsed < 0.1 and peak < 5, (elapsed, peak)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: center_subgroup(construct_named("C:4096"))[0],
+    lambda: galois_of(12),
+    lambda: construct_named("C:4096"),
+], ids=["centre of C:4096", "galois of 12 generators", "C:4096"])
+def test_a_table_of_exactly_the_byte_budget_is_built(build):
+    g = build()
+    assert g.order == 4096 and g.table.nbytes == BYTE_BUDGET
 
 
 # -- subgroups, cores, quotients --------------------------------------------------

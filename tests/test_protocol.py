@@ -52,7 +52,7 @@ from wreathlab import (
     subgroup_from_elements,
     verify_embedding,
 )
-from wreathlab.groups import DENSE_CAP_DEFAULT, Group, _orbits, closure
+from wreathlab.groups import BYTE_BUDGET, Group, _orbits, closure
 from wreathlab.suites import THETA_CATALOG, _theta_omega, ses_from_subgroup
 from wreathlab.wreath import WreathGroup
 
@@ -82,7 +82,7 @@ SHAPES = [(), (5,), (3, 1), (2, 3, 4)]
 
 
 def _structural(w):
-    return w.dense() if w.order <= DENSE_CAP_DEFAULT else WreathOracle(w)
+    return w.dense() if 4 * w.order**2 <= BYTE_BUDGET else WreathOracle(w)
 
 
 def _named(spec):

@@ -93,11 +93,12 @@ def test_embedding_hom_is_injective_whenever_found():
             assert len(hom.image_set()) == hom.domain.order
 
 
-def test_budget_exhaustion_is_distinct_from_no():
+def test_budget_exhaustion_is_distinct_from_no(monkeypatch):
     a = construct_named("S:4")
     b = construct_named("S:5")
+    monkeypatch.setattr(search, "DEFAULT_NODE_BUDGET", 3)
     with pytest.raises(SearchBudgetExceededError):
-        embeds_into(a, b, budget=3)
+        embeds_into(a, b)
 
 
 def test_identify_wreath_as_d4():
@@ -342,7 +343,7 @@ def test_identification_searches_as_the_per_edge_search(monkeypatch, a, b):
     assert runs and all(frontier == per_edge for frontier, per_edge in runs)
 
 
-def test_the_budget_runs_out_at_the_same_edge():
+def test_the_budget_runs_out_at_the_same_edge(monkeypatch):
     a, b = construct_named("S:4"), construct_named("S:5")
     (found, needed), want = both_searches(a, b)
     assert found is not None and (found, needed) == want
@@ -350,8 +351,9 @@ def test_the_budget_runs_out_at_the_same_edge():
         frontier, per_edge = both_searches(a, b, budget)
         assert frontier == per_edge
         assert isinstance(frontier[0], str) == (budget < needed)
+    monkeypatch.setattr(search, "DEFAULT_NODE_BUDGET", needed - 1)
     with pytest.raises(SearchBudgetExceededError, match=f"exceeded {needed - 1} nodes"):
-        embeds_into(a, b, budget=needed - 1)
+        embeds_into(a, b)
 
 
 def test_search_reads_the_codomain_through_mul_array_only(monkeypatch):
