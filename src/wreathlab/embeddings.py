@@ -45,7 +45,6 @@ from .groups import (
     _coset_group,
     _count_distinct,
     _int64_indices,
-    _pick_generators,
     certify_hom,
     construct_named,
     coset_partition,
@@ -198,7 +197,7 @@ def omega_embedding(g: Group, h_k: GroupHom, s: Optional[Section] = None,
     _check_coset_wreath(g.order, h_k.domain.order, at_least=True)
     omega_g, reps = coset_action(g, h_k)
     core = np.flatnonzero((omega_g.act == omega_g.act[g.identity]).all(axis=1))
-    tops, q_reps = coset_partition(g, _pick_generators(g, core.tolist())[0])
+    tops, q_reps = coset_partition(g, core)
     q = _coset_group(g, tops, q_reps, f"{g.name}/core of {h_k.domain.name} in {g.name}")
     omega_q = FiniteGSet(q, omega_g.act[q_reps], point_labels=omega_g.point_labels)
     s = reps if s is None else s

@@ -10,8 +10,8 @@ constructor reads each coordinate's ``as_integer_ratio()`` directly when it
 is an ``int`` or ``Fraction``, and goes through ``Fraction(c)`` otherwise.
 Automorphisms are sign vectors on the generators, so the Galois group over Q
 is elementary abelian of order 2^k and composes by XOR of masks;
-``galois_group`` returns that XOR group alone, and a ``FieldAutomorphism`` is
-built from a mask only where one is applied to elements.
+``galois_group`` returns that XOR group alone; a ``FieldAutomorphism`` holds one
+sign vector and negates the coordinates on an odd number of flipped generators.
 
 Because the top generator is the most significant bit, a coordinate vector of
 length 2^k splits in halves as x = a + b*sqrt(d) with d = d_{k-1} and a, b

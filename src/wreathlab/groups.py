@@ -4,7 +4,7 @@ Every group carries a full ``order x order`` table (``table[i][j]`` is the
 index of ``g_i * g_j``), an identity index, an inverse table and optional
 display labels.  Every integer handed to the package (tables, action cells,
 hom images, sections, elements, wreath digits) is read by ``_int64_rows``,
-which refuses a bool, float, str or None rather than convert it.
+which refuses a bool, float, str or None; ``_indices`` range-checks element indices.
 Validation is exact at every order: a table from outside the package (a
 direct ``FiniteGroup`` call, ``group_from_json`` or ``load_group``) passes
 the range, identity and inverse checks and is proved associative by Light's
@@ -175,6 +175,23 @@ def _int64_indices(values, error: type[Exception], what: str = "indices") -> np.
     return out.astype(np.int64, copy=False)
 
 
+def _indices(values, order: int, error: type[Exception], what: str) -> np.ndarray:
+    """A row of element indices of a group of ``order``, read by ``_int64_indices`` (a
+    refusal raises ``error``); one outside 0..order-1 raises ``GroupValidationError``."""
+    x = _int64_indices(values, error, what)
+    bad = x.view(np.uint64) >= order  # a negative index reads as past 2^63
+    if bad.any():
+        raise GroupValidationError(f"{what} {int(x[bad][0])} out of range 0..{order - 1}")
+    return x
+
+
+def _index(x, order: int, error: type[Exception], what: str) -> int:
+    """One index, checked as ``_indices`` checks a row; an int in range reads no array."""
+    if (type(x) is int or isinstance(x, np.integer)) and 0 <= x < order:
+        return int(x)
+    return _indices([x], order, error, what).item()
+
+
 class Group:
     """The element protocol every group representation honours.
 
@@ -244,7 +261,6 @@ class FiniteGroup(Group):
             bad = np.argwhere((table < 0) | (table >= self.order))[0]
             raise GroupValidationError(
                 f"table not closed: entry at {tuple(int(v) for v in bad)} out of range")
-        self.identity = int(identity)
         self.table = table.astype(np.int32, copy=False)
         self._labels = [str(x) for x in labels] if labels is not None else None
         if self._labels is not None and len(self._labels) != self.order:
@@ -256,8 +272,7 @@ class FiniteGroup(Group):
         self._orders: Optional[np.ndarray] = None
         self._center: Optional[list[int]] = None
         self._generators = _generators
-        if not 0 <= self.identity < self.order:
-            raise GroupValidationError(f"identity index {self.identity} out of range")
+        self.identity = _index(identity, self.order, GroupFormatError, "identity index")
         if _inverses is None:
             self._validate()
             self.inverses = self._compute_inverses()
@@ -270,10 +285,11 @@ class FiniteGroup(Group):
     # -- element operations ------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return self.table.item(a, b)
+        return self.table.item(_index(a, self.order, GroupFormatError, "element"),
+                               _index(b, self.order, GroupFormatError, "element"))
 
     def inv(self, a: int) -> int:
-        return self.inverses.item(a)
+        return self.inverses.item(_index(a, self.order, GroupFormatError, "element"))
 
     def mul_array(self, a, b) -> np.ndarray:
         return self.table[a, b]
@@ -290,7 +306,7 @@ class FiniteGroup(Group):
         return self._labels
 
     def label(self, x: int) -> str:
-        return self.labels[x]
+        return self.labels[_index(x, self.order, GroupFormatError, "element")]
 
     def label_index(self, label: str) -> int:
         try:
@@ -419,12 +435,10 @@ class GroupHom:
     def __init__(self, domain, codomain, image, validate: bool = True):
         self.domain = domain
         self.codomain = codomain
-        self.image = _int64_indices(image, GroupFormatError, "hom image")
+        self.image = _indices(image, codomain.order, GroupFormatError, "hom image")
         self.image.setflags(write=False)
         if len(self.image) != domain.order:
             raise GroupValidationError("hom image length does not match domain order")
-        if self.image.min() < 0 or self.image.max() >= codomain.order:
-            raise GroupValidationError("hom image entry out of codomain range")
         if int(self.image[domain.identity]) != codomain.identity:
             raise GroupValidationError("hom does not send identity to identity")
         self.certificate: Optional[Certificate] = None
@@ -435,7 +449,7 @@ class GroupHom:
             self.certificate = cert
 
     def __call__(self, a: int) -> int:
-        return int(self.image[a])
+        return self.image.item(_index(a, self.domain.order, GroupFormatError, "element"))
 
     def _fails(self, lo: int, hi: int, b: Optional[np.ndarray] = None) -> np.ndarray:
         """bad[a - lo, j] is phi(a b_j) != phi(a) phi(b_j), for the rows lo <= a < hi
@@ -529,7 +543,7 @@ class Section:
         self.choice.setflags(write=False)
 
     def __call__(self, q: int) -> int:
-        return int(self.choice[q])
+        return self.choice.item(_index(q, len(self.choice), SectionMismatchError, "point"))
 
 
 # -- named families ---------------------------------------------------------
@@ -705,22 +719,20 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 def subgroup_from_elements(g: Group, elems: Iterable[int], name: Optional[str] = None):
     """Subgroup on a closed element set, indexed by ascending parent index.
 
-    ``elems`` is read by ``_int64_rows`` (a refusal raises ``GroupFormatError``).
-    Elements are found among the members by binary search, so nothing of size
-    |G| is allocated: a subgroup of a structural product of any order is cheap.
+    ``elems`` is read by ``_indices`` (a refusal raises ``GroupFormatError``).  Products are
+    found among the members by binary search, or on all of G are their own positions, so
+    nothing of size |G| is allocated: a subgroup of a structural product of any order is cheap.
     The int32 table is written in row blocks, so the only |H|^2 array is the table.
     """
-    members = np.array(sorted(set(_int64_indices(elems, GroupFormatError, "elements").tolist())),
+    members = np.array(sorted(set(_indices(elems, g.order, GroupFormatError, "element").tolist())),
                        dtype=np.int64)
     n = len(members)
-    if n and not 0 <= members[0] <= members[-1] < g.order:
-        raise GroupValidationError("element index out of the group's range")
     _budget(4 * n**2, "subgroup table", n)
     table = np.empty((n, n), dtype=np.int32)
 
     def escapes(a: int, b: int) -> np.ndarray:  # writes rows a..b-1 of the table
         products = g.mul_array(members[a:b, None], members)
-        table[a:b] = np.searchsorted(members, products)
+        table[a:b] = products if n == g.order else np.searchsorted(members, products)
         return members.take(table[a:b], mode="clip") != products
 
     bad = _first_failure(escapes, n, n)
@@ -753,7 +765,7 @@ def closure(g: Group, gens: Iterable[int], start: Optional[Iterable[int]] = None
     ``start``, if given, is the subgroup generated by all of ``gens`` but the
     last, and only the last generator extends it.
     """
-    gens = [int(x) for x in gens]
+    gens = [_index(x, g.order, GroupFormatError, "generator") for x in gens]
     if start is None:
         seen, used, todo = {g.identity}, [], gens
     else:
@@ -794,9 +806,7 @@ def _powers_outside(g: Group, y: int, seen: set) -> list[int]:
 def subgroup_generated(g: Group, gens: Iterable[int]):
     """Closure of ``gens`` under multiplication, as (subgroup, inclusion); ``gens``
     is refused as ``subgroup_from_elements`` refuses its elements."""
-    gens = _int64_indices(gens, GroupFormatError, "generators")
-    if len(gens) and not 0 <= gens.min() <= gens.max() < g.order:
-        raise GroupValidationError("element index out of the group's range")
+    gens = _indices(gens, g.order, GroupFormatError, "generator")
     return subgroup_from_elements(g, closure(g, gens.tolist()))
 
 
@@ -826,9 +836,7 @@ def coset_partition(g: Group, gens) -> tuple[np.ndarray, np.ndarray]:
     Returns the coset index of every element and the minimal element of each
     coset; cosets are numbered by ascending minimal element.
     """
-    gens = _int64_indices(gens, GroupFormatError, "generators")
-    if len(gens) and not 0 <= gens.min() <= gens.max() < g.order:
-        raise GroupValidationError("element index out of the group's range")
+    gens = _indices(gens, g.order, GroupFormatError, "generator")
     if len(gens) > g.order.bit_length():
         gens = np.array(_pick_generators(g, gens.tolist())[0], dtype=np.int64)
     least = _orbits(g.mul_array(np.arange(g.order), gens[:, None]))

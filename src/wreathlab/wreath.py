@@ -34,7 +34,7 @@ import numpy as np
 
 from .actions import FiniteGSet, regular_action
 from .errors import SizeLimitError, WreathlabError
-from .groups import FiniteGroup, Group, _budget, _int64_indices, _orbits
+from .groups import FiniteGroup, Group, _budget, _index, _indices, _orbits, _rows_per_block
 
 # elements are int64 indices, so no product has an order of 2^63 or more
 _INDEX_LIMIT = 2**63
@@ -84,20 +84,15 @@ class WreathGroup(Group):
     product = property(lambda self: self)
 
     def encode(self, f: Sequence[int], h: int) -> int:
-        """The index of (f, h), its digits and top read by ``groups._int64_rows``."""
-        *f, h = _int64_indices([*f, h], WreathlabError, "tuple digits and top").tolist()
+        """The index of (f, h), its digits read by ``groups._indices`` and its top by ``_index``."""
+        f = _indices(f, self.n_base, WreathlabError, "tuple digit")
         if len(f) != self.n_points:
             raise WreathlabError(f"tuple length {len(f)} != |Omega| = {self.n_points}")
-        for d in f:
-            if not 0 <= d < self.n_base:
-                raise WreathlabError(f"tuple digit {d} out of base-group range")
-        if not 0 <= h < self.n_top:
-            raise WreathlabError(f"top index {h} out of range")
-        return int(self.encode_array(f, h))
+        return int(self.encode_array(f, _index(h, self.n_top, WreathlabError, "top index")))
 
     def decode(self, x: int) -> tuple[tuple[int, ...], int]:
-        """(f, h) of the index x, read by ``groups._int64_rows``."""
-        digits, h = self.decode_array(self._indices([x])[0])
+        """(f, h) of the index x, read by ``groups._index``."""
+        digits, h = self.decode_array(_index(x, self.order, WreathlabError, "wreath index"))
         return tuple(digits.tolist()), int(h)
 
     def decode_array(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -111,18 +106,11 @@ class WreathGroup(Group):
         return np.asarray(tops, dtype=np.int64) * self.tuple_count + digits @ self._pw
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_array(*self._indices([a, b])))
+        return int(self.mul_array(_index(a, self.order, WreathlabError, "wreath index"),
+                                  _index(b, self.order, WreathlabError, "wreath index")))
 
     def inv(self, a: int) -> int:
-        return int(self.inv_array(self._indices([a])[0]))
-
-    def _indices(self, x) -> np.ndarray:
-        """Wreath indices read by ``groups._int64_rows`` and checked against the order."""
-        x = _int64_indices(x, WreathlabError, "wreath indices")
-        bad = x.view(np.uint64) >= self.order  # a negative index reads as past 2^63
-        if bad.any():
-            raise WreathlabError(f"wreath index {int(x[bad][0])} out of range")
-        return x
+        return int(self.inv_array(_index(a, self.order, WreathlabError, "wreath index")))
 
     def mul_array(self, x, y) -> np.ndarray:
         """(f1, h1)(f2, h2) = (f1 * theta_h1(f2), h1 h2) with theta_h1(f2)(w) = f2(h1^-1 . w)."""
@@ -148,12 +136,16 @@ class WreathGroup(Group):
         return self.mul_array(e + np.asarray(f), e + np.asarray(g)) % self.tuple_count
 
     def theta_table(self) -> np.ndarray:
-        """theta[h, f] = theta_h(f) for every h and f, read off (1, h)(f, e) = (theta_h(f), h)."""
+        """theta[h, f] = theta_h(f) for every h and f, read off (1, h)(f, e) = (theta_h(f), h)
+        in blocks of tops, so ``mul_array``'s temporaries stay O(``SWEEP_CHUNK``)."""
         _budget(8 * self.order, "theta table", self.order)
-        B = self.tuple_count
+        B, step = self.tuple_count, _rows_per_block(self.tuple_count)
         unit = self.identity % B
-        tops = np.arange(self.n_top, dtype=np.int64) * B + unit
-        return self.mul_array(tops[:, None], self.identity - unit + np.arange(B)[None, :]) % B
+        tops, fs = np.arange(self.n_top)[:, None] * B + unit, self.identity - unit + np.arange(B)
+        theta = np.empty((self.n_top, B), dtype=np.int64)
+        for lo in range(0, self.n_top, step):
+            np.remainder(self.mul_array(tops[lo:lo + step], fs), B, out=theta[lo:lo + step])
+        return theta
 
     def dense_table(self) -> np.ndarray:
         """The Cayley table, one B x B block of tuple parts per h1.
@@ -189,7 +181,8 @@ class WreathGroup(Group):
 
     def labels(self, indices) -> list[str]:
         """``(k_0,...,k_{n-1}; h)`` for each index, from one array decode."""
-        digits, tops = (a.tolist() for a in self.decode_array(self._indices(indices)))
+        indices = _indices(indices, self.order, WreathlabError, "wreath index")
+        digits, tops = (a.tolist() for a in self.decode_array(indices))
         k = {d: self.base_group.label(d) for d in set().union(*digits)}
         h = {t: self.top.group.label(t) for t in set(tops)}
         return [f"({','.join([k[d] for d in f])}; {h[t]})" for f, t in zip(digits, tops)]

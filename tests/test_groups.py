@@ -341,7 +341,7 @@ def test_non_closed_set_names_the_first_escaping_pair(s4):
     with pytest.raises(GroupValidationError,
                        match=re.escape(f"element set not closed: g{a}*g{b} escapes")):
         subgroup_from_elements(s4, elems)
-    with pytest.raises(GroupValidationError, match="out of the group's range"):
+    with pytest.raises(GroupValidationError, match=re.escape("element 24 out of range 0..23")):
         subgroup_from_elements(s4, [0, s4.order])
 
 
@@ -775,6 +775,13 @@ INDEX_ENTRY_POINTS = {
     "subgroup_from_elements": (GroupFormatError, lambda c2, v: subgroup_from_elements(c2, [0, v])),
     "subgroup_generated": (GroupFormatError, lambda c2, v: subgroup_generated(c2, [v])),
     "coset_partition": (GroupFormatError, lambda c2, v: coset_partition(c2, [v])),
+    "closure": (GroupFormatError, lambda c2, v: closure(c2, [v])),
+    "FiniteGroup.mul left": (GroupFormatError, lambda c2, v: c2.mul(v, 1)),
+    "FiniteGroup.mul right": (GroupFormatError, lambda c2, v: c2.mul(1, v)),
+    "FiniteGroup.inv": (GroupFormatError, lambda c2, v: c2.inv(v)),
+    "FiniteGroup.label": (GroupFormatError, lambda c2, v: c2.label(v)),
+    "GroupHom.__call__": (GroupFormatError, lambda c2, v: identity_hom(c2)(v)),
+    "Section.__call__": (SectionMismatchError, lambda c2, v: Section(c2, c2, [0, 1])(v)),
     "WreathGroup.encode digit": (WreathlabError, lambda c2, v: _c2_wreath().encode([v, 0], 0)),
     "WreathGroup.encode top": (WreathlabError, lambda c2, v: _c2_wreath().encode([0, 0], v)),
     "WreathGroup.decode": (WreathlabError, lambda c2, v: _c2_wreath().decode(v)),
@@ -804,6 +811,31 @@ def test_every_entry_point_refuses_an_index_that_is_not_an_int64_integer(entry, 
 @pytest.mark.parametrize("entry", list(INDEX_ENTRY_POINTS))
 def test_every_entry_point_takes_python_and_numpy_ints(entry, value):
     INDEX_ENTRY_POINTS[entry][1](construct_named("C:2"), value)
+
+
+# the entry points above that read v as an element index of a known group, with its order
+# (C:2, or the product C:2 wr_r C:2); each checks it by ``groups._indices`` or ``_index``
+ELEMENT_INDEX_ORDERS = {
+    **dict.fromkeys(["GroupHom", "subgroup_from_elements", "subgroup_generated", "coset_partition",
+                     "closure", "FiniteGroup.mul left", "FiniteGroup.mul right",
+                     "FiniteGroup.inv", "FiniteGroup.label", "GroupHom.__call__",
+                     "Section.__call__", "WreathGroup.encode digit", "WreathGroup.encode top"], 2),
+    **dict.fromkeys(["WreathGroup.decode", "WreathGroup.label", "WreathGroup.labels",
+                     "WreathGroup.mul", "WreathGroup.inv"], 8),
+}
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["-1", "order"])
+@pytest.mark.parametrize("entry", list(ELEMENT_INDEX_ORDERS))
+def test_every_element_index_entry_point_refuses_an_index_outside_its_group(entry, past):
+    """A table group's scalar methods once read -1 as the last element, and the others
+    each refused an index outside the group with a text or class of its own."""
+    order = ELEMENT_INDEX_ORDERS[entry]
+    value = order if past else -1
+    message = re.escape(f" {value} out of range 0..{order - 1}")
+    with pytest.raises(GroupValidationError, match=message) as info:
+        INDEX_ENTRY_POINTS[entry][1](construct_named("C:2"), value)
+    assert type(info.value) is GroupValidationError
 
 
 def test_out_of_range_generators_and_overrides_are_refused():
