@@ -13,6 +13,7 @@ from .groups import (
     GroupHom,
     Section,
     _count_distinct,
+    _exchange_fields,
     _first_failure,
     _int64_indices,
     _int64_rows,
@@ -82,7 +83,7 @@ class FiniteGSet:
 
 def regular_action(h: FiniteGroup) -> FiniteGSet:
     """H acting on itself by left multiplication; the table is the Cayley table."""
-    return FiniteGSet(h, h.table, point_labels=list(h.labels), _group_table=True)
+    return FiniteGSet(h, h.table, point_labels=h.labels(np.arange(h.order)), _group_table=True)
 
 
 def coset_action(g: Group, h: GroupHom):
@@ -93,8 +94,7 @@ def coset_action(g: Group, h: GroupHom):
     """
     coset_of, reps = coset_partition(g, h.image[h.domain.generators()])
     act = coset_of[g.mul_array(np.arange(g.order)[:, None], reps)]
-    labels = [f"{g.label(r)}·H" for r in reps]
-    omega = FiniteGSet(g, act, point_labels=labels)
+    omega = FiniteGSet(g, act, point_labels=[f"{x}·H" for x in g.labels(reps)])
     return omega, Section(omega, g, reps)
 
 
@@ -136,22 +136,12 @@ def action_from_json(data: dict) -> FiniteGSet:
     ``point_labels``, if present, a list of strings.  A bool, float or string
     in ``size`` or ``act``, a value that is not an object, a missing key or
     labels that are not strings raise ``ActionValidationError``."""
-    if not isinstance(data, dict):
-        raise ActionValidationError("action JSON must be an object")
-    for key in ("group", "size", "act"):
-        if key not in data:
-            raise ActionValidationError(f"action JSON missing key {key!r}")
-    labels = data.get("point_labels")
-    if labels is not None and not (isinstance(labels, list)
-                                   and all(isinstance(x, str) for x in labels)):
-        raise ActionValidationError("action JSON point_labels must be a list of strings")
+    labels = _exchange_fields(data, "action", ("group", "size", "act"), ("size",), "point_labels",
+                              ActionValidationError)
     grp = data["group"]
     group = load_group(grp) if isinstance(grp, str) else group_from_json(grp)
-    size, act = data["size"], data["act"]
-    if type(size) is not int:  # refuses bool, float and str as well
-        raise ActionValidationError(f"action JSON 'size' must be an integer, got {size!r}")
-    omega = FiniteGSet(group, act, point_labels=labels)
-    if omega.size != size:
+    omega = FiniteGSet(group, data["act"], point_labels=labels)
+    if omega.size != data["size"]:
         raise ActionValidationError("declared size does not match action table")
     return omega
 

@@ -139,13 +139,11 @@ def cmd_build(args) -> int:
 
 
 def _print_embedding(domain, w, phi, report, args, extra: Optional[dict] = None) -> int:
-    image = w.labels(phi.image)  # every image label from one decode
+    labels, image = domain.labels(range(domain.order)), w.labels(phi.image)
     if args.format == "json":
         payload = {
-            "phi": [
-                {"domain": domain.label(x), "image": image[x], "index": phi(x)}
-                for x in range(domain.order)
-            ],
+            "phi": [{"domain": x, "image": y, "index": i}
+                    for x, y, i in zip(labels, image, phi.image.tolist())],
             # the time is reported here only, so text output repeats run to run
             "report": {**report.to_json(), "elapsed_s": report.elapsed_s},
         }
@@ -153,7 +151,7 @@ def _print_embedding(domain, w, phi, report, args, extra: Optional[dict] = None)
             payload.update(extra)
         _emit(json.dumps(payload), args.out)
     else:
-        lines = [f"{domain.label(x)} -> {image[x]}" for x in range(domain.order)]
+        lines = [f"{x} -> {y}" for x, y in zip(labels, image)]
         lines.append(
             f"homomorphism: {report.is_homomorphism}, injective: {report.is_injective}, "
             f"image order {report.image_order} of {report.wreath_order}, "

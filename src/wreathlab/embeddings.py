@@ -124,8 +124,6 @@ def _check_section(point_of: np.ndarray, choice: np.ndarray, size: int) -> None:
     point_of of each point 0..size-1, in order."""
     if choice.shape[-1] != size:
         raise SectionMismatchError(f"section has {choice.shape[-1]} values for {size} points")
-    if choice.min() < 0 or choice.max() >= len(point_of):
-        raise SectionMismatchError("section value out of the group's index range")
     bad = point_of[choice] != np.arange(size)
     if bad.any():
         at = int(bad.argmax())
@@ -198,7 +196,9 @@ def omega_embedding(g: Group, h_k: GroupHom, s: Optional[Section] = None,
     omega_g, reps = coset_action(g, h_k)
     core = np.flatnonzero((omega_g.act == omega_g.act[g.identity]).all(axis=1))
     tops, q_reps = coset_partition(g, core)
-    q = _coset_group(g, tops, q_reps, f"{g.name}/core of {h_k.domain.name} in {g.name}")
+    # named as quotient names g by normal_core, which is g itself on every element
+    core_name = g.name if len(core) == g.order else f"core of {h_k.domain.name} in {g.name}"
+    q = _coset_group(g, tops, q_reps, f"{g.name}/{core_name}")
     omega_q = FiniteGSet(q, omega_g.act[q_reps], point_labels=omega_g.point_labels)
     s = reps if s is None else s
     # the coset of x is x . p_H, where p_H = r_0^-1 . 0 is the point of the coset H

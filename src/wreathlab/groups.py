@@ -197,13 +197,13 @@ class Group:
 
     A group has ``order``, ``identity`` and ``name``; ``mul``/``mul_array`` and
     ``inv``/``inv_array`` on one index or broadcast over index arrays;
-    ``label``/``label_index``; ``generators()``, on which hom laws are checked;
-    and ``point_maps`` or None; ``power`` is built on them.  Constructions read
-    groups through these only.  ``FiniteGroup`` stores its Cayley table, which
-    one keyword, ``_inverses``, marks as package-built and so trusted without
-    scans.  ``wreath.WreathGroup`` computes products from the wreath formula,
-    adds the array codec (``encode_array``, ``decode_array``, ``labels``) and
-    builds its table on request (``dense``).
+    ``label``/``label_index``, and ``labels`` on a row of indices;
+    ``generators()``, on which hom laws are checked; and ``point_maps`` or None;
+    ``power`` is built on them.  Constructions read groups through these only.
+    ``FiniteGroup`` stores its Cayley table, which one keyword, ``_inverses``,
+    marks as package-built and so trusted without scans.  ``wreath.WreathGroup``
+    computes products from the wreath formula, adds the array codec
+    (``encode_array``, ``decode_array``) and builds its table on request (``dense``).
     """
 
     point_maps = None
@@ -297,20 +297,24 @@ class FiniteGroup(Group):
     def inv_array(self, a) -> np.ndarray:
         return self.inverses[a]
 
-    @property
-    def labels(self) -> list[str]:
+    def _label_list(self) -> list[str]:
         """Display labels by index, made on first read where none were given."""
         if self._labels is None:
             source = self._label_source or (lambda: [str(i) for i in range(self.order)])
             self._labels = source()
         return self._labels
 
+    def labels(self, indices) -> list[str]:
+        """The label of each index of a row, read by ``_indices``."""
+        every = self._label_list()
+        return [every[x] for x in _indices(indices, self.order, GroupFormatError, "element").tolist()]
+
     def label(self, x: int) -> str:
-        return self.labels[_index(x, self.order, GroupFormatError, "element")]
+        return self._label_list()[_index(x, self.order, GroupFormatError, "element")]
 
     def label_index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
+            return self._label_list().index(label)
         except ValueError:
             raise KeyError(f"no element labeled {label!r}") from None
 
@@ -533,13 +537,13 @@ class Section:
     """A right inverse of a surjection: one chosen preimage per target point.
 
     ``domain`` is either the quotient group Q or a coset Omega-set; ``choice``
-    holds G-element indices.  A section is not required to be a homomorphism.
+    holds indices of ``to``, read by ``_indices``.  It need not be a homomorphism.
     """
 
     def __init__(self, domain, to: Group, choice):
         self.domain = domain
         self.to = to
-        self.choice = _int64_indices(choice, SectionMismatchError, "section")
+        self.choice = _indices(choice, to.order, SectionMismatchError, "section")
         self.choice.setflags(write=False)
 
     def __call__(self, q: int) -> int:
@@ -702,47 +706,50 @@ def named_orders(spec: str) -> tuple[int, int]:
 # -- constructions ------------------------------------------------------------
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Componentwise product on pairs, a-index major; a table past the byte
-    budget raises ``SizeLimitError`` before any allocation."""
-    order = a.order * b.order
+def direct_product(a: Group, b: Group) -> FiniteGroup:
+    """Componentwise product on pairs, a-index major, of any two groups; labels are made
+    on first read.  A table past the byte budget raises ``SizeLimitError`` before any allocation."""
+    order, nb = a.order * b.order, b.order
     _budget(4 * order**2, "direct product table", order)
-    nb = b.order
-    # table[(i1*nb+i2),(j1*nb+j2)] = a.table[i1,j1]*nb + b.table[i2,j2]: one int32 order^2 array
-    table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(order, order)
-    labels = [f"({x},{y})" for x in a.labels for y in b.labels]
-    name = f"{a.name or 'G'} x {b.name or 'H'}"
-    return FiniteGroup(table, identity=a.identity * nb + b.identity, labels=labels, name=name,
-                       _inverses=(a.inverses[:, None] * nb + b.inverses[None, :]).ravel())
+    ia, ib = np.arange(a.order), np.arange(nb)
+    ta, tb = (g.mul_array(i[:, None], i).astype(np.int32, copy=False) for g, i in ((a, ia), (b, ib)))
+    # table[(i1*nb+i2),(j1*nb+j2)] = ta[i1,j1]*nb + tb[i2,j2]: one int32 order^2 array
+    table = (ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(order, order)
+    return FiniteGroup(table, identity=a.identity * nb + b.identity,
+                       name=f"{a.name or 'G'} x {b.name or 'H'}",
+                       _label_source=lambda: [f"({x},{y})" for x in a.labels(ia) for y in b.labels(ib)],
+                       _inverses=(a.inv_array(ia)[:, None] * nb + b.inv_array(ib)[None, :]).ravel())
 
 
 def subgroup_from_elements(g: Group, elems: Iterable[int], name: Optional[str] = None):
     """Subgroup on a closed element set, indexed by ascending parent index.
 
-    ``elems`` is read by ``_indices`` (a refusal raises ``GroupFormatError``).  Products are
-    found among the members by binary search, or on all of G are their own positions, so
-    nothing of size |G| is allocated: a subgroup of a structural product of any order is cheap.
+    ``elems`` is read by ``_indices`` (a refusal raises ``GroupFormatError``).  All of G gives
+    G and its identity hom.  Otherwise products are found among the members by binary search,
+    so nothing of size |G| is allocated: a subgroup of a structural product of any order is cheap.
     The int32 table is written in row blocks, so the only |H|^2 array is the table.
     """
     members = np.array(sorted(set(_indices(elems, g.order, GroupFormatError, "element").tolist())),
                        dtype=np.int64)
     n = len(members)
+    if n == g.order:
+        return g, GroupHom(g, g, members)
     _budget(4 * n**2, "subgroup table", n)
     table = np.empty((n, n), dtype=np.int32)
 
     def escapes(a: int, b: int) -> np.ndarray:  # writes rows a..b-1 of the table
         products = g.mul_array(members[a:b, None], members)
-        table[a:b] = products if n == g.order else np.searchsorted(members, products)
+        table[a:b] = np.searchsorted(members, products)
         return members.take(table[a:b], mode="clip") != products
 
     bad = _first_failure(escapes, n, n)
     if bad is not None:
         i, j = divmod(bad, n)
         raise GroupValidationError(f"element set not closed: g{members[i]}*g{members[j]} escapes")
-    labels = [g.label(x) for x in members.tolist()]
     maps = [g.point_maps[x] for x in members.tolist()] if g.point_maps is not None else None
     # a closed non-empty subset of a finite group holds the identity and every inverse
-    sub = FiniteGroup(table, identity=int(np.searchsorted(members, g.identity)), labels=labels,
+    sub = FiniteGroup(table, identity=int(np.searchsorted(members, g.identity)),
+                      labels=g.labels(members),
                       name=name or f"subgroup({n}) of {g.name}", point_maps=maps,
                       _inverses=np.searchsorted(members, g.inv_array(members)))
     return sub, GroupHom(sub, g, members)
@@ -862,7 +869,7 @@ def _coset_group(g: Group, coset_of: np.ndarray, reps: np.ndarray, name: str) ->
     """The group of the cosets of a normal subgroup, given as ``coset_partition`` gives them."""
     _budget(4 * len(reps)**2, "quotient table", len(reps))
     table = coset_of.astype(np.int32)[g.mul_array(reps[:, None], reps)]
-    labels = [f"[{g.label(r)}]" for r in reps]
+    labels = [f"[{x}]" for x in g.labels(reps)]
     return FiniteGroup(table, identity=int(coset_of[g.identity]), labels=labels, name=name,
                        _inverses=coset_of[g.inv_array(reps)])
 
@@ -895,14 +902,33 @@ def default_section(eps: GroupHom, overrides: Optional[dict[int, int]] = None) -
 # -- JSON exchange ------------------------------------------------------------
 
 
-def group_to_json(g: FiniteGroup) -> dict:
-    """Exchange dict with keys in the documented order."""
-    return {
-        "order": g.order,
-        "identity": g.identity,
-        "labels": list(g.labels),
-        "table": g.table.tolist(),
-    }
+def group_to_json(g: Group) -> dict:
+    """Exchange dict with keys in the documented order, its table read by ``mul_array``
+    in row blocks; a table past the byte budget raises ``SizeLimitError`` first."""
+    n = g.order
+    _budget(4 * n**2, "group JSON table", n)
+    every, step = np.arange(n), _rows_per_block(n)
+    data = {"order": n, "identity": g.identity, "labels": g.labels(every), "table": [None] * n}
+    for lo in range(0, n, step):
+        data["table"][lo:lo + step] = g.mul_array(every[lo:lo + step, None], every).tolist()
+    return data
+
+
+def _exchange_fields(data, kind: str, keys: tuple, integers: tuple, labels: str, error: type):
+    """``data[labels]``, after checking that data is an object with ``keys``, each of
+    ``integers`` an int and the labels absent or strings; else ``error``."""
+    if not isinstance(data, dict):
+        raise error(f"{kind} JSON must be an object")
+    for key in keys:
+        if key not in data:
+            raise error(f"{kind} JSON missing key {key!r}")
+    for key in integers:
+        if type(data[key]) is not int:  # refuses bool, float and str as well
+            raise error(f"{kind} JSON {key!r} must be an integer, got {data[key]!r}")
+    text = data.get(labels)
+    if text is not None and not (isinstance(text, list) and all(isinstance(x, str) for x in text)):
+        raise error(f"{kind} JSON {labels} must be a list of strings")
+    return text
 
 
 def group_from_json(data: dict) -> FiniteGroup:
@@ -910,18 +936,8 @@ def group_from_json(data: dict) -> FiniteGroup:
     ``labels``, if present, a list of strings and ``table`` a square integer
     array; data that is not raises ``GroupFormatError``, a table that is not a
     group ``GroupValidationError``."""
-    if not isinstance(data, dict):
-        raise GroupFormatError("group JSON must be an object")
-    for key in ("order", "identity", "table"):
-        if key not in data:
-            raise GroupFormatError(f"group JSON missing key {key!r}")
-    for key in ("order", "identity"):
-        if type(data[key]) is not int:  # refuses bool, float and str as well
-            raise GroupFormatError(f"group JSON {key!r} must be an integer, got {data[key]!r}")
-    labels = data.get("labels")
-    if labels is not None and not (isinstance(labels, list)
-                                   and all(isinstance(x, str) for x in labels)):
-        raise GroupFormatError("group JSON labels must be a list of strings")
+    labels = _exchange_fields(data, "group", ("order", "identity", "table"), ("order", "identity"),
+                              "labels", GroupFormatError)
     g = FiniteGroup(data["table"], identity=data["identity"], labels=labels)
     if g.order != data["order"]:
         raise GroupFormatError("declared order does not match table size")
@@ -935,7 +951,7 @@ def _write_json_line(data: dict, path) -> None:
         print(text, file=fh)
 
 
-def save_group(g: FiniteGroup, path) -> None:
+def save_group(g: Group, path) -> None:
     """Write ``group_to_json(g)`` as one line of JSON."""
     _write_json_line(group_to_json(g), path)
 

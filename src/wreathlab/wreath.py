@@ -180,12 +180,12 @@ class WreathGroup(Group):
                 + [e + (h - h_e) * self.tuple_count for h in self.top.group.generators()])
 
     def labels(self, indices) -> list[str]:
-        """``(k_0,...,k_{n-1}; h)`` for each index, from one array decode."""
-        indices = _indices(indices, self.order, WreathlabError, "wreath index")
-        digits, tops = (a.tolist() for a in self.decode_array(indices))
-        k = {d: self.base_group.label(d) for d in set().union(*digits)}
-        h = {t: self.top.group.label(t) for t in set(tops)}
-        return [f"({','.join([k[d] for d in f])}; {h[t]})" for f, t in zip(digits, tops)]
+        """``(k_0,...,k_{n-1}; h)`` for each index of a row, from one array decode and
+        one ``labels`` call per factor."""
+        digits, tops = self.decode_array(_indices(indices, self.order, WreathlabError, "wreath index"))
+        k, m = self.base_group.labels(digits.ravel()), self.n_points
+        return [f"({','.join(k[m * i:m * i + m])}; {h})"
+                for i, h in enumerate(self.top.group.labels(tops))]
 
     def label(self, x: int) -> str:
         return self.labels([x])[0]

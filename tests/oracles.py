@@ -283,7 +283,7 @@ def brute_wreath_mul(w, x, y):
 def wreath_label(w, x):
     """The label format: decode, then join the base labels and the top label."""
     f, h = w.decode(x)
-    return "(" + ",".join(w.base_group.labels[d] for d in f) + "; " + w.top.group.labels[h] + ")"
+    return "(" + ",".join(w.base_group.label(d) for d in f) + "; " + w.top.group.label(h) + ")"
 
 
 class WreathOracle:

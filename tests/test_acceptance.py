@@ -94,7 +94,7 @@ def test_criterion_2_biquadratic_reproduction(capsys):
         id_k, eta = 0, 1
         expected = [(f1, id_k), (f1, eta), (f4, id_k), (f4, eta)]
         assert [w.decode(phi(x)) for x in range(4)] == expected
-        assert ses.g.labels == ["id", "rho1", "rho2", "rho3"]
+        assert ses.g.labels(range(4)) == ["id", "rho1", "rho2", "rho3"]
         report = verify_embedding(phi)
         assert report.is_homomorphism and report.is_injective
         assert report.image_order == 4 and not report.image_is_full

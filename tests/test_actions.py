@@ -47,7 +47,7 @@ def test_regular_action_skips_the_sweep_that_user_actions_keep(monkeypatch):
     start = time.perf_counter()
     om = regular_action(d)
     elapsed = time.perf_counter() - start
-    assert om.act is d.table and om.size == d.order and om.point_labels == d.labels
+    assert om.act is d.table and om.size == d.order and om.point_labels == d.labels(range(d.order))
     assert elapsed < 0.05, elapsed  # the compatibility sweep took 0.24-0.38 s
     # an action built from outside is still checked, on the same table
     swept = []

@@ -21,7 +21,7 @@ EXPORT = ["build", "--k", "S:3", "--h", "S:3", "--omega", "natural:3", "--out"]
 
 # (command, bound in MB, peak measured in MB); "e.json" is a file in the test's tmp_path
 PEAKS = [
-    (["embed", "--mode", "omega", "--group", "C:4096", "--subgroup", "center"], 162, 129.5),
+    (["embed", "--mode", "omega", "--group", "C:4096", "--subgroup", "center"], 100, 80.1),
     (["embed", "--mode", "kk", "--group", "D:2048", "--normal", "C:2048"], 143, 114.4),
     ([*EXPORT, "e.json"], 96, 77.1),
     (["verify", "--group-json", "e.json"], 88, 70.7),

@@ -42,13 +42,17 @@ from wreathlab import (
     coset_action,
     coset_partition,
     direct_product,
+    group_from_json,
+    group_to_json,
     kk_embedding,
+    load_action,
     natural_action,
     normal_core,
     omega_embedding,
     quotient,
     regular_action,
     regular_wreath,
+    save_action,
     subgroup_from_elements,
     verify_embedding,
 )
@@ -276,7 +280,23 @@ def check_closure(g, ref):
         assert closure(g, gens) == sorted(want), gens
 
 
-PROTOCOL = (check_products, check_identity_labels_and_generators, check_power, check_closure)
+def check_labels(g, ref):
+    """``labels(indices)`` is ``label`` of each index, on seeded rows, a repeated
+    index and ``[]``, and refuses what ``label`` refuses, with its class."""
+    rng = np.random.default_rng(g.order)
+    for x in ([], rng.integers(0, g.order, 7), [g.identity, g.identity],
+              elements(g, ref, rng)[:64]):
+        assert g.labels(x) == [g.label(i) for i in np.asarray(x, dtype=np.int64).tolist()]
+    for bad in (-1, g.order, 1.5, True, None):
+        with pytest.raises(WreathlabError) as scalar:
+            g.label(bad)
+        with pytest.raises(WreathlabError) as row:
+            g.labels([g.identity, bad])
+        assert type(row.value) is type(scalar.value), bad
+
+
+PROTOCOL = (check_products, check_identity_labels_and_generators, check_labels, check_power,
+            check_closure)
 
 
 @pytest.mark.parametrize("check", PROTOCOL, ids=lambda check: check.__name__[6:])
@@ -342,8 +362,10 @@ def outcome(make):
 
 
 def subgroup_summary(sub, incl):
-    return (sub.table.tolist(), sub.identity, sub.inverses.tolist(), sub.labels, sub.point_maps,
-            sub.name, incl.image.tolist())
+    """Read through the protocol: a subgroup on every element of a product is the product."""
+    x = np.arange(sub.order)
+    return (sub.mul_array(x[:, None], x).tolist(), sub.identity, sub.inv_array(x).tolist(),
+            sub.labels(x), sub.point_maps, sub.name, incl.image.tolist())
 
 
 def certificate(hom):
@@ -405,8 +427,8 @@ def test_quotients_and_kk_embeddings(entry):
             _n, incl = subgroup_from_elements(group, members)
             q, proj = quotient(group, incl)
             kk = outcome(lambda: embedding_summary(*kk_embedding(ses_from_subgroup(group, incl))))
-            got.append((q.table.tolist(), q.identity, q.inverses.tolist(), q.labels, q.name,
-                        proj.image.tolist(), hom_summary(proj), kk))
+            got.append((q.table.tolist(), q.identity, q.inverses.tolist(), q.labels(range(q.order)),
+                        q.name, proj.image.tolist(), hom_summary(proj), kk))
         assert got[0] == got[1], members
 
 
@@ -440,6 +462,45 @@ def test_classes_cosets_and_top_orbits_match_the_oracles(entry):
         top = g.top
         least = [min(top.act[:, w].tolist()) for w in range(top.size)]
         assert _orbits(top.act[top.group.generators()]).tolist() == least
+
+
+def table_summary(g):
+    x = np.arange(g.order)
+    return g.table.tolist(), g.identity, g.inverses.tolist(), g.labels(x), g.name
+
+
+def test_direct_products_and_exchange_files_take_a_structural_group(tmp_path):
+    """Each read a table once, so each refused C:2 wr_r C:2 without dense()."""
+    c2 = construct_named("C:2")
+    w = regular_wreath(c2, c2)
+    d = w.dense()
+    for (a, b), (a_ref, b_ref) in (((w, c2), (d, c2)), ((c2, w), (c2, d)), ((w, w), (d, d))):
+        assert table_summary(direct_product(a, b)) == table_summary(direct_product(a_ref, b_ref))
+    assert group_to_json(w) == group_to_json(d)
+    assert table_summary(group_from_json(group_to_json(w)))[:4] == table_summary(d)[:4]
+    for group in (w, d):
+        _pair, incl = subgroup_from_elements(group, [group.identity, 3])  # 3 is (1,1; e)
+        save_action(coset_action(group, incl)[0], tmp_path / f"{type(group).__name__}.json")
+    written = [(tmp_path / f"{cls.__name__}.json").read_bytes() for cls in (WreathGroup, FiniteGroup)]
+    assert written[0] == written[1]
+    loaded = load_action(tmp_path / "WreathGroup.json")
+    assert (loaded.act.tolist(), table_summary(loaded.group)[:4]) == (
+        coset_action(d, subgroup_from_elements(d, [d.identity, 3])[1])[0].act.tolist(),
+        table_summary(d)[:4])
+
+
+def test_constructions_read_a_structural_groups_labels_in_one_call(monkeypatch):
+    """subgroup_from_elements, coset_action and quotient once read one label per element."""
+    w = regular_wreath(construct_named("C:2"), construct_named("C:4"))
+    base = [x for x in range(w.order) if w.decode(x)[1] == 0]  # the normal base group
+    _b, incl = subgroup_from_elements(w, base)
+    calls, real = [], WreathGroup.labels
+    monkeypatch.setattr(WreathGroup, "labels",
+                        lambda self, indices: calls.append(len(indices)) or real(self, indices))
+    for construct, count in ((subgroup_from_elements, len(base)), (coset_action, 4), (quotient, 4)):
+        calls.clear()
+        construct(w, base if construct is subgroup_from_elements else incl)
+        assert calls == [count], construct.__name__
 
 
 def test_the_coset_of_h_off_point_0_embeds_through_its_own_point():
